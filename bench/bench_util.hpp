@@ -1,12 +1,14 @@
-// Shared helpers for the figure benches.
+// Shared helpers for the perf_* benches and idlewave_bench.
 #pragma once
 
+#include <fstream>
 #include <iostream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "support/check.hpp"
-#include "support/cli.hpp"
-#include "support/csv.hpp"
+#include "support/json.hpp"
 
 namespace iw::bench {
 
@@ -49,11 +51,44 @@ inline int refuse_if_instrumented(const char* bench_name) {
   return 2;
 }
 
-/// Opens the optional --out CSV sink.
-inline CsvWriter csv_from_cli(const Cli& cli) {
-  if (const auto path = cli.get("out")) return CsvWriter{*path};
-  return CsvWriter{};
-}
+/// A parsed JSON artifact, such as a checked-in BENCH_*.json baseline. The
+/// accessors take a dotted path ("summary.top_np") and throw naming the
+/// file and the field when it is absent or of another kind.
+class JsonFile {
+ public:
+  explicit JsonFile(const std::string& path) : path_(path) {
+    std::ifstream in(path);
+    if (!in) throw std::runtime_error("cannot read " + path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    doc_ = json::parse(text.str(), path);
+  }
+
+  [[nodiscard]] double number(const std::string& field) const {
+    return at(field, json::Value::Kind::number).number;
+  }
+  [[nodiscard]] const std::string& text(const std::string& field) const {
+    return at(field, json::Value::Kind::string).text;
+  }
+
+ private:
+  const json::Value& at(const std::string& field,
+                        json::Value::Kind kind) const {
+    const json::Value* v = &doc_;
+    for (std::size_t begin = 0; v != nullptr;) {
+      const std::size_t dot = field.find('.', begin);
+      v = v->find(field.substr(begin, dot - begin));
+      if (dot == std::string::npos) break;
+      begin = dot + 1;
+    }
+    if (v == nullptr || !v->is(kind))
+      throw std::runtime_error(path_ + " lacks field " + field);
+    return *v;
+  }
+
+  std::string path_;
+  json::Value doc_;
+};
 
 inline void print_header(const std::string& title, const std::string& what) {
   std::cout << "=====================================================\n"

@@ -13,7 +13,7 @@
 // protocol event in src/.
 //
 // Flags: --json=<path> (default BENCH_engine.json; --out is an accepted
-//        alias, matching perf_sweep's flag names), --smoke (CI-sized run),
+//        alias), --smoke (CI-sized run),
 //        --reps=N, --churn=N, --pending=N, --batches=N, --prefill=N.
 #include <chrono>
 #include <cmath>

@@ -20,7 +20,6 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -121,34 +120,6 @@ bool traces_identical(const mpi::Trace& a, const mpi::Trace& b) {
     if (a.finish(r) != b.finish(r)) return false;
   }
   return true;
-}
-
-/// Minimal field extraction from our own artifact, as in perf_sweep.
-struct Baseline {
-  int top_np = 0;
-  double top_speedup = 0.0;
-  double top_ffwd_bytes_per_rank = 0.0;
-};
-
-Baseline load_baseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot read baseline " + path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const auto field = [&text, &path](const std::string& key) {
-    const auto pos = text.find("\"" + key + "\"");
-    if (pos == std::string::npos)
-      throw std::runtime_error("baseline " + path + " lacks field " + key);
-    const auto colon = text.find(':', pos);
-    return text.substr(colon + 1,
-                       text.find_first_of(",\n}", colon) - colon - 1);
-  };
-  Baseline b;
-  b.top_np = std::stoi(field("top_np"));
-  b.top_speedup = std::stod(field("top_speedup"));
-  b.top_ffwd_bytes_per_rank = std::stod(field("top_ffwd_bytes_per_rank"));
-  return b;
 }
 
 int bench_main(int argc, char** argv) {
@@ -260,21 +231,26 @@ int bench_main(int argc, char** argv) {
   // the footprint gate is tighter because bytes/rank is deterministic.
   bool baseline_ok = true;
   if (const auto baseline_path = cli.get("baseline")) {
-    const Baseline baseline = load_baseline(*baseline_path);
+    const bench::JsonFile baseline(*baseline_path);
+    const int baseline_np =
+        static_cast<int>(baseline.number("summary.top_np"));
+    const double baseline_speedup = baseline.number("summary.top_speedup");
+    const double baseline_bytes_per_rank =
+        baseline.number("summary.top_ffwd_bytes_per_rank");
     // Gate only between runs of the same scale: a quick ladder tops out
     // far below the baseline's 100k-rank rung, where both the speedup and
     // the amortized footprint are structurally smaller — comparing across
     // rungs would flag phantom regressions. CI's quick run therefore
     // skips loudly against the checked-in full-mode baseline while still
     // enforcing identity and the absolute footprint budget above.
-    if (baseline.top_np != top.np) {
+    if (baseline_np != top.np) {
       std::cout << "baseline gate vs " << *baseline_path
-                << ": SKIPPED (baseline top rung np=" << baseline.top_np
+                << ": SKIPPED (baseline top rung np=" << baseline_np
                 << ", this run np=" << top.np
                 << " — regenerate the baseline at this ladder to arm)\n";
     } else {
-      const double floor = 1.0 + (baseline.top_speedup - 1.0) * 2.0 / 3.0;
-      const double mem_ceiling = baseline.top_ffwd_bytes_per_rank * 1.25;
+      const double floor = 1.0 + (baseline_speedup - 1.0) * 2.0 / 3.0;
+      const double mem_ceiling = baseline_bytes_per_rank * 1.25;
       const bool speedup_ok = top.speedup >= floor;
       const bool mem_ok = top.ffwd.bytes_per_rank <= mem_ceiling;
       baseline_ok = speedup_ok && mem_ok;

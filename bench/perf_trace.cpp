@@ -37,7 +37,6 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -45,6 +44,7 @@
 
 #include "bench_util.hpp"
 #include "support/cli.hpp"
+#include "support/stats.hpp"
 #include "transport_workloads.hpp"
 
 #ifndef IW_BENCH_BASELINE_DIR
@@ -61,43 +61,12 @@ struct Baseline {
   double geomean_speedup = 0.0;
 };
 
-/// Pulls the two fields this bench needs out of a baseline JSON (the
+/// Reads the two fields this bench needs from a baseline JSON (the
 /// checked-in BENCH_trace_baseline.json, or any BENCH_transport.json via
-/// --baseline). Deliberately a string scan, not a JSON parser: both files
-/// have a fixed generated layout and may carry extra summary fields, so
-/// only the stable keys are read.
+/// --baseline); both may carry extra fields.
 Baseline load_baseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot read baseline: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-
-  const auto field = [&](const std::string& key) {
-    const std::string needle = "\"" + key + "\":";
-    const auto pos = text.find(needle);
-    if (pos == std::string::npos)
-      throw std::runtime_error("baseline " + path + " has no \"" + key +
-                               "\" field");
-    return text.substr(pos + needle.size());
-  };
-
-  Baseline b;
-  b.geomean_speedup = std::stod(field("geomean_speedup"));
-  std::string mode = field("mode");
-  const auto open = mode.find('"');
-  const auto close = mode.find('"', open + 1);
-  if (open == std::string::npos || close == std::string::npos)
-    throw std::runtime_error("baseline " + path + ": malformed \"mode\"");
-  b.mode = mode.substr(open + 1, close - open - 1);
-  return b;
-}
-
-double median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t mid = v.size() / 2;
-  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+  const bench::JsonFile file(path);
+  return {file.text("mode"), file.number("summary.geomean_speedup")};
 }
 
 struct TraceComparison {

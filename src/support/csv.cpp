@@ -1,7 +1,6 @@
 #include "support/csv.hpp"
 
 #include <cstdio>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -25,32 +24,16 @@ std::string quote(const std::string& field) {
 
 }  // namespace
 
-CsvWriter::CsvWriter() = default;
-
-CsvWriter::CsvWriter(const std::string& path)
-    : out_(std::make_unique<std::ofstream>(path)) {
-  if (!*out_) throw std::runtime_error("cannot open CSV output: " + path);
+CsvWriter::CsvWriter(const std::string& path) : out_(path) {
+  if (!out_) throw std::runtime_error("cannot open CSV output: " + path);
 }
 
-void CsvWriter::header(std::initializer_list<std::string> names) {
-  emit(std::vector<std::string>(names));
-}
-
-void CsvWriter::header(const std::vector<std::string>& names) { emit(names); }
-
-void CsvWriter::row(std::initializer_list<std::string> fields) {
-  emit(std::vector<std::string>(fields));
-}
-
-void CsvWriter::row(const std::vector<std::string>& fields) { emit(fields); }
-
-void CsvWriter::emit(const std::vector<std::string>& fields) {
-  if (!out_) return;
+void CsvWriter::row(const std::vector<std::string>& fields) {
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i) *out_ << ',';
-    *out_ << quote(fields[i]);
+    if (i) out_ << ',';
+    out_ << quote(fields[i]);
   }
-  *out_ << '\n';
+  out_ << '\n';
 }
 
 std::string csv_num(double v) {
@@ -60,23 +43,11 @@ std::string csv_num(double v) {
   return os.str();
 }
 
-JsonlWriter::JsonlWriter() = default;
-
-JsonlWriter::JsonlWriter(const std::string& path)
-    : out_(std::make_unique<std::ofstream>(path)) {
-  if (!*out_) throw std::runtime_error("cannot open JSONL output: " + path);
+JsonlWriter::JsonlWriter(const std::string& path) : out_(path) {
+  if (!out_) throw std::runtime_error("cannot open JSONL output: " + path);
 }
 
-void JsonlWriter::object(
-    const std::vector<std::pair<std::string, std::string>>& fields) {
-  if (!out_) return;
-  *out_ << json_object(fields) << '\n';
-}
-
-void JsonlWriter::raw_line(const std::string& json) {
-  if (!out_) return;
-  *out_ << json << '\n';
-}
+void JsonlWriter::raw_line(const std::string& json) { out_ << json << '\n'; }
 
 std::string json_object(
     const std::vector<std::pair<std::string, std::string>>& fields) {

@@ -1,9 +1,7 @@
-// Minimal CSV and JSON-Lines emission for figure benches and sweep sinks.
+// Minimal CSV and JSON-Lines emission for the sweep record sinks.
 #pragma once
 
 #include <fstream>
-#include <initializer_list>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,39 +16,21 @@ class CsvWriter {
   /// Opens `path` for writing; throws std::runtime_error on failure.
   explicit CsvWriter(const std::string& path);
 
-  /// A no-op writer (all rows discarded). Lets benches unconditionally call
-  /// row() whether or not --out was given.
-  CsvWriter();
-
-  void header(std::initializer_list<std::string> names);
-  void header(const std::vector<std::string>& names);
-  void row(std::initializer_list<std::string> fields);
+  void header(const std::vector<std::string>& names) { row(names); }
   void row(const std::vector<std::string>& fields);
 
-  /// True if this writer actually writes somewhere.
-  [[nodiscard]] bool active() const { return static_cast<bool>(out_); }
-
  private:
-  void emit(const std::vector<std::string>& fields);
-
-  std::unique_ptr<std::ofstream> out_;
+  std::ofstream out_;
 };
 
 /// Formats a double with enough digits for round-tripping figure data.
 [[nodiscard]] std::string csv_num(double v);
 
-/// Streams one JSON object per line (JSON Lines). Field values are raw JSON
-/// fragments: pass numbers through csv_num()/std::to_string() and strings
-/// through json_str(). Mirrors CsvWriter's inactive-by-default behavior.
+/// Streams one JSON object per line (JSON Lines).
 class JsonlWriter {
  public:
   /// Opens `path` for writing; throws std::runtime_error on failure.
   explicit JsonlWriter(const std::string& path);
-
-  /// A no-op writer (all objects discarded).
-  JsonlWriter();
-
-  void object(const std::vector<std::pair<std::string, std::string>>& fields);
 
   /// Writes one already-serialized JSON object as a line, verbatim. The
   /// campaign service streams the exact same bytes over its socket; sharing
@@ -58,19 +38,17 @@ class JsonlWriter {
   /// byte-identical to a sink file" a structural property instead of a hope.
   void raw_line(const std::string& json);
 
-  /// True if this writer actually writes somewhere.
-  [[nodiscard]] bool active() const { return static_cast<bool>(out_); }
-
  private:
-  std::unique_ptr<std::ofstream> out_;
+  std::ofstream out_;
 };
 
 /// Encodes `s` as a JSON string literal, quotes included.
 [[nodiscard]] std::string json_str(const std::string& s);
 
 /// Serializes one flat JSON object (no trailing newline). Field values are
-/// raw JSON fragments, exactly as JsonlWriter::object treats them; this is
-/// the single serialization the JSONL sink and the service stream share.
+/// raw JSON fragments: pass numbers through csv_num()/std::to_string() and
+/// strings through json_str(). This is the single serialization the JSONL
+/// sink and the service stream share.
 [[nodiscard]] std::string json_object(
     const std::vector<std::pair<std::string, std::string>>& fields);
 

@@ -1,6 +1,6 @@
-// Aligned plain-text tables: the figure benches print the paper's series as
-// rows so "who wins, by what factor, where crossovers fall" is readable
-// straight off the terminal.
+// Aligned plain-text tables: the campaign summary and the verification
+// verdict print their rows so "who wins, by what factor, where crossovers
+// fall" is readable straight off the terminal.
 #pragma once
 
 #include <string>

@@ -2,7 +2,7 @@
 //
 // A scenario is a SweepSpec with a name, a one-line summary, and the paper
 // reference it reproduces. The catalog is the single source of truth for
-// the sweep_runner CLI, the perf_sweep bench, and the CI smoke campaign;
+// the sweep_runner CLI, idlewaved, verify_runner and the CI smoke campaign;
 // axis values can still be overridden per invocation before expansion.
 #pragma once
 

@@ -12,8 +12,8 @@
 //
 // A collective is a *synchronization funnel*: an idle wave that reaches any
 // participant is instantly globalized by the barrier/allreduce dependency
-// structure, which changes the propagation picture qualitatively (see
-// bench/ext_collective_waves).
+// structure, which changes the propagation picture qualitatively (see the
+// CollectiveWaves tests in tests/integration/test_extensions.cpp).
 #pragma once
 
 #include <cstdint>

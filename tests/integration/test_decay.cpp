@@ -1,7 +1,9 @@
-// Integration: idle-wave decay under injected exponential noise (paper
-// Sec. V-A, Fig. 8).
+// Integration: idle-wave decay under injected noise (paper Sec. V-A,
+// Fig. 8), including how the noise distribution's shape sets the rate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -11,9 +13,10 @@
 namespace iw::core {
 namespace {
 
-/// Fig. 8-style run: long delay, exponential noise with mean E*Texec,
-/// measure the decay rate over the wave's path.
-double decay_rate_us_per_rank(double E_percent, std::uint64_t seed,
+/// Fig. 8-style run: long delay, `injected` noise on every rank, measure
+/// the decay rate over the wave's path.
+double decay_rate_us_per_rank(const noise::NoiseSpec& injected,
+                              std::uint64_t seed,
                               const noise::NoiseSpec& system_noise =
                                   noise::NoiseSpec::none()) {
   workload::RingSpec ring;
@@ -30,15 +33,23 @@ double decay_rate_us_per_rank(double E_percent, std::uint64_t seed,
   exp.cluster.system_noise = system_noise;
   exp.cluster.seed = seed;
   exp.delays = workload::single_delay(5, 0, milliseconds(90.0));
-  exp.injected_noise = E_percent == 0.0
-                           ? noise::NoiseSpec::none()
-                           : noise::NoiseSpec::exponential(milliseconds(
-                                 3.0 * E_percent / 100.0));
+  exp.injected_noise = injected;
   // Threshold one full execution phase: noise-induced waits (sub-ms) must
   // not masquerade as wave arrivals in the front and amplitude fits.
   exp.min_idle = milliseconds(3.0);
   const auto result = run_wave_experiment(exp);
   return result.up.decay_us_per_rank;
+}
+
+/// The paper's injection: exponential noise with mean E*Texec.
+double decay_rate_us_per_rank(double E_percent, std::uint64_t seed,
+                              const noise::NoiseSpec& system_noise =
+                                  noise::NoiseSpec::none()) {
+  return decay_rate_us_per_rank(
+      E_percent == 0.0 ? noise::NoiseSpec::none()
+                       : noise::NoiseSpec::exponential(
+                             milliseconds(3.0 * E_percent / 100.0)),
+      seed, system_noise);
 }
 
 TEST(IdleWaveDecay, SilentSystemBarelyDecays) {
@@ -92,6 +103,31 @@ TEST(IdleWaveDecay, DecayRateIndependentOfSystemNoiseProfile) {
   const double hi = *std::max_element(medians.begin(), medians.end());
   EXPECT_LT(hi / lo, 2.0);
   EXPECT_GT(lo, 0.0);
+}
+
+TEST(IdleWaveDecay, DecayGrowsWithNoiseDispersionAtFixedMean) {
+  // Decay is a fluctuation effect, not a mean effect: at the same mean
+  // (E = 8% of Texec) the more dispersed the injected noise, the harder it
+  // damps the wave. Ordered by coefficient of variation: gamma shape 4
+  // (0.5) < uniform (0.58) < exponential (1.0) < gamma shape 0.5 (1.41).
+  const Duration mean = milliseconds(3.0 * 0.08);
+  const std::pair<const char*, noise::NoiseSpec> shapes[] = {
+      {"gamma shape=4", noise::NoiseSpec::gamma(4.0, mean)},
+      {"uniform [0, 2*mean]",
+       noise::NoiseSpec::uniform(Duration::zero(), mean * 2)},
+      {"exponential", noise::NoiseSpec::exponential(mean)},
+      {"gamma shape=0.5", noise::NoiseSpec::gamma(0.5, mean)},
+  };
+  double previous = 0.0;
+  for (const auto& [label, spec] : shapes) {
+    std::vector<double> runs;
+    for (std::uint64_t seed = 1; seed <= 11; ++seed)
+      runs.push_back(decay_rate_us_per_rank(spec, seed));
+    const double beta = median(runs);
+    EXPECT_GT(beta, previous) << label << " must damp harder than the "
+                              << "less dispersed shape before it";
+    previous = beta;
+  }
 }
 
 TEST(IdleWaveDecay, LeadingEdgeSpeedInsensitiveToNoise) {

@@ -72,10 +72,10 @@ TEST(WaveElimination, ModerateNoiseShrinksExcessOnlyMarginally) {
 }
 
 TEST(WaveElimination, StrongNoiseAbsorbsTheWave) {
-  // Fig. 9(c) at E = 25%: the paper observes no excess runtime. Our
-  // background absorbs more slowly (see EXPERIMENTS.md), so at E = 25% the
-  // wave is partially absorbed and at E = 50% it is gone. Median over
-  // seeds to tame variance.
+  // Fig. 9(c) at E = 25%: the paper observes no excess runtime. The
+  // simulated background absorbs more slowly, so at E = 25% the wave is
+  // partially absorbed and at E = 50% it is gone. Median over seeds to tame
+  // variance.
   auto median_excess = [](double E) {
     std::vector<double> v;
     for (std::uint64_t seed = 1; seed <= 7; ++seed)

@@ -118,6 +118,42 @@ TEST(PropagationFlavors, SpeedRatiosAcrossModes) {
   EXPECT_NEAR(v_rdv_bidi / v_rdv, 2.0, 0.05);
 }
 
+TEST(PropagationFlavors, OnlyDeferredPushTwoSidedRendezvousDoublesSpeed) {
+  // Sec. IV-C's sigma = 2 needs the sender-side push pipeline coupling of
+  // two-sided deferred-push rendezvous. Fully independent progress and the
+  // one-sided wire flavors, which move the payload without a sender push,
+  // keep the bidirectional wave at the unidirectional speed.
+  struct Mode {
+    const char* label;
+    mpi::RendezvousFlavor flavor;
+    mpi::RendezvousPipelining pipelining;
+    double bidi_over_uni;
+  };
+  const Mode modes[] = {
+      {"two_sided/deferred_push", mpi::RendezvousFlavor::two_sided,
+       mpi::RendezvousPipelining::deferred_push, 2.0},
+      {"two_sided/independent", mpi::RendezvousFlavor::two_sided,
+       mpi::RendezvousPipelining::independent, 1.0},
+      {"rdma_put", mpi::RendezvousFlavor::rdma_put,
+       mpi::RendezvousPipelining::deferred_push, 1.0},
+      {"rdma_get", mpi::RendezvousFlavor::rdma_get,
+       mpi::RendezvousPipelining::deferred_push, 1.0},
+  };
+  for (const Mode& mode : modes) {
+    auto speed = [&](workload::Direction dir) {
+      WaveExperiment exp =
+          flavor_experiment(dir, workload::Boundary::open, kLarge);
+      exp.cluster.transport.rendezvous.flavor = mode.flavor;
+      exp.cluster.transport.rendezvous.pipelining = mode.pipelining;
+      return run_wave_experiment(exp).up.speed_ranks_per_sec;
+    };
+    const double v_uni = speed(workload::Direction::unidirectional);
+    const double v_bidi = speed(workload::Direction::bidirectional);
+    ASSERT_GT(v_uni, 0.0) << mode.label;
+    EXPECT_NEAR(v_bidi / v_uni, mode.bidi_over_uni, 0.05) << mode.label;
+  }
+}
+
 TEST(PropagationFlavors, MeasuredSpeedMatchesEq2InSilentSystem) {
   for (const auto msg : {kSmall, kLarge}) {
     for (const auto dir : {workload::Direction::unidirectional,

@@ -60,17 +60,10 @@ TEST(FmtFixed, Decimals) {
   EXPECT_EQ(fmt_fixed(2.0, 0), "2");
 }
 
-TEST(Csv, InactiveWriterDiscards) {
-  CsvWriter w;
-  EXPECT_FALSE(w.active());
-  EXPECT_NO_THROW(w.row({"a", "b"}));
-}
-
 TEST(Csv, WritesQuotedFields) {
   const std::string path = "test_csv_out.tmp.csv";
   {
     CsvWriter w(path);
-    EXPECT_TRUE(w.active());
     w.header({"a", "b"});
     w.row({"plain", "with,comma"});
     w.row({"with\"quote", "x"});
