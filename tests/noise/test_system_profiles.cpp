@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "noise/system_profiles.hpp"
+#include "support/hash.hpp"
 #include "support/histogram.hpp"
 #include "support/stats.hpp"
 
@@ -82,6 +85,37 @@ TEST(NoiseSpec, BuildsConfiguredKinds) {
             microseconds(2.0));
   const auto gamma_model = NoiseSpec::gamma(4.0, microseconds(8.0)).build();
   EXPECT_EQ(gamma_model->mean(), microseconds(8.0));
+}
+
+/// FNV-1a over the nanosecond values of the first `n` draws from Rng(42).
+std::string draw_hash(const NoiseSpec& spec, int n = 100000) {
+  const auto model = spec.build();
+  Rng rng(42);
+  Fnv1a64 h;
+  for (int i = 0; i < n; ++i) {
+    const std::int64_t ns = model->sample(rng).ns();
+    h.update(&ns, sizeof ns);
+  }
+  return hash_hex(h.digest());
+}
+
+TEST(NoiseSpec, DrawSequencesArePinned) {
+  // Every kind's exact draw sequence, so a refactor of the sampling code
+  // cannot shift a single random number unnoticed (the goldens exercise
+  // only emmy-smt-on and injected exponential noise).
+  const std::pair<NoiseSpec, const char*> pins[] = {
+      {NoiseSpec::none(), "e3dbd3f783edc725"},
+      {NoiseSpec::exponential(microseconds(2.4)), "61f41113a933fce9"},
+      {NoiseSpec::gamma(0.5, microseconds(240.0)), "71142711715bb528"},
+      {NoiseSpec::gamma(4.0, microseconds(240.0)), "c42da7540cb5e2b4"},
+      {NoiseSpec::uniform(Duration::zero(), microseconds(480.0)),
+       "5865940b1af36fee"},
+      {NoiseSpec::system("emmy-smt-on"), "61f41113a933fce9"},
+      {NoiseSpec::system("emmy-smt-off"), "7e92f4aeab0fe420"},
+      {NoiseSpec::system("meggie-smt-on"), "8348151b0ec0b77d"},
+      {NoiseSpec::system("meggie-smt-off"), "4b645cc5c634bc8e"},
+  };
+  for (const auto& [spec, hash] : pins) EXPECT_EQ(draw_hash(spec), hash);
 }
 
 TEST(NoiseSpec, SystemNamesResolve) {
