@@ -12,9 +12,16 @@
 // transport built without trace sites) isolates exactly the cost of the
 // compiled-in (disarmed) instrumentation.
 //
+// It is also the one A/B driver of the transport hot path: the three
+// workloads of transport_workloads.hpp (eager_storm, rendezvous_pipeline,
+// unexpected_storm) run on the naive replica and on the production stack,
+// interleaved rep by rep.
+//
 // Certifications:
+//   * correctness guard — every workload's paired-median fast/naive
+//     speedup must stay >= 1. Gated.
 //   * disarmed overhead — geomean fast/naive speedup over the three
-//     perf_transport workloads must stay within 2% of the baseline
+//     workloads must stay within 2% of the baseline
 //     geomean. Gated only when this run's mode matches the baseline's
 //     (speedups are size-dependent, so a --quick run against the full
 //     baseline would compare different workloads); a mode-mismatched run
@@ -23,14 +30,17 @@
 //   * armed overhead — the same workloads re-run with the tracer armed
 //     (ring pre-sized, every protocol event recorded). Informational: the
 //     JSON carries the per-workload armed/disarmed contrast.
-//   * protocol zero-alloc — the finite-NIC and credit-window bursts from
-//     perf_transport's protocol cert re-run here with the tracer compiled
-//     in, both disarmed and armed; neither may grow a transport pool
-//     after warm-up. Gated.
+//   * steady-state zero-alloc — on the pools the timed reps warmed, one
+//     more run of each of the three workloads may not grow a transport
+//     pool, with the tracer disarmed and armed. Gated.
+//   * protocol zero-alloc — a finite-NIC burst and a credit-window burst,
+//     each on a fresh stack, disarmed and armed: after one warm-up run,
+//     neither may grow a transport pool. Gated.
 //
 // Flags: --json=<path> (default BENCH_trace.json; --out is an alias),
 //        --quick (CI-sized run), --reps=N, --ranks=N, --steps=N,
-//        --baseline=<path> (default: the checked-in BENCH_transport.json).
+//        --baseline=<path> (default: the checked-in
+//        BENCH_trace_baseline.json).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -62,8 +72,8 @@ struct Baseline {
 };
 
 /// Reads the two fields this bench needs from a baseline JSON (the
-/// checked-in BENCH_trace_baseline.json, or any BENCH_transport.json via
-/// --baseline); both may carry extra fields.
+/// checked-in BENCH_trace_baseline.json, or an earlier BENCH_trace.json
+/// via --baseline); both may carry extra fields.
 Baseline load_baseline(const std::string& path) {
   const bench::JsonFile file(path);
   return {file.text("mode"), file.number("summary.geomean_speedup")};
@@ -89,9 +99,22 @@ struct TraceComparison {
   }
 };
 
-/// The perf_transport protocol-realism cert, with the tracer optionally
-/// armed: two warm runs of a NIC-backlogging burst and a credit-starved
-/// burst must not grow a transport pool.
+/// Runs `wl` twice more on `lab` (armed with `tracer`, or disarmed when
+/// null): the first run warms the pools, the second must not grow any.
+bool runs_allocation_free(FastLab& lab, const Workload& wl,
+                          obs::Tracer* tracer) {
+  if (tracer != nullptr) tracer->clear();
+  (void)lab.run(wl);
+  const std::uint64_t warm = lab.pool_stats().allocations;
+  if (tracer != nullptr) tracer->clear();
+  (void)lab.run(wl);
+  return lab.pool_stats().allocations == warm;
+}
+
+/// The protocol-realism cert, with the tracer optionally armed: a
+/// NIC-backlogging burst and a credit-starved burst, each on a fresh stack,
+/// must not grow a transport pool once their backlog rings and credit
+/// tables have sized up.
 bool protocol_zero_alloc(int ranks, int steps, obs::Tracer* tracer) {
   Workload nic_wl = make_eager_storm(ranks, steps);
   nic_wl.config = mpi::TransportConfig::finite_nic(2);
@@ -100,12 +123,7 @@ bool protocol_zero_alloc(int ranks, int steps, obs::Tracer* tracer) {
   bool clean = true;
   for (const Workload& wl : {nic_wl, credit_wl}) {
     FastLab lab(tracer);
-    if (tracer != nullptr) tracer->clear();
-    (void)lab.run(wl);  // warm: backlog rings and credit table size up
-    const std::uint64_t warm = lab.pool_stats().allocations;
-    if (tracer != nullptr) tracer->clear();
-    (void)lab.run(wl);
-    clean = clean && lab.pool_stats().allocations == warm;
+    clean = runs_allocation_free(lab, wl, tracer) && clean;
   }
   return clean;
 }
@@ -113,7 +131,8 @@ bool protocol_zero_alloc(int ranks, int steps, obs::Tracer* tracer) {
 void write_json(const std::string& path, const std::string& mode,
                 const std::vector<TraceComparison>& comparisons,
                 const Baseline& baseline, double geomean, bool gate_applies,
-                bool zero_alloc_disarmed, bool zero_alloc_armed, bool pass) {
+                bool steady_zero_alloc, bool zero_alloc_disarmed,
+                bool zero_alloc_armed, bool pass) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot write " + path);
   out.precision(6);
@@ -145,6 +164,8 @@ void write_json(const std::string& path, const std::string& mode,
       << "    \"max_allowed_overhead_pct\": 2.0,\n"
       << "    \"overhead_gate_applied\": " << (gate_applies ? "true" : "false")
       << ",\n"
+      << "    \"steady_state_zero_alloc\": "
+      << (steady_zero_alloc ? "true" : "false") << ",\n"
       << "    \"protocol_zero_alloc_disarmed\": "
       << (zero_alloc_disarmed ? "true" : "false") << ",\n"
       << "    \"protocol_zero_alloc_armed\": "
@@ -193,6 +214,7 @@ int bench_main(int argc, char** argv) {
 
   obs::Tracer tracer;
   std::vector<TraceComparison> comparisons;
+  bool steady_zero_alloc = true;
   for (const Workload& wl : workloads) {
     TraceComparison c;
     c.name = wl.name;
@@ -220,6 +242,10 @@ int bench_main(int argc, char** argv) {
     if (c.disarmed.messages != c.naive.messages ||
         c.armed.messages != c.naive.messages)
       throw std::logic_error("A/B message counts diverged on " + wl.name);
+    // Steady-state zero allocation on the pools the timed reps warmed.
+    const bool steady = runs_allocation_free(disarmed_lab, wl, nullptr) &&
+                        runs_allocation_free(armed_lab, wl, &tracer);
+    steady_zero_alloc = steady_zero_alloc && steady;
     comparisons.push_back(std::move(c));
     const TraceComparison& done = comparisons.back();
     std::cout << done.name << ": naive " << msgs_per_sec(done.naive) / 1e6
@@ -247,6 +273,8 @@ int bench_main(int argc, char** argv) {
             << baseline.geomean_speedup << "x, disarmed overhead "
             << overhead_pct << "%, limit 2%"
             << (gate_applies ? ")" : ", not gated: mode mismatch)") << "\n"
+            << "steady-state zero-alloc, disarmed and armed: "
+            << (steady_zero_alloc ? "yes" : "NO") << "\n"
             << "protocol zero-alloc, tracer disarmed: "
             << (zero_alloc_disarmed ? "yes" : "NO") << "\n"
             << "protocol zero-alloc, tracer armed:    "
@@ -254,11 +282,11 @@ int bench_main(int argc, char** argv) {
 
   const bool overhead_ok =
       !gate_applies || geomean >= 0.98 * baseline.geomean_speedup;
-  const bool pass = overhead_ok && min_speedup >= 1.0 && zero_alloc_disarmed &&
-                    zero_alloc_armed;
+  const bool pass = overhead_ok && min_speedup >= 1.0 && steady_zero_alloc &&
+                    zero_alloc_disarmed && zero_alloc_armed;
 
   write_json(out_path, mode, comparisons, baseline, geomean, gate_applies,
-             zero_alloc_disarmed, zero_alloc_armed, pass);
+             steady_zero_alloc, zero_alloc_disarmed, zero_alloc_armed, pass);
   std::cout << "wrote " << out_path << "\n";
   return pass ? 0 : 1;
 }

@@ -1,6 +1,6 @@
-// Shared A/B machinery of the transport perf benches (perf_transport,
-// perf_trace): the preserved naive reference stack, the three message-path
-// workloads, and the measurement helpers.
+// A/B machinery of the transport perf bench (perf_trace): the preserved
+// naive reference stack, the three message-path workloads, and the
+// measurement helpers.
 //
 // The naive replica is the pre-flattening transport and process, verbatim
 // (std::function callbacks, unordered_map rendezvous/backlog state,
@@ -575,15 +575,5 @@ Measurement measure(RunFn run_once) {
   return Measurement{messages,
                      std::chrono::duration<double>(stop - start).count()};
 }
-
-struct Comparison {
-  std::string name;
-  Measurement naive;
-  Measurement fast;
-  [[nodiscard]] double speedup() const {
-    const double n = msgs_per_sec(naive);
-    return n > 0 ? msgs_per_sec(fast) / n : 0.0;
-  }
-};
 
 }  // namespace iw::bench_transport

@@ -169,13 +169,13 @@ mpi::Trace Cluster::run(const std::vector<mpi::Program>& programs,
     offset += program.max_window_requests();
     proc.set_program(&program);
     if (config_.system_noise.kind != noise::NoiseSpec::Kind::none) {
-      proc.add_noise(config_.system_noise.build(),
+      proc.add_noise(config_.system_noise,
                      Rng::for_stream(config_.seed,
                                      static_cast<std::uint64_t>(rank),
                                      kSystemNoiseStream));
     }
     if (injected_noise.kind != noise::NoiseSpec::Kind::none) {
-      proc.add_noise(injected_noise.build(),
+      proc.add_noise(injected_noise,
                      Rng::for_stream(config_.seed,
                                      static_cast<std::uint64_t>(rank),
                                      kInjectedNoiseStream));

@@ -61,9 +61,9 @@ Request& Process::push_request(Request r) {
   return req_[req_count_++];
 }
 
-void Process::add_noise(std::unique_ptr<noise::NoiseModel> model, Rng rng) {
-  IW_REQUIRE(model != nullptr, "noise model must not be null");
-  noise_.push_back(NoiseSource{std::move(model), rng});
+void Process::add_noise(const noise::NoiseSpec& spec, Rng rng) {
+  spec.validate();
+  noise_.push_back(NoiseSource{spec, rng});
 }
 
 void Process::start() {
@@ -73,7 +73,7 @@ void Process::start() {
 
 Duration Process::sample_noise() {
   Duration extra = Duration::zero();
-  for (auto& src : noise_) extra += src.model->sample(src.rng);
+  for (auto& src : noise_) extra += src.spec.sample(src.rng);
   return extra;
 }
 

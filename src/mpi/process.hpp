@@ -8,8 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "memory/bandwidth_domain.hpp"
@@ -17,7 +15,7 @@
 #include "mpi/request.hpp"
 #include "mpi/trace.hpp"
 #include "mpi/transport.hpp"
-#include "noise/noise_model.hpp"
+#include "noise/system_profiles.hpp"
 #include "sim/engine.hpp"
 #include "support/rng.hpp"
 
@@ -35,8 +33,9 @@ class Process {
   void set_program(const Program* program);
 
   /// Attaches a noise source; each compute phase adds one sample from every
-  /// attached source. The process owns model and generator.
-  void add_noise(std::unique_ptr<noise::NoiseModel> model, Rng rng);
+  /// attached source. The process keeps the spec and generator by value;
+  /// an invalid spec throws std::invalid_argument here, before the run.
+  void add_noise(const noise::NoiseSpec& spec, Rng rng);
 
   /// Bandwidth domain used by OpMemWork phases (socket memory interface).
   /// May stay null if the program has no memory-bound phases.
@@ -110,7 +109,7 @@ class Process {
   obs::Tracer* tracer_ = nullptr;
 
   struct NoiseSource {
-    std::unique_ptr<noise::NoiseModel> model;
+    noise::NoiseSpec spec;
     Rng rng;
   };
   std::vector<NoiseSource> noise_;

@@ -1,11 +1,25 @@
 #include "noise/system_profiles.hpp"
 
-#include <utility>
-#include <vector>
+#include <algorithm>
+#include <cstdint>
 
 #include "support/error.hpp"
 
 namespace iw::noise {
+
+namespace {
+
+// Meggie with SMT off (paper Fig. 3(b)): a fine-grained exponential body
+// plus the Omni-Path driver peak, a zero-truncated normal at ~660 us. The
+// 2% peak weight keeps the overall mean modest while producing a clearly
+// visible second mode in a 3.3e5-sample histogram.
+constexpr double kBodyWeight = 0.98;
+constexpr double kPeakWeight = 0.02;
+constexpr Duration kBodyMean = microseconds(9.0);
+constexpr Duration kPeakMean = microseconds(660.0);
+constexpr Duration kPeakStddev = microseconds(25.0);
+
+}  // namespace
 
 NoiseSpec NoiseSpec::none() { return NoiseSpec{}; }
 
@@ -13,6 +27,7 @@ NoiseSpec NoiseSpec::exponential(Duration mean) {
   NoiseSpec s;
   s.kind = Kind::exponential;
   s.mean = mean;
+  s.validate();
   return s;
 }
 
@@ -21,6 +36,7 @@ NoiseSpec NoiseSpec::gamma(double shape, Duration mean) {
   s.kind = Kind::gamma;
   s.shape = shape;
   s.mean = mean;
+  s.validate();
   return s;
 }
 
@@ -29,59 +45,75 @@ NoiseSpec NoiseSpec::uniform(Duration lo, Duration hi) {
   s.kind = Kind::uniform;
   s.lo = lo;
   s.hi = hi;
+  s.validate();
   return s;
 }
 
 NoiseSpec NoiseSpec::system(const std::string& name) {
+  // Emmy SMT-off: the OS has no spare hardware thread to absorb
+  // housekeeping, so delays are coarser; still unimodal on InfiniBand.
+  if (name == "emmy-smt-on") return exponential(microseconds(2.4));
+  if (name == "emmy-smt-off") return exponential(microseconds(8.0));
+  if (name == "meggie-smt-on") return exponential(microseconds(2.8));
+  IW_REQUIRE(name == "meggie-smt-off",
+             "unknown system noise profile: " + name);
   NoiseSpec s;
-  if (name == "emmy-smt-on") s.kind = Kind::emmy_smt_on;
-  else if (name == "emmy-smt-off") s.kind = Kind::emmy_smt_off;
-  else if (name == "meggie-smt-on") s.kind = Kind::meggie_smt_on;
-  else if (name == "meggie-smt-off") s.kind = Kind::meggie_smt_off;
-  else IW_REQUIRE(false, "unknown system noise profile: " + name);
+  s.kind = Kind::meggie_smt_off;
   return s;
 }
 
-std::unique_ptr<NoiseModel> NoiseSpec::build() const {
+Duration NoiseSpec::sample(Rng& rng) const {
   switch (kind) {
-    case Kind::none: return std::make_unique<ZeroNoise>();
-    case Kind::exponential: return std::make_unique<ExponentialNoise>(mean);
-    case Kind::gamma: return std::make_unique<GammaNoise>(shape, mean);
-    case Kind::uniform: return std::make_unique<UniformNoise>(lo, hi);
-    case Kind::emmy_smt_on: return emmy_smt_on();
-    case Kind::emmy_smt_off: return emmy_smt_off();
-    case Kind::meggie_smt_on: return meggie_smt_on();
-    case Kind::meggie_smt_off: return meggie_smt_off();
+    case Kind::none:
+      return Duration::zero();
+    case Kind::exponential:
+      return rng.exponential_duration(mean);
+    case Kind::gamma: {
+      const double ns = rng.gamma(shape, static_cast<double>(mean.ns()));
+      return Duration{static_cast<std::int64_t>(ns + 0.5)};
+    }
+    case Kind::uniform:
+      return Duration{static_cast<std::int64_t>(rng.uniform(
+          static_cast<double>(lo.ns()), static_cast<double>(hi.ns())))};
+    case Kind::meggie_smt_off: {
+      if (rng.uniform(0.0, kBodyWeight + kPeakWeight) < kBodyWeight)
+        return rng.exponential_duration(kBodyMean);
+      const double ns = static_cast<double>(kPeakMean.ns()) +
+                        rng.normal() * static_cast<double>(kPeakStddev.ns());
+      return Duration{std::max<std::int64_t>(0, static_cast<std::int64_t>(ns))};
+    }
   }
-  return std::make_unique<ZeroNoise>();
+  return Duration::zero();
 }
 
-std::unique_ptr<NoiseModel> emmy_smt_on() {
-  // Mean 2.4 us; exponential body reproduces the <30 us max at the paper's
-  // sample count.
-  return std::make_unique<ExponentialNoise>(microseconds(2.4));
+Duration NoiseSpec::expected() const {
+  switch (kind) {
+    case Kind::none:
+      return Duration::zero();
+    case Kind::exponential:
+    case Kind::gamma:
+      return mean;
+    case Kind::uniform:
+      return (lo + hi) / 2;
+    case Kind::meggie_smt_off: {
+      const double ns =
+          (kBodyWeight * static_cast<double>(kBodyMean.ns()) +
+           kPeakWeight * static_cast<double>(kPeakMean.ns())) /
+          (kBodyWeight + kPeakWeight);
+      return Duration{static_cast<std::int64_t>(ns + 0.5)};
+    }
+  }
+  return Duration::zero();
 }
 
-std::unique_ptr<NoiseModel> emmy_smt_off() {
-  // SMT-off: the OS has no spare hardware thread to absorb housekeeping, so
-  // delays are coarser; still unimodal on InfiniBand.
-  return std::make_unique<ExponentialNoise>(microseconds(8.0));
-}
-
-std::unique_ptr<NoiseModel> meggie_smt_on() {
-  return std::make_unique<ExponentialNoise>(microseconds(2.8));
-}
-
-std::unique_ptr<NoiseModel> meggie_smt_off() {
-  // Bimodal: fine-grained exponential body plus the Omni-Path driver peak at
-  // ~660 us (paper Fig. 3(b)). The 2% weight keeps the overall mean modest
-  // while producing a clearly visible second mode in a 3.3e5-sample
-  // histogram.
-  std::vector<MixtureNoise::Component> parts;
-  parts.push_back({0.98, std::make_unique<ExponentialNoise>(microseconds(9.0))});
-  parts.push_back(
-      {0.02, std::make_unique<NormalNoise>(microseconds(660.0), microseconds(25.0))});
-  return std::make_unique<MixtureNoise>(std::move(parts));
+void NoiseSpec::validate() const {
+  if (kind == Kind::exponential || kind == Kind::gamma)
+    IW_REQUIRE(mean.ns() >= 0, "noise mean must be non-negative");
+  if (kind == Kind::gamma)
+    IW_REQUIRE(shape > 0.0, "gamma shape must be positive");
+  if (kind == Kind::uniform)
+    IW_REQUIRE(Duration::zero() <= lo && lo <= hi,
+               "uniform noise range must be ordered and non-negative");
 }
 
 }  // namespace iw::noise

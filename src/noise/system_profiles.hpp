@@ -1,7 +1,17 @@
-// Calibrated system-noise profiles for the paper's two clusters (Fig. 3).
+// Noise: per-execution-phase random extra delays, and the calibrated
+// system-noise profiles of the paper's two clusters (Fig. 3).
 //
-// The paper measures natural per-3ms-phase execution delays with a
-// throughput-exact vdivpd workload:
+// The paper distinguishes fine-grained *noise* (microsecond-scale, OS
+// interference, drivers; Sec. I-A) from long one-off *delays* (which create
+// idle waves). A NoiseSpec produces the former: it is sampled once per
+// execution phase and the sample is added to the pure compute time.
+//
+// The quantitative decay experiments (Sec. V-A) inject exponential noise
+// with probability density f(t/Texec; lambda) = lambda*exp(-lambda*t/Texec),
+// characterized by E = 1/lambda, the mean relative delay per phase.
+//
+// The system profiles reproduce the natural per-3ms-phase execution delays
+// the paper measures with a throughput-exact vdivpd workload:
 //   * Emmy (InfiniBand), SMT on:   mean 2.4 us, max < 30 us
 //   * Meggie (Omni-Path), SMT on:  mean 2.8 us, max < 30 us
 //   * Meggie, SMT off: bimodal — a fine-grained peak plus a distinct second
@@ -13,25 +23,23 @@
 // ~30 us for Emmy, matching the reported bound.
 #pragma once
 
-#include <memory>
 #include <string>
 
-#include "noise/noise_model.hpp"
+#include "support/rng.hpp"
+#include "support/time.hpp"
 
 namespace iw::noise {
 
-/// Value-type description of a noise configuration; buildable into a model.
-/// Keeping specs as values lets experiment configs be copied and swept.
+/// Value-type noise configuration. Specs are copied and swept by experiment
+/// configs and sampled directly; randomness comes from the Rng passed to
+/// sample(), so a spec carries no state.
 struct NoiseSpec {
   enum class Kind {
-    none,
-    exponential,
-    gamma,
-    uniform,
-    emmy_smt_on,
-    emmy_smt_off,
-    meggie_smt_on,
-    meggie_smt_off,
+    none,            ///< the "silent system" of Sec. IV-C
+    exponential,     ///< paper Eq. 3
+    gamma,           ///< shape 1 degenerates to exponential
+    uniform,         ///< on [lo, hi]
+    meggie_smt_off,  ///< bimodal body + Omni-Path driver peak
   };
 
   Kind kind = Kind::none;
@@ -43,25 +51,20 @@ struct NoiseSpec {
   [[nodiscard]] static NoiseSpec exponential(Duration mean);
   [[nodiscard]] static NoiseSpec gamma(double shape, Duration mean);
   [[nodiscard]] static NoiseSpec uniform(Duration lo, Duration hi);
+  /// "emmy-smt-on" (the configuration of all Emmy experiments in the
+  /// paper), "emmy-smt-off", "meggie-smt-on" or "meggie-smt-off" (the
+  /// configuration of all Meggie experiments).
   [[nodiscard]] static NoiseSpec system(const std::string& name);
 
-  /// Instantiates the model. The returned model is stateless; randomness
-  /// comes from the Rng passed to sample().
-  [[nodiscard]] std::unique_ptr<NoiseModel> build() const;
+  /// One sample: the extra delay of one execution phase.
+  [[nodiscard]] Duration sample(Rng& rng) const;
+
+  /// Expected value of a sample, for calibration checks.
+  [[nodiscard]] Duration expected() const;
+
+  /// Throws std::invalid_argument unless mean >= 0, shape > 0 and
+  /// 0 <= lo <= hi (each checked for the kinds that use it).
+  void validate() const;
 };
-
-/// Natural noise of Emmy (InfiniBand) with SMT enabled — the configuration
-/// used for all Emmy experiments in the paper.
-[[nodiscard]] std::unique_ptr<NoiseModel> emmy_smt_on();
-
-/// Emmy with SMT disabled (coarser unimodal noise).
-[[nodiscard]] std::unique_ptr<NoiseModel> emmy_smt_off();
-
-/// Meggie (Omni-Path) with SMT enabled.
-[[nodiscard]] std::unique_ptr<NoiseModel> meggie_smt_on();
-
-/// Meggie with SMT disabled — bimodal with the ~660 us driver peak; the
-/// configuration used for all Meggie experiments in the paper.
-[[nodiscard]] std::unique_ptr<NoiseModel> meggie_smt_off();
 
 }  // namespace iw::noise

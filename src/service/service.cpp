@@ -175,24 +175,6 @@ std::string CampaignService::status_json() const {
        {"clients", clients}});
 }
 
-void CampaignService::client_gone(const std::string& client) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (auto& [id, j] : jobs_) {
-      if (j->client != client || j->abandoned) continue;
-      j->abandoned = true;
-      j->out.clear();
-      if (j->finished || j->cancelled) continue;
-      reclaim_unfinished(*j);
-      if (options_.metrics)
-        options_.metrics->add(obs::MetricId::service_jobs_cancelled, 1);
-      check_finalize(*j);
-    }
-    publish_gauges();
-  }
-  cv_.notify_all();
-}
-
 void CampaignService::abandon(std::uint64_t job) {
   {
     std::lock_guard<std::mutex> lk(mu_);

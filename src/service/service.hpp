@@ -112,14 +112,12 @@ class CampaignService {
   /// points/sec).
   [[nodiscard]] std::string status_json() const;
 
-  /// The client's connection went away: cancel its unfinished jobs and
-  /// discard their output streams. Queue slots free immediately; completed
-  /// physics stays in the cache.
-  void client_gone(const std::string& client);
-
-  /// Per-job form of client_gone — the daemon calls this for each job a
-  /// disconnecting connection owned (the fair-share client name may be
-  /// shared by other live connections).
+  /// The connection that submitted `job` went away: cancel the job if it
+  /// is unfinished and discard its output stream. Queue slots free
+  /// immediately; completed physics stays in the cache. The daemon calls
+  /// this for each job a disconnecting connection owned (per job, not per
+  /// client: the fair-share client name may be shared by other live
+  /// connections).
   void abandon(std::uint64_t job);
 
   /// Runs one scheduling decision and its batch to completion. False when

@@ -24,23 +24,4 @@ std::string fmt_duration(Duration d) {
   return with_unit(ns / 1e9, "s", 3);
 }
 
-std::string fmt_bytes(std::int64_t bytes) {
-  const double b = static_cast<double>(bytes);
-  if (std::abs(b) < 1024.0) return with_unit(b, "B", 0);
-  if (std::abs(b) < 1024.0 * 1024.0) return with_unit(b / 1024.0, "KiB", 1);
-  if (std::abs(b) < 1024.0 * 1024.0 * 1024.0)
-    return with_unit(b / (1024.0 * 1024.0), "MiB", 1);
-  return with_unit(b / (1024.0 * 1024.0 * 1024.0), "GiB", 2);
-}
-
-std::string fmt_bandwidth(double bytes_per_sec) {
-  if (bytes_per_sec < 1e6) return with_unit(bytes_per_sec / 1e3, "KB/s", 1);
-  if (bytes_per_sec < 1e9) return with_unit(bytes_per_sec / 1e6, "MB/s", 1);
-  return with_unit(bytes_per_sec / 1e9, "GB/s", 1);
-}
-
-std::string fmt_gflops(double flops_per_sec) {
-  return with_unit(flops_per_sec / 1e9, "GF/s", 2);
-}
-
 }  // namespace iw

@@ -1,23 +1,13 @@
-// Human-readable unit formatting for durations, byte counts, and rates.
+// Human-readable unit formatting for durations.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "support/time.hpp"
 
 namespace iw {
 
-/// "1.50 ms", "640 ns", "2.40 us", "3.2 s" — picks the natural scale.
+/// "1.50 ms", "640 ns", "2.40 us", "3.200 s" — picks the natural scale.
 [[nodiscard]] std::string fmt_duration(Duration d);
-
-/// "16 KiB", "2.0 MiB", "8192 B".
-[[nodiscard]] std::string fmt_bytes(std::int64_t bytes);
-
-/// "40.0 GB/s" (decimal gigabytes, the convention used in the paper).
-[[nodiscard]] std::string fmt_bandwidth(double bytes_per_sec);
-
-/// "12.3 GF/s" for flops-per-second performance numbers (paper Fig. 1).
-[[nodiscard]] std::string fmt_gflops(double flops_per_sec);
 
 }  // namespace iw

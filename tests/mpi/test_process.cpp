@@ -6,7 +6,7 @@
 #include "memory/bandwidth_domain.hpp"
 #include "mpi/process.hpp"
 #include "net/fabric.hpp"
-#include "noise/noise_model.hpp"
+#include "noise/system_profiles.hpp"
 
 namespace iw::mpi {
 namespace {
@@ -70,8 +70,7 @@ TEST(Process, InjectTracedSeparately) {
 TEST(Process, NoiseSourceExtendsComputePhases) {
   ProcessFixture f(1);
   f.procs_[0]->add_noise(
-      std::make_unique<noise::UniformNoise>(microseconds(100.0),
-                                            microseconds(100.0)),
+      noise::NoiseSpec::uniform(microseconds(100.0), microseconds(100.0)),
       Rng(1));
   Program p;
   p.mark(0).compute(milliseconds(1.0), true).compute(milliseconds(1.0), true);
@@ -84,13 +83,21 @@ TEST(Process, NoiseSourceExtendsComputePhases) {
 TEST(Process, NonNoisyComputeIgnoresNoise) {
   ProcessFixture f(1);
   f.procs_[0]->add_noise(
-      std::make_unique<noise::UniformNoise>(microseconds(100.0),
-                                            microseconds(100.0)),
+      noise::NoiseSpec::uniform(microseconds(100.0), microseconds(100.0)),
       Rng(1));
   Program p;
   p.compute(milliseconds(1.0), false);
   f.run({std::move(p)});
   EXPECT_EQ(f.trace_.finish(0), SimTime::zero() + milliseconds(1.0));
+}
+
+TEST(Process, InvalidNoiseSpecRejectedBeforeRun) {
+  ProcessFixture f(1);
+  noise::NoiseSpec spec;  // assembled field by field, bypassing the factory
+  spec.kind = noise::NoiseSpec::Kind::uniform;
+  spec.lo = microseconds(3.0);
+  spec.hi = microseconds(2.0);
+  EXPECT_THROW(f.procs_[0]->add_noise(spec, Rng(1)), std::invalid_argument);
 }
 
 TEST(Process, PingPongBlocksAndRecordsWait) {

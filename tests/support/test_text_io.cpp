@@ -114,17 +114,5 @@ TEST(Units, DurationPicksNaturalScale) {
   EXPECT_EQ(fmt_duration(seconds(1.5)), "1.500 s");
 }
 
-TEST(Units, Bytes) {
-  EXPECT_EQ(fmt_bytes(512), "512 B");
-  EXPECT_EQ(fmt_bytes(16384), "16.0 KiB");
-  EXPECT_EQ(fmt_bytes(2 * 1024 * 1024), "2.0 MiB");
-}
-
-TEST(Units, BandwidthAndFlops) {
-  EXPECT_EQ(fmt_bandwidth(40e9), "40.0 GB/s");
-  EXPECT_EQ(fmt_bandwidth(3.2e6), "3.2 MB/s");
-  EXPECT_EQ(fmt_gflops(12.34e9), "12.34 GF/s");
-}
-
 }  // namespace
 }  // namespace iw

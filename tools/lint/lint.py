@@ -37,10 +37,11 @@ Rules (each line of output is `path:line: [rule] message`):
                      consumer and rots silently.
   soa-hot-structs    the struct-of-arrays hot state (src/mpi/trace.hpp,
                      src/mpi/process.hpp, src/core/cluster.hpp) must never
-                     grow a per-rank vector-of-objects: nested vectors,
-                     vectors of smart pointers or strings, and node-based
-                     containers (deque/list) re-introduce a heap allocation
-                     per rank and break the fixed memory-per-rank budget the
+                     grow per-rank heap objects: nested vectors, vectors of
+                     strings, node-based containers (deque/list) and smart
+                     pointers anywhere — also wrapped in a struct that a
+                     vector then holds — re-introduce a heap allocation per
+                     rank and break the fixed memory-per-rank budget the
                      machine-scale path depends on. Rank state stays flat
                      slabs plus row descriptors.
 
@@ -354,13 +355,12 @@ SOA_HOT_FILES = (
     "src/core/cluster.hpp",
 )
 SOA_BANNED = re.compile(
-    r"std::vector\s*<\s*std::\s*"
-    r"(vector|unique_ptr|shared_ptr|string|deque|list|map|unordered_map)\b"
-    r"|std::(deque|list)\s*<")
+    r"std::vector\s*<\s*std::\s*(vector|string|deque|list|map|unordered_map)\b"
+    r"|std::(deque|list|unique_ptr|shared_ptr)\s*<")
 
 
 def check_soa_hot_structs(repo: Path) -> list[str]:
-    """Per-rank vector-of-objects growth in the SoA hot state."""
+    """Per-rank heap objects in the SoA hot state."""
     problems = []
     for rel in SOA_HOT_FILES:
         path = repo / rel
@@ -371,10 +371,10 @@ def check_soa_hot_structs(repo: Path) -> list[str]:
             hit = SOA_BANNED.search(line)
             if hit:
                 problems.append(
-                    f"{rel}:{lineno}: [soa-hot-structs] per-rank "
-                    f"vector-of-objects growth ({hit.group(0).strip()}...) in "
-                    f"an SoA hot struct — rank state must stay flat slabs "
-                    f"plus row descriptors; hoist the nested container into "
+                    f"{rel}:{lineno}: [soa-hot-structs] per-rank heap "
+                    f"object ({hit.group(0).strip()}...) in an SoA hot "
+                    f"struct — rank state must stay flat slabs plus row "
+                    f"descriptors; hold values, or hoist the container into "
                     f"a shared slab or an object pool")
     return problems
 
@@ -460,26 +460,31 @@ def make_clean_tree(root: Path) -> None:
         "index,np\n0,4\n")
 
 
-def seed_violation(root: Path, rule: str) -> None:
-    if rule == "banned-construct":
+# Each self-test case seeds one violation; a rule may have several cases
+# (`<rule>/<variant>`), and every case must be flagged with its rule's tag.
+SELF_TEST_CASES = (*RULES, "soa-hot-structs/wrapped-smart-pointer")
+
+
+def seed_violation(root: Path, case: str) -> None:
+    if case == "banned-construct":
         (root / "src" / "mpi" / "bad.hpp").write_text(
             "#pragma once\n#include <functional>\n"
             "using Fn = std::function<void()>;\n")
-    elif rule == "source-registration":
+    elif case == "source-registration":
         (root / "src" / "sim" / "orphan.cpp").write_text("int orphan() { return 1; }\n")
-    elif rule == "include-hygiene":
+    elif case == "include-hygiene":
         (root / "src" / "sim" / "guarded.hpp").write_text(
             "#ifndef GUARDED_HPP\n#define GUARDED_HPP\n#endif\n")
-    elif rule == "golden-schema":
+    elif case == "golden-schema":
         (root / "tests" / "golden" / "drift.csv").write_text(
             "# iw-golden schema=1 scenario=drift points=5\nindex,np\n0,4\n")
-    elif rule == "transport-config-validate":
+    elif case == "transport-config-validate":
         # A new knob lands in the header but validate() never looks at it.
         hpp = root / "src" / "mpi" / "transport_config.hpp"
         hpp.write_text(hpp.read_text().replace(
             "  int injection_depth = 0;\n",
             "  int injection_depth = 0;\n  int unchecked_knob = 7;\n"))
-    elif rule == "stats-in-registry":
+    elif case == "stats-in-registry":
         # A new stats counter lands in the transport but the metrics
         # publisher never exports it.
         hpp = root / "src" / "mpi" / "transport.hpp"
@@ -487,15 +492,23 @@ def seed_violation(root: Path, rule: str) -> None:
             "    unsigned long eager_sends = 0;\n",
             "    unsigned long eager_sends = 0;\n"
             "    unsigned long ghost_counter = 0;\n"))
-    elif rule == "soa-hot-structs":
+    elif case == "soa-hot-structs":
         # A per-rank history vector-of-vectors sneaks into the trace SoA.
         hpp = root / "src" / "mpi" / "trace.hpp"
         hpp.write_text(hpp.read_text().replace(
             "  std::vector<double> seg_slab_;\n",
             "  std::vector<double> seg_slab_;\n"
             "  std::vector<std::vector<double>> per_rank_history_;\n"))
+    elif case == "soa-hot-structs/wrapped-smart-pointer":
+        # A per-rank owning pointer hides inside a struct the process then
+        # keeps in a vector: no container nesting on any one line.
+        (root / "src" / "mpi" / "process.hpp").write_text(
+            "#pragma once\n#include <memory>\n#include <vector>\n"
+            "namespace iw::mpi {\nclass Model;\nclass Process {\n"
+            "  struct Source {\n    std::unique_ptr<Model> model;\n  };\n"
+            "  std::vector<Source> sources_;\n};\n}\n")
     else:
-        raise AssertionError(f"no seeder for rule {rule}")
+        raise AssertionError(f"no seeder for case {case}")
 
 
 def self_test() -> int:
@@ -509,23 +522,25 @@ def self_test() -> int:
             failures.append(
                 "clean miniature tree reported problems:\n  "
                 + "\n  ".join(baseline))
-        for rule in RULES:
-            tree = Path(tmp) / rule
+        for case in SELF_TEST_CASES:
+            rule = case.split("/")[0]
+            tree = Path(tmp) / case.replace("/", "-")
             tree.mkdir()
             make_clean_tree(tree)
-            seed_violation(tree, rule)
+            seed_violation(tree, case)
             found = run_lint(tree)
             if not any(f"[{rule}]" in p for p in found):
                 failures.append(
-                    f"seeded {rule} violation was not flagged "
+                    f"seeded {case} violation was not flagged "
                     f"(got: {found or 'nothing'})")
     if failures:
         print("lint self-test FAILED:", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
-    print(f"lint self-test OK: {len(RULES)} rules each caught their "
-          f"seeded violation and stayed quiet on a clean tree")
+    print(f"lint self-test OK: {len(RULES)} rules caught all "
+          f"{len(SELF_TEST_CASES)} seeded violations and stayed quiet on a "
+          f"clean tree")
     return 0
 
 
