@@ -1,129 +1,92 @@
-// Tests for the noise model zoo.
+// Tests for the noise kinds a NoiseSpec samples: none, exponential, gamma
+// and uniform, their means and bounds, and the parameter checks.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
-#include "noise/noise_model.hpp"
+#include "noise/system_profiles.hpp"
 #include "support/stats.hpp"
 
 namespace iw::noise {
 namespace {
 
-std::vector<double> sample_us(const NoiseModel& model, int n, Rng& rng) {
+std::vector<double> sample_us(const NoiseSpec& spec, int n, Rng rng) {
   std::vector<double> out;
   out.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) out.push_back(model.sample(rng).us());
+  for (int i = 0; i < n; ++i) out.push_back(spec.sample(rng).us());
   return out;
 }
 
-TEST(ZeroNoise, AlwaysZero) {
-  ZeroNoise model;
+TEST(NoiseKinds, NoneIsAlwaysZero) {
+  const auto spec = NoiseSpec::none();
   Rng rng(1);
-  for (int i = 0; i < 100; ++i)
-    EXPECT_EQ(model.sample(rng), Duration::zero());
-  EXPECT_EQ(model.mean(), Duration::zero());
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(spec.sample(rng), Duration::zero());
+  EXPECT_EQ(spec.expected(), Duration::zero());
 }
 
-TEST(ExponentialNoise, MatchesConfiguredMean) {
-  const ExponentialNoise model(microseconds(2.4));
-  Rng rng(7);
-  const auto s = summarize(sample_us(model, 200000, rng));
+TEST(NoiseKinds, ExponentialMatchesConfiguredMean) {
+  const auto spec = NoiseSpec::exponential(microseconds(2.4));
+  const auto s = summarize(sample_us(spec, 200000, Rng(7)));
   EXPECT_NEAR(s.mean, 2.4, 0.05);
   EXPECT_GE(s.min, 0.0);
-  EXPECT_EQ(model.mean(), microseconds(2.4));
+  EXPECT_EQ(spec.expected(), microseconds(2.4));
 }
 
-TEST(ExponentialNoise, MaxAtPaperSampleCountBelow30us) {
+TEST(NoiseKinds, ExponentialMaxAtPaperSampleCountBelow30us) {
   // Paper Fig. 3: Emmy's 3.3e5 samples peak below 30 us. An exponential
   // with mean 2.4 us has E[max] ~ 2.4 * ln(3.3e5) ~ 30.5 us; check the
   // realized max is in that ballpark and not wildly above.
-  const ExponentialNoise model(microseconds(2.4));
-  Rng rng(3);
-  double max_us = 0;
-  for (int i = 0; i < 330000; ++i)
-    max_us = std::max(max_us, model.sample(rng).us());
-  EXPECT_GT(max_us, 15.0);
-  EXPECT_LT(max_us, 60.0);
+  const auto s =
+      summarize(sample_us(NoiseSpec::exponential(microseconds(2.4)), 330000,
+                          Rng(3)));
+  EXPECT_GT(s.max, 15.0);
+  EXPECT_LT(s.max, 60.0);
 }
 
-TEST(GammaNoise, ShapeOneIsExponentialLike) {
-  const GammaNoise model(1.0, microseconds(10.0));
-  Rng rng(11);
-  const auto s = summarize(sample_us(model, 100000, rng));
+TEST(NoiseKinds, GammaShapeOneIsExponentialLike) {
+  const auto spec = NoiseSpec::gamma(1.0, microseconds(10.0));
+  const auto s = summarize(sample_us(spec, 100000, Rng(11)));
   EXPECT_NEAR(s.mean, 10.0, 0.3);
   EXPECT_NEAR(s.stddev, 10.0, 0.4);  // CV = 1 for exponential
+  EXPECT_EQ(spec.expected(), microseconds(10.0));
 }
 
-TEST(GammaNoise, HighShapeConcentrates) {
-  const GammaNoise model(16.0, microseconds(10.0));
-  Rng rng(12);
-  const auto s = summarize(sample_us(model, 100000, rng));
+TEST(NoiseKinds, GammaHighShapeConcentrates) {
+  const auto s = summarize(
+      sample_us(NoiseSpec::gamma(16.0, microseconds(10.0)), 100000, Rng(12)));
   EXPECT_NEAR(s.mean, 10.0, 0.3);
   EXPECT_NEAR(s.stddev, 2.5, 0.2);  // mean/sqrt(16)
 }
 
-TEST(UniformNoise, BoundsRespected) {
-  const UniformNoise model(microseconds(2.0), microseconds(4.0));
-  Rng rng(5);
-  const auto s = summarize(sample_us(model, 50000, rng));
+TEST(NoiseKinds, UniformBoundsRespected) {
+  const auto spec = NoiseSpec::uniform(microseconds(2.0), microseconds(4.0));
+  const auto s = summarize(sample_us(spec, 50000, Rng(5)));
   EXPECT_GE(s.min, 2.0);
   EXPECT_LE(s.max, 4.0);
   EXPECT_NEAR(s.mean, 3.0, 0.05);
-  EXPECT_EQ(model.mean(), microseconds(3.0));
+  EXPECT_EQ(spec.expected(), microseconds(3.0));
 }
 
-TEST(NormalNoise, TruncatedAtZero) {
-  const NormalNoise model(microseconds(1.0), microseconds(5.0));
-  Rng rng(17);
-  const auto s = summarize(sample_us(model, 50000, rng));
-  EXPECT_GE(s.min, 0.0);
-}
-
-TEST(MixtureNoise, BlendsComponentsByWeight) {
-  std::vector<MixtureNoise::Component> parts;
-  parts.push_back({0.5, std::make_unique<UniformNoise>(microseconds(1.0),
-                                                       microseconds(1.0))});
-  parts.push_back({0.5, std::make_unique<UniformNoise>(microseconds(3.0),
-                                                       microseconds(3.0))});
-  const MixtureNoise model(std::move(parts));
-  Rng rng(19);
-  const auto s = summarize(sample_us(model, 100000, rng));
-  EXPECT_NEAR(s.mean, 2.0, 0.05);
-  EXPECT_EQ(model.mean(), microseconds(2.0));
-}
-
-TEST(MixtureNoise, WeightsNeedNotBeNormalized) {
-  std::vector<MixtureNoise::Component> parts;
-  parts.push_back({3.0, std::make_unique<UniformNoise>(microseconds(1.0),
-                                                       microseconds(1.0))});
-  parts.push_back({1.0, std::make_unique<UniformNoise>(microseconds(5.0),
-                                                       microseconds(5.0))});
-  const MixtureNoise model(std::move(parts));
-  EXPECT_EQ(model.mean(), microseconds(2.0));
-}
-
-TEST(NoiseModels, CloneIsIndependentButEquivalent) {
-  const ExponentialNoise model(microseconds(7.0));
-  const auto copy = model.clone();
-  Rng a(42), b(42);
-  for (int i = 0; i < 100; ++i)
-    EXPECT_EQ(model.sample(a), copy->sample(b));
-}
-
-TEST(NoiseModels, DescribeMentionsParameters) {
-  EXPECT_NE(ExponentialNoise(microseconds(2.4)).describe().find("2.40 us"),
-            std::string::npos);
-  EXPECT_NE(GammaNoise(2.0, microseconds(1.0)).describe().find("gamma"),
-            std::string::npos);
-}
-
-TEST(NoiseModels, InvalidParametersRejected) {
-  EXPECT_THROW(ExponentialNoise(Duration{-1}), std::invalid_argument);
-  EXPECT_THROW(GammaNoise(0.0, microseconds(1.0)), std::invalid_argument);
-  EXPECT_THROW(UniformNoise(microseconds(3.0), microseconds(2.0)),
+TEST(NoiseKinds, InvalidParametersRejected) {
+  EXPECT_THROW((void)NoiseSpec::exponential(Duration{-1}),
                std::invalid_argument);
-  EXPECT_THROW(MixtureNoise(std::vector<MixtureNoise::Component>{}),
+  EXPECT_THROW((void)NoiseSpec::gamma(0.0, microseconds(1.0)),
                std::invalid_argument);
+  EXPECT_THROW((void)NoiseSpec::gamma(2.0, Duration{-1}),
+               std::invalid_argument);
+  EXPECT_THROW((void)NoiseSpec::uniform(microseconds(3.0), microseconds(2.0)),
+               std::invalid_argument);
+  EXPECT_THROW((void)NoiseSpec::uniform(Duration{-1}, microseconds(2.0)),
+               std::invalid_argument);
+  // A spec assembled field by field is caught by validate().
+  NoiseSpec spec;
+  spec.kind = NoiseSpec::Kind::gamma;
+  spec.mean = microseconds(1.0);
+  spec.shape = -1.0;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec.shape = 2.0;
+  EXPECT_NO_THROW(spec.validate());
 }
 
 }  // namespace
