@@ -12,6 +12,10 @@
 // std::function heap-allocates, as it does for every compute-completion and
 // protocol event in src/.
 //
+// Two full-stack rings run on the production engine alone: an eager one,
+// and a noisy rendezvous one in the shape of idlewave_bench's decay_long,
+// whose timestamps are nearly all distinct like the paper's runs.
+//
 // Flags: --json=<path> (default BENCH_engine.json; --out is an accepted
 //        alias), --smoke (CI-sized run),
 //        --reps=N, --churn=N, --pending=N, --batches=N, --prefill=N.
@@ -31,6 +35,7 @@
 #include "core/experiment.hpp"
 #include "sim/engine.hpp"
 #include "support/cli.hpp"
+#include "sweep/spec.hpp"
 #include "workload/delay.hpp"
 #include "workload/ring.hpp"
 
@@ -205,8 +210,21 @@ Measurement run_prefill(std::int64_t count) {
   return m;
 }
 
-/// End-to-end: one bulk-synchronous ring simulation on the production
-/// engine (the reference engine cannot run the full stack).
+/// Times one full-stack experiment on the production engine (the
+/// reference engine cannot run the full stack).
+Measurement run_experiment(const core::WaveExperiment& exp) {
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = core::run_wave_experiment(exp);
+  const auto stop = std::chrono::steady_clock::now();
+
+  Measurement m;
+  m.events = static_cast<std::int64_t>(result.events_processed);
+  m.seconds = std::chrono::duration<double>(stop - start).count();
+  m.peak = result.peak_events_pending;
+  return m;
+}
+
+/// End-to-end: one bulk-synchronous ring simulation.
 Measurement run_ring(int ranks, int steps) {
   workload::RingSpec ring;
   ring.ranks = ranks;
@@ -220,16 +238,24 @@ Measurement run_ring(int ranks, int steps) {
   exp.cluster = core::cluster_for_ring(ring, false, 10);
   exp.cluster.system_noise = noise::NoiseSpec::system("emmy-smt-on");
   exp.delays = workload::single_delay(ranks / 3, 0, milliseconds(5.0));
+  return run_experiment(exp);
+}
 
-  const auto start = std::chrono::steady_clock::now();
-  const auto result = core::run_wave_experiment(exp);
-  const auto stop = std::chrono::steady_clock::now();
-
-  Measurement m;
-  m.events = static_cast<std::int64_t>(result.events_processed);
-  m.seconds = std::chrono::duration<double>(stop - start).count();
-  m.peak = result.peak_events_pending;
-  return m;
+/// End-to-end: one point shaped like idlewave_bench's decay_long scan
+/// (Fig. 8/9): a bidirectional periodic ring of 256 KiB rendezvous
+/// messages under injected noise E = 10% and a 12 ms delay. Noise and
+/// handshakes make nearly every event timestamp distinct.
+Measurement run_noisy_rendezvous(int ranks, int steps) {
+  sweep::SweepSpec spec;
+  spec.delay_ms = {12};
+  spec.msg_bytes = {262144};
+  spec.np = {ranks};
+  spec.noise_E_percent = {10};
+  spec.direction = {workload::Direction::bidirectional};
+  spec.boundary = {workload::Boundary::periodic};
+  spec.steps = steps;
+  spec.min_idle = milliseconds(3.0);
+  return run_experiment(sweep::expand(spec).front().exp);
 }
 
 template <typename WorkloadFn>
@@ -256,9 +282,17 @@ struct Comparison {
   }
 };
 
+/// One production-only end-to-end point (no naive counterpart).
+struct EndToEnd {
+  std::string name;
+  int ranks;
+  int steps;
+  Measurement m;
+};
+
 void write_json(const std::string& path, const std::string& mode,
                 const std::vector<Comparison>& comparisons,
-                const Measurement& ring, int ring_ranks, int ring_steps) {
+                const std::vector<EndToEnd>& rings) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot write " + path);
   out.precision(6);
@@ -283,14 +317,17 @@ void write_json(const std::string& path, const std::string& mode,
         << "      \"fast_peak_calendar\": " << c.fast.peak << "\n"
         << "    },\n";
   }
-  out << "    \"ring_end_to_end\": {\n"
-      << "      \"ranks\": " << ring_ranks << ",\n"
-      << "      \"steps\": " << ring_steps << ",\n"
-      << "      \"events\": " << ring.events << ",\n"
-      << "      \"events_per_sec\": " << events_per_sec(ring) << ",\n"
-      << "      \"peak_calendar\": " << ring.peak << "\n"
-      << "    }\n"
-      << "  },\n"
+  for (std::size_t i = 0; i < rings.size(); ++i) {
+    const EndToEnd& r = rings[i];
+    out << "    \"" << r.name << "\": {\n"
+        << "      \"ranks\": " << r.ranks << ",\n"
+        << "      \"steps\": " << r.steps << ",\n"
+        << "      \"events\": " << r.m.events << ",\n"
+        << "      \"events_per_sec\": " << events_per_sec(r.m) << ",\n"
+        << "      \"peak_calendar\": " << r.m.peak << "\n"
+        << "    }" << (i + 1 < rings.size() ? "," : "") << "\n";
+  }
+  out << "  },\n"
       << "  \"summary\": {\n"
       << "    \"geomean_speedup\": "
       << std::exp(log_sum / static_cast<double>(comparisons.size())) << ",\n"
@@ -346,14 +383,20 @@ int bench_main(int argc, char** argv) {
               << c.fast.peak << ")\n";
   }
 
-  const Measurement ring =
-      best_of(smoke ? 1 : 3, [&] { return run_ring(ring_ranks, ring_steps); });
-  std::cout << "ring_end_to_end: " << events_per_sec(ring) / 1e6
-            << " Mev/s over " << ring.events << " events (peak calendar "
-            << ring.peak << ")\n";
+  const int ring_reps = smoke ? 1 : 3;
+  const int noisy_steps = smoke ? 10 : 60;
+  const std::vector<EndToEnd> rings = {
+      {"ring_end_to_end", ring_ranks, ring_steps,
+       best_of(ring_reps, [&] { return run_ring(ring_ranks, ring_steps); })},
+      {"ring_noisy_rendezvous", 128, noisy_steps,
+       best_of(ring_reps,
+               [&] { return run_noisy_rendezvous(128, noisy_steps); })}};
+  for (const EndToEnd& r : rings) {
+    std::cout << r.name << ": " << events_per_sec(r.m) / 1e6 << " Mev/s over "
+              << r.m.events << " events (peak calendar " << r.m.peak << ")\n";
+  }
 
-  write_json(out_path, smoke ? "smoke" : "full", comparisons, ring, ring_ranks,
-             ring_steps);
+  write_json(out_path, smoke ? "smoke" : "full", comparisons, rings);
   std::cout << "\nwrote " << out_path << "\n";
   return 0;
 }

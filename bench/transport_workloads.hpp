@@ -314,6 +314,15 @@ class Transport {
   std::uint64_t messages_ = 0;
 };
 
+/// The pre-flattening request record: every completion is event-delivered.
+struct Request {
+  mpi::Request::Kind kind = mpi::Request::Kind::send;
+  int peer = -1;
+  int tag = 0;
+  std::int64_t bytes = 0;
+  bool complete = false;
+};
+
 /// The pre-flattening process interpreter: refcounted program handle and a
 /// type-erased completion seam, minus the noise/memory machinery the bench
 /// workloads never touch.
@@ -334,12 +343,12 @@ class Process {
   [[nodiscard]] bool done() const { return done_; }
 
   void on_request_complete(mpi::RequestId id) {
-    mpi::Request& req = requests_[static_cast<std::size_t>(id)];
+    Request& req = requests_[static_cast<std::size_t>(id)];
     req.complete = true;
     if (!blocked_) return;
     const bool all_done =
         std::all_of(requests_.begin(), requests_.end(),
-                    [](const mpi::Request& r) { return r.complete; });
+                    [](const Request& r) { return r.complete; });
     if (!all_done) return;
     blocked_ = false;
     const SimTime now = engine_.now();
@@ -373,18 +382,16 @@ class Process {
       }
       if (const auto* send = std::get_if<mpi::OpIsend>(&op)) {
         const auto id = static_cast<mpi::RequestId>(requests_.size());
-        requests_.push_back(mpi::Request{mpi::Request::Kind::send, send->peer,
-                                         send->tag, send->bytes, false, false,
-                                         SimTime{}});
+        requests_.push_back(Request{mpi::Request::Kind::send, send->peer,
+                                    send->tag, send->bytes, false});
         transport_.post_send(rank_, send->peer, send->tag, send->bytes, id);
         ++pc_;
         continue;
       }
       if (const auto* recv = std::get_if<mpi::OpIrecv>(&op)) {
         const auto id = static_cast<mpi::RequestId>(requests_.size());
-        requests_.push_back(mpi::Request{mpi::Request::Kind::recv, recv->peer,
-                                         recv->tag, recv->bytes, false, false,
-                                         SimTime{}});
+        requests_.push_back(Request{mpi::Request::Kind::recv, recv->peer,
+                                    recv->tag, recv->bytes, false});
         transport_.post_recv(rank_, recv->peer, recv->tag, recv->bytes, id);
         ++pc_;
         continue;
@@ -392,7 +399,7 @@ class Process {
       if (std::holds_alternative<mpi::OpWaitAll>(op)) {
         const bool all_done =
             std::all_of(requests_.begin(), requests_.end(),
-                        [](const mpi::Request& r) { return r.complete; });
+                        [](const Request& r) { return r.complete; });
         if (all_done) {
           requests_.clear();
           ++pc_;
@@ -424,7 +431,7 @@ class Process {
   std::shared_ptr<const mpi::Program> program_;
   std::size_t pc_ = 0;
   std::int32_t next_step_ = 0;
-  std::vector<mpi::Request> requests_;
+  std::vector<Request> requests_;
   bool blocked_ = false;
   SimTime wait_begin_;
   bool done_ = false;

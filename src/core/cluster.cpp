@@ -187,7 +187,7 @@ mpi::Trace Cluster::run(const std::vector<mpi::Program>& programs,
   procs_in_use_ = nranks;
 
   // Rank-indexed completion wiring: the transport calls straight into
-  // Process::on_request_complete, no type-erased hop.
+  // Process::on_request_settles_at, no type-erased hop.
   transport_.set_processes(process_table_.data());
 
   // Flight-recorder wiring: one pointer per layer, null in untraced runs.

@@ -88,7 +88,7 @@ void Process::resume() {
       const auto id = static_cast<RequestId>(req_count_);
       Request& req =
           push_request(Request{Request::Kind::send, send->peer, send->tag,
-                               send->bytes, false, false, SimTime::zero()});
+                               send->bytes, false, SimTime::zero()});
       // Eager sends hand back their local-completion delay instead of
       // scheduling a completion event; the request settles by the clock.
       if (const auto local = transport_.post_send(rank_, send->peer,
@@ -107,7 +107,7 @@ void Process::resume() {
     if (const auto* recv = std::get_if<OpIrecv>(&op)) {
       const auto id = static_cast<RequestId>(req_count_);
       push_request(Request{Request::Kind::recv, recv->peer, recv->tag,
-                           recv->bytes, false, false, SimTime::zero()});
+                           recv->bytes, false, SimTime::zero()});
       // Count the receive open before posting: an unexpected match settles
       // it synchronously from inside post_recv.
       ++open_requests_;
@@ -198,10 +198,10 @@ bool Process::requests_settled(SimTime now) const {
 }
 
 void Process::schedule_timed_wake() {
-  // If any unfinished request is event-driven, its completion will resume
-  // us; otherwise nothing would, so wake at the latest known due time.
-  // Each window arms at most one wake: the arming call is the one that
-  // settles the last event-driven request, and requests settle only once.
+  // If any request has not settled yet, its settlement will re-arm us;
+  // otherwise nothing would, so wake at the latest known due time. Each
+  // window arms at most one wake: the arming call is the one that settles
+  // the last open request, and requests settle only once.
   if (open_requests_ > 0) return;
   engine_.at(latest_due_, [this] {
     if (!blocked_) return;
@@ -226,29 +226,11 @@ void Process::finish_wait() {
   resume();
 }
 
-void Process::on_request_complete(RequestId id) {
-  IW_REQUIRE(id >= 0 && static_cast<std::uint32_t>(id) < req_count_,
-             "unknown request id");
-  Request& req = req_[static_cast<std::size_t>(id)];
-  IW_ASSERT(!req.complete && !req.timed, "request completed twice");
-  req.complete = true;
-  --open_requests_;
-
-  if (!blocked_) return;
-  if (!requests_settled(engine_.now())) {
-    // The last event-driven completion may leave only timed requests with
-    // future due points; arm the wake so the WaitAll still ends.
-    schedule_timed_wake();
-    return;
-  }
-  finish_wait();
-}
-
 void Process::on_request_settles_at(RequestId id, SimTime due) {
   IW_REQUIRE(id >= 0 && static_cast<std::uint32_t>(id) < req_count_,
              "unknown request id");
   Request& req = req_[static_cast<std::size_t>(id)];
-  IW_ASSERT(!req.complete && !req.timed, "request settled twice");
+  IW_ASSERT(!req.timed, "request settled twice");
   req.timed = true;
   req.due = due;
   latest_due_ = std::max(latest_due_, due);

@@ -65,9 +65,6 @@ class Process {
   /// Called once after wiring; schedules the first instruction at t=0.
   void start();
 
-  /// Transport callback: request `id` finished.
-  void on_request_complete(RequestId id);
-
   /// Transport callback for completions whose finish time is already known
   /// (a matched receive settles `overhead` after its arrival, a rendezvous
   /// sender when its payload is injected): marks the request as settling at
@@ -93,7 +90,7 @@ class Process {
  private:
   void resume();                    ///< interpret ops until blocked or timed
   [[nodiscard]] Duration sample_noise();
-  /// True when every request is complete or past its timed due point.
+  /// True when every request has settled and its due point has passed.
   [[nodiscard]] bool requests_settled(SimTime now) const;
   /// If every unfinished request has a known (timed) completion point,
   /// schedules one wake event at the latest of them.
@@ -128,8 +125,8 @@ class Process {
   std::uint32_t req_count_ = 0;
   std::uint32_t req_cap_ = 0;
   std::vector<Request> own_requests_;
-  /// O(1) WaitAll accounting: requests whose completion is event-driven
-  /// and still outstanding, plus the latest timed due point of the window.
+  /// O(1) WaitAll accounting: requests whose settle time the transport has
+  /// not reported yet, plus the latest timed due point of the window.
   int open_requests_ = 0;
   SimTime latest_due_ = SimTime::zero();
   bool blocked_ = false;

@@ -19,12 +19,9 @@ struct Request {
   int peer = -1;
   int tag = 0;
   std::int64_t bytes = 0;
-  /// Event-driven completion (receives, rendezvous sends) delivered via
-  /// Transport's completion wiring.
-  bool complete = false;
-  /// Timed completion (eager sends): the finish time is known when the
-  /// request is posted, so no completion event exists — the request counts
-  /// as settled once the clock reaches `due`.
+  /// Set once the finish time is known (at post time for eager sends,
+  /// through Transport's completion wiring otherwise). No completion event
+  /// exists: the request counts as settled once the clock reaches `due`.
   bool timed = false;
   SimTime due;
 };

@@ -129,7 +129,7 @@ class Transport {
 
   /// Hot-path completion wiring: `by_rank` points at a rank-indexed Process*
   /// table (owned by the Cluster, alive for the run). Completions call
-  /// Process::on_request_complete directly — no type-erased dispatch.
+  /// Process::on_request_settles_at directly — no type-erased dispatch.
   void set_processes(Process* const* by_rank);
 
   /// Fallback completion seam for harnesses that drive the transport

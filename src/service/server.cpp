@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <exception>
 #include <stdexcept>
+#include <string>
 
 #include "service/protocol.hpp"
 
@@ -94,6 +95,15 @@ void Server::io_loop() {
       std::string line;
       while (!c.dead && !stopping_.load() && c.in.next_line(line))
         handle_line(c, line);
+      if (!c.dead && c.in.pending_bytes() > kMaxLineBytes) {
+        // Best effort: the connection closes whether or not this lands.
+        (void)send_line(c.fd.get(),
+                        error_response("line-too-long",
+                                       "request line exceeds " +
+                                           std::to_string(kMaxLineBytes) +
+                                           " bytes"));
+        c.dead = true;
+      }
     }
     if ((fds[0].revents & POLLIN) != 0) {
       const int fd = ::accept(listen_fd_.get(), nullptr, nullptr);

@@ -11,9 +11,14 @@
 // A connection that drops mid-stream has each of its jobs abandoned:
 // queue slots free at once, the running batch stops at its next point
 // boundary, and completed physics stays in the shared cache.
+//
+// A request line may hold at most kMaxLineBytes: a connection that buffers
+// more without a '\n' gets a "line-too-long" error line and is closed, so
+// no client can grow the daemon without limit.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -31,6 +36,9 @@ struct ServerOptions {
 
 class Server {
  public:
+  /// Longest unterminated request line a connection may buffer.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
   explicit Server(ServerOptions options);
   ~Server();
 

@@ -10,25 +10,26 @@ namespace iw::sim {
 std::uint64_t Calendar::schedule(SimTime when, EventFn fn) {
   const std::uint64_t seq = next_seq_++;
   IW_CHECK(seq < (1ull << (64 - kSlotBits)), "calendar sequence exhausted");
-  const std::uint32_t slot = acquire_slot(std::move(fn), seq);
-  if (std::uint32_t* tail = times_.find_or_insert(when.ns(), slot)) {
-    // Timestamp already pending: O(1) chain append, no heap traffic.
-    chain_next_[*tail] = slot;
-    *tail = slot;
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[slot] = std::move(fn);
   } else {
-    heap_.push_back(Entry{when.ns(), (seq << kSlotBits) | slot});
-    sift_up(heap_.size() - 1);
+    IW_CHECK(slab_.size() < kSlotMask,
+             "calendar slab exhausted (>16M pending)");
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(std::move(fn));
   }
-  ++live_;
-  if (live_ > peak_size_) peak_size_ = live_;
+  heap_.push_back(Entry{when.ns(), (seq << kSlotBits) | slot});
+  sift_up(heap_.size() - 1);
+  peak_size_ = std::max(peak_size_, heap_.size());
   return seq;
 }
 
 void Calendar::reserve(std::size_t events) {
   heap_.reserve(events);
   slab_.reserve(events);
-  chain_next_.reserve(events);
-  slot_seq_.reserve(events);
   free_slots_.reserve(events);
 }
 
@@ -40,12 +41,8 @@ void Calendar::reset() noexcept {
   IW_AUDIT(audit());
   heap_.clear();
   slab_.clear();  // destroys any pending closures; capacity is retained
-  chain_next_.clear();
-  slot_seq_.clear();
   free_slots_.clear();
-  times_.clear();
   next_seq_ = 0;
-  live_ = 0;
   peak_size_ = 0;
 }
 
@@ -56,63 +53,26 @@ SimTime Calendar::next_time() const {
 
 Event Calendar::pop() {
   IW_REQUIRE(!heap_.empty(), "pop on empty calendar");
-  const std::int64_t when_ns = heap_.front().when_ns;
-  const std::uint32_t slot = advance_root();
-  return Event{SimTime{when_ns}, slot_seq_[slot], std::move(slab_[slot])};
+  const Entry root = take_root();
+  return Event{SimTime{root.when_ns}, root.seq_slot >> kSlotBits,
+               std::move(slab_[root.seq_slot & kSlotMask])};
 }
 
 bool Calendar::pop_if_at(SimTime when, EventFn& out) {
   if (heap_.empty() || heap_.front().when_ns != when.ns()) return false;
-  const std::uint32_t slot = advance_root();
-  out = std::move(slab_[slot]);
+  out = std::move(slab_[take_root().seq_slot & kSlotMask]);
   return true;
 }
 
-std::uint32_t Calendar::advance_root() {
-  Entry& root = heap_.front();
+Calendar::Entry Calendar::take_root() {
+  const Entry root = heap_.front();
   const auto slot = static_cast<std::uint32_t>(root.seq_slot & kSlotMask);
   IW_ASSERT(slot < slab_.size(), "heap root references a slot off the slab");
-  const std::uint32_t next = chain_next_[slot];
-  IW_ASSERT(next == kNil || next < slab_.size(),
-            "same-time chain link points off the slab");
-  IW_ASSERT(next == kNil || slot_seq_[next] > slot_seq_[slot],
-            "same-time chain is not in FIFO (ascending seq) order");
-  if (next != kNil) {
-    // Promote the next chained event: the entry keeps its heap position
-    // (same time; the entry's seq bits are already minimal for this time).
-    root.seq_slot = (root.seq_slot & ~kSlotMask) | next;
-  } else {
-    times_.erase(root.when_ns);
-    remove_root();
-  }
-  free_slots_.push_back(slot);
-  --live_;
-  return slot;
-}
-
-std::uint32_t Calendar::acquire_slot(EventFn&& fn, std::uint64_t seq) {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slab_[slot] = std::move(fn);
-  } else {
-    IW_CHECK(slab_.size() < kSlotMask,
-             "calendar slab exhausted (>16M pending)");
-    slot = static_cast<std::uint32_t>(slab_.size());
-    slab_.push_back(std::move(fn));
-    chain_next_.push_back(kNil);
-    slot_seq_.push_back(0);
-  }
-  chain_next_[slot] = kNil;
-  slot_seq_[slot] = seq;
-  return slot;
-}
-
-void Calendar::remove_root() {
   heap_.front() = heap_.back();
   heap_.pop_back();
   if (heap_.size() > 1) sift_down(0);
+  free_slots_.push_back(slot);
+  return root;
 }
 
 void Calendar::sift_up(std::size_t i) {
@@ -124,136 +84,6 @@ void Calendar::sift_up(std::size_t i) {
     i = parent;
   }
   heap_[i] = e;
-}
-
-std::uint32_t* Calendar::TimeIndex::find_or_insert(std::int64_t when_ns,
-                                                   std::uint32_t tail) {
-  // Keep load (live + tombstones) under half capacity so probes stay short.
-  if (cells_.empty() || (used_ + tombs_ + 1) * 2 > cells_.size()) {
-    const std::size_t target =
-        tombs_ > used_ / 2 ? cells_.size() : cells_.size() * 2;
-    rehash(std::max<std::size_t>(64, target));
-  }
-  const std::size_t mask = cells_.size() - 1;
-  std::size_t reuse = SIZE_MAX;  // first tombstone seen along the probe
-  for (std::size_t i = hash(when_ns) & mask;; i = (i + 1) & mask) {
-    Cell& c = cells_[i];
-    if (c.state == kUsed) {
-      if (c.when_ns == when_ns) return &c.tail;
-      continue;
-    }
-    if (c.state == kTomb) {
-      if (reuse == SIZE_MAX) reuse = i;
-      continue;
-    }
-    // kFree: the key is absent — insert in the same pass.
-    const std::size_t j = reuse == SIZE_MAX ? i : reuse;
-    if (cells_[j].state == kTomb) --tombs_;
-    cells_[j] = Cell{when_ns, tail, kUsed};
-    ++used_;
-    return nullptr;
-  }
-}
-
-void Calendar::TimeIndex::erase(std::int64_t when_ns) noexcept {
-  const std::size_t mask = cells_.size() - 1;
-  for (std::size_t i = hash(when_ns) & mask;; i = (i + 1) & mask) {
-    Cell& c = cells_[i];
-    if (c.state == kUsed && c.when_ns == when_ns) {
-      c.state = kTomb;
-      --used_;
-      ++tombs_;
-      return;
-    }
-  }
-}
-
-void Calendar::TimeIndex::clear() noexcept {
-  for (Cell& c : cells_) c.state = kFree;
-  used_ = 0;
-  tombs_ = 0;
-}
-
-#if IW_AUDIT_ENABLED
-const std::uint32_t* Calendar::TimeIndex::find(std::int64_t when_ns) const {
-  if (cells_.empty()) return nullptr;
-  const std::size_t mask = cells_.size() - 1;
-  for (std::size_t i = hash(when_ns) & mask;; i = (i + 1) & mask) {
-    const Cell& c = cells_[i];
-    if (c.state == kFree) return nullptr;
-    if (c.state == kUsed && c.when_ns == when_ns) return &c.tail;
-  }
-}
-#endif
-
-void Calendar::audit() const {
-#if IW_AUDIT_ENABLED
-  // Slab free-list integrity: every free slot is on the slab, and no slot
-  // is freed twice.
-  std::vector<std::uint8_t> is_free(slab_.size(), 0);
-  for (const std::uint32_t slot : free_slots_) {
-    IW_ASSERT(slot < slab_.size(), "free list references a slot off the slab");
-    IW_ASSERT(!is_free[slot], "slot appears twice on the free list");
-    is_free[slot] = 1;
-  }
-  IW_ASSERT(free_slots_.size() + live_ == slab_.size(),
-            "slab accounting broken: live + free != slab extent");
-
-  // Heap order + chain walk. Chains must cover exactly the non-free slots.
-  std::size_t chained = 0;
-  std::vector<std::uint8_t> seen(slab_.size(), 0);
-  std::vector<std::int64_t> times;
-  times.reserve(heap_.size());
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    if (i > 0) {
-      const std::size_t parent = (i - 1) / kArity;
-      IW_ASSERT(!earlier(heap_[i], heap_[parent]),
-                "heap order property violated");
-    }
-    times.push_back(heap_[i].when_ns);
-
-    // The time index must map this entry's timestamp to its chain tail.
-    std::uint32_t slot = static_cast<std::uint32_t>(heap_[i].seq_slot & kSlotMask);
-    std::uint64_t prev_seq = 0;
-    std::uint32_t tail = slot;
-    for (bool head = true; slot != kNil;
-         slot = chain_next_[slot], head = false) {
-      IW_ASSERT(slot < slab_.size(), "chain references a slot off the slab");
-      IW_ASSERT(!is_free[slot], "live chain references a freed slot");
-      IW_ASSERT(!seen[slot], "slot reachable from two chains");
-      seen[slot] = 1;
-      IW_ASSERT(head || slot_seq_[slot] > prev_seq,
-                "chain seq not strictly ascending (FIFO order broken)");
-      prev_seq = slot_seq_[slot];
-      tail = slot;
-      ++chained;
-    }
-    const std::uint32_t* indexed = times_.find(heap_[i].when_ns);
-    IW_ASSERT(indexed != nullptr, "pending timestamp missing from time index");
-    IW_ASSERT(*indexed == tail, "time index tail does not match chain tail");
-  }
-  IW_ASSERT(chained == live_, "live counter does not match chained events");
-  IW_ASSERT(times_.live_entries() == heap_.size(),
-            "time index holds entries for non-pending timestamps");
-
-  // At most one heap entry per timestamp (same-time arrivals must chain).
-  std::sort(times.begin(), times.end());
-  IW_ASSERT(std::adjacent_find(times.begin(), times.end()) == times.end(),
-            "duplicate timestamp entries in the heap");
-#endif
-}
-
-void Calendar::TimeIndex::rehash(std::size_t capacity) {
-  std::vector<Cell> old = std::move(cells_);
-  cells_.assign(capacity, Cell{0, 0, kFree});
-  tombs_ = 0;
-  const std::size_t mask = capacity - 1;
-  for (const Cell& c : old) {
-    if (c.state != kUsed) continue;
-    std::size_t i = hash(c.when_ns) & mask;
-    while (cells_[i].state == kUsed) i = (i + 1) & mask;
-    cells_[i] = c;
-  }
 }
 
 void Calendar::sift_down(std::size_t i) {
@@ -272,6 +102,33 @@ void Calendar::sift_down(std::size_t i) {
     i = best;
   }
   heap_[i] = e;
+}
+
+void Calendar::audit() const {
+#if IW_AUDIT_ENABLED
+  // Slab free-list integrity: every free slot is on the slab, and no slot
+  // is freed twice.
+  std::vector<std::uint8_t> used(slab_.size(), 0);
+  for (const std::uint32_t slot : free_slots_) {
+    IW_ASSERT(slot < slab_.size(), "free list references a slot off the slab");
+    IW_ASSERT(!used[slot], "slot appears twice on the free list");
+    used[slot] = 1;
+  }
+
+  // Heap order, and every live slot referenced by exactly one heap entry.
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    if (i > 0) {
+      IW_ASSERT(!earlier(heap_[i], heap_[(i - 1) / kArity]),
+                "heap order property violated");
+    }
+    const auto slot = static_cast<std::uint32_t>(heap_[i].seq_slot & kSlotMask);
+    IW_ASSERT(slot < slab_.size(), "heap entry references a slot off the slab");
+    IW_ASSERT(!used[slot], "heap entry references a freed or shared slot");
+    used[slot] = 1;
+  }
+  IW_ASSERT(free_slots_.size() + heap_.size() == slab_.size(),
+            "slab accounting broken: live + free != slab extent");
+#endif
 }
 
 }  // namespace iw::sim

@@ -12,18 +12,10 @@
 // LIFO so a steady-state simulation (schedule/pop churn at a roughly
 // constant horizon) touches a small, cache-resident working set.
 //
-// Same-time chaining: bulk-synchronous simulations schedule bursts of
-// events for one timestamp (every rank waking at the same step boundary,
-// zero-delay continuations, equal-latency arrivals from different
-// senders). A small open-addressed index maps each pending timestamp to
-// its chain tail, so a schedule() at an already-pending time appends in
-// O(1) to a FIFO chain hanging off the existing heap entry instead of
-// becoming a heap node of its own; pops advance the chain head in place
-// with no sift at all. The heap therefore holds at most one entry per
-// distinct timestamp. This is safe for the (time, seq) contract: chains
-// grow by global scheduling order, so FIFO chain order is exactly seq
-// order within a timestamp, and across timestamps the heap orders as
-// before.
+// Every pending event is its own heap entry, same-time events included:
+// the paper's rings (an injected delay, rendezvous handshakes, fine-grained
+// noise) make nearly every timestamp distinct, so there is no side index
+// for equal timestamps.
 //
 // Capacity: 24 slot bits allow 16.7M simultaneously pending events and 40
 // seq bits allow ~1.1e12 events per run; both are enforced loudly.
@@ -50,13 +42,13 @@ class Calendar {
 
   /// Discards every pending event and restores the pristine state (seq
   /// counter and peak tracking included) while keeping all heap capacity —
-  /// the slab, chain links, free list, and time index stay allocated. A
-  /// reset calendar behaves exactly like a freshly constructed one, which
-  /// is what makes cluster reuse byte-deterministic.
+  /// the heap, slab and free list stay allocated. A reset calendar behaves
+  /// exactly like a freshly constructed one, which is what makes cluster
+  /// reuse byte-deterministic.
   void reset() noexcept;
 
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return live_; }
+  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
 
   /// Largest number of simultaneously pending events seen so far.
   [[nodiscard]] std::size_t peak_size() const noexcept { return peak_size_; }
@@ -74,24 +66,21 @@ class Calendar {
   /// deterministic (time, seq) contract.
   bool pop_if_at(SimTime when, EventFn& out);
 
-  /// Full structural audit (audit builds only; a no-op otherwise). Walks
-  /// the heap (4-ary order property, one entry per timestamp), every
-  /// same-time chain (ascending seq, live slots only), the slab free list
-  /// (no duplicates, no live slot), and the time index (every heap entry's
-  /// timestamp maps to its chain tail), and reconciles the slot accounting:
-  /// chained live events == size() and live + free == slab extent. O(n);
-  /// called from Engine::reset and the audit-mode tests, never per event.
+  /// Full structural audit (audit builds only; a no-op otherwise). Checks
+  /// the heap order property, the slab free list (no duplicates, on the
+  /// slab), and that every live slot is referenced by exactly one heap
+  /// entry, so live + free == slab extent. O(n); called from Engine::reset
+  /// and the audit-mode tests, never per event.
   void audit() const;
 
  private:
   static constexpr std::size_t kArity = 4;
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
-  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
   struct Entry {
     std::int64_t when_ns;
-    std::uint64_t seq_slot;  ///< seq << kSlotBits | slot of the chain head
+    std::uint64_t seq_slot;  ///< seq << kSlotBits | slab slot
   };
 
   static bool earlier(const Entry& a, const Entry& b) noexcept {
@@ -99,66 +88,15 @@ class Calendar {
     return a.seq_slot < b.seq_slot;
   }
 
-  /// Open-addressed hash index: pending timestamp -> chain tail slot.
-  /// Power-of-two capacity, linear probing, tombstone deletion with
-  /// rehash-on-clutter. Determinism is untouched: the index is only ever
-  /// queried per key, never iterated.
-  class TimeIndex {
-   public:
-    /// Single-pass upsert: if `when_ns` is present, returns the address of
-    /// its tail slot (caller appends to the chain). Otherwise records
-    /// (when_ns -> tail) and returns nullptr (caller creates a heap entry).
-    std::uint32_t* find_or_insert(std::int64_t when_ns, std::uint32_t tail);
-    /// Erases a timestamp (must be present).
-    void erase(std::int64_t when_ns) noexcept;
-
-    /// Drops every entry; table storage is retained.
-    void clear() noexcept;
-
-#if IW_AUDIT_ENABLED
-    /// Audit-only probe: the tail recorded for `when_ns`, or nullptr when
-    /// the timestamp is absent. Mutates nothing.
-    [[nodiscard]] const std::uint32_t* find(std::int64_t when_ns) const;
-    /// Audit-only: number of live (kUsed) cells.
-    [[nodiscard]] std::size_t live_entries() const noexcept { return used_; }
-#endif
-
-   private:
-    enum : std::uint32_t { kFree = 0, kUsed = 1, kTomb = 2 };
-    struct Cell {
-      std::int64_t when_ns;
-      std::uint32_t tail;
-      std::uint32_t state;
-    };
-
-    static std::size_t hash(std::int64_t when_ns) noexcept {
-      auto x = static_cast<std::uint64_t>(when_ns) * 0x9E3779B97F4A7C15ull;
-      return static_cast<std::size_t>(x >> 32);
-    }
-
-    void rehash(std::size_t capacity);
-
-    std::vector<Cell> cells_;  ///< size is a power of two (or empty)
-    std::size_t used_ = 0;
-    std::size_t tombs_ = 0;
-  };
-
-  std::uint32_t acquire_slot(EventFn&& fn, std::uint64_t seq);
-  /// Releases the root's slot and either advances its chain or removes the
-  /// heap entry. Returns the released slot.
-  std::uint32_t advance_root();
-  void remove_root();
+  /// Removes the root entry, releases its slot and returns it.
+  Entry take_root();
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
 
   std::vector<Entry> heap_;
   std::vector<EventFn> slab_;  ///< closure storage, indexed by slot
-  std::vector<std::uint32_t> chain_next_;  ///< same-time FIFO links
-  std::vector<std::uint64_t> slot_seq_;    ///< per-slot sequence numbers
   std::vector<std::uint32_t> free_slots_;
-  TimeIndex times_;
   std::uint64_t next_seq_ = 0;
-  std::size_t live_ = 0;
   std::size_t peak_size_ = 0;
 };
 

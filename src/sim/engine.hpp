@@ -67,8 +67,8 @@ class Engine {
 
   [[nodiscard]] bool stopped() const { return stopped_; }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
-  /// Same-timestamp batches drained (outer run-loop iterations) — the
-  /// events_processed/batches ratio is the calendar's chaining win.
+  /// Distinct timestamps drained (outer run-loop iterations); each batch
+  /// runs every event pending at one timestamp.
   [[nodiscard]] std::uint64_t batches() const { return batches_; }
   [[nodiscard]] std::size_t events_pending() const { return calendar_.size(); }
 

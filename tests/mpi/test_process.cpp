@@ -18,12 +18,12 @@ class ProcessFixture {
         fabric_(net::FabricProfile::ideal(microseconds(1.0), 1e9)),
         transport_(engine_, topo_, fabric_, {}),
         trace_(ranks) {
-    for (int r = 0; r < ranks; ++r)
+    for (int r = 0; r < ranks; ++r) {
       procs_.push_back(
           std::make_unique<Process>(r, engine_, transport_, trace_));
-    transport_.set_completion_handler([this](int rank, RequestId req) {
-      procs_[static_cast<std::size_t>(rank)]->on_request_complete(req);
-    });
+      table_.push_back(procs_.back().get());
+    }
+    transport_.set_processes(table_.data());
   }
 
   void run(std::vector<Program> programs) {
@@ -42,6 +42,7 @@ class ProcessFixture {
   Trace trace_;
   std::vector<Program> programs_;
   std::vector<std::unique_ptr<Process>> procs_;
+  std::vector<Process*> table_;  ///< rank-indexed, as Cluster wires it
 };
 
 TEST(Process, ComputeAdvancesClockAndTraces) {

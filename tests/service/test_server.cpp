@@ -2,7 +2,8 @@
 // AF_UNIX socket, driven by raw protocol lines. Covers the full
 // submit/stream/status/cancel/shutdown surface plus the disconnect fault:
 // a client that vanishes mid-stream has its jobs abandoned and its queue
-// share reclaimed, while completed physics stays in the shared cache.
+// share reclaimed, while completed physics stays in the shared cache; and
+// the line bound: an unterminated request line over the limit is refused.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -140,6 +141,35 @@ TEST_F(ServerFixture, StatusAndMalformedLinesAnswerInline) {
   ASSERT_TRUE(send_line(fd.get(), status_line()));
   ASSERT_TRUE(reader.next(line));
   EXPECT_EQ(json::parse(line).find("type")->text, "status");
+}
+
+TEST_F(ServerFixture, OverlongLineGetsErrorThenEof) {
+  {
+    ScopedFd fd = connect();
+    // 2 MiB with no '\n'. The daemon closes the connection once it holds
+    // more than Server::kMaxLineBytes, so the tail of this send may fail.
+    const std::string flood(2 * Server::kMaxLineBytes, 'x');
+    (void)send_all(fd.get(), flood.data(), flood.size());
+
+    TimedReader reader(fd.get());
+    std::string line;
+    ASSERT_TRUE(reader.next(line));
+    const json::Value err = json::parse(line);
+    EXPECT_EQ(err.find("type")->text, "error");
+    EXPECT_EQ(err.find("code")->text, "line-too-long");
+    EXPECT_FALSE(reader.next(line)) << "expected EOF, got: " << line;
+  }
+
+  // The daemon is unharmed: a fresh connection still completes a job.
+  ScopedFd fd = connect();
+  ASSERT_TRUE(send_line(fd.get(), submit_line("bob", 0, quick_spec({6.0}))));
+  TimedReader reader(fd.get());
+  std::string line;
+  ASSERT_TRUE(reader.next(line));
+  ASSERT_EQ(json::parse(line).find("type")->text, "accepted");
+  while (reader.next(line) && is_record_line(line)) {
+  }
+  EXPECT_EQ(json::parse(line).find("type")->text, "done");
 }
 
 TEST_F(ServerFixture, DisconnectMidStreamReclaimsJobAndSlot) {

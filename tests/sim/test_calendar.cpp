@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -64,9 +66,9 @@ TEST(Calendar, SequenceNumbersIncrease) {
   EXPECT_LT(s1, s2);
 }
 
-// Regression for the (time, seq) contract under the slab-heap + same-time
-// chaining rework: same-time events scheduled NON-consecutively (other
-// timestamps in between) must still interleave purely by (time, seq).
+// Regression for the (time, seq) contract of the packed slab heap:
+// same-time events scheduled NON-consecutively (other timestamps in
+// between) must still interleave purely by (time, seq).
 TEST(Calendar, TieBreakSurvivesInterleavedScheduling) {
   Calendar cal;
   std::vector<int> order;
@@ -80,8 +82,8 @@ TEST(Calendar, TieBreakSurvivesInterleavedScheduling) {
   EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 10, 11}));
 }
 
-// Events appended to a same-time chain while it is being drained must fire
-// after the already-pending events of that timestamp (larger seq).
+// Events scheduled at a timestamp while it is being drained must fire after
+// the already-pending events of that timestamp (larger seq).
 TEST(Calendar, SameTimeScheduleDuringDrain) {
   Calendar cal;
   std::vector<int> order;
@@ -137,7 +139,7 @@ TEST(Calendar, PopIfAtDrainsOnlyTheGivenTimestamp) {
   EXPECT_TRUE(cal.pop_if_at(SimTime{8}, fn));
 }
 
-TEST(Calendar, PeakSizeCountsChainedEvents) {
+TEST(Calendar, PeakSizeCountsSameTimeEvents) {
   Calendar cal;
   for (int i = 0; i < 10; ++i) cal.schedule(SimTime{7}, [] {});
   for (int i = 0; i < 5; ++i) cal.schedule(SimTime{20 + i}, [] {});
@@ -148,8 +150,8 @@ TEST(Calendar, PeakSizeCountsChainedEvents) {
   EXPECT_EQ(cal.size(), 0u);
 }
 
-// Stress the chain/heap interaction deterministically: a pseudo-random mix
-// of duplicate and unique timestamps must drain in exact (time, seq) order.
+// Stress the heap's tie-break deterministically: a pseudo-random mix of
+// duplicate and unique timestamps must drain in exact (time, seq) order.
 TEST(Calendar, RandomizedMixDrainsInTimeSeqOrder) {
   Calendar cal;
   std::uint64_t rng = 0xC0FFEE123456789ull;
@@ -182,12 +184,12 @@ TEST(Calendar, RandomizedMixDrainsInTimeSeqOrder) {
   }
 }
 
-// Drive the slab/heap/time-index machinery through heavy churn with the
-// structural audit engaged at every step. audit() is a no-op in plain
-// Release, so this test is cheap there and exhaustive in Debug/
-// IDLEWAVE_AUDIT/sanitizer builds: free-list integrity, heap order, chain
-// ordering, and the live-count reconciliation all hold at every
-// intermediate state, including across reset() and slab reuse.
+// Drive the slab/heap machinery through heavy churn with the structural
+// audit engaged at every step. audit() is a no-op in plain Release, so this
+// test is cheap there and exhaustive in Debug/IDLEWAVE_AUDIT/sanitizer
+// builds: free-list integrity, heap order, and the one-entry-per-live-slot
+// reconciliation all hold at every intermediate state, including across
+// reset() and slab reuse.
 TEST(Calendar, AuditHoldsThroughChurnAndReset) {
   Calendar cal;
   std::uint64_t rng = 0x1D1EAF0000C0DEull;
@@ -198,8 +200,8 @@ TEST(Calendar, AuditHoldsThroughChurnAndReset) {
     return rng;
   };
   for (int round = 0; round < 3; ++round) {
-    // Interleave schedules (with many duplicate timestamps, so chains form)
-    // and pops (so slots recycle LIFO while chains are live).
+    // Interleave schedules (with many duplicate timestamps) and pops (so
+    // slots recycle LIFO while same-time events are pending).
     for (int i = 0; i < 600; ++i) {
       cal.schedule(SimTime{static_cast<std::int64_t>(next() % 32)}, [] {});
       if (i % 3 == 2) {
@@ -216,6 +218,77 @@ TEST(Calendar, AuditHoldsThroughChurnAndReset) {
     cal.audit();
     EXPECT_EQ(cal.size(), 0u);
     EXPECT_EQ(cal.peak_size(), 0u);
+  }
+}
+
+// The calendar against a std::priority_queue over (when, seq) under churn:
+// schedules interleave with pop() and pop_if_at() drains, drains reschedule
+// at the current time with zero delay, and reset() starts every round from
+// a pristine calendar (with events still pending in the even rounds).
+TEST(Calendar, MatchesReferenceHeapUnderRandomInterleaving) {
+  using Key = std::pair<std::int64_t, std::uint64_t>;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    std::uint64_t rng = 0x9E3779B97F4A7C15ull * seed;
+    auto next = [&rng] {
+      rng ^= rng << 13;
+      rng ^= rng >> 7;
+      rng ^= rng << 17;
+      return rng;
+    };
+    Calendar cal;
+    for (int round = 0; round < 4; ++round) {
+      std::priority_queue<Key, std::vector<Key>, std::greater<>> ref;
+      std::vector<std::uint64_t> seq_of;  // closure id -> its seq
+      std::size_t fired = 0;              // id of the last closure run
+      std::int64_t now = 0;
+      auto schedule = [&](std::int64_t when) {
+        const std::size_t id = seq_of.size();
+        seq_of.push_back(
+            cal.schedule(SimTime{when}, [&fired, id] { fired = id; }));
+        ref.emplace(when, seq_of.back());
+      };
+      auto expect_next = [&](std::int64_t when) {
+        ASSERT_FALSE(ref.empty());
+        EXPECT_EQ(Key(when, seq_of[fired]), ref.top())
+            << "seed " << seed << " round " << round;
+        ref.pop();
+      };
+      auto pop_one = [&] {
+        Event ev = cal.pop();
+        ev.fn();
+        EXPECT_EQ(ev.seq, seq_of[fired]);
+        expect_next(ev.when.ns());
+        now = ev.when.ns();
+      };
+
+      for (int op = 0; op < 2500; ++op) {
+        const std::uint64_t r = next() % 8;
+        if (r < 5 || cal.empty()) {
+          // Mostly near-future times (many ties, zero delays included),
+          // sometimes far ones so the heap grows deep.
+          const auto delta = static_cast<std::int64_t>(
+              next() % 4 == 0 ? next() % 4096 : next() % 16);
+          schedule(now + delta);
+        } else if (r < 6) {
+          pop_one();
+        } else {
+          now = cal.next_time().ns();
+          EventFn fn;
+          while (cal.pop_if_at(SimTime{now}, fn)) {
+            fn();
+            expect_next(now);
+            if (next() % 4 == 0) schedule(now);
+          }
+        }
+        ASSERT_EQ(cal.size(), ref.size());
+        cal.audit();
+      }
+      if (round % 2 == 1) {
+        while (!cal.empty()) pop_one();
+        EXPECT_TRUE(ref.empty());
+      }
+      cal.reset();
+    }
   }
 }
 
