@@ -48,20 +48,19 @@ inline std::int64_t pair_key(int src, int dst) {
 /// The pre-redesign flat options struct, preserved with the replica (the
 /// production transport now takes the grouped mpi::TransportConfig).
 struct Options {
-  std::int64_t eager_limit_override = -1;
-  std::int64_t eager_buffer_capacity =
+  std::int64_t forced_eager_limit = -1;
+  std::int64_t eager_buffer_bytes =
       std::numeric_limits<std::int64_t>::max();
   mpi::RendezvousPipelining pipelining =
       mpi::RendezvousPipelining::deferred_push;
 };
 
 /// Projection of the production config onto the replica's option set; the
-/// replica predates the NIC/credit features, so A/B workloads keep those
-/// at their ideal defaults.
+/// replica predates the NIC/credit features (and the production transport
+/// has no eager byte budget), so A/B workloads keep those at their ideal
+/// defaults.
 inline Options options_from(const mpi::TransportConfig& config) {
   Options opt;
-  opt.eager_limit_override = config.eager.limit_override;
-  opt.eager_buffer_capacity = config.eager.buffer_capacity;
   opt.pipelining = config.rendezvous.pipelining;
   return opt;
 }
@@ -75,8 +74,8 @@ class Transport {
       : engine_(engine),
         fabric_(fabric),
         options_(options),
-        eager_limit_(options.eager_limit_override >= 0
-                         ? options.eager_limit_override
+        eager_limit_(options.forced_eager_limit >= 0
+                         ? options.forced_eager_limit
                          : fabric.eager_limit_bytes),
         nranks_(topo.ranks()),
         per_socket_(topo.ranks_per_socket()),
@@ -105,7 +104,7 @@ class Transport {
           [&](const mpi::Envelope& e) { return e.matches(src, tag); });
       if (it != s.unexpected_eager.end()) {
         complete(dst, request, link(src, dst).overhead);
-        eager_backlog_[pair_key(src, dst)] -= it->bytes;
+        eager_in_flight_[pair_key(src, dst)] -= it->bytes;
         s.unexpected_eager.erase(it);
         return;
       }
@@ -166,15 +165,15 @@ class Transport {
     return fabric_.params(classify(a, b));
   }
 
-  [[nodiscard]] std::int64_t eager_backlog(int src, int dst) const {
-    const auto it = eager_backlog_.find(pair_key(src, dst));
-    return it == eager_backlog_.end() ? 0 : it->second;
+  [[nodiscard]] std::int64_t eager_in_flight(int src, int dst) const {
+    const auto it = eager_in_flight_.find(pair_key(src, dst));
+    return it == eager_in_flight_.end() ? 0 : it->second;
   }
 
   [[nodiscard]] mpi::WireProtocol protocol_for(int src, int dst,
                                                std::int64_t bytes) const {
     if (bytes > eager_limit_) return mpi::WireProtocol::rendezvous;
-    if (eager_backlog(src, dst) + bytes > options_.eager_buffer_capacity)
+    if (eager_in_flight(src, dst) + bytes > options_.eager_buffer_bytes)
       return mpi::WireProtocol::rendezvous;
     return mpi::WireProtocol::eager;
   }
@@ -205,7 +204,7 @@ class Transport {
   void send_eager(int src, int dst, int tag, std::int64_t bytes,
                   mpi::RequestId request) {
     ++messages_;
-    eager_backlog_[pair_key(src, dst)] += bytes;
+    eager_in_flight_[pair_key(src, dst)] += bytes;
     complete(src, request, link(src, dst).overhead);
     const mpi::Envelope envelope{src, dst, tag, bytes};
     transfer(src, dst, bytes, [] {},
@@ -224,7 +223,7 @@ class Transport {
     }
     complete(envelope.dst, it->request,
              link(envelope.src, envelope.dst).overhead);
-    eager_backlog_[pair_key(envelope.src, envelope.dst)] -= envelope.bytes;
+    eager_in_flight_[pair_key(envelope.src, envelope.dst)] -= envelope.bytes;
     s.posted_recvs.erase(it);
   }
 
@@ -309,7 +308,7 @@ class Transport {
   CompletionFn on_complete_;
   std::vector<RankState> ranks_;
   std::unordered_map<std::uint64_t, RdvSend> rdv_sends_;
-  std::unordered_map<std::int64_t, std::int64_t> eager_backlog_;
+  std::unordered_map<std::int64_t, std::int64_t> eager_in_flight_;
   std::uint64_t next_uid_ = 0;
   std::uint64_t messages_ = 0;
 };

@@ -44,8 +44,7 @@ ClusterConfig cluster_for_ring(const workload::RingSpec& ring, bool ppn1,
 namespace {
 
 /// Protocol the transport picks for `bytes` under `config` (static size
-/// rule; the buffer-capacity fallback does not trigger in bulk-synchronous
-/// workloads, whose backlogs drain every step).
+/// rule; the credit demotion is a per-run observable, eager_demotions).
 mpi::WireProtocol protocol_for(const ClusterConfig& config,
                                std::int64_t bytes) {
   return config.transport.protocol_by_size(bytes,
@@ -53,11 +52,11 @@ mpi::WireProtocol protocol_for(const ClusterConfig& config,
 }
 
 /// Copies the per-run transport counters into the result: the demotion
-/// observable (eager-sized sends pushed to rendezvous by a finite buffer or
-/// exhausted credits) plus the IW_METRIC_COLUMNS protocol counters.
+/// observable (eager-sized sends pushed to rendezvous by exhausted credits)
+/// plus the IW_METRIC_COLUMNS protocol counters.
 void reduce_transport_stats(WaveResult& result, const Cluster& cluster) {
   const auto& s = cluster.transport_stats();
-  result.eager_demotions = s.eager_fallbacks + s.credit_stalls;
+  result.eager_demotions = s.credit_stalls;
   result.nic_backlogged = s.nic_backlogged;
   result.deferred_pushes = s.deferred_pushes;
   result.unexpected_eager = s.unexpected_eager;

@@ -55,9 +55,10 @@ struct WaveResult {
   /// peak population (simulation-cost figures tracked by bench/perf_engine).
   std::uint64_t events_processed = 0;
   std::size_t peak_events_pending = 0;
-  /// Eager-sized sends the transport demoted to rendezvous during the run:
-  /// finite-buffer fallbacks plus credit-window stalls. Zero under the
-  /// ideal configuration; a sweep observable for the flow-control axes.
+  /// Eager-sized sends the transport demoted to rendezvous during the run
+  /// because their pair's credit window was exhausted
+  /// (Transport::Stats::credit_stalls). Zero under the ideal
+  /// configuration; a sweep observable for the eager_credits axis.
   std::uint64_t eager_demotions = 0;
   /// Per-run transport protocol counters (Transport::Stats fields), named
   /// after the IW_METRIC_COLUMNS registry entries that turn them into

@@ -1,7 +1,6 @@
 #include "core/fast_forward.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "core/cluster.hpp"
@@ -118,9 +117,6 @@ FastForwardPlan plan_fast_forward(const WaveExperiment& exp) {
     reason = "finite NIC injection depth couples senders to drain order";
   } else if (tc.eager.credit_window != 0) {
     reason = "eager credit window couples senders to receivers";
-  } else if (tc.eager.buffer_capacity !=
-             std::numeric_limits<std::int64_t>::max()) {
-    reason = "finite eager buffers can demote sends";
   } else if (tc.protocol_by_size(ring.msg_bytes,
                                  exp.cluster.fabric.eager_limit_bytes) !=
              mpi::WireProtocol::eager) {

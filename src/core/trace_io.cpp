@@ -20,42 +20,6 @@ std::ofstream open_or_throw(const std::string& path) {
   return out;
 }
 
-}  // namespace
-
-void write_segments_csv(const mpi::Trace& trace, std::ostream& out) {
-  out << "rank,kind,begin_ns,end_ns,duration_ns,step,noise_ns\n";
-  for (int rank = 0; rank < trace.ranks(); ++rank) {
-    for (const auto& seg : trace.segments(rank)) {
-      out << rank << ',' << mpi::to_string(seg.kind) << ',' << seg.begin.ns()
-          << ',' << seg.end.ns() << ',' << seg.duration().ns() << ','
-          << seg.step << ',' << seg.noise.ns() << '\n';
-    }
-  }
-}
-
-void write_segments_csv(const mpi::Trace& trace, const std::string& path) {
-  auto out = open_or_throw(path);
-  write_segments_csv(trace, out);
-}
-
-void write_step_positions_csv(const mpi::Trace& trace, std::ostream& out) {
-  out << "step,rank,begin_ns\n";
-  for (int rank = 0; rank < trace.ranks(); ++rank) {
-    const auto& marks = trace.step_begin(rank);
-    for (std::size_t step = 0; step < marks.size(); ++step) {
-      out << step << ',' << rank << ',' << marks[step].ns() << '\n';
-    }
-  }
-}
-
-void write_step_positions_csv(const mpi::Trace& trace,
-                              const std::string& path) {
-  auto out = open_or_throw(path);
-  write_step_positions_csv(trace, out);
-}
-
-namespace {
-
 /// Microsecond timestamp at nanosecond resolution, written as a decimal
 /// string ("12.345") so rounding can never reorder equal-ns events.
 std::string ts_us(SimTime t) {

@@ -1,7 +1,6 @@
-// Trace export: CSV emission of raw traces and step positions for external
-// analysis/plotting (gnuplot, pandas), mirroring what the paper extracts
-// from Intel Trace Analyzer recordings — plus Chrome-trace JSON for the
-// protocol flight recorder (chrome://tracing, Perfetto).
+// Trace export: Chrome-trace JSON of a run's segments and protocol
+// flight-recorder records (chrome://tracing, Perfetto), the view the paper
+// extracts from Intel Trace Analyzer recordings.
 #pragma once
 
 #include <iosfwd>
@@ -12,17 +11,6 @@
 #include "obs/tracer.hpp"
 
 namespace iw::core {
-
-/// Writes all segments as CSV rows:
-/// rank,kind,begin_ns,end_ns,duration_ns,step,noise_ns
-void write_segments_csv(const mpi::Trace& trace, std::ostream& out);
-void write_segments_csv(const mpi::Trace& trace, const std::string& path);
-
-/// Writes per-rank step-begin wallclock positions (the Fig. 2 markers):
-/// step,rank,begin_ns
-void write_step_positions_csv(const mpi::Trace& trace, std::ostream& out);
-void write_step_positions_csv(const mpi::Trace& trace,
-                              const std::string& path);
 
 /// Writes a Chrome-trace ("Trace Event Format") JSON file loadable by
 /// chrome://tracing and Perfetto. One track (tid) per rank carries the

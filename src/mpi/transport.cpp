@@ -1,7 +1,6 @@
 #include "mpi/transport.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "mpi/process.hpp"
@@ -36,14 +35,12 @@ void Transport::reconfigure(const net::FabricProfile& fabric,
   }
   fabric_ = fabric;
   config_ = config;
-  eager_limit_ = config_.eager_limit_for(fabric_.eager_limit_bytes);
   nranks_ = static_cast<std::size_t>(topo_.ranks());
 
   // Config-derived fast flags: every optional subsystem (finite NIC,
-  // finite eager buffer, credit window) costs nothing when disabled.
+  // credit window) costs nothing when disabled.
   nic_limited_ = config_.nic.injection_depth > 0;
   nic_depth_ = config_.nic.injection_depth;
-  nic_backlog_cap_ = config_.nic.backlog_capacity;
   track_credits_ = config_.eager.credit_window > 0;
   credit_window_ = config_.eager.credit_window;
   flavor_ = config_.rendezvous.flavor;
@@ -68,16 +65,9 @@ void Transport::reconfigure(const net::FabricProfile& fabric,
   credits_outstanding_ = 0;
 #endif
 
-  // Backlog accounting exists only to drive the finite-buffer fallback;
-  // under the default infinite capacity the steady-state path skips it
-  // entirely (no table, no per-message arithmetic). Same for credits.
-  track_backlog_ = config_.eager.buffer_capacity !=
-                   std::numeric_limits<std::int64_t>::max();
-  if (track_backlog_) {
-    eager_backlog_.assign(nranks_ * nranks_, 0);
-  } else {
-    eager_backlog_.clear();
-  }
+  // Credit accounting exists only to drive the eager demotion; under the
+  // default unlimited window the steady-state path skips it entirely (no
+  // table, no per-message arithmetic).
   if (track_credits_) {
     eager_credits_.assign(nranks_ * nranks_, 0);
   } else {
@@ -191,10 +181,6 @@ void Transport::audit() const {
     if (nic_limited_) {
       IW_ASSERT(s.nic_inflight <= nic_depth_,
                 "in-flight injections exceed the NIC budget");
-      IW_ASSERT(nic_backlog_cap_ == 0 ||
-                    s.nic_backlog.size() <=
-                        static_cast<std::size_t>(nic_backlog_cap_),
-                "NIC retry backlog exceeds its configured capacity");
     } else {
       IW_ASSERT(s.nic_inflight == 0 && s.nic_backlog.empty(),
                 "NIC budget state on an unbounded-injection transport");
@@ -281,17 +267,13 @@ const net::LinkParams& Transport::link(int a, int b) const {
 
 WireProtocol Transport::protocol_for(int src, int dst,
                                      std::int64_t bytes) const {
-  if (bytes > eager_limit_) return WireProtocol::rendezvous;
-  if (track_backlog_ || track_credits_) {
-    // Public entry point: the flat tables need the bounds check the old
+  if (bytes > fabric_.eager_limit_bytes) return WireProtocol::rendezvous;
+  if (track_credits_) {
+    // Public entry point: the flat table needs the bounds check the old
     // map lookup never did (post_send re-checks, but callers like
     // Cluster::message_time reach here directly).
     check_ranks(src, dst);
-    if (track_backlog_ &&
-        eager_backlog(src, dst) + bytes > config_.eager.buffer_capacity)
-      return WireProtocol::rendezvous;
-    if (track_credits_ &&
-        eager_credits_[backlog_index(src, dst)] >= credit_window_)
+    if (eager_credits_[pair_index(src, dst)] >= credit_window_)
       return WireProtocol::rendezvous;
   }
   return WireProtocol::eager;
@@ -361,12 +343,6 @@ SimTime Transport::inject_counted(const net::LinkParams& p, int src,
 
 void Transport::backlog_push(int src, BacklogEntry entry) {
   RankState& s = state(src);
-  IW_CHECK(nic_backlog_cap_ == 0 ||
-               s.nic_backlog.size() <
-                   static_cast<std::size_t>(nic_backlog_cap_),
-           "NIC retry backlog overflow at rank " + std::to_string(src) +
-               ": raise NicModel.backlog_capacity (or injection_depth), or "
-               "throttle the workload");
   ++stats_.nic_backlogged;
   IW_AUDIT(++nic_backlog_total_);
   if (entry.kind == BacklogEntry::Kind::eager) {
@@ -437,29 +413,19 @@ std::optional<Duration> Transport::post_send(int src, int dst, int tag,
   const net::LinkClass cls = topo_.classify(src, dst);
   trace(obs::TraceEvent::kPostSend, src, dst, bytes);
 
-  // Protocol decision, with the dynamic fallbacks split out so each gets
-  // its own counter (same order as protocol_for, which must stay in step).
-  const bool eager_sized = bytes <= eager_limit_;
-  bool buffer_full = false;
-  bool no_credit = false;
-  if (eager_sized) {
-    if (track_backlog_ &&
-        eager_backlog(src, dst) + bytes > config_.eager.buffer_capacity) {
-      buffer_full = true;
-    } else if (track_credits_ &&
-               eager_credits_[backlog_index(src, dst)] >= credit_window_) {
-      no_credit = true;
-    }
-  }
+  // Protocol decision, with the credit demotion split out so it gets its
+  // own counter (same rule as protocol_for, which must stay in step).
+  const bool eager_sized = bytes <= fabric_.eager_limit_bytes;
+  const bool no_credit = eager_sized && track_credits_ &&
+                         eager_credits_[pair_index(src, dst)] >= credit_window_;
 
-  if (eager_sized && !buffer_full && !no_credit) {
+  if (eager_sized && !no_credit) {
     // Protocol accounting is charged at post time (the decision point), so
     // a NIC-backlogged send influences later protocol decisions exactly
     // like an injected one and the drain path never double-counts.
     ++stats_.eager_sends;
-    if (track_backlog_) eager_backlog_[backlog_index(src, dst)] += bytes;
     if (track_credits_) {
-      ++eager_credits_[backlog_index(src, dst)];
+      ++eager_credits_[pair_index(src, dst)];
       IW_AUDIT(++credits_outstanding_);
       trace(obs::TraceEvent::kCreditCharge, src, dst, bytes);
     }
@@ -472,10 +438,10 @@ std::optional<Duration> Transport::post_send(int src, int dst, int tag,
     return send_eager(cls, src, dst, tag, bytes);
   }
 
-  if (buffer_full) ++stats_.eager_fallbacks;
-  if (no_credit) ++stats_.credit_stalls;
-  if (buffer_full || no_credit)
+  if (no_credit) {
+    ++stats_.credit_stalls;
     trace(obs::TraceEvent::kCreditDemotion, src, dst, bytes);
+  }
   send_rendezvous(cls, src, dst, tag, bytes, request);
   return std::nullopt;
 }
@@ -484,9 +450,9 @@ void Transport::post_ghost_send(int src, int dst, int tag,
                                 std::int64_t bytes) {
   IW_REQUIRE(src != dst, "self-sends are not modeled");
   check_ranks(src, dst);
-  IW_REQUIRE(!nic_limited_ && !track_backlog_ && !track_credits_,
-             "ghost sends require the ideal NIC and unbounded eager policy");
-  IW_REQUIRE(bytes <= eager_limit_,
+  IW_REQUIRE(!nic_limited_ && !track_credits_,
+             "ghost sends require the ideal NIC and no credit window");
+  IW_REQUIRE(bytes <= fabric_.eager_limit_bytes,
              "ghost sends must be eager-sized (the planner gates on this)");
   const net::LinkClass cls = topo_.classify(src, dst);
   trace(obs::TraceEvent::kPostSend, src, dst, bytes);
@@ -521,9 +487,6 @@ void Transport::on_eager_arrival(const Envelope& envelope, Duration overhead) {
     if (!envelope.matches(q[i].src, q[i].tag)) continue;
     trace(obs::TraceEvent::kMatch, envelope.dst, envelope.src, envelope.bytes);
     complete(envelope.dst, q[i].request, overhead);
-    if (track_backlog_)
-      eager_backlog_[backlog_index(envelope.src, envelope.dst)] -=
-          envelope.bytes;
     if (track_credits_) return_credit(envelope.src, envelope.dst);
     q.erase(i);
     return;
@@ -760,8 +723,6 @@ void Transport::post_recv(int dst, int src, int tag, std::int64_t bytes,
     const auto& p = link(src, dst);
     trace(obs::TraceEvent::kMatch, dst, src, ue[i].bytes);
     complete(dst, request, p.overhead);
-    if (track_backlog_)
-      eager_backlog_[backlog_index(src, dst)] -= ue[i].bytes;
     if (track_credits_) return_credit(src, dst);
     ue.erase(i);
     return;

@@ -11,12 +11,12 @@
 // its request completes immediately after the local overhead — the sender
 // "can get rid of its messages" (paper Sec. IV). Data travels autonomously;
 // unexpected arrivals queue at the receiver until a matching Irecv is
-// posted. An optional finite per-destination buffer makes over-limit eager
-// sends fall back to rendezvous, modeling the footnote in the paper
-// ("a limit to the internal buffers ... handled like a transition to a
-// rendezvous protocol"); an optional per-endpoint credit window
-// (EagerPolicy::credit_window) does the same per *message count*, returning
-// credits when the receiver drains the message.
+// posted. The eager limit is the fabric's `eager_limit_bytes`. An optional
+// per-endpoint credit window (EagerPolicy::credit_window) bounds the eager
+// messages in flight per pair and demotes further eager sends to
+// rendezvous, modeling the footnote in the paper ("a limit to the internal
+// buffers ... handled like a transition to a rendezvous protocol");
+// credits return when the receiver drains the message.
 //
 // Rendezvous protocol (bytes > eager limit): RTS control message to the
 // receiver; when the RTS has arrived *and* a matching receive is posted, the
@@ -59,12 +59,12 @@
 //     control-message envelope), so every protocol step is one array index.
 //   * Per-endpoint matching queues and the NIC retry backlog are RingQueues
 //     over pooled storage that is retained across runs (see reconfigure()).
-//   * Eager-backlog and credit accounting use flat (src, dst) tables sized
-//     from the Topology — and are skipped entirely under the default
-//     infinite capacity / unlimited credits, where the fallbacks can never
-//     trigger. (Each table is ranks^2 entries; finite-buffer ablations at
-//     several thousand ranks pay that footprint knowingly.) Likewise the
-//     default unbounded NIC (injection_depth 0) skips all budget machinery.
+//   * Credit accounting uses a flat (src, dst) table sized from the
+//     Topology — and is skipped entirely under the default unlimited
+//     credits, where the demotion can never trigger. (The table is ranks^2
+//     entries; credit ablations at several thousand ranks pay that
+//     footprint knowingly.) Likewise the default unbounded NIC
+//     (injection_depth 0) skips all budget machinery.
 //   * Request completions and memory-domain lookups route through
 //     rank-indexed pointer tables (Process* / BandwidthDomain*) owned by
 //     the Cluster instead of std::function callbacks.
@@ -98,7 +98,6 @@ class Transport {
   struct Stats {
     std::uint64_t eager_sends = 0;
     std::uint64_t rendezvous_sends = 0;
-    std::uint64_t eager_fallbacks = 0;   ///< eager-sized but buffer-full
     std::uint64_t credit_stalls = 0;     ///< eager-sized but out of credits
     std::uint64_t nic_backlogged = 0;    ///< posts that hit the retry backlog
     std::uint64_t deferred_pushes = 0;   ///< data pushes held by the rule
@@ -151,7 +150,7 @@ class Transport {
 
   /// Re-arms the transport for another run after the owning cluster reshaped
   /// its topology/fabric/config: protocol state and wiring are cleared, but
-  /// every pool (rank queues, rendezvous slab, backlog tables) keeps its
+  /// every pool (rank queues, rendezvous slab, credit table) keeps its
   /// storage. Rank-state vectors are resized to the topology's current rank
   /// count. Validates the config. Must be paired with an Engine::reset().
   void reconfigure(const net::FabricProfile& fabric,
@@ -179,18 +178,19 @@ class Transport {
   /// discarded, because the analytic path already knows the ghost's
   /// timeline. Restricted to configurations where an eager send cannot
   /// interact with sender-side protocol state: ideal NIC (no injection
-  /// budget), unbounded eager buffers, no credit window, eager-sized
-  /// payload. The fast-forward planner guarantees these; the IW_REQUIREs
-  /// re-prove them here.
+  /// budget), no credit window, eager-sized payload. The fast-forward
+  /// planner guarantees these; the IW_REQUIREs re-prove them here.
   void post_ghost_send(int src, int dst, int tag, std::int64_t bytes);
 
   /// Protocol a send of this size would use right now (the static size rule
-  /// plus the dynamic finite-buffer and credit-exhaustion fallbacks).
+  /// plus the dynamic credit-exhaustion demotion).
   [[nodiscard]] WireProtocol protocol_for(int src, int dst,
                                           std::int64_t bytes) const;
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] std::int64_t eager_limit() const { return eager_limit_; }
+  [[nodiscard]] std::int64_t eager_limit() const {
+    return fabric_.eager_limit_bytes;
+  }
   [[nodiscard]] const TransportConfig& config() const { return config_; }
   [[nodiscard]] PoolStats pool_stats() const;
 
@@ -200,18 +200,12 @@ class Transport {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
 
-  /// Flow-control shadow levels for the metrics registry: total eager
-  /// credits currently charged and total bytes parked in finite eager
-  /// buffers, summed over all (src, dst) pairs. Zero whenever the feature
-  /// is disabled or the transport is drained.
+  /// Flow-control shadow level for the metrics registry: total eager
+  /// credits currently charged, summed over all (src, dst) pairs. Zero
+  /// whenever credits are disabled or the transport is drained.
   [[nodiscard]] std::int64_t credits_outstanding() const {
     std::int64_t total = 0;
     for (const int c : eager_credits_) total += c;
-    return total;
-  }
-  [[nodiscard]] std::int64_t eager_backlog_bytes() const {
-    std::int64_t total = 0;
-    for (const std::int64_t b : eager_backlog_) total += b;
     return total;
   }
 
@@ -339,7 +333,7 @@ class Transport {
 
   /// Returns the sender's local-completion delay (the link overhead); the
   /// caller owns the request's completion, so no id is taken. Wire-level
-  /// only: protocol accounting (stats, buffer bytes, credits) is charged by
+  /// only: protocol accounting (stats, credits) is charged by
   /// post_send at post time, so backlog drains do not double-count.
   Duration send_eager(net::LinkClass cls, int src, int dst, int tag,
                       std::int64_t bytes);
@@ -360,9 +354,9 @@ class Transport {
 
   /// Returns one eager credit for a drained (src -> dst) message.
   void return_credit(int src, int dst) {
-    IW_ASSERT(eager_credits_[backlog_index(src, dst)] > 0,
+    IW_ASSERT(eager_credits_[pair_index(src, dst)] > 0,
               "eager credit returned that was never taken");
-    --eager_credits_[backlog_index(src, dst)];
+    --eager_credits_[pair_index(src, dst)];
     IW_AUDIT(--credits_outstanding_);
     trace(obs::TraceEvent::kCreditReturn, src, dst);
   }
@@ -383,12 +377,9 @@ class Transport {
                         : nullptr;
   }
 
-  [[nodiscard]] std::size_t backlog_index(int src, int dst) const {
+  [[nodiscard]] std::size_t pair_index(int src, int dst) const {
     return static_cast<std::size_t>(src) * nranks_ +
            static_cast<std::size_t>(dst);
-  }
-  [[nodiscard]] std::int64_t eager_backlog(int src, int dst) const {
-    return track_backlog_ ? eager_backlog_[backlog_index(src, dst)] : 0;
   }
 
   std::uint32_t acquire_rdv();
@@ -428,14 +419,12 @@ class Transport {
   const net::Topology& topo_;
   net::FabricProfile fabric_;
   TransportConfig config_;
-  std::int64_t eager_limit_ = 0;
   std::size_t nranks_ = 0;
 
   // Config-derived fast flags: each optional subsystem is gated by one bool
   // so the ideal configuration pays nothing for the features it disables.
   bool nic_limited_ = false;   ///< injection_depth > 0
   int nic_depth_ = 0;
-  int nic_backlog_cap_ = 0;    ///< 0 = unbounded
   bool track_credits_ = false; ///< credit_window > 0
   int credit_window_ = 0;
   RendezvousFlavor flavor_ = RendezvousFlavor::two_sided;
@@ -450,8 +439,6 @@ class Transport {
   std::vector<RankState> ranks_;
   std::vector<RdvSend> rdv_slab_;
   std::vector<std::uint32_t> rdv_free_;
-  std::vector<std::int64_t> eager_backlog_;  ///< ranks^2, finite capacity only
-  bool track_backlog_ = false;
   std::vector<int> eager_credits_;  ///< ranks^2, in-flight msgs; credits only
   std::vector<std::uint32_t> deferred_scratch_;  ///< flush staging buffer
   std::uint64_t pool_allocations_ = 0;

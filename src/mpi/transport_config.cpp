@@ -11,28 +11,12 @@ namespace {
 }  // namespace
 
 void TransportConfig::validate() const {
-  // NicModel. Depth 0 is the ideal unbounded NIC; a bounded backlog without
-  // a bounded injection budget could never fill, so it is almost certainly
-  // a mistaken preset.
+  // NicModel. Depth 0 is the ideal unbounded NIC.
   if (nic.injection_depth < 0)
     reject("nic.injection_depth must be >= 0 (0 = unbounded ideal NIC), got " +
            std::to_string(nic.injection_depth));
-  if (nic.backlog_capacity < 0)
-    reject("nic.backlog_capacity must be >= 0 (0 = unbounded backlog), got " +
-           std::to_string(nic.backlog_capacity));
-  if (nic.backlog_capacity > 0 && nic.injection_depth == 0)
-    reject("nic.backlog_capacity is finite but nic.injection_depth is 0 "
-           "(unbounded NIC): the backlog can never be used — set a finite "
-           "injection_depth or leave backlog_capacity at 0");
 
   // EagerPolicy.
-  if (eager.limit_override < -1)
-    reject("eager.limit_override must be -1 (use the fabric default) or a "
-           "byte count >= 0, got " + std::to_string(eager.limit_override));
-  if (eager.buffer_capacity <= 0)
-    reject("eager.buffer_capacity must be > 0 bytes (use the default "
-           "int64 max for an infinite buffer), got " +
-           std::to_string(eager.buffer_capacity));
   if (eager.credit_window < 0)
     reject("eager.credit_window must be >= 0 (0 = unlimited credits), got " +
            std::to_string(eager.credit_window));

@@ -4,9 +4,9 @@
 // accordingly (replacing the flat Transport::Options of earlier revisions):
 //
 //   * NicModel         — how fast the NIC drains injections (finite in-flight
-//                        injection budget + retry-backlog capacity);
-//   * EagerPolicy      — when a message may go eager (size threshold,
-//                        receive-buffer capacity, credit window);
+//                        injection budget);
+//   * EagerPolicy      — when an eager-sized message is demoted to
+//                        rendezvous (credit window);
 //   * RendezvousPolicy — how a rendezvous payload moves once the handshake
 //                        matches (flavor) and how pushes pipeline.
 //
@@ -16,14 +16,14 @@
 // (tools/lint/lint.py, rule transport-config-validate) enforces that every
 // field declared here is covered by validate().
 //
-// The protocol *size rule* (eager vs rendezvous by message size) is also
+// The eager/rendezvous size threshold is the fabric's
+// (`FabricProfile::eager_limit_bytes`). The protocol *size rule* is
 // centralized here — Transport, the experiment driver and the verify oracle
-// all call eager_limit_for()/protocol_by_size() so the rule cannot drift
-// between the simulator and its predictors.
+// all call protocol_by_size() so the rule cannot drift between the
+// simulator and its predictors.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <string>
 
 #include "mpi/message.hpp"
@@ -37,20 +37,11 @@ struct NicModel {
   /// has not finished). 0 = unbounded: the ideal NIC of the plain Hockney
   /// model, with no backlog machinery on the hot path at all.
   int injection_depth = 0;
-  /// Max entries the per-rank retry backlog may hold before further posts
-  /// are a hard error. 0 = unbounded (the backlog grows its pooled storage
-  /// as needed). Only meaningful with a finite injection_depth.
-  int backlog_capacity = 0;
 };
 
-/// Eager-protocol admission policy.
+/// Eager-protocol admission policy: the paper's finite eager buffers
+/// ("handled like a transition to a rendezvous protocol").
 struct EagerPolicy {
-  /// Overrides the fabric's eager/rendezvous size threshold if >= 0.
-  std::int64_t limit_override = -1;
-  /// Max eager payload bytes in flight (sent but not yet matched) per
-  /// (source, destination) pair; further eager sends fall back to
-  /// rendezvous until the backlog drains.
-  std::int64_t buffer_capacity = std::numeric_limits<std::int64_t>::max();
   /// Credit-based flow control: max eager *messages* in flight (sent but
   /// not yet matched at the receiver) per (source, destination) pair.
   /// Exhaustion forces rendezvous; credits return when the receiver drains
@@ -76,23 +67,15 @@ struct TransportConfig {
   /// message names the offending field and how to fix it.
   void validate() const;
 
-  /// The effective eager/rendezvous size threshold given the fabric's
-  /// default (`fabric.eager_limit_bytes`).
-  [[nodiscard]] std::int64_t eager_limit_for(
-      std::int64_t fabric_default_limit) const {
-    return eager.limit_override >= 0 ? eager.limit_override
-                                     : fabric_default_limit;
-  }
-
   /// The *size rule* half of the protocol decision — the static part shared
   /// by the transport, the experiment driver's Tcomm predictor and the
-  /// verify oracle. (The transport adds the dynamic buffer/credit fallbacks
-  /// on top; see Transport::protocol_for.)
+  /// verify oracle: eager up to the fabric's `eager_limit_bytes`. (The
+  /// transport adds the dynamic credit demotion on top; see
+  /// Transport::protocol_for.)
   [[nodiscard]] WireProtocol protocol_by_size(
-      std::int64_t bytes, std::int64_t fabric_default_limit) const {
-    return bytes <= eager_limit_for(fabric_default_limit)
-               ? WireProtocol::eager
-               : WireProtocol::rendezvous;
+      std::int64_t bytes, std::int64_t fabric_limit) const {
+    return bytes <= fabric_limit ? WireProtocol::eager
+                                 : WireProtocol::rendezvous;
   }
 
   /// Idealized transport: unbounded NIC, infinite eager buffering, no
@@ -101,13 +84,10 @@ struct TransportConfig {
   [[nodiscard]] static TransportConfig ideal() { return {}; }
 
   /// Finite-injection NIC: at most `injection_depth` in-flight injections
-  /// per rank; excess posts queue on the retry backlog (optionally bounded
-  /// by `backlog_capacity`).
-  [[nodiscard]] static TransportConfig finite_nic(int injection_depth,
-                                                  int backlog_capacity = 0) {
+  /// per rank; excess posts queue on the unbounded retry backlog.
+  [[nodiscard]] static TransportConfig finite_nic(int injection_depth) {
     TransportConfig c;
     c.nic.injection_depth = injection_depth;
-    c.nic.backlog_capacity = backlog_capacity;
     return c;
   }
 

@@ -78,7 +78,6 @@ void MetricsRegistry::publish(const mpi::Transport& transport) {
   const mpi::Transport::Stats& s = transport.stats();
   add(MetricId::transport_eager_sends, s.eager_sends);
   add(MetricId::transport_rendezvous_sends, s.rendezvous_sends);
-  add(MetricId::transport_eager_fallbacks, s.eager_fallbacks);
   add(MetricId::transport_credit_stalls, s.credit_stalls);
   add(MetricId::transport_nic_backlogged, s.nic_backlogged);
   add(MetricId::transport_deferred_pushes, s.deferred_pushes);
@@ -97,11 +96,9 @@ void MetricsRegistry::publish(const mpi::Transport& transport) {
   set_max(MetricId::pool_nic_backlog_depth,
           static_cast<double>(p.nic_backlog_depth));
   set_max(MetricId::pool_nic_inflight, static_cast<double>(p.nic_inflight));
-  // Flow-control shadow levels (nonzero only mid-run or after a stall).
+  // Flow-control shadow level (nonzero only mid-run or after a stall).
   set_max(MetricId::transport_credits_outstanding,
           static_cast<double>(transport.credits_outstanding()));
-  set_max(MetricId::transport_eager_backlog_bytes,
-          static_cast<double>(transport.eager_backlog_bytes()));
 }
 
 void MetricsRegistry::publish(const memory::BandwidthDomain& domain) {

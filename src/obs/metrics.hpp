@@ -46,7 +46,6 @@ class BandwidthDomain;
   X(engine_calendar_peak, "engine.calendar_peak", gauge)                    \
   X(transport_eager_sends, "transport.eager_sends", counter)                \
   X(transport_rendezvous_sends, "transport.rendezvous_sends", counter)      \
-  X(transport_eager_fallbacks, "transport.eager_fallbacks", counter)        \
   X(transport_credit_stalls, "transport.credit_stalls", counter)            \
   X(transport_nic_backlogged, "transport.nic_backlogged", counter)          \
   X(transport_deferred_pushes, "transport.deferred_pushes", counter)        \
@@ -55,7 +54,6 @@ class BandwidthDomain;
   X(transport_unexpected_eager, "transport.unexpected_eager", counter)      \
   X(transport_unexpected_rts, "transport.unexpected_rts", counter)          \
   X(transport_credits_outstanding, "transport.credits_outstanding", gauge)  \
-  X(transport_eager_backlog_bytes, "transport.eager_backlog_bytes", gauge)  \
   X(pool_allocations, "pool.allocations", gauge)                            \
   X(pool_rdv_slab_capacity, "pool.rdv_slab_capacity", gauge)                \
   X(pool_rdv_in_flight, "pool.rdv_in_flight", gauge)                        \

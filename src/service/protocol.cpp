@@ -1,5 +1,6 @@
 #include "service/protocol.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
@@ -34,10 +35,22 @@ const json::Value& require(const json::Value& obj, const char* key,
   return *v;
 }
 
-std::int64_t as_int(const json::Value& v, const char* key) {
+/// A JSON number as an integer of type T. Range-checked before the cast:
+/// converting an out-of-range double is undefined behaviour, and narrowing
+/// would silently wrap ("steps": 4294967306 must not run 10 steps).
+template <typename T = std::int64_t>
+T as_int(const json::Value& v, const char* key) {
+  static_assert(std::is_integral_v<T>);
   if (!v.is(json::Value::Kind::number))
     fail(std::string("\"") + key + "\" must be a number");
-  const auto n = static_cast<std::int64_t>(v.number);
+  // T's range is [min, 2^digits): both bounds are exact doubles.
+  const double lo = static_cast<double>(std::numeric_limits<T>::min());
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(v.number >= lo && v.number < hi))
+    fail(std::string("\"") + key + "\" is out of range [" +
+         std::to_string(std::numeric_limits<T>::min()) + ", " +
+         std::to_string(std::numeric_limits<T>::max()) + "]");
+  const auto n = static_cast<T>(v.number);
   if (static_cast<double>(n) != v.number)
     fail(std::string("\"") + key + "\" must be an integer");
   return n;
@@ -90,7 +103,7 @@ std::vector<T> axis_from_json(const json::Value& arr, const char* column) {
         fail(std::string("axis \"") + column + "\" values must be numbers");
       out.push_back(item.number);
     } else if constexpr (std::is_arithmetic_v<T>) {
-      out.push_back(static_cast<T>(as_int(item, column)));
+      out.push_back(as_int<T>(item, column));
     } else {
       if (!item.is(json::Value::Kind::string))
         fail(std::string("axis \"") + column + "\" values must be strings");
@@ -142,13 +155,13 @@ sweep::SweepSpec spec_from_json(const json::Value& v) {
       else
         fail("unknown workload \"" + value.text + "\" (ring|grid2d)");
     } else if (key == "steps") {
-      spec.steps = static_cast<int>(as_int(value, "steps"));
+      spec.steps = as_int<int>(value, "steps");
     } else if (key == "texec_ns") {
       spec.texec = Duration(as_int(value, "texec_ns"));
     } else if (key == "distance") {
-      spec.distance = static_cast<int>(as_int(value, "distance"));
+      spec.distance = as_int<int>(value, "distance");
     } else if (key == "injection_step") {
-      spec.injection_step = static_cast<int>(as_int(value, "injection_step"));
+      spec.injection_step = as_int<int>(value, "injection_step");
     } else if (key == "injection_at") {
       if (!value.is(json::Value::Kind::number))
         fail("\"injection_at\" must be a number");
@@ -200,7 +213,7 @@ Request parse_request(const std::string& line) {
         require(doc, "client", json::Value::Kind::string, "string").text;
     if (req.client.empty()) fail("\"client\" must be non-empty");
     if (const json::Value* prio = doc.find("priority"))
-      req.priority = static_cast<int>(as_int(*prio, "priority"));
+      req.priority = as_int<int>(*prio, "priority");
     req.spec = spec_from_json(
         require(doc, "spec", json::Value::Kind::object, "object"));
   } else if (type.text == "status") {

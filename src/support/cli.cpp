@@ -35,42 +35,57 @@ std::string Cli::get_or(const std::string& key,
   return get(key).value_or(fallback);
 }
 
-double Cli::get_or(const std::string& key, double fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  return std::stod(*v);
-}
-
-std::int64_t Cli::get_or(const std::string& key, std::int64_t fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  return std::stoll(*v);
-}
-
-bool Cli::has(const std::string& key) const { return values_.count(key) > 0; }
-
 namespace {
+
+std::int64_t parse_int64(const std::string& s, std::size_t* consumed) {
+  return std::stoll(s, consumed);
+}
+
+double parse_double(const std::string& s, std::size_t* consumed) {
+  return std::stod(s, consumed);
+}
+
+template <typename T>
+using ParseFn = T (*)(const std::string&, std::size_t*);
+
+// Converts `text` with `parse`, demanding that the whole string is
+// consumed ("12x" is an error, not 12); nullopt on any failure.
+template <typename T>
+std::optional<T> parse_full(const std::string& text, ParseFn<T> parse) {
+  std::size_t consumed = 0;
+  try {
+    const T value = parse(text, &consumed);
+    if (consumed == text.size()) return value;
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
+}
+
+template <typename T>
+T parse_scalar(const std::string& key, const std::string& text,
+               ParseFn<T> parse) {
+  const std::optional<T> value = parse_full(text, parse);
+  if (!value)
+    throw std::invalid_argument("--" + key + ": bad value '" + text + "'");
+  return *value;
+}
 
 // Splits "4,8,16" into trimmed-nothing elements and converts each with
 // `parse`, demanding that the whole element is consumed.
-template <typename T, typename ParseFn>
+template <typename T>
 std::vector<T> parse_list(const std::string& key, const std::string& raw,
-                          ParseFn parse) {
+                          ParseFn<T> parse) {
   std::vector<T> out;
   std::size_t begin = 0;
   for (;;) {
     const std::size_t comma = raw.find(',', begin);
     const std::string elem = raw.substr(
         begin, comma == std::string::npos ? std::string::npos : comma - begin);
-    std::size_t consumed = 0;
-    try {
-      out.push_back(parse(elem, &consumed));
-    } catch (const std::exception&) {
-      consumed = std::string::npos;  // signal failure uniformly below
-    }
-    if (consumed == std::string::npos || consumed != elem.size())
+    const std::optional<T> value = parse_full(elem, parse);
+    if (!value)
       throw std::invalid_argument("--" + key + ": bad list element '" + elem +
                                   "' in '" + raw + "'");
+    out.push_back(*value);
     if (comma == std::string::npos) break;
     begin = comma + 1;
   }
@@ -79,25 +94,32 @@ std::vector<T> parse_list(const std::string& key, const std::string& raw,
 
 }  // namespace
 
+double Cli::get_or(const std::string& key, double fallback) const {
+  const auto v = get(key);
+  if (!v) return fallback;
+  return parse_scalar(key, *v, parse_double);
+}
+
+std::int64_t Cli::get_or(const std::string& key, std::int64_t fallback) const {
+  const auto v = get(key);
+  if (!v) return fallback;
+  return parse_scalar(key, *v, parse_int64);
+}
+
+bool Cli::has(const std::string& key) const { return values_.count(key) > 0; }
+
 std::vector<std::int64_t> Cli::get_list_or(
     const std::string& key, std::vector<std::int64_t> fallback) const {
   const auto v = get(key);
   if (!v) return fallback;
-  return parse_list<std::int64_t>(key, *v, [](const std::string& s,
-                                              std::size_t* consumed) {
-    return std::stoll(s, consumed);
-  });
+  return parse_list<std::int64_t>(key, *v, parse_int64);
 }
 
 std::vector<double> Cli::get_list_or(const std::string& key,
                                      std::vector<double> fallback) const {
   const auto v = get(key);
   if (!v) return fallback;
-  return parse_list<double>(
-      key, *v,
-      [](const std::string& s, std::size_t* consumed) {
-        return std::stod(s, consumed);
-      });
+  return parse_list<double>(key, *v, parse_double);
 }
 
 std::vector<int> Cli::get_int_list_or(const std::string& key,

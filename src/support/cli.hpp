@@ -23,6 +23,8 @@ class Cli {
 
   [[nodiscard]] std::string get_or(const std::string& key,
                                    const std::string& fallback) const;
+  /// Numeric flags: `fallback` when absent; throws std::invalid_argument
+  /// unless the whole value parses (`--steps=12x` is an error, not 12).
   [[nodiscard]] double get_or(const std::string& key, double fallback) const;
   [[nodiscard]] std::int64_t get_or(const std::string& key,
                                     std::int64_t fallback) const;

@@ -57,8 +57,14 @@ class Reader {
   Value value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth)
+        fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      ++depth_;
+      Value v = c == '{' ? object() : array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       Value v;
       v.kind = Value::Kind::string;
@@ -184,6 +190,7 @@ class Reader {
   const char* end_;
   const std::string& what_;
   std::size_t offset_ = 0;
+  int depth_ = 0;  ///< open arrays/objects around the current value
 };
 
 }  // namespace

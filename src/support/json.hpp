@@ -20,6 +20,11 @@
 
 namespace iw::json {
 
+/// Deepest array/object nesting parse() accepts. The project's own
+/// documents nest about 4 deep; the bound keeps the recursive reader's stack
+/// use constant, so one hostile line cannot overflow it.
+inline constexpr int kMaxDepth = 64;
+
 struct Value {
   enum class Kind : std::uint8_t { null, boolean, number, string, array, object };
   Kind kind = Kind::null;
@@ -40,9 +45,9 @@ struct Value {
 };
 
 /// Parses one complete JSON document. Throws std::runtime_error naming the
-/// byte offset on malformed input or trailing content; `what` prefixes the
-/// message so callers can say whose JSON was bad ("verdict JSON",
-/// "request").
+/// byte offset on malformed input, trailing content or nesting deeper than
+/// kMaxDepth; `what` prefixes the message so callers can say whose JSON was
+/// bad ("verdict JSON", "request").
 [[nodiscard]] Value parse(const std::string& text,
                           const std::string& what = "JSON");
 

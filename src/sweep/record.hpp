@@ -50,8 +50,9 @@ struct SweepRecord {
   double front_rmse_up_us = 0.0;  ///< RMS front-fit residual [us]
   double cycle_us = 0.0;              ///< measured steady-state cycle
   double makespan_ms = 0.0;
-  /// Eager-sized sends the transport demoted to rendezvous (finite-buffer
-  /// fallbacks + credit stalls); an observable for the flow-control axes.
+  /// Eager-sized sends the transport demoted to rendezvous because their
+  /// pair's credit window was exhausted (credit stalls); the observable of
+  /// the eager_credits axis.
   std::uint64_t eager_demotions = 0;
   // Per-point transport protocol counters, generated from the
   // IW_METRIC_COLUMNS registry (sweep/axes.hpp).

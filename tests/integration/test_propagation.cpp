@@ -1,8 +1,6 @@
 // Integration: the qualitative propagation matrix of paper Figs. 4 and 5.
 #include <gtest/gtest.h>
 
-#include <limits>
-
 #include "core/experiment.hpp"
 #include "workload/delay.hpp"
 
@@ -189,28 +187,27 @@ TEST(PropagationFlavors, ExcessRuntimeEqualsDelayInSilentSystem) {
 TEST(PropagationFlavors, EagerBufferExhaustionCreatesBackwardWave) {
   // Paper footnote 1: "there is of course a limit to the internal buffers
   // that store such messages, but this can be handled like a transition to
-  // a rendezvous protocol." With an unbounded buffer, ranks below an
+  // a rendezvous protocol." With unlimited eager credits, ranks below an
   // eager-unidirectional injection never feel the delay; with a finite
-  // buffer the sender below the delayed rank runs out of credit, falls
-  // back to rendezvous, blocks — and a backward wave appears.
-  auto run_with_capacity = [](std::int64_t capacity) {
+  // credit window the sender below the delayed rank runs out of credit,
+  // demotes to rendezvous, blocks — and a backward wave appears.
+  auto run_with_credits = [](int window) {
     WaveExperiment exp = flavor_experiment(
         workload::Direction::unidirectional, workload::Boundary::open,
         kSmall);
-    exp.cluster.transport.eager.buffer_capacity = capacity;
+    exp.cluster.transport.eager.credit_window = window;
     return run_wave_experiment(exp);
   };
 
-  const auto unbounded =
-      run_with_capacity(std::numeric_limits<std::int64_t>::max());
+  const auto unbounded = run_with_credits(0);  // 0 = unlimited credits
   EXPECT_EQ(unbounded.down.survival_hops, 0);
   EXPECT_LT(unbounded.trace.total(4, mpi::SegKind::wait), milliseconds(1.0));
 
-  // Two messages of backlog (the delay spans 4.5 phases, so the third
-  // send toward the sleeping rank finds the buffer full).
-  const auto bounded = run_with_capacity(2 * kSmall);
+  // Two messages in flight (the delay spans 4.5 phases, so the third
+  // send toward the sleeping rank finds the window exhausted).
+  const auto bounded = run_with_credits(2);
   EXPECT_GT(bounded.down.survival_hops, 0)
-      << "buffer exhaustion must propagate the wave backward";
+      << "credit exhaustion must propagate the wave backward";
   EXPECT_GT(bounded.trace.total(4, mpi::SegKind::wait), milliseconds(5.0));
 }
 

@@ -1,5 +1,6 @@
 // Tests for the eager/rendezvous transport: matching, protocol selection,
-// completion timing, the deferred-push rule, and the finite-buffer fallback.
+// completion timing, the deferred-push rule, the finite-injection NIC and
+// the credit-window demotion.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -54,6 +55,14 @@ class TransportFixture {
   Transport transport_;
   std::map<std::pair<int, RequestId>, SimTime> completions_;
 };
+
+/// The fixture's default fabric with its eager/rendezvous threshold moved
+/// (0 makes every send rendezvous).
+net::FabricProfile fabric_with_eager_limit(std::int64_t limit) {
+  net::FabricProfile fabric = net::FabricProfile::ideal(microseconds(1.0), 1e9);
+  fabric.eager_limit_bytes = limit;
+  return fabric;
+}
 
 TEST(Transport, EagerSenderCompletesLocally) {
   TransportFixture f(2);
@@ -139,18 +148,15 @@ TEST(Transport, ProtocolSelectionByEagerLimit) {
             WireProtocol::rendezvous);
 }
 
-TEST(Transport, EagerLimitOverride) {
-  TransportConfig opt;
-  opt.eager.limit_override = 1000;
-  TransportFixture f(2, opt);
+TEST(Transport, EagerLimitComesFromTheFabric) {
+  TransportFixture f(2, {}, fabric_with_eager_limit(1000));
   EXPECT_EQ(f.transport_.eager_limit(), 1000);
   EXPECT_EQ(f.transport_.protocol_for(0, 1, 1001), WireProtocol::rendezvous);
 }
 
 TEST(Transport, RendezvousWaitsForReceiver) {
-  TransportConfig opt;
-  opt.eager.limit_override = 0;  // force rendezvous for every size
-  TransportFixture f(2, opt);
+  // Eager limit 0 forces rendezvous for every size.
+  TransportFixture f(2, {}, fabric_with_eager_limit(0));
   f.post_send(0, 1, 0, 1000, 0);
   f.engine_.run();
   // No receive posted: the sender must NOT complete.
@@ -165,9 +171,7 @@ TEST(Transport, RendezvousWaitsForReceiver) {
 }
 
 TEST(Transport, RendezvousTimingIncludesHandshake) {
-  TransportConfig opt;
-  opt.eager.limit_override = 0;
-  TransportFixture f(2, opt);
+  TransportFixture f(2, {}, fabric_with_eager_limit(0));
   f.transport_.post_recv(1, 0, 0, 1000, 0);
   f.post_send(0, 1, 0, 1000, 0);
   f.engine_.run();
@@ -180,9 +184,7 @@ TEST(Transport, RendezvousTimingIncludesHandshake) {
 }
 
 TEST(Transport, DeferredPushHoldsDataWhileHandshakeOutstanding) {
-  TransportConfig opt;
-  opt.eager.limit_override = 0;
-  TransportFixture f(3, opt);
+  TransportFixture f(3, {}, fabric_with_eager_limit(0));
   // Rank 0 sends to 1 (recv posted) and to 2 (no recv posted -> handshake
   // stuck). Under deferred_push the completed handshake to 1 must NOT push.
   f.transport_.post_recv(1, 0, 0, 1000, 0);
@@ -204,9 +206,8 @@ TEST(Transport, DeferredPushHoldsDataWhileHandshakeOutstanding) {
 
 TEST(Transport, IndependentPushesImmediately) {
   TransportConfig opt;
-  opt.eager.limit_override = 0;
   opt.rendezvous.pipelining = RendezvousPipelining::independent;
-  TransportFixture f(3, opt);
+  TransportFixture f(3, opt, fabric_with_eager_limit(0));
   f.transport_.post_recv(1, 0, 0, 1000, 0);
   f.post_send(0, 1, 0, 1000, 0);
   f.post_send(0, 2, 0, 1000, 1);  // stuck, but must not block 0->1
@@ -216,64 +217,10 @@ TEST(Transport, IndependentPushesImmediately) {
   EXPECT_EQ(f.transport_.stats().deferred_pushes, 0u);
 }
 
-TEST(Transport, FiniteEagerBufferFallsBackToRendezvous) {
-  TransportConfig opt;
-  opt.eager.buffer_capacity = 1500;
-  TransportFixture f(2, opt);
-  // First send fits; second would exceed the backlog cap while the first
-  // is still unmatched -> rendezvous fallback.
-  f.post_send(0, 1, 0, 1000, 0);
-  EXPECT_EQ(f.transport_.protocol_for(0, 1, 1000), WireProtocol::rendezvous);
-  f.post_send(0, 1, 0, 1000, 1);
-  f.engine_.run();
-  EXPECT_TRUE(f.completed(0, 0));
-  EXPECT_FALSE(f.completed(0, 1));  // rendezvous: waits for the receiver
-  EXPECT_EQ(f.transport_.stats().eager_fallbacks, 1u);
-
-  // Draining the backlog restores eager behaviour.
-  f.transport_.post_recv(1, 0, 0, 1000, 0);
-  f.transport_.post_recv(1, 0, 0, 1000, 1);
-  f.engine_.run();
-  EXPECT_TRUE(f.completed(0, 1));
-  EXPECT_EQ(f.transport_.protocol_for(0, 1, 1000), WireProtocol::eager);
-}
-
-TEST(Transport, EagerBufferFallbackTracksBacklogAcrossDrain) {
-  TransportConfig opt;
-  opt.eager.buffer_capacity = 2500;
-  TransportFixture f(2, opt);
-  // Three 1000 B sends: the first two fit the 2500 B backlog cap, the
-  // third must fall back to rendezvous while both are still unmatched.
-  f.post_send(0, 1, 0, 1000, 0);
-  f.post_send(0, 1, 0, 1000, 1);
-  EXPECT_EQ(f.transport_.protocol_for(0, 1, 1000), WireProtocol::rendezvous);
-  f.post_send(0, 1, 0, 1000, 2);
-  f.engine_.run();
-  EXPECT_EQ(f.transport_.stats().eager_sends, 2u);
-  EXPECT_EQ(f.transport_.stats().eager_fallbacks, 1u);
-
-  // Draining ONE eager message frees 1000 B: 1000 (left) + 1000 (next)
-  // fits under 2500 again, so the protocol flips back after one drain.
-  f.transport_.post_recv(1, 0, 0, 1000, 0);
-  f.engine_.run();
-  EXPECT_EQ(f.transport_.protocol_for(0, 1, 1000), WireProtocol::eager);
-  // But a 2000 B eager send would still overflow (1000 + 2000 > 2500).
-  EXPECT_EQ(f.transport_.protocol_for(0, 1, 2000), WireProtocol::rendezvous);
-
-  // Full drain: match the second eager and the rendezvous fallback.
-  f.transport_.post_recv(1, 0, 0, 1000, 1);
-  f.transport_.post_recv(1, 0, 0, 1000, 2);
-  f.engine_.run();
-  EXPECT_TRUE(f.completed(0, 2));
-  EXPECT_TRUE(f.completed(1, 2));
-  EXPECT_EQ(f.transport_.protocol_for(0, 1, 2000), WireProtocol::eager);
-}
-
 TEST(Transport, UnexpectedRtsMatchInArrivalOrder) {
   TransportConfig opt;
-  opt.eager.limit_override = 0;  // every send is rendezvous
   opt.rendezvous.pipelining = RendezvousPipelining::independent;
-  TransportFixture f(2, opt);
+  TransportFixture f(2, opt, fabric_with_eager_limit(0));
   // Two same-(src, tag) RTS queue as unexpected; later receives must pair
   // with them FIFO, so recv 0 gets send 0 and recv 1 gets send 1.
   f.post_send(0, 1, 7, 1000, 0);
@@ -296,9 +243,7 @@ TEST(Transport, UnexpectedRtsMatchInArrivalOrder) {
 }
 
 TEST(Transport, DeferredPushCounterCountsEveryHeldPush) {
-  TransportConfig opt;
-  opt.eager.limit_override = 0;
-  TransportFixture f(4, opt);
+  TransportFixture f(4, {}, fabric_with_eager_limit(0));
   // Rank 0 opens three handshakes; receivers 1 and 2 answer immediately,
   // receiver 3 stays silent. Both completed handshakes must be held (two
   // deferred pushes) until the third CTS clears the last handshake.
@@ -324,9 +269,7 @@ TEST(Transport, DeferredPushCounterCountsEveryHeldPush) {
 }
 
 TEST(Transport, MidRunStopLeavesInFlightRendezvousRecoverable) {
-  TransportConfig opt;
-  opt.eager.limit_override = 0;
-  TransportFixture f(2, opt);
+  TransportFixture f(2, {}, fabric_with_eager_limit(0));
   f.transport_.post_recv(1, 0, 0, 1000, 0);
   f.post_send(0, 1, 0, 1000, 0);
   // Stop the engine mid-handshake: the RTS (1 us flight) has not landed.
@@ -342,9 +285,8 @@ TEST(Transport, MidRunStopLeavesInFlightRendezvousRecoverable) {
 }
 
 TEST(Transport, SteadyStateMessagePathAllocatesNothing) {
-  TransportConfig opt;
-  opt.eager.limit_override = 4096;  // small sends eager, large rendezvous
-  TransportFixture f(4, opt);
+  // Small sends eager, large rendezvous.
+  TransportFixture f(4, {}, fabric_with_eager_limit(4096));
 
   // One mixed round: pre-posted eager, unexpected eager, and a rendezvous
   // exchange — every protocol path the steady state exercises.
@@ -477,9 +419,7 @@ TEST(Transport, MemoryPathCopiesContendWithComputeJobs) {
 // reconciliation (pool_stats().rdv_in_flight == live shadow slots) is part
 // of audit() itself, so this doubles as the pool-balance regression test.
 TEST(Transport, AuditHoldsAcrossProtocolPhasesAndReconfigure) {
-  TransportConfig opt;
-  opt.eager.limit_override = 4096;
-  TransportFixture f(4, opt);
+  TransportFixture f(4, {}, fabric_with_eager_limit(4096));
   f.transport_.audit();  // pristine
 
   for (int r = 0; r < 8; ++r) {
@@ -504,7 +444,7 @@ TEST(Transport, AuditHoldsAcrossProtocolPhasesAndReconfigure) {
   f.engine_.run_until(f.engine_.now() + microseconds(0.5));
   EXPECT_EQ(f.transport_.pool_stats().rdv_in_flight, 1u);
   f.engine_.reset();
-  f.transport_.reconfigure(f.fabric_, opt);
+  f.transport_.reconfigure(f.fabric_, TransportConfig{});
   f.transport_.audit();
   EXPECT_EQ(f.transport_.pool_stats().rdv_in_flight, 0u);
 
@@ -534,33 +474,16 @@ TEST(TransportConfig, ValidateRejectsInconsistentCombinations) {
   }
 
   c = {};
-  c.nic.backlog_capacity = 8;  // bounded backlog on an unbounded NIC
-  try {
-    c.validate();
-    FAIL() << "backlog without a finite injection depth must be rejected";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("injection_depth"),
-              std::string::npos);
-  }
-
-  c = {};
-  c.eager.buffer_capacity = 0;
-  EXPECT_THROW(c.validate(), std::invalid_argument);
-  c = {};
   c.eager.credit_window = -3;
-  EXPECT_THROW(c.validate(), std::invalid_argument);
-  c = {};
-  c.eager.limit_override = -2;
   EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
 TEST(TransportConfig, PresetsValidateAndSetTheirFields) {
   EXPECT_NO_THROW(TransportConfig::ideal().validate());
 
-  const TransportConfig nic = TransportConfig::finite_nic(4, 16);
+  const TransportConfig nic = TransportConfig::finite_nic(4);
   EXPECT_NO_THROW(nic.validate());
   EXPECT_EQ(nic.nic.injection_depth, 4);
-  EXPECT_EQ(nic.nic.backlog_capacity, 16);
 
   const TransportConfig credits = TransportConfig::credit_limited(3);
   EXPECT_NO_THROW(credits.validate());
@@ -569,7 +492,7 @@ TEST(TransportConfig, PresetsValidateAndSetTheirFields) {
 
 TEST(TransportConfig, TransportConstructorValidates) {
   TransportConfig bad;
-  bad.nic.backlog_capacity = 8;  // inconsistent: unbounded NIC
+  bad.eager.credit_window = -1;  // negative window
   EXPECT_THROW(TransportFixture f(2, bad), std::invalid_argument);
 }
 
@@ -638,17 +561,10 @@ TEST(Transport, NicBacklogDefersEagerLocalCompletion) {
   EXPECT_EQ(f.completion_time(0, 11), SimTime{5000});
 }
 
-TEST(Transport, NicBoundedBacklogOverflowIsAHardError) {
-  TransportFixture f(2, TransportConfig::finite_nic(1, /*backlog=*/1));
-  f.post_send(0, 1, 0, 1000, 0);  // injects
-  f.post_send(0, 1, 0, 1000, 1);  // fills the one backlog slot
-  EXPECT_THROW(f.post_send(0, 1, 0, 1000, 2), std::logic_error);
-}
-
 TEST(Transport, NicBudgetAppliesToRtsButProtocolStillProgresses) {
   TransportConfig opt = TransportConfig::finite_nic(1);
-  opt.eager.limit_override = 0;  // every send is rendezvous
   net::FabricProfile fabric = net::FabricProfile::ideal(microseconds(1.0), 1e9);
+  fabric.eager_limit_bytes = 0;  // every send is rendezvous
   for (auto& p : fabric.link) p.gap = microseconds(5.0);
   TransportFixture f(3, opt, fabric);
   f.transport_.post_recv(1, 0, 0, 1000, 0);
@@ -716,9 +632,9 @@ TEST(Transport, CreditWindowsArePerEndpointPair) {
 
 TEST(Transport, RdmaPutFinCompletesReceiverAfterPayload) {
   TransportConfig opt;
-  opt.eager.limit_override = 0;
   opt.rendezvous.flavor = RendezvousFlavor::rdma_put;
   net::FabricProfile fabric = net::FabricProfile::ideal(microseconds(1.0), 1e9);
+  fabric.eager_limit_bytes = 0;
   for (auto& p : fabric.link) p.gap = microseconds(2.0);
   TransportFixture f(2, opt, fabric);
   f.transport_.post_recv(1, 0, 0, 1000, 0);
@@ -738,9 +654,8 @@ TEST(Transport, RdmaPutFinCompletesReceiverAfterPayload) {
 
 TEST(Transport, RdmaGetReceiverCompletesAtArrival) {
   TransportConfig opt;
-  opt.eager.limit_override = 0;
   opt.rendezvous.flavor = RendezvousFlavor::rdma_get;
-  TransportFixture f(2, opt);
+  TransportFixture f(2, opt, fabric_with_eager_limit(0));
   f.transport_.post_recv(1, 0, 0, 1000, 0);
   f.post_send(0, 1, 0, 1000, 0);
   f.engine_.run();
@@ -759,9 +674,8 @@ TEST(Transport, OneSidedFlavorsIgnoreDeferredPush) {
   // first push (DeferredPushHoldsDataWhileHandshakeOutstanding). One-sided
   // puts are executed by the NIC and must NOT be held.
   TransportConfig opt;
-  opt.eager.limit_override = 0;
   opt.rendezvous.flavor = RendezvousFlavor::rdma_put;
-  TransportFixture f(3, opt);
+  TransportFixture f(3, opt, fabric_with_eager_limit(0));
   f.transport_.post_recv(1, 0, 0, 1000, 0);
   f.post_send(0, 1, 0, 1000, 0);
   f.post_send(0, 2, 0, 1000, 1);  // stuck handshake, no receiver
@@ -773,9 +687,8 @@ TEST(Transport, OneSidedFlavorsIgnoreDeferredPush) {
 
 TEST(Transport, RdmaPutUnexpectedRtsMatchesOnLateRecv) {
   TransportConfig opt;
-  opt.eager.limit_override = 0;
   opt.rendezvous.flavor = RendezvousFlavor::rdma_put;
-  TransportFixture f(2, opt);
+  TransportFixture f(2, opt, fabric_with_eager_limit(0));
   f.post_send(0, 1, 0, 1000, 0);
   f.engine_.run();
   EXPECT_EQ(f.transport_.stats().unexpected_rts, 1u);
@@ -791,10 +704,9 @@ TEST(Transport, RdmaPutUnexpectedRtsMatchesOnLateRecv) {
 
 TEST(Transport, SteadyStateWithFiniteNicAndCreditsAllocatesNothing) {
   TransportConfig opt;
-  opt.eager.limit_override = 4096;
   opt.nic.injection_depth = 2;
   opt.eager.credit_window = 2;
-  TransportFixture f(4, opt);
+  TransportFixture f(4, opt, fabric_with_eager_limit(4096));
 
   const auto round = [&f](int reps) {
     for (int r = 0; r < reps; ++r) {

@@ -1,10 +1,12 @@
 // Tests for the Chrome-trace exporter: flow-arrow pairing, FIFO matching,
-// orphan tolerance, engine-track routing, and per-track timestamp order —
-// all against a hand-built mpi::Trace plus hand-built recorder records.
+// orphan tolerance, engine-track routing, per-track timestamp order and
+// the file overload's open failure — all against a hand-built mpi::Trace
+// plus hand-built recorder records.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -191,6 +193,12 @@ TEST(ChromeTrace, TimestampsMonotonePerTrack) {
     ++timed_events;
   }
   EXPECT_GE(timed_events, 6);  // 2 segments + 4 instants
+}
+
+TEST(ChromeTrace, BadPathThrows) {
+  EXPECT_THROW(write_chrome_trace(two_rank_trace(), {},
+                                  "/nonexistent-dir/x.trace.json"),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -94,6 +94,78 @@ TEST(Protocol, MalformedRequestsThrowStructuredErrors) {
       parse_request(
           R"({"type":"submit","client":"a","spec":{"axes":{"np":[]}}})"),
       std::runtime_error);  // empty axis
+  // Integers out of their destination's range are rejected, never wrapped
+  // (4294967306 = 2^32 + 10, 4294967314 = 2^32 + 18) and never converted
+  // with undefined behaviour (|v| >= 2^63).
+  EXPECT_THROW(
+      parse_request(
+          R"({"type":"submit","client":"a","spec":{"steps":4294967306}})"),
+      std::runtime_error);
+  EXPECT_THROW(
+      parse_request(
+          R"({"type":"submit","client":"a",)"
+          R"("spec":{"axes":{"np":[4294967314]}}})"),
+      std::runtime_error);
+  EXPECT_THROW(
+      parse_request(
+          R"({"type":"submit","client":"a","priority":-2147483649,"spec":{}})"),
+      std::runtime_error);
+  EXPECT_THROW(
+      parse_request(
+          R"({"type":"submit","client":"a","spec":{"texec_ns":1e19}})"),
+      std::runtime_error);
+  EXPECT_THROW(
+      parse_request(
+          R"({"type":"submit","client":"a",)"
+          R"("spec":{"axes":{"msg_bytes":[-1e300]}}})"),
+      std::runtime_error);
+  EXPECT_THROW(parse_request(R"({"type":"cancel","job":9223372036854775808})"),
+               std::runtime_error);
+  try {
+    (void)parse_request(
+        R"({"type":"submit","client":"a","spec":{"steps":4294967306}})");
+    FAIL() << "out-of-range steps must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("\"steps\" is out of range"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Protocol, IntegersAtTheirTypeBoundsParse) {
+  const Request req = parse_request(
+      R"({"type":"submit","client":"a","priority":-2147483648,)"
+      R"("spec":{"steps":2147483647,)"
+      R"("axes":{"msg_bytes":[9007199254740992]}}})");
+  EXPECT_EQ(req.priority, -2147483648LL);
+  EXPECT_EQ(req.spec.steps, 2147483647);
+  ASSERT_EQ(req.spec.msg_bytes.size(), 1u);
+  EXPECT_EQ(req.spec.msg_bytes[0], std::int64_t{1} << 53);
+}
+
+// A line of 100,000 '[' is ~100 KB, well under the daemon's line cap; the
+// recursive reader must reject it at its nesting bound instead of
+// overflowing the stack.
+TEST(Protocol, DeeplyNestedRequestIsRejectedNotRecursedInto) {
+  const std::string nested =
+      R"({"type":"submit","spec":)" + std::string(100'000, '[');
+  try {
+    (void)parse_request(nested);
+    FAIL() << "deeply nested request must be rejected";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("nesting deeper than"), std::string::npos) << what;
+    EXPECT_NE(what.find("at byte"), std::string::npos) << what;
+  }
+
+  // Exactly kMaxDepth levels still parse; one more is rejected.
+  const auto brackets = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW((void)json::parse(brackets(json::kMaxDepth)));
+  EXPECT_THROW((void)json::parse(brackets(json::kMaxDepth + 1)),
+               std::runtime_error);
 }
 
 TEST(Protocol, MissingSpecKeysKeepDefaults) {

@@ -172,6 +172,33 @@ TEST_F(ServerFixture, OverlongLineGetsErrorThenEof) {
   EXPECT_EQ(json::parse(line).find("type")->text, "done");
 }
 
+TEST_F(ServerFixture, DeeplyNestedLineGetsErrorAndDaemonSurvives) {
+  {
+    ScopedFd fd = connect();
+    // ~100 KB, under Server::kMaxLineBytes: it reaches the JSON reader.
+    const std::string nested =
+        R"({"type":"submit","spec":)" + std::string(100'000, '[');
+    ASSERT_TRUE(send_line(fd.get(), nested));
+    TimedReader reader(fd.get());
+    std::string line;
+    ASSERT_TRUE(reader.next(line));
+    const json::Value err = json::parse(line);
+    EXPECT_EQ(err.find("type")->text, "error");
+    EXPECT_EQ(err.find("code")->text, "bad-request");
+  }
+
+  // The daemon is unharmed: a second connection still completes a job.
+  ScopedFd fd = connect();
+  ASSERT_TRUE(send_line(fd.get(), submit_line("bob", 0, quick_spec({6.0}))));
+  TimedReader reader(fd.get());
+  std::string line;
+  ASSERT_TRUE(reader.next(line));
+  ASSERT_EQ(json::parse(line).find("type")->text, "accepted");
+  while (reader.next(line) && is_record_line(line)) {
+  }
+  EXPECT_EQ(json::parse(line).find("type")->text, "done");
+}
+
 TEST_F(ServerFixture, DisconnectMidStreamReclaimsJobAndSlot) {
   std::uint64_t job = 0;
   {

@@ -1,7 +1,7 @@
-// Tests for comma-separated list parsing of sweep axes (`--np=4,8,16`),
-// including seeded property tests against malformed input: parsing must
-// either return the full list or throw std::invalid_argument — never
-// crash, never silently truncate.
+// Tests for numeric flag parsing: scalar values and comma-separated lists
+// of sweep axes (`--np=4,8,16`), including seeded property tests against
+// malformed input: parsing must either return the full value or throw
+// std::invalid_argument — never crash, never silently truncate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -78,6 +78,48 @@ TEST(CliList, RejectsMalformedLists) {
   EXPECT_THROW(parse_i64("--x=4,8q"), std::invalid_argument);
   // Fractional input is not a valid int64 element.
   EXPECT_THROW(parse_i64("--x=4.5"), std::invalid_argument);
+}
+
+TEST(CliScalar, ParsesWholeValuesAndFallsBack) {
+  const char* argv[] = {"prog", "--steps=12", "--delay-ms=2.5", "--shift",
+                        "-3"};
+  const Cli cli(5, argv);
+  EXPECT_EQ(cli.get_or("steps", std::int64_t{1}), 12);
+  EXPECT_EQ(cli.get_or("shift", std::int64_t{1}), -3);
+  EXPECT_DOUBLE_EQ(cli.get_or("delay-ms", 1.0), 2.5);
+  EXPECT_EQ(cli.get_or("absent", std::int64_t{7}), 7);
+  EXPECT_DOUBLE_EQ(cli.get_or("absent", 0.25), 0.25);
+}
+
+// The scalar getters apply the list parsers' full-consumption rule: a
+// value with trailing garbage is an error, never its numeric prefix.
+TEST(CliScalar, RejectsTrailingGarbage) {
+  const auto get_i64 = [](const char* value) {
+    const char* argv[] = {"prog", value};
+    const Cli cli(2, argv);
+    return cli.get_or("x", std::int64_t{0});
+  };
+  const auto get_f64 = [](const char* value) {
+    const char* argv[] = {"prog", value};
+    const Cli cli(2, argv);
+    return cli.get_or("x", 0.0);
+  };
+  EXPECT_THROW(get_i64("--x=12x"), std::invalid_argument);
+  EXPECT_THROW(get_i64("--x=2abc"), std::invalid_argument);
+  EXPECT_THROW(get_i64("--x=4.5"), std::invalid_argument);
+  EXPECT_THROW(get_i64("--x=4,8"), std::invalid_argument);
+  EXPECT_THROW(get_i64("--x="), std::invalid_argument);
+  EXPECT_THROW(get_i64("--x=99999999999999999999"), std::invalid_argument);
+  EXPECT_THROW(get_f64("--x=1.5ms"), std::invalid_argument);
+  EXPECT_THROW(get_f64("--x=0.5,2"), std::invalid_argument);
+  EXPECT_THROW(get_f64("--x=abc"), std::invalid_argument);
+  try {
+    (void)get_i64("--x=12x");
+    FAIL() << "trailing garbage must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--x"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CliIntList, RangeChecksIntoInt) {
