@@ -8,8 +8,9 @@
 //   ./build/examples/idlewave_client --socket=... --results=3 --jsonl=replay.jsonl
 //   ./build/examples/idlewave_client --socket=... --shutdown
 //
-// --submit resolves a scenario exactly like sweep_runner (every IW_SWEEP_AXES
-// flag overrides its axis; --steps/--seed override campaign scalars), ships
+// --submit resolves a scenario exactly like sweep_runner (one shared
+// sweep::resolve_scenario: every IW_SWEEP_AXES flag overrides its axis;
+// --steps/--seed override campaign scalars), ships
 // it to the daemon, and streams the job: record lines are appended to the
 // --jsonl file VERBATIM — the daemon sends the exact bytes JsonlSink would
 // write, so the client-side file is byte-identical to a local sweep_runner
@@ -69,24 +70,10 @@ std::string field_text(const json::Value& v, const char* key) {
 }
 
 int do_submit(const Cli& cli, int fd) {
-  const std::string name = cli.get_or("scenario", std::string{});
-  const sweep::Scenario* scenario = sweep::find_scenario(name);
-  if (scenario == nullptr) {
-    std::cerr << "unknown scenario: " << name << "\nknown:";
-    for (const auto& known : sweep::scenario_names()) std::cerr << ' ' << known;
-    std::cerr << '\n';
-    return 2;
-  }
-  sweep::SweepSpec spec = scenario->spec;
-  sweep::apply_axis_overrides(spec, cli);
-  spec.steps = static_cast<int>(
-      cli.get_or("steps", static_cast<std::int64_t>(spec.steps)));
-  spec.campaign_seed = static_cast<std::uint64_t>(
-      cli.get_or("seed", static_cast<std::int64_t>(spec.campaign_seed)));
-
+  const sweep::SweepSpec spec =
+      sweep::resolve_scenario(cli.get_or("scenario", std::string{}), cli).spec;
   const std::string client = cli.get_or("client", std::string{"cli"});
-  const int priority =
-      static_cast<int>(cli.get_or("priority", std::int64_t{0}));
+  const int priority = cli.get_int_or("priority", 0);
   if (!send_line(fd, service::submit_line(client, priority, spec)))
     throw std::runtime_error("daemon closed the connection on submit");
 
@@ -182,17 +169,14 @@ int client_main(int argc, char** argv) {
 
   if (cli.has("submit")) return do_submit(cli, fd.get());
   if (cli.has("results"))
-    return do_results(
-        cli, fd.get(),
-        static_cast<std::uint64_t>(cli.get_or("results", std::int64_t{0})));
+    return do_results(cli, fd.get(), cli.get_u64_or("results", 0));
 
   // Single-exchange verbs: one request line, one response line.
   std::string request;
   if (cli.has("status")) {
     request = service::status_line();
   } else if (cli.has("cancel")) {
-    request = service::cancel_line(
-        static_cast<std::uint64_t>(cli.get_or("cancel", std::int64_t{0})));
+    request = service::cancel_line(cli.get_u64_or("cancel", 0));
   } else if (cli.has("shutdown")) {
     request = service::shutdown_line();
   } else {

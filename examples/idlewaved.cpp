@@ -14,7 +14,8 @@
 // Flags:
 //   --socket=PATH        socket path (required; one daemon per path)
 //   --threads=N          worker threads per scheduled batch (default 1)
-//   --batch-points=N     max points per scheduling decision (default 8)
+//   --batch-points=N     max points per scheduling decision (default 8,
+//                        at least 1; 0 exits 2 with a usage message)
 //   --max-points=N       admission: max queued points per client
 //   --max-jobs=N         admission: max open jobs per client
 //   --metrics-json=PATH  write a unified metrics snapshot at shutdown
@@ -53,16 +54,20 @@ int daemon_main(int argc, char** argv) {
   obs::MetricsRegistry metrics;
   service::ServerOptions options;
   options.socket_path = socket_path;
-  options.service.threads =
-      static_cast<int>(cli.get_or("threads", std::int64_t{1}));
-  options.service.batch_points = static_cast<std::size_t>(
-      cli.get_or("batch-points", std::int64_t{8}));
-  options.service.limits.max_points_per_client = static_cast<std::size_t>(
-      cli.get_or("max-points", static_cast<std::int64_t>(
-                                   service::QueueLimits{}.max_points_per_client)));
-  options.service.limits.max_jobs_per_client = static_cast<std::size_t>(
-      cli.get_or("max-jobs", static_cast<std::int64_t>(
-                                 service::QueueLimits{}.max_jobs_per_client)));
+  options.service.threads = cli.get_int_or("threads", 1);
+  options.service.batch_points = cli.get_u64_or("batch-points", 8);
+  if (options.service.batch_points == 0) {
+    std::cerr << "idlewaved: --batch-points must be at least 1\n"
+                 "usage: idlewaved --socket=PATH [--threads=N] "
+                 "[--batch-points=N>=1] [--max-points=N] [--max-jobs=N] "
+                 "[--metrics-json=PATH]\n";
+    return 2;
+  }
+  const service::QueueLimits limits;
+  options.service.limits.max_points_per_client =
+      cli.get_u64_or("max-points", limits.max_points_per_client);
+  options.service.limits.max_jobs_per_client =
+      cli.get_u64_or("max-jobs", limits.max_jobs_per_client);
   options.service.metrics = &metrics;
 
   service::Server server(options);

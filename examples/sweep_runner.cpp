@@ -29,10 +29,8 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -62,20 +60,6 @@ void print_catalog() {
                "[--csv=out.csv] [--jsonl=out.jsonl]\n";
 }
 
-/// The scenario's spec with every CLI override applied (shared between the
-/// campaign path and --trace single-point replay, so a traced point sees
-/// exactly the campaign's expansion).
-sweep::SweepSpec scenario_spec(const sweep::Scenario& scenario,
-                               const Cli& cli) {
-  sweep::SweepSpec spec = scenario.spec;
-  sweep::apply_axis_overrides(spec, cli);
-  spec.steps = static_cast<int>(
-      cli.get_or("steps", static_cast<std::int64_t>(spec.steps)));
-  spec.campaign_seed = static_cast<std::uint64_t>(cli.get_or(
-      "seed", static_cast<std::int64_t>(spec.campaign_seed)));
-  return spec;
-}
-
 /// --trace=<scenario:point>: replays one expanded point with the flight
 /// recorder armed and writes a Chrome-trace JSON.
 int run_traced_point(const std::string& arg, const Cli& cli) {
@@ -83,16 +67,15 @@ int run_traced_point(const std::string& arg, const Cli& cli) {
   if (colon == std::string::npos || colon + 1 == arg.size())
     throw std::runtime_error("--trace wants <scenario>:<point-index>");
   const std::string name = arg.substr(0, colon);
-  const sweep::Scenario* scenario = sweep::find_scenario(name);
-  if (scenario == nullptr)
-    throw std::runtime_error("--trace: unknown scenario '" + name + "'");
   std::size_t index = 0;
   try {
     index = std::stoul(arg.substr(colon + 1));
   } catch (const std::logic_error&) {
     throw std::runtime_error("--trace: bad point index in '" + arg + "'");
   }
-  const auto points = sweep::expand(scenario_spec(*scenario, cli));
+  // The campaign's own resolution, so a traced point sees exactly the
+  // campaign's expansion.
+  const auto points = sweep::expand(sweep::resolve_scenario(name, cli).spec);
   if (index >= points.size())
     throw std::runtime_error(
         "--trace: point " + std::to_string(index) + " out of range ('" +
@@ -135,22 +118,13 @@ int sweep_main(int argc, char** argv) {
     return 2;
   }
 
-  const std::string name = cli.get_or("scenario", std::string{});
-  const sweep::Scenario* scenario = sweep::find_scenario(name);
-  if (!scenario) {
-    std::cerr << "unknown scenario: " << name << "\nknown:";
-    for (const auto& known : sweep::scenario_names()) std::cerr << ' ' << known;
-    std::cerr << '\n';
-    return 2;
-  }
-
-  const sweep::SweepSpec spec = scenario_spec(*scenario, cli);
-
-  const int threads = static_cast<int>(cli.get_or("threads", std::int64_t{1}));
+  const sweep::Scenario scenario =
+      sweep::resolve_scenario(cli.get_or("scenario", std::string{}), cli);
+  const int threads = cli.get_int_or("threads", 1);
   const bool quiet = cli.has("quiet");
 
-  const auto points = sweep::expand(spec);
-  std::cout << "campaign '" << scenario->name << "' (" << scenario->paper_ref
+  const auto points = sweep::expand(scenario.spec);
+  std::cout << "campaign '" << scenario.name << "' (" << scenario.paper_ref
             << "): " << points.size() << " points, " << threads
             << (threads == 1 ? " thread\n" : " threads\n");
 

@@ -106,7 +106,7 @@ int verify_main(int argc, char** argv) {
   verify::VerifyOptions options;
   options.golden_dir = cli.get_or("goldens", std::string{IW_GOLDEN_DIR});
   options.quick = cli.has("quick");
-  options.threads = static_cast<int>(cli.get_or("threads", std::int64_t{1}));
+  options.threads = cli.get_int_or("threads", 1);
   options.self_check = cli.has("self-check");
   const bool quiet = cli.has("quiet");
 

@@ -1,6 +1,7 @@
 #include "service/cache.hpp"
 
 #include <cstdio>
+#include <utility>
 
 #include "support/hash.hpp"
 #include "verify/golden.hpp"
@@ -80,13 +81,14 @@ std::string key_address(const std::string& canonical_key) {
   return hash_hex(fnv1a64(canonical_key));
 }
 
-const sweep::SweepRecord* PointCache::find(const std::string& key) const {
+const std::string* PointCache::find(const std::string& key) const {
   const auto it = store_.find(key);
   return it == store_.end() ? nullptr : &it->second;
 }
 
-void PointCache::insert(const std::string& key, const sweep::SweepRecord& rec) {
-  if (store_.emplace(key, rec).second) key_bytes_ += key.size();
+const std::string& PointCache::insert(const std::string& key,
+                                      std::string line) {
+  return store_.emplace(key, std::move(line)).first->second;
 }
 
 }  // namespace iw::service

@@ -1,7 +1,8 @@
 // Content-addressed store of completed sweep points.
 //
 // The campaign service never recomputes physics two clients already paid
-// for: a completed point's SweepRecord is cached under a canonical
+// for: a completed point's JSON record line (the exact bytes a JsonlSink
+// writes for it) is cached under a canonical
 // serialization of everything that determines it — the expanded point's
 // axis values and campaign scalars, the point's RNG seed, and the record
 // schema version. The canonical string is the store key (exact-match, so
@@ -15,14 +16,14 @@
 // so "12", "12.0" and "1.2e1" address the same entry. Byte-identity of a
 // cache hit with a fresh run follows from determinism: every record column
 // except `index` is a pure function of the key's inputs, and the service
-// rewrites `index` to the requesting campaign's point index on every hit.
+// rewrites `index` to the requesting campaign's point index on every hit
+// (sweep::with_json_index); every other byte is replayed as stored.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
 
-#include "sweep/record.hpp"
 #include "sweep/spec.hpp"
 
 namespace iw::service {
@@ -42,23 +43,21 @@ namespace iw::service {
 
 class PointCache {
  public:
-  /// The cached record for `key`, or nullptr. The returned pointer stays
-  /// valid until the entry is evicted (the store only grows today).
-  [[nodiscard]] const sweep::SweepRecord* find(const std::string& key) const;
+  /// The cached record line for `key`, or nullptr.
+  [[nodiscard]] const std::string* find(const std::string& key) const;
 
-  /// Stores `rec` under `key`. Re-inserting an existing key keeps the first
-  /// record (determinism makes them equal; keeping the first makes that
-  /// checkable by tests instead of silently overwriting).
-  void insert(const std::string& key, const sweep::SweepRecord& rec);
+  /// Stores `line` under `key` and returns the stored line. Re-inserting an
+  /// existing key keeps (and returns) the first line: determinism makes
+  /// them equal up to `index`, and keeping the first makes that checkable
+  /// by tests instead of silently overwriting.
+  const std::string& insert(const std::string& key, std::string line);
 
   [[nodiscard]] std::size_t size() const { return store_.size(); }
 
-  /// Total bytes of canonical keys held (a coarse footprint gauge).
-  [[nodiscard]] std::size_t key_bytes() const { return key_bytes_; }
-
  private:
-  std::map<std::string, sweep::SweepRecord> store_;
-  std::size_t key_bytes_ = 0;
+  /// Node-based and never evicted: the lines find() and insert() return
+  /// stay valid for the cache's lifetime, so jobs refer to them.
+  std::map<std::string, std::string> store_;
 };
 
 }  // namespace iw::service

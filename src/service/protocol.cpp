@@ -1,7 +1,6 @@
 #include "service/protocol.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <type_traits>
@@ -12,15 +11,6 @@
 
 namespace iw::service {
 namespace {
-
-/// 17 significant digits round-trip every IEEE-754 double exactly; unlike
-/// the cache key's hexfloats, the wire favors a form humans and other
-/// tools can read.
-std::string num17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 [[noreturn]] void fail(const std::string& message) {
   throw std::runtime_error("request: " + message);
@@ -57,17 +47,10 @@ T as_int(const json::Value& v, const char* key) {
 }
 
 std::uint64_t parse_u64(const std::string& text, const char* key) {
-  if (text.empty()) fail(std::string("\"") + key + "\" is empty");
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9')
-      fail(std::string("\"") + key + "\" must be a decimal string");
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
-      fail(std::string("\"") + key + "\" overflows u64");
-    value = value * 10 + digit;
-  }
-  return value;
+  const std::optional<std::uint64_t> value = parse_whole<std::uint64_t>(text);
+  if (!value)
+    fail(std::string("\"") + key + "\" must be a decimal u64 string");
+  return *value;
 }
 
 /// One axis array on the wire: arithmetic axes as JSON numbers, enum axes

@@ -1,28 +1,23 @@
 #include "service/service.hpp"
 
 #include <cassert>
-#include <cstdio>
 #include <exception>
 #include <utility>
 
 #include "service/protocol.hpp"
 #include "support/csv.hpp"
+#include "support/error.hpp"
 #include "sweep/record.hpp"
 #include "sweep/runner.hpp"
 
 namespace iw::service {
-namespace {
-
-std::string num17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 CampaignService::CampaignService(ServiceOptions options)
-    : options_(options), queue_(options.limits) {}
+    : options_(options), queue_(options.limits) {
+  // A zero-point batch claims nothing while the queue stays runnable, so
+  // run_loop would spin and every job would wait forever.
+  IW_REQUIRE(options_.batch_points > 0, "batch_points must be at least 1");
+}
 
 CampaignService::~CampaignService() { stop(); }
 
@@ -61,14 +56,13 @@ SubmitResult CampaignService::submit(const std::string& client, int priority,
     const std::size_t n = j.points.size();
     j.keys.resize(n);
     j.slots.assign(n, Job::Slot::pending);
-    j.recs.resize(n);
-    j.has_rec.assign(n, false);
+    j.lines.assign(n, nullptr);
     std::size_t reserved = 0;
     std::size_t submit_hits = 0;
     for (std::size_t pi = 0; pi < n; ++pi) {
       j.keys[pi] = canonical_point_key(spec, j.points[pi]);
       const std::string& key = j.keys[pi];
-      if (const sweep::SweepRecord* hit = cache_.find(key)) {
+      if (const std::string* hit = cache_.find(key)) {
         fill_record(j, pi, *hit);
         j.cache_hits += 1;
         submit_hits += 1;
@@ -138,7 +132,7 @@ bool CampaignService::results_so_far(std::uint64_t job,
   const Job* j = find_job(job);
   if (j == nullptr) return false;
   for (std::size_t pi = 0; pi < j->points.size(); ++pi)
-    if (j->has_rec[pi]) lines.push_back(sweep::record_json_line(j->recs[pi]));
+    if (j->slots[pi] == Job::Slot::done) lines.push_back(record_line(*j, pi));
   return true;
 }
 
@@ -250,8 +244,9 @@ bool CampaignService::pump() {
     for (const sweep::SweepRecord& rec : res.records) {
       const std::size_t pi = by_index.at(rec.index);
       const std::string& key = j.keys[pi];
-      cache_.insert(key, rec);
-      fill_record(j, pi, rec);
+      const std::string& line =
+          cache_.insert(key, sweep::record_json_line(rec));
+      fill_record(j, pi, line);
       j.computed += 1;
       total_computed_ += 1;
       stats_[j.client].computed += 1;
@@ -260,7 +255,7 @@ bool CampaignService::pump() {
       if (w != waiters_.end()) {
         for (const Owner& o : w->second) {
           Job& wj = *jobs_.at(o.job);
-          fill_record(wj, o.point, rec);
+          fill_record(wj, o.point, line);
           wj.cache_hits += 1;
           queue_.complete_reserved(o.job, 1);
           if (m) m->add(obs::MetricId::service_cache_hits, 1);
@@ -353,23 +348,25 @@ const CampaignService::Job* CampaignService::find_job(std::uint64_t id) const {
 }
 
 void CampaignService::fill_record(Job& j, std::size_t pi,
-                                  const sweep::SweepRecord& rec) {
-  assert(!j.has_rec[pi]);
-  j.recs[pi] = rec;
-  // The one column that is campaign-relative rather than a pure function of
-  // the cache key: a shared point keeps its bytes but takes the requesting
-  // campaign's point index.
-  j.recs[pi].index = j.points[pi].index;
-  j.has_rec[pi] = true;
+                                  const std::string& line) {
+  assert(j.slots[pi] != Job::Slot::done);
+  j.lines[pi] = &line;
   j.slots[pi] = Job::Slot::done;
   j.done_count += 1;
   advance_emission(j);
 }
 
+std::string CampaignService::record_line(const Job& j, std::size_t pi) {
+  // The one column that is campaign-relative rather than a pure function of
+  // the cache key: a shared point keeps its bytes but takes the requesting
+  // campaign's point index.
+  return sweep::with_json_index(*j.lines[pi], j.points[pi].index);
+}
+
 void CampaignService::advance_emission(Job& j) {
-  while (j.next_emit < j.points.size() && j.has_rec[j.next_emit]) {
-    if (!j.abandoned)
-      j.out.push_back(sweep::record_json_line(j.recs[j.next_emit]));
+  while (j.next_emit < j.points.size() &&
+         j.slots[j.next_emit] == Job::Slot::done) {
+    if (!j.abandoned) j.out.push_back(record_line(j, j.next_emit));
     j.emitted += 1;
     j.next_emit += 1;
   }
@@ -400,8 +397,8 @@ void CampaignService::check_finalize(Job& j) {
     // Records a cancellation left beyond the contiguous streamed prefix —
     // same flush the runner does for its sinks; no completed record is lost.
     for (std::size_t pi = j.next_emit; pi < n; ++pi) {
-      if (!j.has_rec[pi]) continue;
-      if (!j.abandoned) j.out.push_back(sweep::record_json_line(j.recs[pi]));
+      if (j.slots[pi] != Job::Slot::done) continue;
+      if (!j.abandoned) j.out.push_back(record_line(j, pi));
       j.emitted += 1;
     }
     j.next_emit = n;

@@ -17,9 +17,9 @@
 // service mutex, never handed to run_campaign's workers.
 //
 // Dedup has three tiers per submitted point:
-//   cache hit  — a completed record exists; replayed instantly (the record
-//                is byte-identical to a fresh run; only `index` is patched
-//                to the requesting campaign's point index).
+//   cache hit  — a completed record line exists; replayed instantly (the
+//                line is byte-identical to a fresh run; only `index` is
+//                patched to the requesting campaign's point index).
 //   in-flight  — another job owns the same key but hasn't finished it; the
 //                point parks as a "reserved" slot and is filled when the
 //                owner's batch lands. If the owner cancels first, the
@@ -47,8 +47,9 @@ namespace iw::service {
 struct ServiceOptions {
   /// Worker threads run_campaign shards each claimed batch across.
   int threads = 1;
-  /// Max points per scheduling decision (one run_campaign call). Small
-  /// batches interleave clients finely; large ones amortize pool spin-up.
+  /// Max points per scheduling decision (one run_campaign call), at least 1
+  /// (the constructor throws std::invalid_argument on 0). Small batches
+  /// interleave clients finely; large ones amortize pool spin-up.
   std::size_t batch_points = 8;
   QueueLimits limits;
   /// Optional unified metrics registry; written only under the service
@@ -130,7 +131,6 @@ class CampaignService {
   void stop();
 
   [[nodiscard]] std::size_t cache_size() const;
-  [[nodiscard]] const ServiceOptions& options() const { return options_; }
 
  private:
   struct Job {
@@ -150,8 +150,9 @@ class CampaignService {
       reclaimed
     };
     std::vector<Slot> slots;
-    std::vector<sweep::SweepRecord> recs;  ///< valid where has_rec
-    std::vector<bool> has_rec;
+    /// Cache-owned record line per point, set where the slot is done; a
+    /// job holds no copy of the bytes (see record_line).
+    std::vector<const std::string*> lines;
     /// Point indices needing compute, in point order; the JobQueue's slot
     /// offsets index this array (promotions append, claims walk forward).
     std::vector<std::size_t> compute_order;
@@ -184,7 +185,10 @@ class CampaignService {
   /// Marks the job cancelled and reclaims its unclaimed pending and
   /// reserved slots (ownerships released / waiter registrations removed).
   void reclaim_unfinished(Job& j);
-  void fill_record(Job& j, std::size_t pi, const sweep::SweepRecord& rec);
+  /// Marks point `pi` done with `line`, a cache-owned record line.
+  void fill_record(Job& j, std::size_t pi, const std::string& line);
+  /// Point `pi`'s record line with the job's own point index.
+  static std::string record_line(const Job& j, std::size_t pi);
   void advance_emission(Job& j);
   void release_ownership(const std::string& key);
   void check_finalize(Job& j);
@@ -195,7 +199,7 @@ class CampaignService {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   JobQueue queue_;
-  PointCache cache_;
+  PointCache cache_;  ///< declared before jobs_: jobs point into it
   std::map<std::uint64_t, std::unique_ptr<Job>> jobs_;
   std::map<std::string, Owner> owners_;  ///< key -> computing (job, point)
   std::map<std::string, std::vector<Owner>> waiters_;  ///< key -> reserved

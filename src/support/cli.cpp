@@ -1,13 +1,14 @@
 #include "support/cli.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
+#include <utility>
+
+#include "support/csv.hpp"
 
 namespace iw {
 
 Cli::Cli(int argc, const char* const* argv) {
-  if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0)
@@ -37,57 +38,31 @@ std::string Cli::get_or(const std::string& key,
 
 namespace {
 
-std::int64_t parse_int64(const std::string& s, std::size_t* consumed) {
-  return std::stoll(s, consumed);
-}
-
-double parse_double(const std::string& s, std::size_t* consumed) {
-  return std::stod(s, consumed);
-}
-
+// `fallback` when the flag is absent (`raw` empty), else its value parsed
+// whole as T: malformed or out-of-range input throws, never truncates.
 template <typename T>
-using ParseFn = T (*)(const std::string&, std::size_t*);
-
-// Converts `text` with `parse`, demanding that the whole string is
-// consumed ("12x" is an error, not 12); nullopt on any failure.
-template <typename T>
-std::optional<T> parse_full(const std::string& text, ParseFn<T> parse) {
-  std::size_t consumed = 0;
-  try {
-    const T value = parse(text, &consumed);
-    if (consumed == text.size()) return value;
-  } catch (const std::exception&) {
-  }
-  return std::nullopt;
-}
-
-template <typename T>
-T parse_scalar(const std::string& key, const std::string& text,
-               ParseFn<T> parse) {
-  const std::optional<T> value = parse_full(text, parse);
+T scalar_or(const std::string& key, const std::optional<std::string>& raw,
+            T fallback) {
+  if (!raw) return fallback;
+  const std::optional<T> value = parse_whole<T>(*raw);
   if (!value)
-    throw std::invalid_argument("--" + key + ": bad value '" + text + "'");
+    throw std::invalid_argument("--" + key + ": bad value '" + *raw + "'");
   return *value;
 }
 
-// Splits "4,8,16" into trimmed-nothing elements and converts each with
-// `parse`, demanding that the whole element is consumed.
+// The same for a comma-separated list ("4,8,16"), element by element.
 template <typename T>
-std::vector<T> parse_list(const std::string& key, const std::string& raw,
-                          ParseFn<T> parse) {
+std::vector<T> list_or(const std::string& key,
+                       const std::optional<std::string>& raw,
+                       std::vector<T> fallback) {
+  if (!raw) return fallback;
   std::vector<T> out;
-  std::size_t begin = 0;
-  for (;;) {
-    const std::size_t comma = raw.find(',', begin);
-    const std::string elem = raw.substr(
-        begin, comma == std::string::npos ? std::string::npos : comma - begin);
-    const std::optional<T> value = parse_full(elem, parse);
+  for (const std::string& elem : split_commas(*raw)) {
+    const std::optional<T> value = parse_whole<T>(elem);
     if (!value)
       throw std::invalid_argument("--" + key + ": bad list element '" + elem +
-                                  "' in '" + raw + "'");
+                                  "' in '" + *raw + "'");
     out.push_back(*value);
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
   }
   return out;
 }
@@ -95,45 +70,37 @@ std::vector<T> parse_list(const std::string& key, const std::string& raw,
 }  // namespace
 
 double Cli::get_or(const std::string& key, double fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  return parse_scalar(key, *v, parse_double);
+  return scalar_or(key, get(key), fallback);
 }
 
 std::int64_t Cli::get_or(const std::string& key, std::int64_t fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  return parse_scalar(key, *v, parse_int64);
+  return scalar_or(key, get(key), fallback);
+}
+
+int Cli::get_int_or(const std::string& key, int fallback) const {
+  return scalar_or(key, get(key), fallback);
+}
+
+std::uint64_t Cli::get_u64_or(const std::string& key,
+                              std::uint64_t fallback) const {
+  return scalar_or(key, get(key), fallback);
 }
 
 bool Cli::has(const std::string& key) const { return values_.count(key) > 0; }
 
 std::vector<std::int64_t> Cli::get_list_or(
     const std::string& key, std::vector<std::int64_t> fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  return parse_list<std::int64_t>(key, *v, parse_int64);
+  return list_or(key, get(key), std::move(fallback));
 }
 
 std::vector<double> Cli::get_list_or(const std::string& key,
                                      std::vector<double> fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  return parse_list<double>(key, *v, parse_double);
+  return list_or(key, get(key), std::move(fallback));
 }
 
 std::vector<int> Cli::get_int_list_or(const std::string& key,
                                       std::vector<int> fallback) const {
-  if (!has(key)) return fallback;
-  std::vector<int> out;
-  for (const std::int64_t v : get_list_or(key, std::vector<std::int64_t>{})) {
-    if (v < std::numeric_limits<int>::min() ||
-        v > std::numeric_limits<int>::max())
-      throw std::invalid_argument("--" + key + ": value out of range: " +
-                                  std::to_string(v));
-    out.push_back(static_cast<int>(v));
-  }
-  return out;
+  return list_or(key, get(key), std::move(fallback));
 }
 
 void Cli::allow_only(const std::vector<std::string>& known) const {

@@ -28,6 +28,13 @@ class Cli {
   [[nodiscard]] double get_or(const std::string& key, double fallback) const;
   [[nodiscard]] std::int64_t get_or(const std::string& key,
                                     std::int64_t fallback) const;
+  /// Range-checked integer flags: `fallback` when absent; throws
+  /// std::invalid_argument unless the whole value is a decimal integer
+  /// that fits the type (`--steps=4294967306` is an error, not 10). The
+  /// unsigned getter rejects any sign (`--seed=-1` is an error, not 2^64-1).
+  [[nodiscard]] int get_int_or(const std::string& key, int fallback) const;
+  [[nodiscard]] std::uint64_t get_u64_or(const std::string& key,
+                                         std::uint64_t fallback) const;
   [[nodiscard]] bool has(const std::string& key) const;
 
   /// Comma-separated numeric lists for sweep axes: `--np=4,8,16`. Returns
@@ -47,10 +54,7 @@ class Cli {
   /// Ensures every provided flag is among `known`; throws otherwise.
   void allow_only(const std::vector<std::string>& known) const;
 
-  [[nodiscard]] const std::string& program() const { return program_; }
-
  private:
-  std::string program_;
   std::map<std::string, std::string> values_;
 };
 

@@ -1,53 +1,38 @@
 #include "support/csv.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <sstream>
-#include <stdexcept>
 
 namespace iw {
-namespace {
 
-bool needs_quoting(const std::string& field) {
-  return field.find_first_of(",\"\n") != std::string::npos;
-}
-
-std::string quote(const std::string& field) {
-  if (!needs_quoting(field)) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
-CsvWriter::CsvWriter(const std::string& path) : out_(path) {
-  if (!out_) throw std::runtime_error("cannot open CSV output: " + path);
-}
-
-void CsvWriter::row(const std::vector<std::string>& fields) {
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << quote(fields[i]);
-  }
-  out_ << '\n';
+char* write_num(char* buf, double v) {
+  return std::to_chars(buf, buf + kNumChars, v, std::chars_format::general,
+                       12)
+      .ptr;
 }
 
 std::string csv_num(double v) {
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
+  char buf[kNumChars];
+  return std::string(buf, write_num(buf, v));
 }
 
-JsonlWriter::JsonlWriter(const std::string& path) : out_(path) {
-  if (!out_) throw std::runtime_error("cannot open JSONL output: " + path);
+std::string num17(double v) {
+  char buf[kNumChars];
+  return std::string(
+      buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                         17)
+               .ptr);
 }
 
-void JsonlWriter::raw_line(const std::string& json) { out_ << json << '\n'; }
+std::vector<std::string> split_commas(std::string_view text) {
+  std::vector<std::string> out;
+  for (;;) {
+    const std::size_t comma = text.find(',');
+    out.emplace_back(text.substr(0, comma));
+    if (comma == std::string_view::npos) return out;
+    text.remove_prefix(comma + 1);
+  }
+}
 
 std::string json_object(
     const std::vector<std::pair<std::string, std::string>>& fields) {

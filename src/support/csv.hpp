@@ -1,54 +1,55 @@
-// Minimal CSV and JSON-Lines emission for the sweep record sinks.
+// Number and JSON text primitives shared by the record codec
+// (sweep/record), the service protocol and the metrics snapshot.
 #pragma once
 
-#include <fstream>
+#include <charconv>
+#include <cstddef>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
 namespace iw {
 
-/// Writes rows of comma-separated values with RFC-4180-style quoting of
-/// fields that contain commas, quotes, or newlines. The writer owns the
-/// stream; destruction flushes and closes it.
-class CsvWriter {
- public:
-  /// Opens `path` for writing; throws std::runtime_error on failure.
-  explicit CsvWriter(const std::string& path);
+/// Room for any text write_num produces ("-1.23456789012e-308" is 19).
+inline constexpr std::size_t kNumChars = 32;
 
-  void header(const std::vector<std::string>& names) { row(names); }
-  void row(const std::vector<std::string>& fields);
+/// Writes `v` as printf("%.12g") prints it (std::to_chars, general format,
+/// 12 significant digits: enough for figure data) into `buf`, which holds
+/// kNumChars bytes; returns the end of the text. No allocation.
+char* write_num(char* buf, double v);
 
- private:
-  std::ofstream out_;
-};
-
-/// Formats a double with enough digits for round-tripping figure data.
+/// write_num as a string.
 [[nodiscard]] std::string csv_num(double v);
 
-/// Streams one JSON object per line (JSON Lines).
-class JsonlWriter {
- public:
-  /// Opens `path` for writing; throws std::runtime_error on failure.
-  explicit JsonlWriter(const std::string& path);
+/// `v` as printf("%.17g") prints it: the service wire format, which
+/// round-trips every double exactly and stays readable.
+[[nodiscard]] std::string num17(double v);
 
-  /// Writes one already-serialized JSON object as a line, verbatim. The
-  /// campaign service streams the exact same bytes over its socket; sharing
-  /// the serialization (json_object below) is what makes "cached replay is
-  /// byte-identical to a sink file" a structural property instead of a hope.
-  void raw_line(const std::string& json);
+/// The whole of `text` as an integer or double, by std::from_chars rules:
+/// no sign on unsigned types, no leading '+' or whitespace, no trailing
+/// bytes. nullopt when it does not parse or does not fit T (never wraps).
+template <typename T>
+[[nodiscard]] std::optional<T> parse_whole(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
 
- private:
-  std::ofstream out_;
-};
+/// Splits `text` at every comma, without quoting ("a,,b" gives "a", "",
+/// "b"; "" gives one empty element).
+[[nodiscard]] std::vector<std::string> split_commas(std::string_view text);
 
 /// Encodes `s` as a JSON string literal, quotes included.
 [[nodiscard]] std::string json_str(const std::string& s);
 
 /// Serializes one flat JSON object (no trailing newline). Field values are
 /// raw JSON fragments: pass numbers through csv_num()/std::to_string() and
-/// strings through json_str(). This is the single serialization the JSONL
-/// sink and the service stream share.
+/// strings through json_str().
 [[nodiscard]] std::string json_object(
     const std::vector<std::pair<std::string, std::string>>& fields);
 

@@ -1,6 +1,9 @@
 #include "support/json.hpp"
 
+#include <optional>
 #include <stdexcept>
+
+#include "support/csv.hpp"
 
 namespace iw::json {
 namespace {
@@ -174,15 +177,11 @@ class Reader {
                       *p_ == 'E' || *p_ == '+' || *p_ == '-'))
       digits += next();
     if (digits.empty() || digits == "-") fail("expected a value");
+    const std::optional<double> number = parse_whole<double>(digits);
+    if (!number) fail("malformed number '" + digits + "'");
     Value v;
     v.kind = Value::Kind::number;
-    std::size_t consumed = 0;
-    try {
-      v.number = std::stod(digits, &consumed);
-    } catch (const std::exception&) {
-      fail("malformed number '" + digits + "'");
-    }
-    if (consumed != digits.size()) fail("malformed number '" + digits + "'");
+    v.number = *number;
     return v;
   }
 

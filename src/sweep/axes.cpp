@@ -4,40 +4,27 @@
 #include <utility>
 
 #include "support/cli.hpp"
+#include "support/csv.hpp"
 #include "support/error.hpp"
+#include "sweep/scenario.hpp"
 #include "sweep/spec.hpp"
 
 namespace iw::sweep {
 
 namespace {
 
-/// Comma-splits an enum-axis override; empty elements are malformed, same
-/// as the Cli numeric-list parsers.
-std::vector<std::string> split_list(const std::string& flag,
-                                    const std::string& value) {
-  std::vector<std::string> out;
-  std::size_t begin = 0;
-  while (true) {
-    const std::size_t comma = value.find(',', begin);
-    const std::string item = value.substr(
-        begin, comma == std::string::npos ? std::string::npos : comma - begin);
-    IW_REQUIRE(!item.empty(),
-               "--" + flag + ": empty element in list '" + value + "'");
-    out.push_back(item);
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  return out;
-}
-
 template <typename T>
 std::vector<T> parse_enum_list(const Cli& cli, const char* flag,
                                std::vector<T> fallback) {
   const auto raw = cli.get(flag);
   if (!raw) return fallback;
+  // Empty elements are malformed, same as the Cli numeric-list parsers.
   std::vector<T> out;
-  for (const std::string& item : split_list(flag, *raw))
+  for (const std::string& item : split_commas(*raw)) {
+    IW_REQUIRE(!item.empty(), std::string("--") + flag +
+                                  ": empty element in list '" + *raw + "'");
     out.push_back(AxisValue<T>::parse(item));
+  }
   return out;
 }
 
@@ -107,6 +94,22 @@ void apply_axis_overrides(SweepSpec& spec, const Cli& cli) {
       AxisValue<Type>::override_from_cli(cli, flag, std::move(spec.field));
   IW_SWEEP_AXES(IW_AXIS_OVERRIDE)
 #undef IW_AXIS_OVERRIDE
+}
+
+Scenario resolve_scenario(const std::string& name, const Cli& cli) {
+  const Scenario* found = find_scenario(name);
+  if (found == nullptr) {
+    std::string known;
+    for (const std::string& n : scenario_names()) known += " " + n;
+    throw std::invalid_argument("unknown scenario '" + name + "' (known:" +
+                                known + ")");
+  }
+  Scenario scenario = *found;
+  apply_axis_overrides(scenario.spec, cli);
+  scenario.spec.steps = cli.get_int_or("steps", scenario.spec.steps);
+  scenario.spec.campaign_seed =
+      cli.get_u64_or("seed", scenario.spec.campaign_seed);
+  return scenario;
 }
 
 std::vector<std::string> axis_cli_flags() {

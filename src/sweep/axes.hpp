@@ -132,12 +132,20 @@ template <typename T>
 using axis_record_t = typename AxisValue<T>::record_type;
 
 struct SweepSpec;
+struct Scenario;
 
 /// Applies every axis's `--<flag>=v1,v2,...` override onto `spec`. Numeric
 /// lists go through the Cli list parsers (malformed input throws, never
 /// truncates); enum lists parse their to_string names, throwing on unknown
 /// ones with the valid set in the message.
 void apply_axis_overrides(SweepSpec& spec, const Cli& cli);
+
+/// Catalog scenario `name` with the CLI's axis flags, `--steps` and
+/// `--seed` applied to its spec: the one resolution sweep_runner and
+/// idlewave_client share. Throws std::invalid_argument for an unknown name
+/// (listing the catalog) or a malformed or out-of-range override.
+[[nodiscard]] Scenario resolve_scenario(const std::string& name,
+                                        const Cli& cli);
 
 /// CLI flag names of all axes, in declaration order (for Cli::allow_only).
 [[nodiscard]] std::vector<std::string> axis_cli_flags();

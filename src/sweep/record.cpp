@@ -1,11 +1,12 @@
 #include "sweep/record.hpp"
 
+#include <charconv>
 #include <cstddef>
-#include <limits>
 #include <stdexcept>
 #include <type_traits>
-#include <utility>
 
+#include "support/csv.hpp"
+#include "support/error.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
@@ -13,84 +14,98 @@ namespace iw::sweep {
 namespace {
 
 // ---- typed accessors ------------------------------------------------------
-// One ColumnDef per SweepRecord member: static metadata plus symmetric
-// get/set function pointers. The table below is the only place a column
-// exists; everything else (sinks, golden parsing, diffing) derives from it.
+// One ColumnDef per SweepRecord member: static metadata plus the typed
+// writer, parser, comparison and numeric view of that member. The table
+// below is the only place a column exists; everything else derives from it.
 
 struct ColumnDef {
   ColumnMeta meta;
-  std::string (*get)(const SweepRecord&);
+  void (*append)(std::string&, const SweepRecord&);
   void (*set)(SweepRecord&, const std::string&);
+  bool (*equal)(const SweepRecord&, const SweepRecord&);
+  double (*number)(const SweepRecord&);
 };
 
+/// A text value every sink can write verbatim: no CSV quoting, no JSON
+/// escaping.
+bool is_bare_token(const std::string& text) {
+  for (const char c : text)
+    if (c == ',' || c == '"' || c == '\\' ||
+        static_cast<unsigned char>(c) < 0x20)
+      return false;
+  return true;
+}
+
 template <typename T>
-T parse_full(const std::string& text);
-
-template <typename Parse>
-auto checked(const std::string& text, Parse parse) {
-  std::size_t consumed = 0;
-  auto value = parse(text, &consumed);
-  if (consumed != text.size())
-    throw std::invalid_argument("trailing garbage in '" + text + "'");
-  return value;
-}
-
-template <>
-std::uint64_t parse_full<std::uint64_t>(const std::string& text) {
-  // stoull skips whitespace and accepts a wrapping '-' sign; demand a bare
-  // digit up front so "-5" (or " -5") throws instead of wrapping.
-  if (text.empty() || text[0] < '0' || text[0] > '9')
-    throw std::invalid_argument("unsigned column needs a bare digit string");
-  return checked(text, [](const std::string& s, std::size_t* n) {
-    return std::stoull(s, n);
-  });
-}
-
-template <>
-std::int64_t parse_full<std::int64_t>(const std::string& text) {
-  return checked(text, [](const std::string& s, std::size_t* n) {
-    return std::stoll(s, n);
-  });
-}
-
-template <>
-int parse_full<int>(const std::string& text) {
-  const long long v = checked(text, [](const std::string& s, std::size_t* n) {
-    return std::stoll(s, n);
-  });
-  if (v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max())
-    throw std::invalid_argument("value out of int range: " + text);
-  return static_cast<int>(v);
-}
-
-template <>
-double parse_full<double>(const std::string& text) {
-  return checked(text, [](const std::string& s, std::size_t* n) {
-    return std::stod(s, n);
-  });
+void append_integer(std::string& out, T v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 template <auto Member>
-std::string get_field(const SweepRecord& rec) {
+void append_field(std::string& out, const SweepRecord& rec) {
   using T = std::remove_cvref_t<decltype(rec.*Member)>;
-  if constexpr (std::is_same_v<T, std::string>) return rec.*Member;
-  else if constexpr (std::is_same_v<T, double>) return csv_num(rec.*Member);
-  else return std::to_string(rec.*Member);
+  const T& v = rec.*Member;
+  if constexpr (std::is_same_v<T, std::string>) {
+    if (!is_bare_token(v))
+      throw std::invalid_argument("text value '" + v +
+                                  "' would need CSV quoting or JSON escaping");
+    out += v;
+  } else if constexpr (std::is_same_v<T, double>) {
+    char buf[kNumChars];
+    out.append(buf, write_num(buf, v));
+  } else {
+    append_integer(out, v);
+  }
+}
+
+template <auto Member>
+bool equal_field(const SweepRecord& a, const SweepRecord& b) {
+  using T = std::remove_cvref_t<decltype(a.*Member)>;
+  if constexpr (std::is_same_v<T, double>) {
+    // The printed text, so -0 vs 0 differs and nan matches nan, exactly as
+    // two sink files would.
+    char x[kNumChars], y[kNumChars];
+    return std::string_view(x, write_num(x, a.*Member)) ==
+           std::string_view(y, write_num(y, b.*Member));
+  } else {
+    return a.*Member == b.*Member;
+  }
+}
+
+template <auto Member>
+double number_field(const SweepRecord& rec) {
+  using T = std::remove_cvref_t<decltype(rec.*Member)>;
+  if constexpr (std::is_same_v<T, std::string>) {
+    throw std::invalid_argument("text column has no numeric value");
+  } else if constexpr (std::is_same_v<T, double>) {
+    // Rounded to the printed 12 significant digits; a NaN stays a NaN.
+    char buf[kNumChars];
+    const std::string_view printed(buf, write_num(buf, rec.*Member));
+    return parse_whole<double>(printed).value_or(rec.*Member);
+  } else {
+    return static_cast<double>(rec.*Member);
+  }
 }
 
 template <auto Member>
 void set_field(SweepRecord& rec, const std::string& text) {
   using T = std::remove_cvref_t<decltype(rec.*Member)>;
-  if constexpr (std::is_same_v<T, std::string>) rec.*Member = text;
-  else rec.*Member = parse_full<T>(text);
+  if constexpr (std::is_same_v<T, std::string>) {
+    rec.*Member = text;
+  } else {
+    const std::optional<T> v = parse_whole<T>(text);
+    if (!v) throw std::invalid_argument("not a whole value of the column type");
+    rec.*Member = *v;
+  }
 }
 
 template <auto Member>
 constexpr ColumnDef col(const char* name, ColumnType type,
                         ColumnTolerance tol, bool json_quoted = false) {
   return ColumnDef{{name, type, tol, json_quoted},
-                   &get_field<Member>, &set_field<Member>};
+                   &append_field<Member>, &set_field<Member>,
+                   &equal_field<Member>, &number_field<Member>};
 }
 
 constexpr auto kExact = ColumnTolerance::exact;
@@ -165,6 +180,8 @@ const std::vector<ColumnDef>& column_table() {
   return table;
 }
 
+constexpr std::string_view kJsonIndexPrefix = "{\"index\":";
+
 }  // namespace
 
 const std::vector<ColumnMeta>& record_schema() {
@@ -184,7 +201,18 @@ std::optional<std::size_t> column_index(const std::string& name) {
 }
 
 std::string column_value(const SweepRecord& rec, std::size_t col) {
-  return column_table().at(col).get(rec);
+  std::string out;
+  column_table().at(col).append(out, rec);
+  return out;
+}
+
+bool column_equal(const SweepRecord& a, const SweepRecord& b,
+                  std::size_t col) {
+  return column_table().at(col).equal(a, b);
+}
+
+double column_number(const SweepRecord& rec, std::size_t col) {
+  return column_table().at(col).number(rec);
 }
 
 void set_column(SweepRecord& rec, std::size_t col, const std::string& text) {
@@ -208,18 +236,54 @@ SweepRecord record_from_row(const std::vector<std::string>& row) {
   return rec;
 }
 
-std::vector<RecordField> record_fields(const SweepRecord& rec) {
-  std::vector<RecordField> fields;
-  fields.reserve(column_table().size());
-  for (const ColumnDef& def : column_table())
-    fields.push_back({def.meta.name, def.get(rec), def.meta.json_quoted});
-  return fields;
+std::string csv_header() {
+  std::string out;
+  for (const ColumnDef& def : column_table()) {
+    if (!out.empty()) out += ',';
+    out += def.meta.name;
+  }
+  return out;
 }
 
-std::vector<std::string> record_columns() {
-  std::vector<std::string> names;
-  for (const ColumnMeta& meta : record_schema()) names.push_back(meta.name);
-  return names;
+void append_csv_row(std::string& out, const SweepRecord& rec) {
+  bool first = true;
+  for (const ColumnDef& def : column_table()) {
+    if (!first) out += ',';
+    first = false;
+    def.append(out, rec);
+  }
+}
+
+void append_json_line(std::string& out, const SweepRecord& rec) {
+  // Column names are bare identifiers, so they need no JSON escaping.
+  char sep = '{';
+  for (const ColumnDef& def : column_table()) {
+    out += sep;
+    sep = ',';
+    out += '"';
+    out += def.meta.name;
+    out += "\":";
+    if (def.meta.json_quoted) out += '"';
+    def.append(out, rec);
+    if (def.meta.json_quoted) out += '"';
+  }
+  out += '}';
+}
+
+std::string record_json_line(const SweepRecord& rec) {
+  std::string out;
+  append_json_line(out, rec);
+  return out;
+}
+
+std::string with_json_index(std::string_view line, std::uint64_t index) {
+  const std::size_t end = line.find(',');
+  IW_REQUIRE(line.starts_with(kJsonIndexPrefix) && end != line.npos,
+             "not a JSON record line");
+  std::string out(kJsonIndexPrefix);
+  append_integer(out, index);
+  out += line.substr(end);
+  return out;
 }
 
 SweepRecord reduce(const SweepPoint& point, const core::WaveResult& result) {
@@ -256,28 +320,27 @@ SweepRecord reduce(const SweepPoint& point, const core::WaveResult& result) {
   return rec;
 }
 
-CsvSink::CsvSink(const std::string& path) : writer_(path) {
-  writer_.header(record_columns());
+CsvSink::CsvSink(const std::string& path) : out_(path) {
+  if (!out_) throw std::runtime_error("cannot open CSV output: " + path);
+  out_ << csv_header() << '\n';
 }
 
 void CsvSink::write(const SweepRecord& rec) {
-  std::vector<std::string> row;
-  for (RecordField& f : record_fields(rec)) row.push_back(std::move(f.value));
-  writer_.row(row);
+  line_.clear();
+  append_csv_row(line_, rec);
+  line_ += '\n';
+  out_ << line_;
 }
 
-JsonlSink::JsonlSink(const std::string& path) : writer_(path) {}
+JsonlSink::JsonlSink(const std::string& path) : out_(path) {
+  if (!out_) throw std::runtime_error("cannot open JSONL output: " + path);
+}
 
 void JsonlSink::write(const SweepRecord& rec) {
-  writer_.raw_line(record_json_line(rec));
-}
-
-std::string record_json_line(const SweepRecord& rec) {
-  std::vector<std::pair<std::string, std::string>> fields;
-  for (RecordField& f : record_fields(rec))
-    fields.emplace_back(std::move(f.name),
-                        f.is_string ? json_str(f.value) : std::move(f.value));
-  return json_object(fields);
+  line_.clear();
+  append_json_line(line_, rec);
+  line_ += '\n';
+  out_ << line_;
 }
 
 std::string render_summary(const std::vector<SweepRecord>& records) {

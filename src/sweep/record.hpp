@@ -8,17 +8,19 @@
 //
 // The column set is a *typed schema*, not a stringly field list: every
 // column declares its value type and its verification tolerance class, and
-// the schema is the single source of truth for serialization (sinks),
-// parsing (golden-corpus loading) and field-by-field diffing (src/verify).
-// Adding a SweepRecord member without a schema entry cannot ship
-// half-serialized: the drift-guard test pins schema size against
-// record_fields()/record_columns(), and the round-trip test pins get/set
-// symmetry.
+// the schema is the single source of truth for serialization (sinks, golden
+// files, the service's cached lines), parsing (golden-corpus loading) and
+// field-by-field diffing (src/verify). Its column table in record.cpp is
+// the only place a record becomes text: each column appends its value to a
+// caller-owned buffer with std::to_chars, and CSV rows, JSON lines and
+// golden rows are loops over that one writer.
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -94,9 +96,22 @@ struct ColumnMeta {
 /// Index of `name` in the schema; nullopt for unknown columns.
 [[nodiscard]] std::optional<std::size_t> column_index(const std::string& name);
 
-/// Serialized value of column `col` of `rec` (same text CSV sinks emit).
+/// Text of column `col` of `rec`, as every sink writes it: integers in
+/// decimal, doubles as printf("%.12g") (csv_num), text verbatim. A text
+/// value holding `,`, `"`, `\` or a control character throws
+/// std::invalid_argument here and in every writer below: no sink quotes or
+/// escapes.
 [[nodiscard]] std::string column_value(const SweepRecord& rec,
                                        std::size_t col);
+
+/// Typed equality of column `col`: integers and text compare by value,
+/// doubles by the 12-significant-digit text every sink prints.
+[[nodiscard]] bool column_equal(const SweepRecord& a, const SweepRecord& b,
+                                std::size_t col);
+
+/// Numeric column `col` as the sinks print it: doubles rounded to 12
+/// significant digits, integers converted. Throws on a text column.
+[[nodiscard]] double column_number(const SweepRecord& rec, std::size_t col);
 
 /// Parses `text` into column `col` of `rec`. Throws std::invalid_argument
 /// on malformed input (partial consumption, overflow, empty numerics).
@@ -107,29 +122,29 @@ void set_column(SweepRecord& rec, std::size_t col, const std::string& text);
 [[nodiscard]] SweepRecord record_from_row(
     const std::vector<std::string>& row);
 
-/// One field of a serialized record. `is_string` selects JSON quoting; CSV
-/// always writes the value verbatim.
-struct RecordField {
-  std::string name;
-  std::string value;
-  bool is_string = false;
-};
+/// The CSV header row (column names joined by commas, no newline).
+[[nodiscard]] std::string csv_header();
 
-/// Serializes a record; the field order is the sink column order.
-[[nodiscard]] std::vector<RecordField> record_fields(const SweepRecord& rec);
+/// Appends one CSV row of `rec` (no newline): a CsvSink or golden-file row.
+void append_csv_row(std::string& out, const SweepRecord& rec);
 
-/// The sink column names (names of record_fields, in order).
-[[nodiscard]] std::vector<std::string> record_columns();
+/// Appends one JSON object of `rec` (no newline): the exact bytes JsonlSink
+/// writes and the campaign service streams, so a client-side JSONL file is
+/// byte-identical to a sink-written one by construction.
+void append_json_line(std::string& out, const SweepRecord& rec);
+
+/// append_json_line as a string.
+[[nodiscard]] std::string record_json_line(const SweepRecord& rec);
 
 /// Reduces one finished experiment to its flat record.
 [[nodiscard]] SweepRecord reduce(const SweepPoint& point,
                                  const core::WaveResult& result);
 
-/// One serialized JSON-Lines object for `rec` (no trailing newline) — the
-/// exact bytes JsonlSink writes. The campaign service streams these lines
-/// over its socket, so a client-side JSONL file is byte-identical to a
-/// sink-written one by construction.
-[[nodiscard]] std::string record_json_line(const SweepRecord& rec);
+/// A record_json_line() line with its `index` value replaced; every other
+/// byte is copied (the service's cached point, handed to another campaign).
+/// Throws std::invalid_argument unless `line` starts with the index field.
+[[nodiscard]] std::string with_json_index(std::string_view line,
+                                          std::uint64_t index);
 
 /// Destination for a stream of records. The campaign runner guarantees
 /// write() is called from one thread at a time, in ascending index order
@@ -147,7 +162,8 @@ class CsvSink final : public RecordSink {
   void write(const SweepRecord& rec) override;
 
  private:
-  CsvWriter writer_;
+  std::ofstream out_;
+  std::string line_;  ///< reused row buffer
 };
 
 /// JSON-Lines sink: one object per record.
@@ -157,19 +173,8 @@ class JsonlSink final : public RecordSink {
   void write(const SweepRecord& rec) override;
 
  private:
-  JsonlWriter writer_;
-};
-
-/// Collects records in memory (tests, summaries).
-class VectorSink final : public RecordSink {
- public:
-  void write(const SweepRecord& rec) override { records_.push_back(rec); }
-  [[nodiscard]] const std::vector<SweepRecord>& records() const {
-    return records_;
-  }
-
- private:
-  std::vector<SweepRecord> records_;
+  std::ofstream out_;
+  std::string line_;  ///< reused line buffer
 };
 
 /// Campaign-level summary table: per-protocol medians of speed, decay and

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <unordered_map>
 
 namespace iw::verify {
@@ -55,20 +54,19 @@ DiffReport diff_records(const std::vector<sweep::SweepRecord>& golden,
     ++matched;
 
     for (std::size_t c = 0; c < schema.size(); ++c) {
-      const std::string want = sweep::column_value(g, c);
-      const std::string got = sweep::column_value(f, c);
       double rel_err = 1.0;
-      bool ok;
-      if (schema[c].tolerance == sweep::ColumnTolerance::exact ||
-          schema[c].type == sweep::ColumnType::text) {
-        ok = want == got;
-      } else {
-        ok = approx_equal(std::strtod(want.c_str(), nullptr),
-                          std::strtod(got.c_str(), nullptr), policy, &rel_err);
-      }
+      // Exact columns compare typed values (doubles by their printed text);
+      // approx columns compare both sides rounded to the printed 12 digits.
+      const bool ok =
+          schema[c].tolerance == sweep::ColumnTolerance::exact ||
+                  schema[c].type == sweep::ColumnType::text
+              ? sweep::column_equal(g, f, c)
+              : approx_equal(sweep::column_number(g, c),
+                             sweep::column_number(f, c), policy, &rel_err);
       if (!ok)
-        report.field_diffs.push_back(
-            {f.index, schema[c].name, want, got, rel_err});
+        report.field_diffs.push_back({f.index, schema[c].name,
+                                      sweep::column_value(g, c),
+                                      sweep::column_value(f, c), rel_err});
     }
   }
   report.records_compared = matched;

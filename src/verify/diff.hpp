@@ -3,9 +3,11 @@
 // Records pair up by their `index` column (a fresh run may be a quick
 // subset of the golden campaign), and every schema column is compared under
 // its declared tolerance class: `exact` columns (identity, axes, protocol,
-// engine counters) must match textually, `approx` columns (fitted
-// velocities, decay, cycle, makespan) under a relative-epsilon policy that
-// absorbs benign last-digit noise while catching real physics drift.
+// engine counters) must match exactly (typed values; doubles by the text
+// the sinks print), `approx` columns (fitted velocities, decay, cycle,
+// makespan) under a relative-epsilon policy on both sides' printed 12-digit
+// values, which absorbs benign last-digit noise while catching real physics
+// drift.
 #pragma once
 
 #include <cstdint>

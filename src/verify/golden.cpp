@@ -1,8 +1,9 @@
 #include "verify/golden.hpp"
 
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+
+#include "support/csv.hpp"
 
 namespace iw::verify {
 namespace {
@@ -11,24 +12,6 @@ constexpr char kMagic[] = "# iw-golden";
 
 [[noreturn]] void fail(const std::string& path, const std::string& what) {
   throw std::runtime_error("golden corpus " + path + ": " + what);
-}
-
-/// Splits one CSV line at commas. Golden fields are never quoted (enforced
-/// at write time), so a bare split is exact; a stray quote means the file
-/// was not produced by write_golden.
-std::vector<std::string> split_row(const std::string& path,
-                                   const std::string& line) {
-  if (line.find('"') != std::string::npos)
-    fail(path, "quoted CSV fields are not part of the golden format");
-  std::vector<std::string> fields;
-  std::size_t begin = 0;
-  for (;;) {
-    const std::size_t comma = line.find(',', begin);
-    fields.push_back(line.substr(
-        begin, comma == std::string::npos ? std::string::npos : comma - begin));
-    if (comma == std::string::npos) return fields;
-    begin = comma + 1;
-  }
 }
 
 /// Parses "key=value" tokens of the header line after the magic prefix.
@@ -51,26 +34,24 @@ std::string golden_path(const std::string& dir, const std::string& scenario) {
 
 void write_golden(const std::string& path, const std::string& scenario,
                   const std::vector<sweep::SweepRecord>& records) {
+  // Format everything before opening the file: a record the codec rejects
+  // leaves no half-written golden behind.
+  std::string text = std::string(kMagic) +
+                     " schema=" + std::to_string(kGoldenSchemaVersion) +
+                     " scenario=" + scenario +
+                     " points=" + std::to_string(records.size()) + '\n' +
+                     sweep::csv_header() + '\n';
+  try {
+    for (const sweep::SweepRecord& rec : records) {
+      sweep::append_csv_row(text, rec);
+      text += '\n';
+    }
+  } catch (const std::invalid_argument& e) {
+    fail(path, e.what());
+  }
   std::ofstream out(path);
   if (!out) fail(path, "cannot open for writing");
-  out << kMagic << " schema=" << kGoldenSchemaVersion
-      << " scenario=" << scenario << " points=" << records.size() << '\n';
-
-  const auto columns = sweep::record_columns();
-  for (std::size_t i = 0; i < columns.size(); ++i)
-    out << (i ? "," : "") << columns[i];
-  out << '\n';
-
-  for (const sweep::SweepRecord& rec : records) {
-    for (std::size_t c = 0; c < columns.size(); ++c) {
-      const std::string value = sweep::column_value(rec, c);
-      if (value.find_first_of(",\"\n") != std::string::npos)
-        fail(path, "field " + columns[c] + " value '" + value +
-                       "' would need CSV quoting");
-      out << (c ? "," : "") << value;
-    }
-    out << '\n';
-  }
+  out << text;
   if (!out) fail(path, "write failed");
 }
 
@@ -82,45 +63,39 @@ GoldenCorpus load_golden(const std::string& path) {
   std::string line;
   if (!std::getline(in, line) || line.rfind(kMagic, 0) != 0)
     fail(path, "missing '# iw-golden' header line");
-  try {
-    corpus.schema_version = std::stoi(header_value(path, line, "schema"));
-  } catch (const std::logic_error&) {
-    fail(path, "unparsable schema version");
-  }
+  const auto version = parse_whole<int>(header_value(path, line, "schema"));
+  if (!version) fail(path, "unparsable schema version");
+  corpus.schema_version = *version;
   if (corpus.schema_version != kGoldenSchemaVersion)
     fail(path, "schema version " + std::to_string(corpus.schema_version) +
                    " != supported " + std::to_string(kGoldenSchemaVersion));
   corpus.scenario = header_value(path, line, "scenario");
-  std::size_t declared_points = 0;
-  try {
-    declared_points = std::stoul(header_value(path, line, "points"));
-  } catch (const std::logic_error&) {
-    fail(path, "unparsable points count");
-  }
+  const auto declared_points =
+      parse_whole<std::size_t>(header_value(path, line, "points"));
+  if (!declared_points) fail(path, "unparsable points count");
 
   if (!std::getline(in, line)) fail(path, "missing column header row");
-  const auto columns = split_row(path, line);
-  const auto expected = sweep::record_columns();
-  if (columns != expected) {
-    std::ostringstream os;
-    os << "column drift against the current record schema; golden has "
-       << columns.size() << " columns, schema has " << expected.size()
-       << " — refresh with --update-goldens";
-    fail(path, os.str());
-  }
+  if (line != sweep::csv_header())
+    fail(path,
+         "column drift against the current record schema — refresh with "
+         "--update-goldens");
 
   std::size_t row_no = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     ++row_no;
+    // The codec never quotes (it rejects text that would need it), so a
+    // bare comma split is exact and a quote means a foreign file.
+    if (line.find('"') != std::string::npos)
+      fail(path, "quoted CSV fields are not part of the golden format");
     try {
-      corpus.records.push_back(sweep::record_from_row(split_row(path, line)));
+      corpus.records.push_back(sweep::record_from_row(split_commas(line)));
     } catch (const std::invalid_argument& e) {
       fail(path, "row " + std::to_string(row_no) + ": " + e.what());
     }
   }
-  if (corpus.records.size() != declared_points)
-    fail(path, "header declares " + std::to_string(declared_points) +
+  if (corpus.records.size() != *declared_points)
+    fail(path, "header declares " + std::to_string(*declared_points) +
                    " points but file holds " +
                    std::to_string(corpus.records.size()));
   return corpus;

@@ -45,9 +45,9 @@ struct GoldenCorpus {
 [[nodiscard]] std::string golden_path(const std::string& dir,
                                       const std::string& scenario);
 
-/// Writes the corpus file. Throws std::runtime_error when the path cannot
-/// be opened or a serialized field would require CSV quoting (golden values
-/// never legitimately contain commas/quotes/newlines).
+/// Writes the corpus file, rows through the record codec. Throws
+/// std::runtime_error when the path cannot be opened or the codec rejects a
+/// text value (one that would need CSV quoting); nothing is written then.
 void write_golden(const std::string& path, const std::string& scenario,
                   const std::vector<sweep::SweepRecord>& records);
 

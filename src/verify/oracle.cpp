@@ -31,11 +31,11 @@ const char* expected_protocol(const sweep::SweepPoint& point) {
              : "eager";
 }
 
-/// Serialized value of axis/identity column `column` of `r`.
-std::string column_text(const sweep::SweepRecord& r, const char* column) {
+/// Schema index of `column`, which must exist.
+std::size_t column_of(const char* column) {
   const auto c = sweep::column_index(column);
   IW_CHECK(c.has_value(), std::string("unknown record column ") + column);
-  return sweep::column_value(r, *c);
+  return *c;
 }
 
 /// Grouping key over every axis except the ones in `skip` (plus the
@@ -51,7 +51,7 @@ std::string group_key(const sweep::SweepRecord& r,
        }) {
     if (std::find(skip.begin(), skip.end(), column) != skip.end()) continue;
     key += '|';
-    key += column_text(r, column);
+    key += sweep::column_value(r, column_of(column));
   }
   return key;
 }
@@ -109,13 +109,12 @@ void check_expansion(OracleReport& report, const sweep::SweepRecord& r,
            IW_SWEEP_AXES(IW_AXIS_NAME)
 #undef IW_AXIS_NAME
            "workload", "seed"}) {
-    const std::size_t c = *sweep::column_index(column);
-    const std::string want = sweep::column_value(expect, c);
-    const std::string got = sweep::column_value(r, c);
-    if (want != got)
+    const std::size_t c = column_of(column);
+    if (!sweep::column_equal(expect, r, c))
       violate(report, r.index, "expansion", column, 0.0, 0.0,
-              "catalog re-expansion yields '" + want + "', record holds '" +
-                  got + "'");
+              "catalog re-expansion yields '" +
+                  sweep::column_value(expect, c) + "', record holds '" +
+                  sweep::column_value(r, c) + "'");
   }
   if (r.protocol != expected_protocol(*point))
     violate(report, r.index, "expansion", "protocol", 0.0, 0.0,
@@ -215,7 +214,7 @@ void check_constraint_trends(OracleReport& report,
                              const std::vector<sweep::SweepRecord>& records) {
   const std::string& axis = bounds.constraint_axis;
   const auto value_of = [&axis](const sweep::SweepRecord& r) {
-    return std::stod(column_text(r, axis.c_str()));
+    return sweep::column_number(r, column_of(axis.c_str()));
   };
 
   // Tightening the constraint must never speed the run up, with all other

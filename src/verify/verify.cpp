@@ -55,8 +55,8 @@ void perturb(std::vector<sweep::SweepRecord>& records, std::size_t row,
   if (type == sweep::ColumnType::text) {
     sweep::set_column(rec, c, old + "_mutated");
   } else if (type == sweep::ColumnType::f64) {
-    const double v = std::stod(old);
-    sweep::set_column(rec, c, csv_num(v * 1.01 + 1.0));
+    sweep::set_column(rec, c,
+                      csv_num(sweep::column_number(rec, c) * 1.01 + 1.0));
   } else if (type == sweep::ColumnType::u64) {
     sweep::set_column(rec, c, std::to_string(std::stoull(old) + 1));
   } else {

@@ -110,6 +110,21 @@ TEST(CacheKey, AddressIsStableHex) {
   EXPECT_NE(addr, key_address("iw-point;schema=5;workload=ring"));
 }
 
+TEST(PointCache, HoldsLineBytesAndKeepsTheFirst) {
+  PointCache cache;
+  EXPECT_EQ(cache.find("k"), nullptr);
+  const std::string& stored = cache.insert("k", R"({"index":3,"np":8})");
+  EXPECT_EQ(stored, R"({"index":3,"np":8})");
+  EXPECT_EQ(cache.find("k"), &stored);
+  // Re-inserting keeps (and returns) the first line; the reference holds.
+  EXPECT_EQ(&cache.insert("k", R"({"index":4,"np":8})"), &stored);
+  EXPECT_EQ(stored, R"({"index":3,"np":8})");
+  for (int i = 0; i < 100; ++i)
+    cache.insert("k" + std::to_string(i), "{}");
+  EXPECT_EQ(cache.find("k"), &stored);
+  EXPECT_EQ(cache.size(), 101u);
+}
+
 // ---------------------------------------------------------------------------
 // Randomized cases: 200 seeded campaigns. For each, the key must (a) be
 // reproducible, (b) survive a protocol round-trip (spec -> JSON -> spec),

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -234,6 +235,20 @@ TEST(ServiceFaults, DisconnectMidStreamKeepsCompletedPhysicsInCache) {
   std::vector<std::string> full;
   ASSERT_TRUE(service.drain(again.job, full));
   EXPECT_EQ(record_count(full), 4u);
+}
+
+TEST(ServiceFaults, ZeroBatchPointsIsRejectedAtConstruction) {
+  // A zero-point batch claims nothing while the queue stays runnable: every
+  // job would be accepted and never run, and run_loop would spin.
+  ServiceOptions options;
+  options.batch_points = 0;
+  EXPECT_THROW(CampaignService{options}, std::invalid_argument);
+  options.batch_points = 1;
+  CampaignService service(options);
+  const SubmitResult r = service.submit("a", 0, quick_spec({6.0}));
+  ASSERT_TRUE(r.accepted);
+  pump_dry(service);
+  EXPECT_TRUE(service.finished(r.job));
 }
 
 TEST(ServiceFaults, CancelUnknownJobIsFalse) {

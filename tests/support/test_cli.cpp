@@ -11,6 +11,8 @@
 
 #include "support/cli.hpp"
 #include "support/rng.hpp"
+#include "sweep/axes.hpp"
+#include "sweep/scenario.hpp"
 
 namespace iw {
 namespace {
@@ -119,6 +121,89 @@ TEST(CliScalar, RejectsTrailingGarbage) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("--x"), std::string::npos)
         << e.what();
+  }
+}
+
+// The typed getters range-check instead of narrowing: a value that does
+// not fit the destination is an error, never its wrapped remainder.
+TEST(CliScalar, TypedGettersRangeCheck) {
+  const auto get_int = [](const char* value) {
+    const char* argv[] = {"prog", value};
+    const Cli cli(2, argv);
+    return cli.get_int_or("x", 0);
+  };
+  const auto get_u64 = [](const char* value) {
+    const char* argv[] = {"prog", value};
+    const Cli cli(2, argv);
+    return cli.get_u64_or("x", 0);
+  };
+  EXPECT_EQ(get_int("--x=10"), 10);
+  EXPECT_EQ(get_int("--x=-3"), -3);
+  EXPECT_EQ(get_int("--x=2147483647"), 2147483647);
+  EXPECT_THROW(get_int("--x=4294967306"), std::invalid_argument);  // 2^32+10
+  EXPECT_THROW(get_int("--x=2147483648"), std::invalid_argument);
+  EXPECT_THROW(get_int("--x=-2147483649"), std::invalid_argument);
+  EXPECT_THROW(get_int("--x=12x"), std::invalid_argument);
+  EXPECT_THROW(get_int("--x="), std::invalid_argument);
+
+  EXPECT_EQ(get_u64("--x=18446744073709551615"), 18446744073709551615ull);
+  EXPECT_THROW(get_u64("--x=18446744073709551616"), std::invalid_argument);
+  EXPECT_THROW(get_u64("--x=-1"), std::invalid_argument);
+  EXPECT_THROW(get_u64("--x=-0"), std::invalid_argument);
+  EXPECT_THROW(get_u64("--x=1.5"), std::invalid_argument);
+
+  const char* none[] = {"prog"};
+  const Cli absent(1, none);
+  EXPECT_EQ(absent.get_int_or("x", 7), 7);
+  EXPECT_EQ(absent.get_u64_or("x", 9), 9u);
+  try {
+    (void)get_int("--x=4294967306");
+    FAIL() << "out-of-range value must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--x"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CliScenario, ResolvesOverridesLikeTheCampaignTools) {
+  const char* argv[] = {"prog", "--np=8", "--steps=10", "--seed=7"};
+  const Cli cli(4, argv);
+  const sweep::Scenario s = sweep::resolve_scenario("speed_vs_delay", cli);
+  EXPECT_EQ(s.name, "speed_vs_delay");
+  EXPECT_EQ(s.spec.np, std::vector<int>{8});
+  EXPECT_EQ(s.spec.steps, 10);
+  EXPECT_EQ(s.spec.campaign_seed, 7u);
+
+  const char* none[] = {"prog"};
+  const Cli plain(1, none);
+  const sweep::Scenario* catalog = sweep::find_scenario("speed_vs_delay");
+  ASSERT_NE(catalog, nullptr);
+  const sweep::Scenario d = sweep::resolve_scenario("speed_vs_delay", plain);
+  EXPECT_EQ(d.spec.steps, catalog->spec.steps);
+  EXPECT_EQ(d.spec.campaign_seed, catalog->spec.campaign_seed);
+  EXPECT_EQ(d.spec.points(), catalog->spec.points());
+}
+
+TEST(CliScenario, RejectsNarrowingAndUnknownNames) {
+  const auto resolve = [](const char* flag) {
+    const char* argv[] = {"prog", flag};
+    const Cli cli(2, argv);
+    return sweep::resolve_scenario("speed_vs_delay", cli);
+  };
+  // 2^32 + 10 used to run 10 steps; 2^64 - 1 used to be the seed for -1.
+  EXPECT_THROW(resolve("--steps=4294967306"), std::invalid_argument);
+  EXPECT_THROW(resolve("--seed=-1"), std::invalid_argument);
+  EXPECT_EQ(resolve("--seed=18446744073709551615").spec.campaign_seed,
+            18446744073709551615ull);
+
+  const char* none[] = {"prog"};
+  const Cli plain(1, none);
+  try {
+    (void)sweep::resolve_scenario("no_such_scenario", plain);
+    FAIL() << "unknown scenario must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("speed_vs_delay"), std::string::npos)
+        << "the message lists the catalog: " << e.what();
   }
 }
 

@@ -1,9 +1,8 @@
-// Tests for table rendering, CSV emission, CLI parsing, and unit formatting.
+// Tests for table rendering, number formatting, CLI parsing, and unit
+// formatting.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <string>
 
 #include "support/cli.hpp"
 #include "support/csv.hpp"
@@ -58,25 +57,6 @@ TEST(TextTable, SeparatorRendersRule) {
 TEST(FmtFixed, Decimals) {
   EXPECT_EQ(fmt_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_fixed(2.0, 0), "2");
-}
-
-TEST(Csv, WritesQuotedFields) {
-  const std::string path = "test_csv_out.tmp.csv";
-  {
-    CsvWriter w(path);
-    w.header({"a", "b"});
-    w.row({"plain", "with,comma"});
-    w.row({"with\"quote", "x"});
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "a,b");
-  std::getline(in, line);
-  EXPECT_EQ(line, "plain,\"with,comma\"");
-  std::getline(in, line);
-  EXPECT_EQ(line, "\"with\"\"quote\",x");
-  std::remove(path.c_str());
 }
 
 TEST(Csv, NumFormatsRoundTrip) {

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "sweep/scenario.hpp"
 #include "verify/oracle.hpp"
@@ -26,6 +28,30 @@ TEST(GoldenCorpus, EveryScenarioHasAFullValidCorpus) {
     EXPECT_EQ(corpus.records.size(), s.spec.points())
         << s.name << ": corpus must hold the full campaign";
   }
+}
+
+TEST(GoldenCorpus, CodecRewritesEveryRowByteForByte) {
+  // Every golden row, parsed and written back through the record codec,
+  // must reproduce the file's bytes: the codec prints exactly what the
+  // goldens were written with.
+  std::size_t rows = 0;
+  for (const sweep::Scenario& s : sweep::scenario_catalog()) {
+    const std::string path = golden_path(IW_GOLDEN_DIR, s.name);
+    const GoldenCorpus corpus = load_golden(path);
+    std::ifstream in(path);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));  // "# iw-golden ..." header
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line, sweep::csv_header()) << s.name;
+    for (const sweep::SweepRecord& rec : corpus.records) {
+      ASSERT_TRUE(std::getline(in, line)) << s.name;
+      std::string written;
+      sweep::append_csv_row(written, rec);
+      EXPECT_EQ(written, line) << s.name << " index " << rec.index;
+      ++rows;
+    }
+  }
+  EXPECT_GT(rows, 0u);
 }
 
 TEST(GoldenCorpus, QuickSubsetsAreNonEmptyAndInRange) {

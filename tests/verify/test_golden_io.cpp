@@ -64,6 +64,21 @@ TEST(GoldenIo, WriteLoadRoundTrip) {
           << "row " << r << " column " << sweep::record_schema()[c].name;
 }
 
+TEST(GoldenIo, WriteRejectsACommaAndWritesNothing) {
+  TempFile file("golden_io_comma.csv");
+  std::vector<sweep::SweepRecord> records = {sample_record(0),
+                                             sample_record(1)};
+  records[1].direction = "up,down";
+  try {
+    write_golden(file.path, "unit_test", records);
+    FAIL() << "a comma in a text column must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'up,down'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(std::ifstream(file.path).good());
+}
+
 TEST(GoldenIo, MissingFileThrows) {
   EXPECT_THROW(load_golden("does_not_exist_anywhere.csv"),
                std::runtime_error);
