@@ -4,17 +4,21 @@
 // runs ~3000 simulations).
 //
 // Each micro workload is measured twice: once on the production engine
-// (slab-backed 4-ary calendar + small-buffer EventFn) and once on an inline
-// reference replica of the naive seed implementation (std::priority_queue
-// of std::function events, pop-by-copy semantics via top()/pop()). The
-// workloads schedule closures of the size the simulator actually uses
-// (a context pointer plus ~3 words of captured state) — big enough that
-// std::function heap-allocates, as it does for every compute-completion and
-// protocol event in src/.
+// (slab-backed radix-heap calendar + small-buffer EventFn) and once on an
+// inline reference replica of the naive seed implementation
+// (std::priority_queue of std::function events, pop-by-copy semantics via
+// top()/pop()). The workloads schedule closures of the size the simulator
+// actually uses (a context pointer plus ~3 words of captured state) — big
+// enough that std::function heap-allocates, as it does for every
+// compute-completion and protocol event in src/.
 //
 // Two full-stack rings run on the production engine alone: an eager one,
 // and a noisy rendezvous one in the shape of idlewave_bench's decay_long,
 // whose timestamps are nearly all distinct like the paper's runs.
+//
+// The exit code is a regression gate: 1 when the production engine runs
+// any micro workload at less than kMinSpeedup times the naive replica
+// (summary.min_speedup), so a calendar regression fails CI.
 //
 // Flags: --json=<path> (default BENCH_engine.json; --out is an accepted
 //        alias), --smoke (CI-sized run),
@@ -42,6 +46,10 @@
 namespace {
 
 using namespace iw;
+
+/// Lowest accepted production/naive events-per-second ratio on any micro
+/// workload; the radix-heap calendar runs them at about 3-5x naive.
+constexpr double kMinSpeedup = 1.5;
 
 // ---------------------------------------------------------------------------
 // Reference engine: the seed's calendar, verbatim semantics.
@@ -290,6 +298,13 @@ struct EndToEnd {
   Measurement m;
 };
 
+double min_speedup(const std::vector<Comparison>& comparisons) {
+  double lowest = std::numeric_limits<double>::infinity();
+  for (const Comparison& c : comparisons)
+    lowest = std::min(lowest, c.speedup());
+  return lowest;
+}
+
 void write_json(const std::string& path, const std::string& mode,
                 const std::vector<Comparison>& comparisons,
                 const std::vector<EndToEnd>& rings) {
@@ -302,11 +317,9 @@ void write_json(const std::string& path, const std::string& mode,
       << "  \"mode\": \"" << mode << "\",\n"
       << "  \"workloads\": {\n";
   double log_sum = 0.0;
-  double min_speedup = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < comparisons.size(); ++i) {
     const Comparison& c = comparisons[i];
     log_sum += std::log(c.speedup());
-    min_speedup = std::min(min_speedup, c.speedup());
     out << "    \"" << c.name << "\": {\n"
         << "      \"events\": " << c.fast.events << ",\n"
         << "      \"naive_events_per_sec\": " << events_per_sec(c.naive)
@@ -331,7 +344,7 @@ void write_json(const std::string& path, const std::string& mode,
       << "  \"summary\": {\n"
       << "    \"geomean_speedup\": "
       << std::exp(log_sum / static_cast<double>(comparisons.size())) << ",\n"
-      << "    \"min_speedup\": " << min_speedup << "\n"
+      << "    \"min_speedup\": " << min_speedup(comparisons) << "\n"
       << "  }\n"
       << "}\n";
 }
@@ -359,8 +372,8 @@ int bench_main(int argc, char** argv) {
       cli.get("json").value_or(cli.get_or("out", "BENCH_engine.json"));
 
   bench::print_header("perf_engine",
-                      "event-engine throughput: slab-backed 4-ary calendar vs "
-                      "naive priority_queue baseline");
+                      "event-engine throughput: slab-backed radix-heap "
+                      "calendar vs naive priority_queue baseline");
 
   std::vector<Comparison> comparisons;
   comparisons.push_back(
@@ -398,6 +411,11 @@ int bench_main(int argc, char** argv) {
 
   write_json(out_path, smoke ? "smoke" : "full", comparisons, rings);
   std::cout << "\nwrote " << out_path << "\n";
+  if (const double lowest = min_speedup(comparisons); lowest < kMinSpeedup) {
+    std::cerr << "perf_engine: min_speedup " << lowest << " is below the "
+              << kMinSpeedup << "x gate\n";
+    return 1;
+  }
   return 0;
 }
 

@@ -14,11 +14,13 @@ namespace {
 constexpr std::uint64_t kSystemNoiseStream = 0;
 constexpr std::uint64_t kInjectedNoiseStream = 1;
 
-/// Calendar pre-sizing: a ring step wakes every rank and keeps a handful of
-/// protocol events per rank in flight, but at machine scale (100k+ ranks)
-/// the simultaneously pending population stays far below ranks*8 — the
-/// cap keeps the pre-allocation bounded while the calendar still grows on
-/// demand if a workload genuinely needs more.
+/// Calendar pre-sizing of the closure slab and its free list: a ring step
+/// wakes every rank and keeps a handful of protocol events per rank in
+/// flight, but at machine scale (100k+ ranks) the simultaneously pending
+/// population stays far below ranks*8 — the cap keeps the pre-allocation
+/// bounded while the calendar still grows on demand if a workload genuinely
+/// needs more. The radix buckets are not pre-sized: they grow on demand and
+/// keep their capacity across Engine::reset().
 std::size_t calendar_budget(int ranks) {
   return std::min<std::size_t>(static_cast<std::size_t>(ranks) * 8, 262144);
 }

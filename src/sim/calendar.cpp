@@ -1,6 +1,8 @@
 #include "sim/calendar.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <utility>
 
 #include "support/error.hpp"
@@ -8,6 +10,8 @@
 namespace iw::sim {
 
 std::uint64_t Calendar::schedule(SimTime when, EventFn fn) {
+  const std::int64_t t = when.ns();
+  IW_REQUIRE(t >= base_, "cannot schedule before the last removed event");
   const std::uint64_t seq = next_seq_++;
   IW_CHECK(seq < (1ull << (64 - kSlotBits)), "calendar sequence exhausted");
   std::uint32_t slot;
@@ -21,14 +25,19 @@ std::uint64_t Calendar::schedule(SimTime when, EventFn fn) {
     slot = static_cast<std::uint32_t>(slab_.size());
     slab_.push_back(std::move(fn));
   }
-  heap_.push_back(Entry{when.ns(), (seq << kSlotBits) | slot});
-  sift_up(heap_.size() - 1);
-  peak_size_ = std::max(peak_size_, heap_.size());
+  const Entry e{t, (seq << kSlotBits) | slot};
+  if (t == base_) {
+    ready_.push_back(e);  // the largest seq yet: the run stays sorted
+  } else {
+    const unsigned b = bucket_of(t);
+    buckets_[b].push_back(e);
+    occupied_ |= 1ull << b;
+  }
+  peak_size_ = std::max(peak_size_, ++size_);
   return seq;
 }
 
 void Calendar::reserve(std::size_t events) {
-  heap_.reserve(events);
   slab_.reserve(events);
   free_slots_.reserve(events);
 }
@@ -39,7 +48,12 @@ void Calendar::reset() noexcept {
   // about to recycle this storage for the next sweep point. (noexcept: an
   // audit failure here terminates, which is the right call outside tests.)
   IW_AUDIT(audit());
-  heap_.clear();
+  for (std::vector<Entry>& bucket : buckets_) bucket.clear();
+  occupied_ = 0;
+  ready_.clear();
+  ready_head_ = 0;
+  base_ = 0;
+  size_ = 0;
   slab_.clear();  // destroys any pending closures; capacity is retained
   free_slots_.clear();
   next_seq_ = 0;
@@ -47,61 +61,81 @@ void Calendar::reset() noexcept {
 }
 
 SimTime Calendar::next_time() const {
-  IW_REQUIRE(!heap_.empty(), "next_time on empty calendar");
-  return SimTime{heap_.front().when_ns};
+  IW_REQUIRE(!empty(), "next_time on empty calendar");
+  return SimTime{ready_head_ < ready_.size() ? base_ : lowest_bucket_min()};
 }
 
 Event Calendar::pop() {
-  IW_REQUIRE(!heap_.empty(), "pop on empty calendar");
-  const Entry root = take_root();
-  return Event{SimTime{root.when_ns}, root.seq_slot >> kSlotBits,
-               std::move(slab_[root.seq_slot & kSlotMask])};
+  IW_REQUIRE(!empty(), "pop on empty calendar");
+  fill_ready(std::numeric_limits<std::int64_t>::max());
+  const std::uint64_t seq_slot = take_ready();
+  return Event{SimTime{base_}, seq_slot >> kSlotBits,
+               std::move(slab_[seq_slot & kSlotMask])};
 }
 
 bool Calendar::pop_if_at(SimTime when, EventFn& out) {
-  if (heap_.empty() || heap_.front().when_ns != when.ns()) return false;
-  out = std::move(slab_[take_root().seq_slot & kSlotMask]);
+  if (empty() || next_time() != when) return false;
+  SimTime at;
+  return pop_until(when, at, out);
+}
+
+bool Calendar::pop_until(SimTime deadline, SimTime& when, EventFn& out) {
+  if (!fill_ready(deadline.ns())) return false;
+  when = SimTime{base_};
+  out = std::move(slab_[take_ready() & kSlotMask]);
   return true;
 }
 
-Calendar::Entry Calendar::take_root() {
-  const Entry root = heap_.front();
-  const auto slot = static_cast<std::uint32_t>(root.seq_slot & kSlotMask);
-  IW_ASSERT(slot < slab_.size(), "heap root references a slot off the slab");
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (heap_.size() > 1) sift_down(0);
-  free_slots_.push_back(slot);
-  return root;
+unsigned Calendar::bucket_of(std::int64_t when_ns) const noexcept {
+  // Both times are >= 0 and differ, so the xor is non-zero.
+  return static_cast<unsigned>(
+      std::bit_width(static_cast<std::uint64_t>(when_ns ^ base_)) - 1);
 }
 
-void Calendar::sift_up(std::size_t i) {
-  const Entry e = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kArity;
-    if (!earlier(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = e;
+std::int64_t Calendar::lowest_bucket_min() const noexcept {
+  const std::vector<Entry>& bucket = buckets_[std::countr_zero(occupied_)];
+  std::int64_t m = bucket.front().when_ns;
+  for (const Entry& e : bucket) m = std::min(m, e.when_ns);
+  return m;
 }
 
-void Calendar::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  const Entry e = heap_[i];
-  for (;;) {
-    const std::size_t first = i * kArity + 1;
-    if (first >= n) break;
-    const std::size_t last = std::min(first + kArity, n);
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (earlier(heap_[c], heap_[best])) best = c;
+bool Calendar::fill_ready(std::int64_t limit) {
+  if (ready_head_ < ready_.size()) return base_ <= limit;
+  if (occupied_ == 0) return false;
+  const std::int64_t t = lowest_bucket_min();
+  if (t > limit) return false;
+  // Re-base on the bucket's earliest time. Every entry of the lowest bucket
+  // shares the bits above its index with both the old and the new base, so
+  // the others now differ from the base in a lower bit; the higher buckets
+  // keep their index. The buckets below are empty, so each one fed here
+  // (and the ready run) receives a subsequence of this seq-sorted bucket.
+  const unsigned from = static_cast<unsigned>(std::countr_zero(occupied_));
+  occupied_ &= occupied_ - 1;
+  base_ = t;
+  for (const Entry& e : buckets_[from]) {
+    if (e.when_ns == t) {
+      ready_.push_back(e);
+    } else {
+      const unsigned b = bucket_of(e.when_ns);
+      buckets_[b].push_back(e);
+      occupied_ |= 1ull << b;
     }
-    if (!earlier(heap_[best], e)) break;
-    heap_[i] = heap_[best];
-    i = best;
   }
-  heap_[i] = e;
+  buckets_[from].clear();
+  return true;
+}
+
+std::uint64_t Calendar::take_ready() {
+  const std::uint64_t seq_slot = ready_[ready_head_].seq_slot;
+  if (++ready_head_ == ready_.size()) {
+    ready_.clear();
+    ready_head_ = 0;
+  }
+  --size_;
+  const auto slot = static_cast<std::uint32_t>(seq_slot & kSlotMask);
+  IW_ASSERT(slot < slab_.size(), "ready entry references a slot off the slab");
+  free_slots_.push_back(slot);
+  return seq_slot;
 }
 
 void Calendar::audit() const {
@@ -114,19 +148,49 @@ void Calendar::audit() const {
     IW_ASSERT(!used[slot], "slot appears twice on the free list");
     used[slot] = 1;
   }
-
-  // Heap order, and every live slot referenced by exactly one heap entry.
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    if (i > 0) {
-      IW_ASSERT(!earlier(heap_[i], heap_[(i - 1) / kArity]),
-                "heap order property violated");
-    }
-    const auto slot = static_cast<std::uint32_t>(heap_[i].seq_slot & kSlotMask);
-    IW_ASSERT(slot < slab_.size(), "heap entry references a slot off the slab");
-    IW_ASSERT(!used[slot], "heap entry references a freed or shared slot");
+  auto claim = [&](const Entry& e) {
+    const auto slot = static_cast<std::uint32_t>(e.seq_slot & kSlotMask);
+    IW_ASSERT(slot < slab_.size(), "calendar entry references a slot off slab");
+    IW_ASSERT(!used[slot], "calendar entry references a freed or shared slot");
     used[slot] = 1;
+  };
+
+  // Buckets: occupancy mirrors non-emptiness, every entry sits in the
+  // bucket of its highest bit differing from the base, and each bucket is
+  // in ascending seq (which is what keeps a refilled ready run sorted).
+  std::size_t pending = 0;
+  for (unsigned i = 0; i < kBuckets; ++i) {
+    const std::vector<Entry>& bucket = buckets_[i];
+    IW_ASSERT(((occupied_ >> i) & 1u) == (bucket.empty() ? 0u : 1u),
+              "occupancy bit disagrees with its bucket");
+    for (std::size_t k = 0; k < bucket.size(); ++k) {
+      const Entry& e = bucket[k];
+      IW_ASSERT(e.when_ns > base_, "bucket entry not after the base");
+      IW_ASSERT(bucket_of(e.when_ns) == i, "bucket entry in the wrong bucket");
+      if (k > 0) {
+        IW_ASSERT(bucket[k - 1].seq_slot < e.seq_slot,
+                  "bucket out of seq order");
+      }
+      claim(e);
+    }
+    pending += bucket.size();
   }
-  IW_ASSERT(free_slots_.size() + heap_.size() == slab_.size(),
+
+  // Ready run: at the base, ascending seq, and fully drained runs cleared.
+  IW_ASSERT(ready_head_ < ready_.size() || (ready_head_ == 0 && ready_.empty()),
+            "exhausted ready run not cleared");
+  for (std::size_t i = ready_head_; i < ready_.size(); ++i) {
+    IW_ASSERT(ready_[i].when_ns == base_, "ready entry not at the base");
+    if (i > ready_head_) {
+      IW_ASSERT(ready_[i - 1].seq_slot < ready_[i].seq_slot,
+                "ready run out of seq order");
+    }
+    claim(ready_[i]);
+  }
+  pending += ready_.size() - ready_head_;
+
+  IW_ASSERT(pending == size_, "pending count != buckets + ready run");
+  IW_ASSERT(free_slots_.size() + size_ == slab_.size(),
             "slab accounting broken: live + free != slab extent");
 #endif
 }

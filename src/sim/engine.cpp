@@ -24,23 +24,23 @@ void Engine::run_until(SimTime deadline) {
   if (tracer_ != nullptr)
     tracer_->record(now_, obs::TraceEvent::kRunBegin, -1);
   EventFn fn;
-  while (!stopped_ && !calendar_.empty()) {
-    const SimTime batch = calendar_.next_time();
-    if (batch > deadline) break;
-    IW_ASSERT(batch >= now_, "calendar produced an out-of-order event");
-    now_ = batch;
-    ++batches_;
-    // Same-timestamp fast path: drain the whole batch with one combined
-    // check-and-pop per event instead of an empty/next_time/pop triple.
-    // (time, seq) determinism is preserved: the heap yields equal-time
-    // entries in ascending seq order, and anything scheduled at `batch`
-    // from inside a handler gets a larger seq, so it drains after the
-    // events already pending — exactly the one-at-a-time order.
-    while (calendar_.pop_if_at(batch, fn)) {
-      ++processed_;
-      fn();
-      if (stopped_) break;
+  SimTime when;
+  // One calendar call per event. A batch is a run of events at one
+  // timestamp: the first event of each call opens one, as does every
+  // change of time. (time, seq) determinism holds because the calendar
+  // yields equal-time entries in ascending seq order, and anything
+  // scheduled at the current time from inside a handler gets a larger seq,
+  // so it fires after the events already pending there.
+  bool in_batch = false;
+  while (!stopped_ && calendar_.pop_until(deadline, when, fn)) {
+    if (!in_batch || when != now_) {
+      IW_ASSERT(when >= now_, "calendar produced an out-of-order event");
+      now_ = when;
+      ++batches_;
+      in_batch = true;
     }
+    ++processed_;
+    fn();
   }
   if (tracer_ != nullptr) tracer_->record(now_, obs::TraceEvent::kRunEnd, -1);
 }

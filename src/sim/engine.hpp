@@ -67,8 +67,9 @@ class Engine {
 
   [[nodiscard]] bool stopped() const { return stopped_; }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
-  /// Distinct timestamps drained (outer run-loop iterations); each batch
-  /// runs every event pending at one timestamp.
+  /// Same-timestamp runs drained: each run_until() call opens a batch at
+  /// its first event and at every change of time, and a batch runs every
+  /// event pending at its timestamp.
   [[nodiscard]] std::uint64_t batches() const { return batches_; }
   [[nodiscard]] std::size_t events_pending() const { return calendar_.size(); }
 

@@ -59,6 +59,32 @@ TEST(Calendar, EmptyAccessorsThrow) {
   EXPECT_THROW((void)cal.pop(), std::invalid_argument);
 }
 
+// The base is the last removed time: scheduling before it is a contract
+// violation, while scheduling at it or anywhere up to the next pending
+// time stays legal, and a peek or a failing pop_if_at/pop_until does not
+// move it.
+TEST(Calendar, ScheduleBeforeLastPopThrows) {
+  Calendar cal;
+  cal.schedule(SimTime{10}, [] {});
+  cal.schedule(SimTime{1000}, [] {});
+  EXPECT_EQ(cal.pop().when, SimTime{10});
+  EXPECT_THROW(cal.schedule(SimTime{9}, [] {}), std::invalid_argument);
+  EXPECT_EQ(cal.next_time(), SimTime{1000});
+  EventFn fn;
+  SimTime when;
+  EXPECT_FALSE(cal.pop_if_at(SimTime{999}, fn));
+  EXPECT_FALSE(cal.pop_until(SimTime{999}, when, fn));
+  EXPECT_NO_THROW(cal.schedule(SimTime{10}, [] {}));
+  EXPECT_NO_THROW(cal.schedule(SimTime{500}, [] {}));
+  EXPECT_EQ(cal.size(), 3u);
+  EXPECT_EQ(cal.pop().when, SimTime{10});
+  EXPECT_EQ(cal.pop().when, SimTime{500});
+  EXPECT_THROW(cal.schedule(SimTime{499}, [] {}), std::invalid_argument);
+  EXPECT_EQ(cal.pop().when, SimTime{1000});
+  cal.reset();
+  EXPECT_NO_THROW(cal.schedule(SimTime{0}, [] {}));
+}
+
 TEST(Calendar, SequenceNumbersIncrease) {
   Calendar cal;
   const auto s1 = cal.schedule(SimTime{1}, [] {});
@@ -184,12 +210,12 @@ TEST(Calendar, RandomizedMixDrainsInTimeSeqOrder) {
   }
 }
 
-// Drive the slab/heap machinery through heavy churn with the structural
+// Drive the slab/bucket machinery through heavy churn with the structural
 // audit engaged at every step. audit() is a no-op in plain Release, so this
 // test is cheap there and exhaustive in Debug/IDLEWAVE_AUDIT/sanitizer
-// builds: free-list integrity, heap order, and the one-entry-per-live-slot
-// reconciliation all hold at every intermediate state, including across
-// reset() and slab reuse.
+// builds: free-list integrity, bucket placement and seq order, the ready
+// run, and the one-entry-per-live-slot reconciliation all hold at every
+// intermediate state, including across reset() and slab reuse.
 TEST(Calendar, AuditHoldsThroughChurnAndReset) {
   Calendar cal;
   std::uint64_t rng = 0x1D1EAF0000C0DEull;
@@ -200,13 +226,17 @@ TEST(Calendar, AuditHoldsThroughChurnAndReset) {
     return rng;
   };
   for (int round = 0; round < 3; ++round) {
-    // Interleave schedules (with many duplicate timestamps) and pops (so
-    // slots recycle LIFO while same-time events are pending).
+    // Interleave schedules (with many duplicate timestamps, never before
+    // the last popped time) and pops (so slots recycle LIFO while same-time
+    // events are pending).
+    std::int64_t last_popped = 0;
     for (int i = 0; i < 600; ++i) {
-      cal.schedule(SimTime{static_cast<std::int64_t>(next() % 32)}, [] {});
+      cal.schedule(
+          SimTime{last_popped + static_cast<std::int64_t>(next() % 32)},
+          [] {});
       if (i % 3 == 2) {
         (void)cal.pop();
-        (void)cal.pop();
+        last_popped = cal.pop().when.ns();
       }
       cal.audit();
     }
@@ -222,72 +252,77 @@ TEST(Calendar, AuditHoldsThroughChurnAndReset) {
 }
 
 // The calendar against a std::priority_queue over (when, seq) under churn:
-// schedules interleave with pop() and pop_if_at() drains, drains reschedule
-// at the current time with zero delay, and reset() starts every round from
-// a pristine calendar (with events still pending in the even rounds).
+// schedules interleave with pop(), next_time() peeks and pop_if_at()
+// drains, drains reschedule at the current time with zero delay, and
+// reset() starts every round from a pristine calendar (with events still
+// pending in the even rounds). The far jumps run once up to 4096 ns and
+// once up to 2^40 ns, so high buckets fill and get redistributed.
 TEST(Calendar, MatchesReferenceHeapUnderRandomInterleaving) {
   using Key = std::pair<std::int64_t, std::uint64_t>;
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    std::uint64_t rng = 0x9E3779B97F4A7C15ull * seed;
-    auto next = [&rng] {
-      rng ^= rng << 13;
-      rng ^= rng >> 7;
-      rng ^= rng << 17;
-      return rng;
-    };
-    Calendar cal;
-    for (int round = 0; round < 4; ++round) {
-      std::priority_queue<Key, std::vector<Key>, std::greater<>> ref;
-      std::vector<std::uint64_t> seq_of;  // closure id -> its seq
-      std::size_t fired = 0;              // id of the last closure run
-      std::int64_t now = 0;
-      auto schedule = [&](std::int64_t when) {
-        const std::size_t id = seq_of.size();
-        seq_of.push_back(
-            cal.schedule(SimTime{when}, [&fired, id] { fired = id; }));
-        ref.emplace(when, seq_of.back());
+  for (const std::uint64_t far :
+       {std::uint64_t{4096}, std::uint64_t{1} << 40}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      std::uint64_t rng = 0x9E3779B97F4A7C15ull * seed;
+      auto next = [&rng] {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return rng;
       };
-      auto expect_next = [&](std::int64_t when) {
-        ASSERT_FALSE(ref.empty());
-        EXPECT_EQ(Key(when, seq_of[fired]), ref.top())
-            << "seed " << seed << " round " << round;
-        ref.pop();
-      };
-      auto pop_one = [&] {
-        Event ev = cal.pop();
-        ev.fn();
-        EXPECT_EQ(ev.seq, seq_of[fired]);
-        expect_next(ev.when.ns());
-        now = ev.when.ns();
-      };
+      Calendar cal;
+      for (int round = 0; round < 4; ++round) {
+        std::priority_queue<Key, std::vector<Key>, std::greater<>> ref;
+        std::vector<std::uint64_t> seq_of;  // closure id -> its seq
+        std::size_t fired = 0;              // id of the last closure run
+        std::int64_t now = 0;
+        auto schedule = [&](std::int64_t when) {
+          const std::size_t id = seq_of.size();
+          seq_of.push_back(
+              cal.schedule(SimTime{when}, [&fired, id] { fired = id; }));
+          ref.emplace(when, seq_of.back());
+        };
+        auto expect_next = [&](std::int64_t when) {
+          ASSERT_FALSE(ref.empty());
+          EXPECT_EQ(Key(when, seq_of[fired]), ref.top())
+              << "far " << far << " seed " << seed << " round " << round;
+          ref.pop();
+        };
+        auto pop_one = [&] {
+          Event ev = cal.pop();
+          ev.fn();
+          EXPECT_EQ(ev.seq, seq_of[fired]);
+          expect_next(ev.when.ns());
+          now = ev.when.ns();
+        };
 
-      for (int op = 0; op < 2500; ++op) {
-        const std::uint64_t r = next() % 8;
-        if (r < 5 || cal.empty()) {
-          // Mostly near-future times (many ties, zero delays included),
-          // sometimes far ones so the heap grows deep.
-          const auto delta = static_cast<std::int64_t>(
-              next() % 4 == 0 ? next() % 4096 : next() % 16);
-          schedule(now + delta);
-        } else if (r < 6) {
-          pop_one();
-        } else {
-          now = cal.next_time().ns();
-          EventFn fn;
-          while (cal.pop_if_at(SimTime{now}, fn)) {
-            fn();
-            expect_next(now);
-            if (next() % 4 == 0) schedule(now);
+        for (int op = 0; op < 2500; ++op) {
+          const std::uint64_t r = next() % 8;
+          if (r < 5 || cal.empty()) {
+            // Mostly near-future times (many ties, zero delays included),
+            // sometimes far ones so the heap grows deep.
+            const auto delta = static_cast<std::int64_t>(
+                next() % 4 == 0 ? next() % far : next() % 16);
+            schedule(now + delta);
+          } else if (r < 6) {
+            pop_one();
+          } else {
+            now = cal.next_time().ns();
+            EventFn fn;
+            while (cal.pop_if_at(SimTime{now}, fn)) {
+              fn();
+              expect_next(now);
+              if (next() % 4 == 0) schedule(now);
+            }
           }
+          ASSERT_EQ(cal.size(), ref.size());
+          cal.audit();
         }
-        ASSERT_EQ(cal.size(), ref.size());
-        cal.audit();
+        if (round % 2 == 1) {
+          while (!cal.empty()) pop_one();
+          EXPECT_TRUE(ref.empty());
+        }
+        cal.reset();
       }
-      if (round % 2 == 1) {
-        while (!cal.empty()) pop_one();
-        EXPECT_TRUE(ref.empty());
-      }
-      cal.reset();
     }
   }
 }

@@ -113,6 +113,44 @@ TEST(Engine, PeakPendingTracksCalendarPopulation) {
   EXPECT_EQ(eng.events_processed(), 10u);
 }
 
+// Regression for a calendar peek that moves its base: after run_until()
+// stops short of the next pending event, scheduling anywhere in
+// [now, next pending time) stays legal and fires in (time, seq) order.
+TEST(Engine, ScheduleBelowPendingAfterRunUntil) {
+  Engine eng;
+  std::vector<std::int64_t> fired;
+  auto record = [&] { fired.push_back(eng.now().ns()); };
+  eng.at(SimTime{10}, record);
+  eng.at(SimTime{1000}, record);
+  eng.run_until(SimTime{20});
+  EXPECT_EQ(eng.now(), SimTime{10});
+  EXPECT_EQ(eng.events_pending(), 1u);
+  eng.at(SimTime{500}, record);
+  eng.at(SimTime{20}, record);
+  EXPECT_EQ(eng.events_pending(), 3u);
+  EXPECT_EQ(eng.peak_events_pending(), 3u);
+  eng.run();
+  EXPECT_EQ(fired, (std::vector<std::int64_t>{10, 20, 500, 1000}));
+  EXPECT_EQ(eng.events_pending(), 0u);
+  EXPECT_EQ(eng.peak_events_pending(), 3u);
+  EXPECT_EQ(eng.batches(), 4u);
+}
+
+// batches() counts runs of one timestamp: a zero-delay child joins its
+// parent's batch, and a call resumed after stop() opens a new one.
+TEST(Engine, BatchesCountTimestampRunsPerCall) {
+  Engine eng;
+  eng.at(SimTime{5}, [&] { eng.stop(); });
+  eng.at(SimTime{5}, [] {});
+  eng.at(SimTime{7}, [&] { eng.after(Duration::zero(), [] {}); });
+  eng.at(SimTime{9}, [] {});
+  eng.run();
+  EXPECT_EQ(eng.batches(), 1u);
+  eng.run();
+  EXPECT_EQ(eng.batches(), 4u);
+  EXPECT_EQ(eng.events_processed(), 5u);
+}
+
 TEST(Engine, DeterministicTieOrder) {
   Engine eng;
   std::vector<int> order;
