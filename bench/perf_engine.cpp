@@ -14,7 +14,9 @@
 //
 // Two full-stack rings run on the production engine alone: an eager one,
 // and a noisy rendezvous one in the shape of idlewave_bench's decay_long,
-// whose timestamps are nearly all distinct like the paper's runs.
+// whose timestamps are nearly all distinct like the paper's runs. Their
+// rows report wall time per run next to events/s, because a transport
+// change that cuts events per message moves events/s either way.
 //
 // The exit code is a regression gate: 1 when the production engine runs
 // any micro workload at less than kMinSpeedup times the naive replica
@@ -280,6 +282,10 @@ double events_per_sec(const Measurement& m) {
   return m.seconds > 0 ? static_cast<double>(m.events) / m.seconds : 0.0;
 }
 
+/// Wall time of one ring run. Unlike events/s it stays comparable when a
+/// change alters how many events a message costs.
+double ms_per_run(const Measurement& m) { return m.seconds * 1e3; }
+
 struct Comparison {
   std::string name;
   Measurement naive;
@@ -337,6 +343,7 @@ void write_json(const std::string& path, const std::string& mode,
         << "      \"steps\": " << r.steps << ",\n"
         << "      \"events\": " << r.m.events << ",\n"
         << "      \"events_per_sec\": " << events_per_sec(r.m) << ",\n"
+        << "      \"ms_per_run\": " << ms_per_run(r.m) << ",\n"
         << "      \"peak_calendar\": " << r.m.peak << "\n"
         << "    }" << (i + 1 < rings.size() ? "," : "") << "\n";
   }
@@ -405,8 +412,9 @@ int bench_main(int argc, char** argv) {
        best_of(ring_reps,
                [&] { return run_noisy_rendezvous(128, noisy_steps); })}};
   for (const EndToEnd& r : rings) {
-    std::cout << r.name << ": " << events_per_sec(r.m) / 1e6 << " Mev/s over "
-              << r.m.events << " events (peak calendar " << r.m.peak << ")\n";
+    std::cout << r.name << ": " << ms_per_run(r.m) << " ms/run, "
+              << events_per_sec(r.m) / 1e6 << " Mev/s over " << r.m.events
+              << " events (peak calendar " << r.m.peak << ")\n";
   }
 
   write_json(out_path, smoke ? "smoke" : "full", comparisons, rings);

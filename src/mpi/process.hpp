@@ -66,11 +66,13 @@ class Process {
   void start();
 
   /// Transport callback for completions whose finish time is already known
-  /// (a matched receive settles `overhead` after its arrival, a rendezvous
-  /// sender when its payload is injected): marks the request as settling at
-  /// `due` instead of costing a completion event. A blocked WaitAll whose
-  /// remaining requests are all timed re-arms a single wake at the latest
-  /// due point — one event per wait window, not one per completion.
+  /// (a matched receive settles `overhead` after its arrival; a two-sided
+  /// rendezvous push settles both its sender, at injection end, and its
+  /// receiver, at arrival + overhead, when it is posted): marks the request
+  /// as settling at `due` instead of costing a completion event. A blocked
+  /// WaitAll whose remaining requests are all timed re-arms a single wake
+  /// at the latest due point — one event per wait window, not one per
+  /// completion.
   void on_request_settles_at(RequestId id, SimTime due);
 
   /// Plain-pointer completion hook (rank-done notification): no type-erased

@@ -378,7 +378,7 @@ void Transport::on_nic_drain(int src) {
       const Duration overhead =
           send_eager(cls, entry.envelope.src, entry.envelope.dst,
                      entry.envelope.tag, entry.envelope.bytes);
-      complete(src, entry.request, overhead);
+      complete(src, entry.request, engine_.now() + overhead);
     } else {
       assert_rdv_live(entry.slot, "NIC backlog drain");
       const Envelope& env = rdv_slab_[entry.slot].envelope;
@@ -392,17 +392,16 @@ void Transport::deliver(int rank, RequestId request) {
   on_complete_(rank, request);
 }
 
-void Transport::complete(int rank, RequestId request, Duration delay) {
+void Transport::complete(int rank, RequestId request, SimTime due) {
   // Direct-wired mode: the finish time is known now, so tell the process
-  // the request settles at now + delay — no completion event at all. The
+  // the request settles at `due` — no completion event at all. The
   // CompletionFn fallback (tests, harnesses without Process objects) keeps
-  // the event-delivered semantics.
+  // the event-delivered semantics: one delivery event at `due`.
   if (procs_ != nullptr) {
-    procs_[rank]->on_request_settles_at(request, engine_.now() + delay);
+    procs_[rank]->on_request_settles_at(request, due);
     return;
   }
-  engine_.after(delay,
-                [this, rank, request] { deliver(rank, request); });
+  engine_.at(due, [this, rank, request] { deliver(rank, request); });
 }
 
 std::optional<Duration> Transport::post_send(int src, int dst, int tag,
@@ -486,7 +485,7 @@ void Transport::on_eager_arrival(const Envelope& envelope, Duration overhead) {
   for (std::size_t i = 0; i < q.size(); ++i) {
     if (!envelope.matches(q[i].src, q[i].tag)) continue;
     trace(obs::TraceEvent::kMatch, envelope.dst, envelope.src, envelope.bytes);
-    complete(envelope.dst, q[i].request, overhead);
+    complete(envelope.dst, q[i].request, engine_.now() + overhead);
     if (track_credits_) return_credit(envelope.src, envelope.dst);
     q.erase(i);
     return;
@@ -615,17 +614,35 @@ void Transport::push_data(std::uint32_t slot) {
   const RequestId send_request = send.send_request;
   const RequestId recv_request = send.recv_request;
   const net::LinkClass cls = topo_.classify(src, dst);
-  const Duration overhead = fabric_.params(cls).overhead;
+  const net::LinkParams& p = fabric_.params(cls);
   trace(obs::TraceEvent::kPushSend, src, dst, bytes);
-  // The sender is done once the payload is fully handed off; the receiver
-  // when it has arrived (plus the per-message overhead).
+
+  if (nic_path(cls, src)) {
+    // The NIC fixes both finish times now: the sender is done once the
+    // payload is injected, the receiver once it has arrived plus the
+    // per-message overhead. Both settle here, with no event. Due times
+    // strictly after now keep on_request_settles_at from resuming a
+    // process synchronously inside the deferred-push flush loop.
+    const SimTime arrival = inject(p, src, bytes);
+    const SimTime send_due = arrival - p.latency;
+    const SimTime recv_due = arrival + p.overhead;
+    IW_ASSERT(send_due > engine_.now() && recv_due > engine_.now(),
+              "rendezvous push settles at or before its post time");
+    if (tracer_ != nullptr) [[unlikely]]
+      tracer_->record(arrival, obs::TraceEvent::kPushRecv, dst, src, bytes);
+    complete(src, send_request, send_due);
+    complete(dst, recv_request, recv_due);
+    return;
+  }
+
+  // Memory path: the bandwidth domains decide the finish times later.
   transfer(cls, src, dst, bytes,
            [this, src, send_request] {
-             complete(src, send_request, Duration::zero());
+             complete(src, send_request, engine_.now());
            },
-           [this, src, dst, bytes, recv_request, overhead] {
+           [this, src, dst, bytes, recv_request, overhead = p.overhead] {
              trace(obs::TraceEvent::kPushRecv, dst, src, bytes);
-             complete(dst, recv_request, overhead);
+             complete(dst, recv_request, engine_.now() + overhead);
            });
 }
 
@@ -648,13 +665,13 @@ void Transport::put_data(std::uint32_t slot) {
   // FIN's arrival is what completes the receiver.
   transfer(cls, src, dst, send.envelope.bytes,
            [this, src, dst, send_request, recv_request, cls] {
-             complete(src, send_request, Duration::zero());
+             complete(src, send_request, engine_.now());
              trace(obs::TraceEvent::kFinSend, src, dst);
              const SimTime fin_arrival =
                  inject(fabric_.params(cls), src, 0);
              engine_.at(fin_arrival, [this, src, dst, recv_request] {
                trace(obs::TraceEvent::kFinRecv, dst, src);
-               complete(dst, recv_request, Duration::zero());
+               complete(dst, recv_request, engine_.now());
              });
            },
            /*on_arrival=*/nullptr);
@@ -698,13 +715,13 @@ void Transport::on_get_arrival(std::uint32_t slot) {
            /*on_injected=*/nullptr,
            [this, src, dst, bytes, send_request, recv_request, cls] {
              trace(obs::TraceEvent::kGetRecv, dst, src, bytes);
-             complete(dst, recv_request, Duration::zero());
+             complete(dst, recv_request, engine_.now());
              trace(obs::TraceEvent::kFinSend, dst, src);
              const SimTime fin_arrival =
                  inject(fabric_.params(cls), dst, 0);
              engine_.at(fin_arrival, [this, src, dst, send_request] {
                trace(obs::TraceEvent::kFinRecv, src, dst);
-               complete(src, send_request, Duration::zero());
+               complete(src, send_request, engine_.now());
              });
            });
 }
@@ -722,7 +739,7 @@ void Transport::post_recv(int dst, int src, int tag, std::int64_t bytes,
     if (!ue[i].matches(src, tag)) continue;
     const auto& p = link(src, dst);
     trace(obs::TraceEvent::kMatch, dst, src, ue[i].bytes);
-    complete(dst, request, p.overhead);
+    complete(dst, request, engine_.now() + p.overhead);
     if (track_credits_) return_credit(src, dst);
     ue.erase(i);
     return;

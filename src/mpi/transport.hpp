@@ -25,7 +25,13 @@
 //     pushes the payload; the receiver's CPU completes the message (charged
 //     `o`). Pushes are subject to the RendezvousPipelining semantic
 //     (message.hpp) — the deferred_push rule is what makes bidirectional
-//     rendezvous waves travel at sigma = 2.
+//     rendezvous waves travel at sigma = 2. Like an eager send, a push over
+//     the NIC knows both finish times when it is posted (the sender at
+//     injection end, the receiver at arrival + `o`), so both requests settle
+//     at push time and the payload leg schedules no event: a two-sided
+//     rendezvous message costs two events, the RTS and CTS arrivals. Only
+//     the intra-node memory-copy path, whose finish times the bandwidth
+//     domains decide later, still runs on completion events.
 //   * rdma_put — the CTS doubles as an RTR carrying the target address and
 //     remote key; the sender's NIC puts the payload one-sidedly and chases
 //     it with a FIN control message, whose arrival — not the payload's —
@@ -349,7 +355,10 @@ class Transport {
   void put_data(std::uint32_t slot);
   void issue_get(std::uint32_t slot, RequestId recv_request);
   void on_get_arrival(std::uint32_t slot);
-  void complete(int rank, RequestId request, Duration delay);
+  /// Settles `request` on `rank` at the absolute time `due` (>= now): a
+  /// direct call into the Process when wired, one delivery event at `due`
+  /// under the CompletionFn fallback.
+  void complete(int rank, RequestId request, SimTime due);
   void deliver(int rank, RequestId request);
 
   /// Returns one eager credit for a drained (src -> dst) message.

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <vector>
 
+#include "mpi/process.hpp"
+#include "mpi/program.hpp"
+#include "mpi/trace.hpp"
 #include "mpi/transport.hpp"
 #include "net/fabric.hpp"
 #include "net/topology.hpp"
@@ -181,6 +185,83 @@ TEST(Transport, RendezvousTimingIncludesHandshake) {
             Duration{4000});
   // Sender completes when the payload is injected (before the latency).
   EXPECT_EQ(f.completion_time(0, 0), SimTime{3000});
+}
+
+TEST(Transport, TwoSidedPushSchedulesNoCompletionEvents) {
+  // One pre-posted 100 kB rendezvous message between two Process-wired
+  // ranks. Each rank posts, then computes 50 us, then waits. RTS lands at
+  // 1 us and CTS at 2 us. The push then fixes both finish times: injection
+  // end at 102 us for the sender, and arrival at 103 us for the receiver.
+  sim::Engine engine;
+  net::Topology topo(net::TopologySpec::one_rank_per_node(2));
+  const net::FabricProfile fabric = fabric_with_eager_limit(0);
+  Transport transport(engine, topo, fabric, {});
+  Trace trace(2);
+  Process sender(0, engine, transport, trace);
+  Process receiver(1, engine, transport, trace);
+  const std::vector<Process*> table{&sender, &receiver};
+  transport.set_processes(table.data());
+
+  constexpr std::int64_t kBytes = 100'000;
+  Program send_prog;
+  send_prog.isend(1, kBytes, 0).compute(microseconds(50.0), false).waitall();
+  Program recv_prog;
+  recv_prog.irecv(0, kBytes, 0).compute(microseconds(50.0), false).waitall();
+  sender.set_program(&send_prog);
+  receiver.set_program(&recv_prog);
+  sender.start();
+  receiver.start();
+
+  // Through the CTS arrival: two starts, the RTS and the CTS. Both ranks
+  // are still computing, so the push settles both requests without
+  // scheduling anything. Only the two compute ends remain.
+  engine.run_until(SimTime{2000});
+  EXPECT_EQ(engine.events_processed(), 4u);
+  EXPECT_EQ(engine.events_pending(), 2u);
+
+  engine.run();
+  EXPECT_TRUE(sender.done());
+  EXPECT_TRUE(receiver.done());
+  // Compute ends and one timed wake per blocked WaitAll.
+  EXPECT_EQ(engine.events_processed(), 8u);
+  ASSERT_EQ(trace.segments(0).size(), 2u);
+  ASSERT_EQ(trace.segments(1).size(), 2u);
+  const Segment& send_wait = trace.segments(0)[1];
+  const Segment& recv_wait = trace.segments(1)[1];
+  EXPECT_EQ(send_wait.kind, SegKind::wait);
+  EXPECT_EQ(recv_wait.kind, SegKind::wait);
+  EXPECT_EQ(send_wait.end, SimTime{102'000});
+  EXPECT_EQ(recv_wait.end,
+            SimTime::zero() + transport.rendezvous_transfer_time(0, 1, kBytes));
+}
+
+TEST(Transport, TwoSidedPushDeliversOnceAtSettleTimeWithoutProcesses) {
+  // The CompletionFn twin: each request gets one delivery event, at the
+  // same times the Process-wired path settles it.
+  sim::Engine engine;
+  net::Topology topo(net::TopologySpec::one_rank_per_node(2));
+  const net::FabricProfile fabric = fabric_with_eager_limit(0);
+  Transport transport(engine, topo, fabric, {});
+  std::map<std::pair<int, RequestId>, std::vector<SimTime>> deliveries;
+  transport.set_completion_handler([&](int rank, RequestId req) {
+    deliveries[{rank, req}].push_back(engine.now());
+  });
+
+  constexpr std::int64_t kBytes = 100'000;
+  transport.post_recv(1, 0, 0, kBytes, 0);
+  EXPECT_FALSE(transport.post_send(0, 1, 0, kBytes, 0).has_value());
+  engine.run_until(SimTime{2000});
+  EXPECT_EQ(engine.events_processed(), 2u);  // RTS and CTS arrivals
+  EXPECT_EQ(engine.events_pending(), 2u);    // one delivery per request
+
+  engine.run();
+  EXPECT_EQ(engine.events_processed(), 4u);
+  const std::vector<SimTime> send_at{SimTime{102'000}};
+  const std::vector<SimTime> recv_at{
+      SimTime::zero() + transport.rendezvous_transfer_time(0, 1, kBytes)};
+  EXPECT_EQ(deliveries.size(), 2u);
+  EXPECT_EQ((deliveries[{0, 0}]), send_at);
+  EXPECT_EQ((deliveries[{1, 0}]), recv_at);
 }
 
 TEST(Transport, DeferredPushHoldsDataWhileHandshakeOutstanding) {

@@ -1,18 +1,26 @@
 // Tests for the Chrome-trace exporter: flow-arrow pairing, FIFO matching,
 // orphan tolerance, engine-track routing, per-track timestamp order and
-// the file overload's open failure — all against a hand-built mpi::Trace
-// plus hand-built recorder records.
+// the file overload's open failure — against a hand-built mpi::Trace plus
+// hand-built recorder records, and against the records of a traced
+// two-sided rendezvous run.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/trace_io.hpp"
 #include "mpi/trace.hpp"
+#include "mpi/transport.hpp"
+#include "net/fabric.hpp"
+#include "net/topology.hpp"
 #include "obs/tracer.hpp"
+#include "sim/engine.hpp"
 
 namespace iw::core {
 namespace {
@@ -193,6 +201,125 @@ TEST(ChromeTrace, TimestampsMonotonePerTrack) {
     ++timed_events;
   }
   EXPECT_GE(timed_events, 6);  // 2 segments + 4 instants
+}
+
+/// One exported trace event: the fields the flow checks need.
+struct JsonEvent {
+  std::string name;
+  std::string ph;
+  std::int64_t id = -1;
+  int tid = -1;
+  std::int64_t ts_ns = -1;
+};
+
+/// Parses the exporter's one-event-per-line output (metadata skipped).
+std::vector<JsonEvent> parse_events(const std::string& json) {
+  const auto field = [](const std::string& line, const std::string& key) {
+    const auto pos = line.find("\"" + key + "\":");
+    if (pos == std::string::npos) return std::string();
+    auto begin = pos + key.size() + 3;
+    if (line[begin] == '"') {
+      ++begin;
+      return line.substr(begin, line.find('"', begin) - begin);
+    }
+    return line.substr(begin, line.find_first_of(",}", begin) - begin);
+  };
+  std::vector<JsonEvent> out;
+  std::istringstream in(json);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find("\"ts\":") == std::string::npos) continue;
+    JsonEvent ev;
+    ev.name = field(line, "name");
+    ev.ph = field(line, "ph");
+    if (const std::string id = field(line, "id"); !id.empty())
+      ev.id = std::stoll(id);
+    ev.tid = std::stoi(field(line, "tid"));
+    ev.ts_ns = std::llround(std::stod(field(line, "ts")) * 1000.0);
+    out.push_back(ev);
+  }
+  return out;
+}
+
+TEST(ChromeTrace, TwoSidedPushesInFlightPairWithTheirArrivals) {
+  // A traced two-sided run with several pushes in flight at once. Rank 0
+  // opens handshakes to ranks 1, 2 and 3; the deferred-push rule holds the
+  // first two pushes until the last CTS lands at 2 us, then the NIC
+  // serializes all three (100 us each). Rank 2 meanwhile pushes to rank 0.
+  // Push arrivals are recorded when the push is posted, so the export must
+  // still put every arrow's end at the arrival time and keep each track
+  // monotone.
+  sim::Engine engine;
+  net::Topology topo(net::TopologySpec::one_rank_per_node(4));
+  net::FabricProfile fabric = net::FabricProfile::ideal(microseconds(1.0), 1e9);
+  fabric.eager_limit_bytes = 0;
+  mpi::Transport transport(engine, topo, fabric, {});
+  obs::Tracer tracer;
+  transport.set_tracer(&tracer);
+  std::map<int, SimTime> recv_done;  // rank -> receive delivery time
+  transport.set_completion_handler([&](int rank, mpi::RequestId req) {
+    if (req == 1) recv_done[rank] = engine.now();
+  });
+
+  constexpr std::int64_t kBytes = 100'000;
+  for (int dst = 1; dst <= 3; ++dst) transport.post_recv(dst, 0, 0, kBytes, 1);
+  transport.post_recv(0, 2, 0, kBytes, 1);
+  for (int dst = 1; dst <= 3; ++dst)
+    (void)transport.post_send(0, dst, 0, kBytes, 0);
+  (void)transport.post_send(2, 0, 0, kBytes, 0);
+  engine.run();
+
+  // Arrivals: rank 0's three pushes leave back to back from t = 2 us; rank
+  // 2's push leaves at 2 us on its own NIC.
+  const std::map<int, SimTime> arrival{{1, SimTime{103'000}},
+                                       {2, SimTime{203'000}},
+                                       {3, SimTime{303'000}},
+                                       {0, SimTime{103'000}}};
+  EXPECT_EQ(recv_done, arrival);  // zero overhead: delivery at arrival
+
+  const std::vector<obs::TraceRecord> records = tracer.drain_ordered();
+  int push_sends = 0;
+  for (const obs::TraceRecord& r : records)
+    if (r.ev == obs::TraceEvent::kPushSend) ++push_sends;
+  EXPECT_EQ(push_sends, 4);
+
+  std::ostringstream out;
+  write_chrome_trace(mpi::Trace(4), records, out);
+  const std::vector<JsonEvent> events = parse_events(out.str());
+
+  // Every push_send pairs with exactly one push flow: one 's' leg on the
+  // sender at the push time and one 'f' leg on the receiver at arrival.
+  std::map<std::int64_t, std::pair<const JsonEvent*, const JsonEvent*>> flows;
+  for (const JsonEvent& ev : events) {
+    if (ev.name != "push") continue;
+    auto& legs = flows[ev.id];
+    if (ev.ph == "s") {
+      EXPECT_EQ(legs.first, nullptr) << "two start legs for flow " << ev.id;
+      legs.first = &ev;
+    } else {
+      ASSERT_EQ(ev.ph, "f");
+      EXPECT_EQ(legs.second, nullptr) << "two end legs for flow " << ev.id;
+      legs.second = &ev;
+    }
+  }
+  ASSERT_EQ(static_cast<int>(flows.size()), push_sends);
+  for (const auto& [id, legs] : flows) {
+    ASSERT_NE(legs.first, nullptr) << "flow " << id << " has no start leg";
+    ASSERT_NE(legs.second, nullptr) << "flow " << id << " has no end leg";
+    EXPECT_EQ(legs.first->ts_ns, 2000) << "flow " << id;
+    EXPECT_EQ(legs.second->ts_ns, arrival.at(legs.second->tid).ns())
+        << "flow " << id;
+  }
+
+  // Each track's timestamps stay monotone.
+  std::map<int, std::int64_t> last_ts;
+  for (const JsonEvent& ev : events) {
+    const auto [it, first] = last_ts.try_emplace(ev.tid, ev.ts_ns);
+    if (!first) {
+      EXPECT_GE(ev.ts_ns, it->second) << ev.name << " on tid " << ev.tid;
+      it->second = ev.ts_ns;
+    }
+  }
 }
 
 TEST(ChromeTrace, BadPathThrows) {
