@@ -132,9 +132,6 @@ Scenario ppn_contrast() {
   s.spec.ppn = {1, 10};
   s.spec.np = {20};
   s.spec.steps = 20;
-  // Packed placement shortens the communication term and the intra-node
-  // links congest; allow a wider Eq. 2 band than the PPN=1 baseline.
-  s.oracle.max_speed_rel_err = 0.35;
   s.quick_subset = {0, 1, 6, 7};  // both placements at extreme delays
   return s;  // 8 points
 }
@@ -159,7 +156,9 @@ Scenario noise_damping() {
   // At E = 50% the front barely exists; exempt scattered fits from the
   // speed check entirely and keep the sanity/monotonicity oracles.
   s.oracle.min_front_r2 = 0.97;
-  s.oracle.max_speed_rel_err = 0.6;
+  // Noise scatters the fitted fronts that do pass the r^2 gate: over the 12
+  // checked golden points the error reaches 13.9% (median 0.8%).
+  s.oracle.max_speed_rel_err = 0.2;
   // One full noise ladder (delay = 6 ms, E = 0..50) so the monotone check
   // still sees a 3-level group under --quick.
   s.quick_subset = {0, 2, 5};
@@ -178,9 +177,8 @@ Scenario grid2d_wave() {
   s.spec.np = {25, 49, 81};  // 5x5, 7x7, 9x9 grids
   s.spec.steps = 22;
   s.spec.texec = milliseconds(2.0);
-  // Halo-exchange fronts are staircases along the probed row; the
-  // least-squares slope carries a granularity error on top of Eq. 2.
-  s.oracle.max_speed_rel_err = 0.4;
+  // Halo-exchange fronts are staircases along the probed row, so a
+  // two-hop front already faces the speed check.
   s.oracle.min_reached_for_speed = 2;
   s.quick_subset = {0, 3};  // both delays on the 5x5 grid
   return s;  // 6 points
@@ -207,9 +205,6 @@ Scenario scale_wave() {
   s.spec.steps = 20;
   s.spec.system_noise = "none";  // ffwd eligibility: no stochastic ranks
   s.spec.ffwd = "auto";
-  // Packed placement + the switch tier congest intra-node links; same
-  // Eq. 2 slack as ppn_contrast.
-  s.oracle.max_speed_rel_err = 0.35;
   s.quick_subset = {0, 1};  // small-np points; the 100k point is full-only
   return s;  // 3 points
 }
