@@ -315,7 +315,8 @@ class Transport {
 
 /// The pre-flattening request record: every completion is event-delivered.
 struct Request {
-  mpi::Request::Kind kind = mpi::Request::Kind::send;
+  enum class Kind : std::uint8_t { send, recv };
+  Kind kind = Kind::send;
   int peer = -1;
   int tag = 0;
   std::int64_t bytes = 0;
@@ -324,7 +325,8 @@ struct Request {
 
 /// The pre-flattening process interpreter: refcounted program handle and a
 /// type-erased completion seam, minus the noise/memory machinery the bench
-/// workloads never touch.
+/// workloads never touch. It loops over a program's body as mpi::Process
+/// does: `repeats()` times, with the iteration added to every tag.
 class Process {
  public:
   Process(int rank, sim::Engine& engine, Transport& transport,
@@ -363,9 +365,15 @@ class Process {
 
  private:
   void resume() {
-    const auto& ops = program_->ops();
-    while (pc_ < ops.size()) {
-      const mpi::Op& op = ops[pc_];
+    const auto& body = program_->body();
+    for (;;) {
+      if (pc_ == body.size()) {
+        if (iteration_ + 1 >= program_->repeats()) break;
+        ++iteration_;
+        pc_ = 0;
+        continue;
+      }
+      const mpi::Op& op = body[pc_];
       if (const auto* comp = std::get_if<mpi::OpCompute>(&op)) {
         const SimTime begin = engine_.now();
         const std::int32_t step = next_step_ - 1;
@@ -381,17 +389,19 @@ class Process {
       }
       if (const auto* send = std::get_if<mpi::OpIsend>(&op)) {
         const auto id = static_cast<mpi::RequestId>(requests_.size());
-        requests_.push_back(Request{mpi::Request::Kind::send, send->peer,
-                                    send->tag, send->bytes, false});
-        transport_.post_send(rank_, send->peer, send->tag, send->bytes, id);
+        const int tag = send->tag + iteration_;
+        requests_.push_back(Request{Request::Kind::send, send->peer,
+                                    tag, send->bytes, false});
+        transport_.post_send(rank_, send->peer, tag, send->bytes, id);
         ++pc_;
         continue;
       }
       if (const auto* recv = std::get_if<mpi::OpIrecv>(&op)) {
         const auto id = static_cast<mpi::RequestId>(requests_.size());
-        requests_.push_back(Request{mpi::Request::Kind::recv, recv->peer,
-                                    recv->tag, recv->bytes, false});
-        transport_.post_recv(rank_, recv->peer, recv->tag, recv->bytes, id);
+        const int tag = recv->tag + iteration_;
+        requests_.push_back(Request{Request::Kind::recv, recv->peer,
+                                    tag, recv->bytes, false});
+        transport_.post_recv(rank_, recv->peer, tag, recv->bytes, id);
         ++pc_;
         continue;
       }
@@ -408,8 +418,7 @@ class Process {
         wait_begin_ = engine_.now();
         return;
       }
-      if (const auto* mark = std::get_if<mpi::OpMark>(&op)) {
-        (void)mark;
+      if (std::holds_alternative<mpi::OpMark>(op)) {
         trace_.mark_step(rank_, next_step_, engine_.now());
         ++next_step_;
         ++pc_;
@@ -429,6 +438,7 @@ class Process {
   mpi::Trace& trace_;
   std::shared_ptr<const mpi::Program> program_;
   std::size_t pc_ = 0;
+  std::int32_t iteration_ = 0;
   std::int32_t next_step_ = 0;
   std::vector<Request> requests_;
   bool blocked_ = false;
@@ -516,10 +526,10 @@ inline Workload make_unexpected_storm(int pairs, int steps, int burst) {
     mpi::Program& snd = programs[static_cast<std::size_t>(2 * p)];
     mpi::Program& rcv = programs[static_cast<std::size_t>(2 * p + 1)];
     for (int s = 0; s < steps; ++s) {
-      snd.mark(s);
+      snd.mark();
       for (int b = 0; b < burst; ++b) snd.isend(2 * p + 1, 2048, b);
       snd.waitall();
-      rcv.mark(s);
+      rcv.mark();
       rcv.compute(microseconds(50.0), false);
       for (int b = 0; b < burst; ++b) rcv.irecv(2 * p, 2048, b);
       rcv.waitall();

@@ -73,6 +73,17 @@ mpi::Process& Cluster::bind_process(std::size_t slot, int rank,
   return processes_.emplace(rank, engine_, transport_, trace);
 }
 
+void Cluster::load_program(mpi::Process& proc, const mpi::Program& program,
+                           mpi::Trace& trace, std::size_t& offset) {
+  trace.reserve_rank(proc.rank(), program.segment_bound(),
+                     program.step_marks());
+  proc.set_request_storage(
+      request_slab_.data() + offset,
+      static_cast<std::uint32_t>(program.max_window_requests()));
+  offset += program.max_window_requests();
+  proc.set_program(&program);
+}
+
 void Cluster::wire_domains() {
   // Socket bandwidth domains (only when memory-bound work is configured).
   // They serve both OpMemWork phases and — via the transport — intra-node
@@ -142,17 +153,16 @@ mpi::Trace Cluster::run(const std::vector<mpi::Program>& programs,
   ran_ = true;
 
   const auto nranks = static_cast<std::size_t>(topo_.ranks());
-  mpi::Trace trace(topo_.ranks());
+  // Every rank's request window sits back-to-back in one slab, and its
+  // trace rows in the trace's two slabs. All three are sized once, before
+  // any binding, so none moves under a bound process or reallocates while
+  // rows are assigned.
+  StorageShape shape;
+  for (const auto& program : programs) shape.add(program);
+  request_slab_.resize(shape.requests);
+  mpi::Trace trace(topo_.ranks(), shape.segments, shape.steps);
 
   wire_domains();
-
-  // The request slab holds every rank's in-flight request window
-  // back-to-back, sized exactly from the programs' deepest Isend/Irecv
-  // window. Sizing completes before any binding so the slab never moves
-  // under a bound process.
-  std::size_t slab = 0;
-  for (const auto& program : programs) slab += program.max_window_requests();
-  request_slab_.resize(slab);
 
   process_table_.clear();
   process_table_.reserve(nranks);
@@ -161,15 +171,7 @@ mpi::Trace Cluster::run(const std::vector<mpi::Program>& programs,
     const mpi::Program& program = programs[static_cast<std::size_t>(rank)];
     mpi::Process& proc = bind_process(static_cast<std::size_t>(rank), rank,
                                       trace);
-    // Size the trace from the program shape (exact segment bound) so
-    // recording never reallocates mid-run.
-    trace.reserve_rank(rank, program.segment_bound(),
-                       static_cast<std::size_t>(program.rounds()) + 1);
-    proc.set_request_storage(
-        request_slab_.data() + offset,
-        static_cast<std::uint32_t>(program.max_window_requests()));
-    offset += program.max_window_requests();
-    proc.set_program(&program);
+    load_program(proc, program, trace, offset);
     if (config_.system_noise.kind != noise::NoiseSpec::Kind::none) {
       proc.add_noise(config_.system_noise,
                      Rng::for_stream(config_.seed,
@@ -231,16 +233,15 @@ mpi::Trace Cluster::run_fast_forward(
   ran_ = true;
 
   const auto nranks = static_cast<std::size_t>(topo_.ranks());
-  mpi::Trace trace(topo_.ranks());
+  StorageShape shape;  // sized once, as in run()
+  for (const auto* program : programs)
+    if (program != nullptr) shape.add(*program);
+  request_slab_.resize(shape.requests);
+  mpi::Trace trace(topo_.ranks(), shape.segments, shape.steps);
 
   domains_in_use_ = 0;
   domain_table_.clear();
   transport_.set_memory_domains(domain_table_);
-
-  std::size_t slab = 0;
-  for (const auto* program : programs)
-    if (program != nullptr) slab += program->max_window_requests();
-  request_slab_.resize(slab);
 
   // Silent ranks get a null process-table entry. That is safe because a
   // silent rank never posts a receive: arrivals from ghosts into silent
@@ -253,13 +254,7 @@ mpi::Trace Cluster::run_fast_forward(
     const mpi::Program* program = programs[static_cast<std::size_t>(rank)];
     if (program == nullptr) continue;
     mpi::Process& proc = bind_process(slot++, rank, trace);
-    trace.reserve_rank(rank, program->segment_bound(),
-                       static_cast<std::size_t>(program->rounds()) + 1);
-    proc.set_request_storage(
-        request_slab_.data() + offset,
-        static_cast<std::uint32_t>(program->max_window_requests()));
-    offset += program->max_window_requests();
-    proc.set_program(program);
+    load_program(proc, *program, trace, offset);
     process_table_[static_cast<std::size_t>(rank)] = &proc;
   }
   procs_in_use_ = slot;

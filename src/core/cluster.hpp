@@ -17,10 +17,12 @@
 //
 // Machine-scale layout: per-rank state lives in struct-of-arrays storage —
 // trace rows index into shared slabs (mpi::Trace), every process's request
-// window is a slice of one shared request slab sized exactly from the
-// programs' Program::max_window_requests(), and Process/BandwidthDomain
-// objects come from chunked object pools with stable addresses. The
-// memory-per-rank budget this buys is surfaced as peak_bytes_per_rank().
+// window is a slice of one shared request slab, and Process/BandwidthDomain
+// objects come from chunked object pools with stable addresses. A run sums
+// its programs' counters (Program::max_window_requests(), segment_bound(),
+// step_marks()) and sizes the request slab and both trace slabs once,
+// exactly, before it assigns any row. The memory-per-rank budget this buys
+// is surfaced as peak_bytes_per_rank().
 #pragma once
 
 #include <cstdint>
@@ -160,6 +162,22 @@ class Cluster {
   /// constructs a new one in place. Stable addresses — never invalidates
   /// previously bound processes.
   mpi::Process& bind_process(std::size_t slot, int rank, mpi::Trace& trace);
+
+  /// Storage a set of programs needs, summed from their counters.
+  struct StorageShape {
+    std::size_t requests = 0;
+    std::size_t segments = 0;
+    std::size_t steps = 0;
+    void add(const mpi::Program& program) {
+      requests += program.max_window_requests();
+      segments += program.segment_bound();
+      steps += program.step_marks();
+    }
+  };
+  /// Carves `program`'s trace rows and request window (at `offset`, which
+  /// advances) and hands the program to `proc`.
+  void load_program(mpi::Process& proc, const mpi::Program& program,
+                    mpi::Trace& trace, std::size_t& offset);
 
   void wire_domains();
   void publish_metrics();

@@ -17,13 +17,17 @@ void Process::set_program(const Program* program) {
   program_ = program;
 }
 
-void Process::reset(Trace& trace) {
+void Process::reset(int rank, Trace& trace) {
+  IW_REQUIRE(rank >= 0, "rank must be non-negative");
+  rank_ = rank;
   trace_ = &trace;
   program_ = nullptr;
   domain_ = nullptr;
   tracer_ = nullptr;
   noise_.clear();
   pc_ = 0;
+  iteration_ = 0;
+  next_injection_ = 0;
   next_step_ = 0;
   req_count_ = 0;  // storage binding/capacity retained for the next run
   open_requests_ = 0;
@@ -32,12 +36,6 @@ void Process::reset(Trace& trace) {
   wait_begin_ = SimTime::zero();
   done_ = false;
   on_done_ = DoneFn{};
-}
-
-void Process::reset(int rank, Trace& trace) {
-  IW_REQUIRE(rank >= 0, "rank must be non-negative");
-  rank_ = rank;
-  reset(trace);
 }
 
 void Process::set_request_storage(Request* base, std::uint32_t capacity) {
@@ -55,9 +53,9 @@ void Process::grow_own_requests() {
   req_cap_ = static_cast<std::uint32_t>(own_requests_.size());
 }
 
-Request& Process::push_request(Request r) {
+Request& Process::push_request() {
   if (req_count_ == req_cap_) grow_own_requests();
-  req_[req_count_] = r;
+  req_[req_count_] = Request{};
   return req_[req_count_++];
 }
 
@@ -78,22 +76,27 @@ Duration Process::sample_noise() {
 }
 
 void Process::resume() {
-  const auto& ops = program_->ops();
-  while (pc_ < ops.size()) {
-    const Op& op = ops[pc_];
+  const auto& body = program_->body();
+  for (;;) {
+    if (pc_ == body.size()) {
+      // End of the body: loop back while iterations remain.
+      if (iteration_ + 1 >= program_->repeats()) break;
+      ++iteration_;
+      pc_ = 0;
+      continue;
+    }
+    const Op& op = body[pc_];
 
     // The send/recv posts lead the dispatch chain: a step posts one of
     // each per neighbor but hits every other op kind once.
     if (const auto* send = std::get_if<OpIsend>(&op)) {
       const auto id = static_cast<RequestId>(req_count_);
-      Request& req =
-          push_request(Request{Request::Kind::send, send->peer, send->tag,
-                               send->bytes, false, SimTime::zero()});
+      Request& req = push_request();
       // Eager sends hand back their local-completion delay instead of
       // scheduling a completion event; the request settles by the clock.
-      if (const auto local = transport_.post_send(rank_, send->peer,
-                                                  send->tag, send->bytes,
-                                                  id)) {
+      if (const auto local =
+              transport_.post_send(rank_, send->peer, send->tag + iteration_,
+                                   send->bytes, id)) {
         req.timed = true;
         req.due = engine_.now() + *local;
         latest_due_ = std::max(latest_due_, req.due);
@@ -106,27 +109,22 @@ void Process::resume() {
 
     if (const auto* recv = std::get_if<OpIrecv>(&op)) {
       const auto id = static_cast<RequestId>(req_count_);
-      push_request(Request{Request::Kind::recv, recv->peer, recv->tag,
-                           recv->bytes, false, SimTime::zero()});
+      push_request();
       // Count the receive open before posting: an unexpected match settles
       // it synchronously from inside post_recv.
       ++open_requests_;
-      transport_.post_recv(rank_, recv->peer, recv->tag, recv->bytes, id);
+      transport_.post_recv(rank_, recv->peer, recv->tag + iteration_,
+                           recv->bytes, id);
       ++pc_;
       continue;
     }
 
     if (const auto* comp = std::get_if<OpCompute>(&op)) {
       const Duration extra = comp->noisy ? sample_noise() : Duration::zero();
-      const Duration total = comp->duration + extra;
-      const SimTime begin = engine_.now();
-      const std::int32_t step = next_step_ - 1;
-      engine_.after(total, [this, begin, extra, step] {
-        trace_->add_segment(rank_, Segment{SegKind::compute, begin,
-                                          engine_.now(), step, extra});
-        ++pc_;
-        resume();
-      });
+      engine_.after(comp->duration + extra,
+                    [this, begin = engine_.now(), extra] {
+                      end_phase(SegKind::compute, begin, extra);
+                    });
       return;
     }
 
@@ -134,28 +132,29 @@ void Process::resume() {
       IW_REQUIRE(domain_ != nullptr,
                  "OpMemWork requires a bandwidth domain on this rank");
       const Duration extra = work->noisy ? sample_noise() : Duration::zero();
-      const SimTime begin = engine_.now();
-      const std::int32_t step = next_step_ - 1;
-      domain_->submit(work->bytes, [this, begin, extra, step] {
-        engine_.after(extra, [this, begin, extra, step] {
-          trace_->add_segment(rank_, Segment{SegKind::compute, begin,
-                                            engine_.now(), step, extra});
-          ++pc_;
-          resume();
+      domain_->submit(work->bytes, [this, begin = engine_.now(), extra] {
+        engine_.after(extra, [this, begin, extra] {
+          end_phase(SegKind::compute, begin, extra);
         });
       });
       return;
     }
 
     if (const auto* inject = std::get_if<OpInject>(&op)) {
-      const SimTime begin = engine_.now();
-      const std::int32_t step = next_step_ - 1;
-      engine_.after(inject->duration, [this, begin, step] {
-        trace_->add_segment(rank_, Segment{SegKind::injected, begin,
-                                          engine_.now(), step,
-                                          Duration::zero()});
-        ++pc_;
-        resume();
+      Duration duration = inject->duration;
+      if (inject->point) {
+        // The injection point runs only in the iterations the program
+        // lists; any other iteration passes it without an event.
+        const auto listed = program_->injections();
+        if (next_injection_ == listed.size() ||
+            listed[next_injection_].iteration != iteration_) {
+          ++pc_;
+          continue;
+        }
+        duration = listed[next_injection_++].duration;
+      }
+      engine_.after(duration, [this, begin = engine_.now()] {
+        end_phase(SegKind::injected, begin, Duration::zero());
       });
       return;
     }
@@ -174,8 +173,7 @@ void Process::resume() {
       return;
     }
 
-    if (const auto* mark = std::get_if<OpMark>(&op)) {
-      (void)mark;
+    if (std::holds_alternative<OpMark>(op)) {
       trace_->mark_step(rank_, next_step_, engine_.now());
       ++next_step_;
       ++pc_;
@@ -191,6 +189,14 @@ void Process::resume() {
     trace_->set_finish(rank_, engine_.now());
     if (on_done_.fn != nullptr) on_done_.fn(on_done_.ctx, rank_);
   }
+}
+
+void Process::end_phase(SegKind kind, SimTime begin, Duration noise) {
+  // No mark runs while a phase is pending, so the step is still current.
+  trace_->add_segment(rank_, Segment{kind, begin, engine_.now(),
+                                     next_step_ - 1, noise});
+  ++pc_;
+  resume();
 }
 
 bool Process::requests_settled(SimTime now) const {

@@ -1,6 +1,8 @@
 // A simulated MPI process: interprets a rank Program against the engine,
 // the transport, an optional bandwidth domain, and attached noise sources,
-// recording a trace of everything it does.
+// recording a trace of everything it does. The interpreter position is an
+// (iteration, pc) pair: pc wraps to the body's start while iterations
+// remain.
 //
 // Processes are pooled by the Cluster: reset() re-arms one for another run
 // (new trace binding, new program) while the request vector keeps its
@@ -46,14 +48,11 @@ class Process {
   /// Cleared by reset(); harnesses re-arm per run.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Re-arms the process for another run: rebinds the trace, clears the
-  /// program, noise sources, domain, and interpreter state. Request storage
-  /// keeps its capacity.
-  void reset(Trace& trace);
-
-  /// reset() that also rebinds the process to a new rank id — the pooled
+  /// Re-arms the process for another run as `rank` (the pooled
   /// fast-forward path reuses one contiguous block of processes for
-  /// whatever sparse active set the plan selects.
+  /// whatever sparse active set the plan selects): rebinds the trace,
+  /// clears the program, noise sources, domain, and interpreter state.
+  /// Request storage keeps its capacity.
   void reset(int rank, Trace& trace);
 
   /// Binds the request window to `capacity` slots of an external slab (the
@@ -90,7 +89,7 @@ class Process {
   [[nodiscard]] bool blocked() const { return blocked_; }
 
  private:
-  void resume();                    ///< interpret ops until blocked or timed
+  void resume();  ///< interpret (iteration, pc) until blocked or timed
   [[nodiscard]] Duration sample_noise();
   /// True when every request has settled and its due point has passed.
   [[nodiscard]] bool requests_settled(SimTime now) const;
@@ -98,6 +97,8 @@ class Process {
   /// schedules one wake event at the latest of them.
   void schedule_timed_wake();
   void finish_wait();               ///< records the wait segment, resumes
+  /// Records the timed phase begun at `begin` as a segment, resumes.
+  void end_phase(SegKind kind, SimTime begin, Duration noise);
 
   int rank_;
   sim::Engine& engine_;
@@ -116,10 +117,14 @@ class Process {
   /// Appends to the request window, growing owned fallback storage if no
   /// slab is bound (a bound slab overflowing is a contract error: the
   /// Cluster sizes it from Program::max_window_requests()).
-  Request& push_request(Request r);
+  Request& push_request();
   void grow_own_requests();
 
+  /// Interpreter position: op `pc_` of the body in iteration `iteration_`,
+  /// and the next unused entry of the program's injection list.
   std::size_t pc_ = 0;
+  std::int32_t iteration_ = 0;
+  std::size_t next_injection_ = 0;
   std::int32_t next_step_ = 0;
   /// Request window: a pointer into the Cluster's shared request slab (SoA
   /// storage, one carve per rank) or into own_requests_ when standalone.

@@ -6,76 +6,89 @@
 
 namespace iw::mpi {
 
+Program& Program::append(Op op, std::size_t segments) {
+  IW_REQUIRE(!sealed_, "repeat() sealed the body");
+  body_.push_back(op);
+  body_segments_ += segments;
+  return *this;
+}
+
+Program& Program::post(Op op, int peer, std::int64_t bytes) {
+  IW_REQUIRE(peer >= 0, "peer must be a valid rank");
+  IW_REQUIRE(bytes >= 0, "message size must be non-negative");
+  append(op);
+  max_window_requests_ = std::max(max_window_requests_, ++window_requests_);
+  return *this;
+}
+
 Program& Program::compute(Duration d, bool noisy) {
   IW_REQUIRE(d.ns() >= 0, "compute duration must be non-negative");
-  ops_.emplace_back(OpCompute{d, noisy});
-  return *this;
+  return append(OpCompute{d, noisy}, 1);
 }
 
 Program& Program::mem_work(std::int64_t bytes, bool noisy) {
   IW_REQUIRE(bytes >= 0, "memory work must be non-negative");
-  ops_.emplace_back(OpMemWork{bytes, noisy});
-  return *this;
+  return append(OpMemWork{bytes, noisy}, 1);
 }
 
 Program& Program::inject(Duration d) {
   IW_REQUIRE(d.ns() >= 0, "injected delay must be non-negative");
-  ops_.emplace_back(OpInject{d});
+  append(OpInject{d}, 1);
+  fixed_injected_ += d;
+  return *this;
+}
+
+Program& Program::inject_point() {
+  IW_REQUIRE(!has_point_, "a body has at most one injection point");
+  append(OpInject{Duration::zero(), true});
+  has_point_ = true;
   return *this;
 }
 
 Program& Program::isend(int peer, std::int64_t bytes, int tag) {
-  IW_REQUIRE(peer >= 0, "send peer must be a valid rank");
-  IW_REQUIRE(bytes >= 0, "message size must be non-negative");
-  ops_.emplace_back(OpIsend{peer, bytes, tag});
-  max_window_requests_ = std::max(max_window_requests_, ++window_requests_);
-  return *this;
+  return post(OpIsend{peer, bytes, tag}, peer, bytes);
 }
 
 Program& Program::irecv(int peer, std::int64_t bytes, int tag) {
-  IW_REQUIRE(peer >= 0, "recv peer must be a valid rank");
-  IW_REQUIRE(bytes >= 0, "message size must be non-negative");
-  ops_.emplace_back(OpIrecv{peer, bytes, tag});
-  max_window_requests_ = std::max(max_window_requests_, ++window_requests_);
-  return *this;
+  return post(OpIrecv{peer, bytes, tag}, peer, bytes);
 }
 
 Program& Program::waitall() {
-  ops_.emplace_back(OpWaitAll{});
+  append(OpWaitAll{}, 1);
+  ++body_waits_;
   window_requests_ = 0;
   return *this;
 }
 
-Program& Program::mark(std::int32_t step) {
-  ops_.emplace_back(OpMark{step});
+Program& Program::mark() {
+  append(OpMark{});
+  ++body_marks_;
   return *this;
 }
 
-Duration Program::total_injected() const {
-  Duration total = Duration::zero();
-  for (const auto& op : ops_)
-    if (const auto* inject = std::get_if<OpInject>(&op))
-      total += inject->duration;
-  return total;
+Program& Program::repeat(int n) {
+  IW_REQUIRE(!sealed_, "repeat() may be called only once");
+  IW_REQUIRE(n >= 1, "a body repeats at least once");
+  IW_REQUIRE(window_requests_ == 0,
+             "a repeated body must close its posts with a WaitAll");
+  sealed_ = true;
+  repeats_ = n;
+  return *this;
 }
 
-int Program::rounds() const {
-  int n = 0;
-  for (const auto& op : ops_)
-    if (std::holds_alternative<OpWaitAll>(op)) ++n;
-  return n;
-}
-
-std::size_t Program::segment_bound() const {
-  std::size_t n = 0;
-  for (const auto& op : ops_) {
-    if (std::holds_alternative<OpCompute>(op) ||
-        std::holds_alternative<OpMemWork>(op) ||
-        std::holds_alternative<OpInject>(op) ||
-        std::holds_alternative<OpWaitAll>(op))
-      ++n;
-  }
-  return n;
+Program& Program::inject_at(int iteration, Duration d) {
+  IW_REQUIRE(has_point_, "inject_at() needs an injection point in the body");
+  IW_REQUIRE(d.ns() >= 0, "injected delay must be non-negative");
+  IW_REQUIRE(iteration >= 0 && iteration < repeats_,
+             "injection iteration out of range");
+  IW_REQUIRE(injections_.empty() || injections_.back().iteration <= iteration,
+             "injection iterations must be non-decreasing");
+  listed_injected_ += d;
+  if (!injections_.empty() && injections_.back().iteration == iteration)
+    injections_.back().duration += d;
+  else
+    injections_.push_back(Injection{iteration, d});
+  return *this;
 }
 
 }  // namespace iw::mpi

@@ -1,13 +1,18 @@
 // Rank programs: the instruction streams interpreted by simulated processes.
 //
-// A Program is a linear sequence of operations in the spirit of LogGOPSim's
-// GOAL schedules, specialized to the bulk-synchronous structure the paper
-// studies: compute (core-bound or memory-bound), nonblocking posts, a
-// closing WaitAll per iteration, plus one-off delay injection and timestep
-// markers for tracing.
+// A Program is a loop in the spirit of LogGOPSim's GOAL schedules,
+// specialized to the bulk-synchronous structure the paper studies: a body
+// of compute (core-bound or memory-bound), nonblocking posts and a closing
+// WaitAll, plus delay injection and timestep markers for tracing, run
+// repeats() times. Iteration i adds i to every send/recv tag. A flat
+// program is a body repeated once. The body may hold one injection point,
+// and a sorted injection list names the iterations that delay there. The
+// builders keep the counters the Cluster sizes storage from, so reading a
+// program's shape never walks its ops.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -29,13 +34,16 @@ struct OpMemWork {
   bool noisy = true;
 };
 
-/// Deliberately injected one-off delay — the disturbance whose propagation
-/// the paper studies. Traced separately from regular compute.
+/// Deliberately injected delay — the disturbance whose propagation the
+/// paper studies. Traced separately from regular compute. A fixed op delays
+/// every iteration by `duration`; the injection point (`point`) delays only
+/// the iterations Program::inject_at() lists, by the listed duration.
 struct OpInject {
   Duration duration;
+  bool point = false;
 };
 
-/// Nonblocking send / receive posts.
+/// Nonblocking send / receive posts. The tag is the iteration-0 tag.
 struct OpIsend {
   int peer = -1;
   std::int64_t bytes = 0;
@@ -50,43 +58,67 @@ struct OpIrecv {
 /// Waits for all requests posted since the previous WaitAll.
 struct OpWaitAll {};
 
-/// Marks the beginning of application time step `step` (used for Fig. 2
-/// style "where is time step t on the wall-clock axis" analyses).
-struct OpMark {
-  std::int32_t step = 0;
-};
+/// Marks the beginning of the rank's next application time step, numbered
+/// from 0 (used for Fig. 2 style "where is time step t on the wall-clock
+/// axis" analyses).
+struct OpMark {};
 
 using Op =
     std::variant<OpCompute, OpMemWork, OpInject, OpIsend, OpIrecv, OpWaitAll,
                  OpMark>;
 
-/// A rank's full instruction stream, with fluent builder helpers.
+/// Injection list entry: `iteration` delays `duration` at the point.
+struct Injection {
+  std::int32_t iteration = 0;
+  Duration duration;
+};
+
+/// A rank's instruction stream, with fluent builder helpers.
 class Program {
  public:
   Program& compute(Duration d, bool noisy = true);
   Program& mem_work(std::int64_t bytes, bool noisy = true);
-  Program& inject(Duration d);
+  Program& inject(Duration d);  ///< a fixed delay in every iteration
+  Program& inject_point();      ///< at most one per body
   Program& isend(int peer, std::int64_t bytes, int tag);
   Program& irecv(int peer, std::int64_t bytes, int tag);
   Program& waitall();
-  Program& mark(std::int32_t step);
+  Program& mark();
 
-  [[nodiscard]] const std::vector<Op>& ops() const { return ops_; }
-  [[nodiscard]] std::size_t size() const { return ops_.size(); }
-  [[nodiscard]] bool empty() const { return ops_.empty(); }
+  /// Runs the body `n` times and seals it. Callable once, and only when
+  /// every post is closed by a WaitAll: a window spanning iterations would
+  /// outgrow max_window_requests().
+  Program& repeat(int n);
+  /// Delays `iteration` by `d` at the injection point. Iterations must be
+  /// in range and non-decreasing; a repeated iteration adds to its entry.
+  Program& inject_at(int iteration, Duration d);
+
+  [[nodiscard]] const std::vector<Op>& body() const { return body_; }
+  [[nodiscard]] int repeats() const { return repeats_; }
+  [[nodiscard]] std::span<const Injection> injections() const {
+    return injections_;
+  }
 
   /// Total nominal (noise-free, contention-free) injected delay time.
-  [[nodiscard]] Duration total_injected() const;
+  [[nodiscard]] Duration total_injected() const {
+    return fixed_injected_ * repeats_ + listed_injected_;
+  }
 
-  /// Number of WaitAll operations (== communication rounds).
-  [[nodiscard]] int rounds() const;
+  /// Number of WaitAll operations run (== communication rounds).
+  [[nodiscard]] int rounds() const { return body_waits_ * repeats_; }
+
+  /// Number of step marks run: the exact step-row size.
+  [[nodiscard]] std::size_t step_marks() const {
+    return body_marks_ * static_cast<std::size_t>(repeats_);
+  }
 
   /// Exact upper bound on the trace segments this program can record: one
-  /// per compute/mem_work/inject op plus at most one wait segment per
-  /// WaitAll. The Cluster sizes per-rank trace rows from this, so recording
-  /// never reallocates and never over-reserves (the old `size()` bound
-  /// counted every send/recv post as a segment — ~3x waste at scale).
-  [[nodiscard]] std::size_t segment_bound() const;
+  /// per compute/mem_work/inject run plus at most one wait segment per
+  /// WaitAll. The Cluster sizes per-rank trace rows from this.
+  [[nodiscard]] std::size_t segment_bound() const {
+    return body_segments_ * static_cast<std::size_t>(repeats_) +
+           injections_.size();
+  }
 
   /// Largest number of requests simultaneously open in any WaitAll window
   /// (posts since the previous WaitAll). The Cluster sizes the shared
@@ -96,7 +128,19 @@ class Program {
   }
 
  private:
-  std::vector<Op> ops_;
+  Program& append(Op op, std::size_t segments = 0);
+  Program& post(Op op, int peer, std::int64_t bytes);  ///< a send/recv
+
+  std::vector<Op> body_;
+  std::vector<Injection> injections_;
+  int repeats_ = 1;
+  bool sealed_ = false;
+  bool has_point_ = false;
+  int body_waits_ = 0;
+  std::size_t body_marks_ = 0;
+  std::size_t body_segments_ = 0;
+  Duration fixed_injected_ = Duration::zero();
+  Duration listed_injected_ = Duration::zero();
   std::size_t window_requests_ = 0;
   std::size_t max_window_requests_ = 0;
 };

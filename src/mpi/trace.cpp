@@ -11,11 +11,13 @@ namespace {
 constexpr std::size_t kOffsetLimit = std::numeric_limits<std::uint32_t>::max();
 }  // namespace
 
-Trace::Trace(int ranks)
+Trace::Trace(int ranks, std::size_t segments, std::size_t steps)
     : seg_rows_(static_cast<std::size_t>(ranks)),
       step_rows_(static_cast<std::size_t>(ranks)),
       finish_(static_cast<std::size_t>(ranks), SimTime::zero()) {
   IW_REQUIRE(ranks > 0, "trace needs at least one rank");
+  seg_slab_.reserve(segments);
+  step_slab_.reserve(steps);
 }
 
 void Trace::check_rank(int rank) const {

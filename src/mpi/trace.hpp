@@ -10,10 +10,11 @@
 // into each. At machine scale (100k-1M ranks) this replaces two heap
 // allocations per rank with two slab allocations per run, keeps recording
 // cache-linear, and makes the whole trace cost measurable via bytes_used().
-// The Cluster reserves every rank's row exactly from its program before the
-// run, so steady-state recording never reallocates; rows written without a
-// reservation (tests, tools) grow by relocating to the slab tail, which
-// wastes the vacated region but keeps the common reserved path branch-free.
+// The Cluster sizes both slabs once from its programs' counters and carves
+// every rank's row exactly, so neither row assignment nor recording
+// reallocates; rows written without a reservation (tests, tools) grow by
+// relocating to the slab tail, which wastes the vacated region but keeps
+// the common reserved path branch-free.
 // alias_rank() lets fast-forward synthesis share one physical row between
 // ranks with provably identical timelines.
 #pragma once
@@ -54,7 +55,9 @@ struct Segment {
 /// Trace of one full simulation run.
 class Trace {
  public:
-  explicit Trace(int ranks);
+  /// `segments` and `steps` size both slabs in one allocation each, so
+  /// reserve_rank() calls totalling at most that much never reallocate.
+  explicit Trace(int ranks, std::size_t segments = 0, std::size_t steps = 0);
 
   void add_segment(int rank, Segment seg);
   void mark_step(int rank, std::int32_t step, SimTime when);

@@ -23,12 +23,6 @@ std::vector<int> tree_children(int rank, int ranks) {
 /// Parent of `rank` (rank 0 has none).
 int tree_parent(int rank) { return rank - (rank & (-rank)); }
 
-int log2_ceil(int n) {
-  int bits = 0;
-  while ((1 << bits) < n) ++bits;
-  return bits;
-}
-
 }  // namespace
 
 int collective_tag_span(CollectiveKind kind, int ranks) {
@@ -109,8 +103,6 @@ std::vector<mpi::Program> build_ring_with_collective(
   // Tag layout: even tags for the halo exchange of each step, a disjoint
   // band above `spec.steps` for collectives (span per invocation).
   const int span = std::max(1, collective_tag_span(kind, spec.ranks));
-  const int log_depth = log2_ceil(std::max(2, spec.ranks));
-  (void)log_depth;
 
   std::vector<mpi::Program> programs(static_cast<std::size_t>(spec.ranks));
   for (int rank = 0; rank < spec.ranks; ++rank) {
@@ -118,7 +110,7 @@ std::vector<mpi::Program> build_ring_with_collective(
     const auto sends = send_peers(spec, rank);
     const auto recvs = recv_peers(spec, rank);
     for (int step = 0; step < spec.steps; ++step) {
-      prog.mark(step);
+      prog.mark();
       prog.compute(spec.texec, spec.noisy);
       if (const auto it = delay_at.find({rank, step}); it != delay_at.end())
         prog.inject(it->second);

@@ -1,5 +1,8 @@
 #include "workload/delay.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "support/error.hpp"
 
 namespace iw::workload {
@@ -40,6 +43,24 @@ std::vector<DelaySpec> per_socket_delays(int sockets, int ranks_per_socket,
     delays.push_back(DelaySpec{s * ranks_per_socket + local_rank, step, d});
   }
   return delays;
+}
+
+std::vector<DelaySpec> sorted_delays(std::span<const DelaySpec> delays,
+                                     int ranks, int steps) {
+  for (const auto& d : delays) {
+    IW_REQUIRE(d.rank >= 0 && d.rank < ranks, "delay rank out of range");
+    IW_REQUIRE(d.step >= 0 && d.step < steps, "delay step out of range");
+  }
+  std::vector<DelaySpec> sorted(delays.begin(), delays.end());
+  std::ranges::sort(sorted, {}, [](const DelaySpec& d) {
+    return std::pair(d.rank, d.step);
+  });
+  return sorted;
+}
+
+std::span<const DelaySpec> delays_of(std::span<const DelaySpec> sorted,
+                                     int rank) {
+  return std::ranges::equal_range(sorted, rank, {}, &DelaySpec::rank);
 }
 
 }  // namespace iw::workload

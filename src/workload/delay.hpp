@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -39,5 +40,12 @@ enum class MultiDelayMode : std::uint8_t {
 [[nodiscard]] std::vector<DelaySpec> per_socket_delays(
     int sockets, int ranks_per_socket, int local_rank, int step,
     Duration base_duration, MultiDelayMode mode, Rng& rng);
+
+/// `delays`, checked against a `ranks` x `steps` run and sorted by (rank,
+/// step); delays_of() then yields one rank's run for Program::inject_at().
+[[nodiscard]] std::vector<DelaySpec> sorted_delays(
+    std::span<const DelaySpec> delays, int ranks, int steps);
+[[nodiscard]] std::span<const DelaySpec> delays_of(
+    std::span<const DelaySpec> sorted, int rank);
 
 }  // namespace iw::workload

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 
 #include "support/error.hpp"
+#include "workload/delay.hpp"
 
 namespace iw::workload {
 namespace {
@@ -67,29 +67,18 @@ int grid_distance(const Grid2DSpec& spec, int a, int b) {
 std::vector<mpi::Program> build_grid2d(const Grid2DSpec& spec,
                                        std::span<const DelaySpec> delays) {
   validate(spec);
-
-  std::map<std::pair<int, int>, Duration> delay_at;
-  for (const auto& d : delays) {
-    IW_REQUIRE(d.rank >= 0 && d.rank < spec.ranks(),
-               "delay rank out of range");
-    IW_REQUIRE(d.step >= 0 && d.step < spec.steps,
-               "delay step out of range");
-    delay_at[{d.rank, d.step}] += d.duration;
-  }
-
+  const auto sorted = sorted_delays(delays, spec.ranks(), spec.steps);
   std::vector<mpi::Program> programs(static_cast<std::size_t>(spec.ranks()));
   for (int rank = 0; rank < spec.ranks(); ++rank) {
     auto& prog = programs[static_cast<std::size_t>(rank)];
     const auto neighbors = grid_neighbors(spec, rank);
-    for (int step = 0; step < spec.steps; ++step) {
-      prog.mark(step);
-      prog.compute(spec.texec, spec.noisy);
-      if (const auto it = delay_at.find({rank, step}); it != delay_at.end())
-        prog.inject(it->second);
-      for (const int peer : neighbors) prog.isend(peer, spec.msg_bytes, step);
-      for (const int peer : neighbors) prog.irecv(peer, spec.msg_bytes, step);
-      prog.waitall();
-    }
+    const auto mine = delays_of(sorted, rank);
+    prog.mark().compute(spec.texec, spec.noisy);
+    if (!mine.empty()) prog.inject_point();
+    for (const int peer : neighbors) prog.isend(peer, spec.msg_bytes, 0);
+    for (const int peer : neighbors) prog.irecv(peer, spec.msg_bytes, 0);
+    prog.waitall().repeat(spec.steps);
+    for (const auto& d : mine) prog.inject_at(d.step, d.duration);
   }
   return programs;
 }

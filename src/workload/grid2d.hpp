@@ -45,8 +45,9 @@ struct Grid2DSpec {
 /// Manhattan (hop) distance between two ranks under the boundary rule.
 [[nodiscard]] int grid_distance(const Grid2DSpec& spec, int a, int b);
 
-/// Builds one Program per rank: compute + 4-neighbor exchange + waitall per
-/// step, with one-off delays injected per `delays`.
+/// Builds one Program per rank: a compute + 4-neighbor exchange + waitall
+/// step body repeated `steps` times, with one-off delays injected per
+/// `delays` at the body's injection point.
 [[nodiscard]] std::vector<mpi::Program> build_grid2d(
     const Grid2DSpec& spec, std::span<const DelaySpec> delays = {});
 

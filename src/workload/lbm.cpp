@@ -35,15 +35,11 @@ std::vector<mpi::Program> build_lbm(const LbmSpec& spec) {
     const int n = spec.ranks;
     const int up = (rank + 1) % n;
     const int down = (rank - 1 + n) % n;
-    for (int step = 0; step < spec.steps; ++step) {
-      prog.mark(step);
-      prog.mem_work(work);
-      prog.isend(up, halo, step);
-      if (down != up) prog.isend(down, halo, step);
-      prog.irecv(down, halo, step);
-      if (down != up) prog.irecv(up, halo, step);
-      prog.waitall();
-    }
+    prog.mark().mem_work(work).isend(up, halo, 0);
+    if (down != up) prog.isend(down, halo, 0);
+    prog.irecv(down, halo, 0);
+    if (down != up) prog.irecv(up, halo, 0);
+    prog.waitall().repeat(spec.steps);
   }
   return programs;
 }

@@ -35,8 +35,9 @@ struct LbmSpec {
 /// Aggregate working set (both lattices), for reporting.
 [[nodiscard]] std::int64_t lbm_working_set(const LbmSpec& spec);
 
-/// Builds one Program per rank: mem_work + bidirectional periodic halo
-/// exchange along the decomposed (outer) dimension.
+/// Builds one Program per rank: a mem_work + bidirectional periodic halo
+/// exchange step body along the decomposed (outer) dimension, repeated
+/// `steps` times.
 [[nodiscard]] std::vector<mpi::Program> build_lbm(const LbmSpec& spec);
 
 }  // namespace iw::workload

@@ -1,8 +1,7 @@
 #include "workload/ring.hpp"
 
-#include <map>
-
 #include "support/error.hpp"
+#include "workload/delay.hpp"
 
 namespace iw::workload {
 namespace {
@@ -28,73 +27,51 @@ void validate(const RingSpec& spec) {
                "periodic ring must be larger than the neighborhood");
 }
 
+/// Peers at offsets sign*k (then -sign*k when bidirectional), k = 1..d.
+std::vector<int> peers(const RingSpec& spec, int rank, int sign) {
+  std::vector<int> out;
+  for (int k = 1; k <= spec.distance; ++k) {
+    if (const int p = neighbor(spec, rank, sign * k); p >= 0) out.push_back(p);
+    if (spec.direction == Direction::bidirectional)
+      if (const int p = neighbor(spec, rank, -sign * k); p >= 0)
+        out.push_back(p);
+  }
+  return out;
+}
+
+/// Emits one rank's loop program into `prog`: one step body repeated
+/// `steps` times, with the rank's step-ordered `delays` at its injection
+/// point. Shared by the whole-ring and single-rank builders so both emit
+/// identical programs.
+void emit_ring_rank(const RingSpec& spec, int rank,
+                    std::span<const DelaySpec> delays, mpi::Program& prog) {
+  prog.mark().compute(spec.texec, spec.noisy);
+  if (!delays.empty()) prog.inject_point();
+  for (const int peer : peers(spec, rank, 1))
+    prog.isend(peer, spec.msg_bytes, 0);
+  for (const int peer : peers(spec, rank, -1))
+    prog.irecv(peer, spec.msg_bytes, 0);
+  prog.waitall().repeat(spec.steps);
+  for (const auto& d : delays) prog.inject_at(d.step, d.duration);
+}
+
 }  // namespace
 
 std::vector<int> send_peers(const RingSpec& spec, int rank) {
-  std::vector<int> peers;
-  for (int k = 1; k <= spec.distance; ++k) {
-    if (const int up = neighbor(spec, rank, k); up >= 0) peers.push_back(up);
-    if (spec.direction == Direction::bidirectional)
-      if (const int down = neighbor(spec, rank, -k); down >= 0)
-        peers.push_back(down);
-  }
-  return peers;
+  return peers(spec, rank, 1);
 }
 
 std::vector<int> recv_peers(const RingSpec& spec, int rank) {
-  std::vector<int> peers;
-  for (int k = 1; k <= spec.distance; ++k) {
-    if (const int down = neighbor(spec, rank, -k); down >= 0)
-      peers.push_back(down);
-    if (spec.direction == Direction::bidirectional)
-      if (const int up = neighbor(spec, rank, k); up >= 0)
-        peers.push_back(up);
-  }
-  return peers;
+  return peers(spec, rank, -1);
 }
-
-namespace {
-
-/// Emits one rank's op stream into `prog`; `delay_at` is the (rank, step)
-/// -> duration index shared by the whole-ring and single-rank builders so
-/// both emit bit-identical programs.
-void emit_ring_rank(const RingSpec& spec, int rank,
-                    const std::map<std::pair<int, int>, Duration>& delay_at,
-                    mpi::Program& prog) {
-  const auto sends = send_peers(spec, rank);
-  const auto recvs = recv_peers(spec, rank);
-  for (int step = 0; step < spec.steps; ++step) {
-    prog.mark(step);
-    prog.compute(spec.texec, spec.noisy);
-    if (const auto it = delay_at.find({rank, step}); it != delay_at.end())
-      prog.inject(it->second);
-    for (const int peer : sends) prog.isend(peer, spec.msg_bytes, step);
-    for (const int peer : recvs) prog.irecv(peer, spec.msg_bytes, step);
-    prog.waitall();
-  }
-}
-
-/// Index delays by (rank, step) for O(1) lookup while emitting.
-std::map<std::pair<int, int>, Duration> index_delays(
-    const RingSpec& spec, std::span<const DelaySpec> delays) {
-  std::map<std::pair<int, int>, Duration> delay_at;
-  for (const auto& d : delays) {
-    IW_REQUIRE(d.rank >= 0 && d.rank < spec.ranks, "delay rank out of range");
-    IW_REQUIRE(d.step >= 0 && d.step < spec.steps, "delay step out of range");
-    delay_at[{d.rank, d.step}] += d.duration;
-  }
-  return delay_at;
-}
-
-}  // namespace
 
 std::vector<mpi::Program> build_ring(const RingSpec& spec,
                                      std::span<const DelaySpec> delays) {
   validate(spec);
-  const auto delay_at = index_delays(spec, delays);
+  const auto sorted = sorted_delays(delays, spec.ranks, spec.steps);
   std::vector<mpi::Program> programs(static_cast<std::size_t>(spec.ranks));
   for (int rank = 0; rank < spec.ranks; ++rank)
-    emit_ring_rank(spec, rank, delay_at,
+    emit_ring_rank(spec, rank, delays_of(sorted, rank),
                    programs[static_cast<std::size_t>(rank)]);
   return programs;
 }
@@ -103,9 +80,9 @@ mpi::Program build_ring_rank(const RingSpec& spec, int rank,
                              std::span<const DelaySpec> delays) {
   validate(spec);
   IW_REQUIRE(rank >= 0 && rank < spec.ranks, "rank out of range");
-  const auto delay_at = index_delays(spec, delays);
+  const auto sorted = sorted_delays(delays, spec.ranks, spec.steps);
   mpi::Program prog;
-  emit_ring_rank(spec, rank, delay_at, prog);
+  emit_ring_rank(spec, rank, delays_of(sorted, rank), prog);
   return prog;
 }
 

@@ -7,7 +7,8 @@
 // eight combinations of {eager, rendezvous} x {uni, bi}directional x
 // {open, periodic} boundaries that Fig. 5 scans. One-off delays are injected
 // at given (rank, step) positions right after the compute phase of that
-// step.
+// step. Each rank's Program is that step body, built once and repeated
+// `steps` times; a delayed rank's body carries an injection point.
 #pragma once
 
 #include <cstdint>
@@ -53,13 +54,13 @@ struct DelaySpec {
 /// (paper: "each process receives data from one neighbor and sends it to
 /// the other"). Bidirectional: i exchanges with both i±k. With open
 /// boundaries, out-of-range neighbors are skipped; with periodic boundaries
-/// indices wrap (closed ring). Message tags encode the step so matching is
+/// indices wrap (closed ring). Message tags equal the step, so matching is
 /// unambiguous across rounds.
 [[nodiscard]] std::vector<mpi::Program> build_ring(
     const RingSpec& spec, std::span<const DelaySpec> delays = {});
 
-/// Builds the Program of a single rank — identical op stream to the
-/// corresponding build_ring entry. The fast-forward path uses this to
+/// Builds the Program of a single rank — identical to the corresponding
+/// build_ring entry. The fast-forward path uses this to
 /// materialize only the active ranks' programs: at machine scale the silent
 /// majority never gets a Program at all.
 [[nodiscard]] mpi::Program build_ring_rank(const RingSpec& spec, int rank,

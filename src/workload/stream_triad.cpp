@@ -24,17 +24,14 @@ std::vector<mpi::Program> build_stream_triad(const StreamTriadSpec& spec) {
     const int n = spec.ranks;
     const int up = (rank + 1) % n;
     const int down = (rank - 1 + n) % n;
-    for (int step = 0; step < spec.steps; ++step) {
-      prog.mark(step);
-      prog.mem_work(work);
-      if (n > 1) {
-        prog.isend(up, spec.halo_bytes, step);
-        if (down != up) prog.isend(down, spec.halo_bytes, step);
-        prog.irecv(down, spec.halo_bytes, step);
-        if (down != up) prog.irecv(up, spec.halo_bytes, step);
-      }
-      prog.waitall();
+    prog.mark().mem_work(work);
+    if (n > 1) {
+      prog.isend(up, spec.halo_bytes, 0);
+      if (down != up) prog.isend(down, spec.halo_bytes, 0);
+      prog.irecv(down, spec.halo_bytes, 0);
+      if (down != up) prog.irecv(up, spec.halo_bytes, 0);
     }
+    prog.waitall().repeat(spec.steps);
   }
   return programs;
 }

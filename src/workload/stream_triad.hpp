@@ -30,7 +30,8 @@ struct StreamTriadSpec {
 /// Total flops of one full traversal (all ranks).
 [[nodiscard]] std::int64_t triad_flops_per_step(const StreamTriadSpec& spec);
 
-/// Builds one Program per rank: mem_work + bidirectional ring exchange.
+/// Builds one Program per rank: a mem_work + bidirectional ring exchange
+/// step body, repeated `steps` times.
 [[nodiscard]] std::vector<mpi::Program> build_stream_triad(
     const StreamTriadSpec& spec);
 

@@ -3,6 +3,7 @@
 
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
+#include "workload/collectives.hpp"
 #include "workload/delay.hpp"
 #include "workload/ring.hpp"
 
@@ -144,6 +145,52 @@ TEST(Cluster, SystemNoiseChangesTiming) {
   const auto t_noisy = c2.run(workload::build_ring(ring)).makespan();
 
   EXPECT_GT(t_noisy, t_silent);
+}
+
+/// The trace bytes of `programs` reserved exactly: the row tables plus one
+/// slab entry per bounded segment and per step mark.
+std::size_t exact_trace_bytes(const std::vector<mpi::Program>& programs) {
+  std::size_t bytes =
+      mpi::Trace(static_cast<int>(programs.size())).bytes_used();
+  for (const auto& p : programs)
+    bytes += p.segment_bound() * sizeof(mpi::Segment) +
+             p.step_marks() * sizeof(SimTime);
+  return bytes;
+}
+
+TEST(Cluster, CollectiveProgramTraceIsSizedExactly) {
+  workload::RingSpec ring;
+  ring.ranks = 5;
+  ring.steps = 6;
+  ring.texec = milliseconds(1.0);
+  ring.noisy = false;
+  const auto programs = workload::build_ring_with_collective(
+      ring, workload::CollectiveKind::allreduce, 2, 5000);
+  Cluster cluster(cluster_for_ring(ring));
+  const auto trace = cluster.run(programs);
+  // The allreduce rounds wait but mark no step: step rows hold 6 marks,
+  // not one per WaitAll.
+  for (int r = 0; r < ring.ranks; ++r) {
+    EXPECT_EQ(trace.step_begin(r).size(), 6u);
+    EXPECT_LE(trace.segments(r).size(),
+              programs[static_cast<std::size_t>(r)].segment_bound());
+  }
+  EXPECT_EQ(trace.bytes_used(), exact_trace_bytes(programs));
+}
+
+TEST(Cluster, MarksWithoutWaitallTraceIsSizedExactly) {
+  std::vector<mpi::Program> programs(2);
+  for (int s = 0; s < 7; ++s) programs[0].mark().compute(milliseconds(1.0));
+  programs[1].mark().compute(milliseconds(2.0)).repeat(7);
+  ClusterConfig config;
+  config.topo = net::TopologySpec::one_rank_per_node(2);
+  Cluster cluster(config);
+  const auto trace = cluster.run(programs);
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_EQ(trace.step_begin(r).size(), 7u);
+    EXPECT_EQ(trace.segments(r).size(), 7u);
+  }
+  EXPECT_EQ(trace.bytes_used(), exact_trace_bytes(programs));
 }
 
 TEST(ExperimentHelpers, MeasuredCycleFromMarks) {

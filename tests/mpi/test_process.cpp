@@ -48,7 +48,7 @@ class ProcessFixture {
 TEST(Process, ComputeAdvancesClockAndTraces) {
   ProcessFixture f(1);
   Program p;
-  p.mark(0).compute(milliseconds(3.0), false);
+  p.mark().compute(milliseconds(3.0), false);
   f.run({std::move(p)});
   EXPECT_TRUE(f.procs_[0]->done());
   EXPECT_EQ(f.trace_.finish(0), SimTime::zero() + milliseconds(3.0));
@@ -62,7 +62,7 @@ TEST(Process, ComputeAdvancesClockAndTraces) {
 TEST(Process, InjectTracedSeparately) {
   ProcessFixture f(1);
   Program p;
-  p.mark(0).compute(milliseconds(1.0), false).inject(milliseconds(9.0));
+  p.mark().compute(milliseconds(1.0), false).inject(milliseconds(9.0));
   f.run({std::move(p)});
   EXPECT_EQ(f.trace_.total(0, SegKind::injected), milliseconds(9.0));
   EXPECT_EQ(f.trace_.finish(0), SimTime::zero() + milliseconds(10.0));
@@ -74,7 +74,7 @@ TEST(Process, NoiseSourceExtendsComputePhases) {
       noise::NoiseSpec::uniform(microseconds(100.0), microseconds(100.0)),
       Rng(1));
   Program p;
-  p.mark(0).compute(milliseconds(1.0), true).compute(milliseconds(1.0), true);
+  p.mark().compute(milliseconds(1.0), true).compute(milliseconds(1.0), true);
   f.run({std::move(p)});
   // Two phases, each +100 us.
   EXPECT_EQ(f.trace_.finish(0), SimTime::zero() + milliseconds(2.2));
@@ -105,8 +105,8 @@ TEST(Process, PingPongBlocksAndRecordsWait) {
   ProcessFixture f(2);
   // Rank 0 computes 1 ms then sends; rank 1 waits for it immediately.
   Program p0, p1;
-  p0.mark(0).compute(milliseconds(1.0), false).isend(1, 100, 0).waitall();
-  p1.mark(0).irecv(0, 100, 0).waitall();
+  p0.mark().compute(milliseconds(1.0), false).isend(1, 100, 0).waitall();
+  p1.mark().irecv(0, 100, 0).waitall();
   f.run({std::move(p0), std::move(p1)});
   // Rank 1 waited from t=0 to arrival (1 ms + ~1 us network).
   const Duration wait = f.trace_.total(1, SegKind::wait);
@@ -129,9 +129,9 @@ TEST(Process, WaitallWithCompletedRequestsDoesNotBlock) {
 TEST(Process, StepMarksRecordWallclock) {
   ProcessFixture f(1);
   Program p;
-  p.mark(0).compute(milliseconds(2.0), false)
-      .mark(1).compute(milliseconds(3.0), false)
-      .mark(2);
+  p.mark().compute(milliseconds(2.0), false)
+      .mark().compute(milliseconds(3.0), false)
+      .mark();
   f.run({std::move(p)});
   const auto& marks = f.trace_.step_begin(0);
   ASSERT_EQ(marks.size(), 3u);
@@ -145,7 +145,7 @@ TEST(Process, MemWorkUsesDomain) {
   memory::BandwidthDomain domain(f.engine_, 10e9, 10e9);
   f.procs_[0]->set_domain(&domain);
   Program p;
-  p.mark(0).mem_work(10'000'000, false);  // 10 MB at 10 GB/s = 1 ms
+  p.mark().mem_work(10'000'000, false);  // 10 MB at 10 GB/s = 1 ms
   f.run({std::move(p)});
   EXPECT_EQ(f.trace_.finish(0), SimTime::zero() + milliseconds(1.0));
 }
@@ -177,7 +177,7 @@ TEST(Process, TwoRankRingStaysInLockstep) {
     const int peer = 1 - r;
     for (int s = 0; s < 5; ++s) {
       progs[static_cast<std::size_t>(r)]
-          .mark(s)
+          .mark()
           .compute(milliseconds(1.0), false)
           .isend(peer, 100, s)
           .irecv(peer, 100, s)
@@ -189,6 +189,84 @@ TEST(Process, TwoRankRingStaysInLockstep) {
   EXPECT_EQ(f.trace_.finish(0), f.trace_.finish(1));
   EXPECT_GT(f.trace_.finish(0), SimTime::zero() + milliseconds(5.0));
   EXPECT_LT(f.trace_.finish(0), SimTime::zero() + milliseconds(5.1));
+}
+
+TEST(Process, LoopBodyRunsEveryIteration) {
+  ProcessFixture f(1);
+  Program p;
+  p.mark().compute(milliseconds(2.0), false).repeat(3);
+  f.run({std::move(p)});
+  EXPECT_TRUE(f.procs_[0]->done());
+  EXPECT_EQ(f.trace_.finish(0), SimTime::zero() + milliseconds(6.0));
+  const auto segs = f.trace_.segments(0);
+  ASSERT_EQ(segs.size(), 3u);
+  for (std::int32_t i = 0; i < 3; ++i) EXPECT_EQ(segs[i].step, i);
+  ASSERT_EQ(f.trace_.step_begin(0).size(), 3u);
+  EXPECT_EQ(f.trace_.step_begin(0)[2], SimTime::zero() + milliseconds(4.0));
+}
+
+TEST(Process, InjectionPointRunsOnlyListedIterations) {
+  ProcessFixture f(1);
+  Program p;
+  p.mark().compute(milliseconds(1.0), false).inject_point().repeat(4);
+  p.inject_at(1, milliseconds(5.0)).inject_at(3, Duration::zero());
+  f.run({std::move(p)});
+  const auto segs = f.trace_.segments(0);
+  // Iterations 0 and 2 pass the point without a segment; iteration 3's
+  // zero-length entry still records one.
+  ASSERT_EQ(segs.size(), 6u);
+  EXPECT_EQ(segs[2].kind, SegKind::injected);
+  EXPECT_EQ(segs[2].step, 1);
+  EXPECT_EQ(segs[2].duration(), milliseconds(5.0));
+  EXPECT_EQ(segs[5].kind, SegKind::injected);
+  EXPECT_EQ(segs[5].step, 3);
+  EXPECT_EQ(segs[5].duration(), Duration::zero());
+  EXPECT_EQ(f.trace_.finish(0), SimTime::zero() + milliseconds(9.0));
+}
+
+TEST(Process, IterationSendMatchesOnlyThatIterationsReceive) {
+  // Rank 0 loops over one send body, so iteration i sends tag 10 + i.
+  // Receives posted in reverse tag order each match their own iteration.
+  {
+    ProcessFixture f(2);
+    Program sender, receiver;
+    sender.mark().isend(1, 100, 10).waitall().repeat(3);
+    receiver.irecv(0, 100, 12).irecv(0, 100, 11).irecv(0, 100, 10).waitall();
+    f.run({std::move(sender), std::move(receiver)});
+    EXPECT_TRUE(f.procs_[0]->done());
+    EXPECT_TRUE(f.procs_[1]->done());
+  }
+  // Three receives of iteration 0's tag: only one send carries it, so the
+  // receiver never completes.
+  {
+    ProcessFixture f(2);
+    Program sender, receiver;
+    sender.mark().isend(1, 100, 10).waitall().repeat(3);
+    receiver.irecv(0, 100, 10).irecv(0, 100, 10).irecv(0, 100, 10).waitall();
+    f.run({std::move(sender), std::move(receiver)});
+    EXPECT_TRUE(f.procs_[0]->done());
+    EXPECT_FALSE(f.procs_[1]->done());
+  }
+}
+
+TEST(Process, ResetRewindsTheLoop) {
+  ProcessFixture f(1);
+  Program p;
+  p.mark().compute(milliseconds(1.0), false).inject_point().repeat(2);
+  p.inject_at(1, milliseconds(3.0));
+  f.run({p});
+  ASSERT_TRUE(f.procs_[0]->done());
+
+  Trace trace(1);
+  Process& proc = *f.procs_[0];
+  proc.reset(0, trace);
+  proc.set_program(&f.programs_[0]);
+  proc.start();
+  f.engine_.run();
+  EXPECT_TRUE(proc.done());
+  EXPECT_EQ(trace.segments(0).size(), 3u);
+  EXPECT_EQ(trace.total(0, SegKind::injected), milliseconds(3.0));
+  EXPECT_EQ(trace.step_begin(0).size(), 2u);
 }
 
 }  // namespace

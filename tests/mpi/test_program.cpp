@@ -1,4 +1,5 @@
-// Tests for the rank-program builder.
+// Tests for the rank-program builder: the body, its repeat count, the
+// injection list, and the counters the Cluster sizes storage from.
 #include <gtest/gtest.h>
 
 #include "mpi/program.hpp"
@@ -8,14 +9,15 @@ namespace {
 
 TEST(Program, BuilderAppendsInOrder) {
   Program p;
-  p.mark(0).compute(milliseconds(3.0)).isend(1, 8192, 0).irecv(2, 8192, 0)
+  p.mark().compute(milliseconds(3.0)).isend(1, 8192, 0).irecv(2, 8192, 0)
       .waitall();
-  ASSERT_EQ(p.size(), 5u);
-  EXPECT_TRUE(std::holds_alternative<OpMark>(p.ops()[0]));
-  EXPECT_TRUE(std::holds_alternative<OpCompute>(p.ops()[1]));
-  EXPECT_TRUE(std::holds_alternative<OpIsend>(p.ops()[2]));
-  EXPECT_TRUE(std::holds_alternative<OpIrecv>(p.ops()[3]));
-  EXPECT_TRUE(std::holds_alternative<OpWaitAll>(p.ops()[4]));
+  ASSERT_EQ(p.body().size(), 5u);
+  EXPECT_TRUE(std::holds_alternative<OpMark>(p.body()[0]));
+  EXPECT_TRUE(std::holds_alternative<OpCompute>(p.body()[1]));
+  EXPECT_TRUE(std::holds_alternative<OpIsend>(p.body()[2]));
+  EXPECT_TRUE(std::holds_alternative<OpIrecv>(p.body()[3]));
+  EXPECT_TRUE(std::holds_alternative<OpWaitAll>(p.body()[4]));
+  EXPECT_EQ(p.repeats(), 1);
 }
 
 TEST(Program, TotalInjectedSums) {
@@ -34,15 +36,17 @@ TEST(Program, RoundsCountsWaitalls) {
 
 TEST(Program, EmptyProgram) {
   const Program p;
-  EXPECT_TRUE(p.empty());
+  EXPECT_TRUE(p.body().empty());
   EXPECT_EQ(p.rounds(), 0);
+  EXPECT_EQ(p.step_marks(), 0u);
+  EXPECT_EQ(p.segment_bound(), 0u);
   EXPECT_EQ(p.total_injected(), Duration::zero());
 }
 
 TEST(Program, OpFieldsPreserved) {
   Program p;
   p.isend(3, 16384, 5);
-  const auto& send = std::get<OpIsend>(p.ops()[0]);
+  const auto& send = std::get<OpIsend>(p.body()[0]);
   EXPECT_EQ(send.peer, 3);
   EXPECT_EQ(send.bytes, 16384);
   EXPECT_EQ(send.tag, 5);
@@ -51,7 +55,7 @@ TEST(Program, OpFieldsPreserved) {
 TEST(Program, MemWorkStoresBytes) {
   Program p;
   p.mem_work(1'000'000, false);
-  const auto& work = std::get<OpMemWork>(p.ops()[0]);
+  const auto& work = std::get<OpMemWork>(p.body()[0]);
   EXPECT_EQ(work.bytes, 1'000'000);
   EXPECT_FALSE(work.noisy);
 }
@@ -63,6 +67,93 @@ TEST(Program, RejectsInvalidArguments) {
   EXPECT_THROW(p.isend(-1, 10, 0), std::invalid_argument);
   EXPECT_THROW(p.irecv(0, -10, 0), std::invalid_argument);
   EXPECT_THROW(p.mem_work(-1), std::invalid_argument);
+}
+
+TEST(Program, RepeatedBodyCounters) {
+  Program p;
+  p.mark().compute(milliseconds(1.0)).inject_point()
+      .isend(1, 64, 0).irecv(1, 64, 0).waitall()
+      .inject(milliseconds(0.5))
+      .repeat(4)
+      .inject_at(0, milliseconds(2.0))
+      .inject_at(3, milliseconds(3.0));
+  EXPECT_EQ(p.repeats(), 4);
+  EXPECT_EQ(p.rounds(), 4);
+  EXPECT_EQ(p.step_marks(), 4u);
+  // compute + fixed inject + wait per iteration, plus one per listed entry.
+  EXPECT_EQ(p.segment_bound(), 3u * 4u + 2u);
+  EXPECT_EQ(p.max_window_requests(), 2u);
+  EXPECT_EQ(p.total_injected(), milliseconds(0.5) * 4 + milliseconds(5.0));
+  ASSERT_EQ(p.injections().size(), 2u);
+  EXPECT_EQ(p.injections()[1].iteration, 3);
+  EXPECT_EQ(p.injections()[1].duration, milliseconds(3.0));
+}
+
+TEST(Program, RepeatedIterationAddsToItsEntry) {
+  Program p;
+  p.compute(milliseconds(1.0)).inject_point().repeat(3);
+  p.inject_at(1, milliseconds(2.0)).inject_at(1, milliseconds(3.0));
+  ASSERT_EQ(p.injections().size(), 1u);
+  EXPECT_EQ(p.injections()[0].duration, milliseconds(5.0));
+  EXPECT_EQ(p.segment_bound(), 4u);
+  EXPECT_EQ(p.total_injected(), milliseconds(5.0));
+}
+
+TEST(Program, RepeatRejectsOpenPosts) {
+  Program p;
+  p.compute(milliseconds(1.0)).isend(1, 64, 0);
+  EXPECT_THROW(p.repeat(2), std::invalid_argument);
+}
+
+TEST(Program, RepeatRejectsSecondCallAndBadCounts) {
+  Program p;
+  p.compute(milliseconds(1.0));
+  EXPECT_THROW(p.repeat(0), std::invalid_argument);
+  p.repeat(2);
+  EXPECT_THROW(p.repeat(2), std::invalid_argument);
+}
+
+TEST(Program, RepeatSealsTheBody) {
+  Program p;
+  p.compute(milliseconds(1.0)).repeat(2);
+  EXPECT_THROW(p.waitall(), std::invalid_argument);
+  EXPECT_THROW(p.inject_point(), std::invalid_argument);
+  EXPECT_EQ(p.body().size(), 1u);
+  EXPECT_EQ(p.rounds(), 0);
+}
+
+TEST(Program, InjectAtRejectsNegativeDurations) {
+  Program p;
+  p.compute(milliseconds(1.0)).inject_point().repeat(3);
+  EXPECT_THROW(p.inject_at(1, Duration{-1}), std::invalid_argument);
+}
+
+TEST(Program, InjectAtRejectsOutOfRangeIterations) {
+  Program p;
+  p.compute(milliseconds(1.0)).inject_point().repeat(3);
+  EXPECT_THROW(p.inject_at(-1, milliseconds(1.0)), std::invalid_argument);
+  EXPECT_THROW(p.inject_at(3, milliseconds(1.0)), std::invalid_argument);
+  p.inject_at(2, milliseconds(1.0));
+}
+
+TEST(Program, InjectAtRejectsOutOfOrderIterations) {
+  Program p;
+  p.compute(milliseconds(1.0)).inject_point().repeat(3);
+  p.inject_at(2, milliseconds(1.0));
+  EXPECT_THROW(p.inject_at(1, milliseconds(1.0)), std::invalid_argument);
+  EXPECT_EQ(p.injections().size(), 1u);
+}
+
+TEST(Program, InjectAtNeedsAnInjectionPoint) {
+  Program p;
+  p.compute(milliseconds(1.0)).repeat(3);
+  EXPECT_THROW(p.inject_at(0, milliseconds(1.0)), std::invalid_argument);
+}
+
+TEST(Program, AtMostOneInjectionPoint) {
+  Program p;
+  p.inject_point().compute(milliseconds(1.0));
+  EXPECT_THROW(p.inject_point(), std::invalid_argument);
 }
 
 }  // namespace

@@ -21,16 +21,20 @@ TEST(StreamTriad, ProgramsHaveRingExchange) {
   spec.steps = 2;
   const auto programs = build_stream_triad(spec);
   ASSERT_EQ(programs.size(), 4u);
-  // Per step: mark + mem_work + 2 sends + 2 recvs + waitall = 7 ops.
-  EXPECT_EQ(programs[0].size(), 14u);
+  // Step body: mark + mem_work + 2 sends + 2 recvs + waitall = 7 ops,
+  // repeated once per step.
+  EXPECT_EQ(programs[0].body().size(), 7u);
+  EXPECT_EQ(programs[0].repeats(), 2);
+  EXPECT_EQ(programs[0].rounds(), 2);
   int sends = 0;
-  for (const auto& op : programs[2].ops())
+  for (const auto& op : programs[2].body())
     if (const auto* send = std::get_if<mpi::OpIsend>(&op)) {
       ++sends;
       EXPECT_TRUE(send->peer == 1 || send->peer == 3);  // closed ring
       EXPECT_EQ(send->bytes, spec.halo_bytes);
+      EXPECT_EQ(send->tag, 0);  // the loop adds the step
     }
-  EXPECT_EQ(sends, 4);  // 2 per step
+  EXPECT_EQ(sends, 2);  // per step
 }
 
 TEST(StreamTriad, SingleRankHasNoCommunication) {
@@ -38,7 +42,7 @@ TEST(StreamTriad, SingleRankHasNoCommunication) {
   spec.ranks = 1;
   spec.steps = 3;
   const auto programs = build_stream_triad(spec);
-  for (const auto& op : programs[0].ops()) {
+  for (const auto& op : programs[0].body()) {
     EXPECT_FALSE(std::holds_alternative<mpi::OpIsend>(op));
     EXPECT_FALSE(std::holds_alternative<mpi::OpIrecv>(op));
   }
@@ -50,7 +54,7 @@ TEST(StreamTriad, TwoRankRingDeduplicatesPeer) {
   spec.steps = 1;
   const auto programs = build_stream_triad(spec);
   int sends = 0, recvs = 0;
-  for (const auto& op : programs[0].ops()) {
+  for (const auto& op : programs[0].body()) {
     sends += std::holds_alternative<mpi::OpIsend>(op);
     recvs += std::holds_alternative<mpi::OpIrecv>(op);
   }
@@ -91,7 +95,7 @@ TEST(Lbm, ProgramsUsePeriodicNeighbors) {
   const auto programs = build_lbm(spec);
   ASSERT_EQ(programs.size(), 4u);
   std::vector<int> peers;
-  for (const auto& op : programs[0].ops())
+  for (const auto& op : programs[0].body())
     if (const auto* send = std::get_if<mpi::OpIsend>(&op))
       peers.push_back(send->peer);
   EXPECT_EQ(peers, (std::vector<int>{1, 3}));  // periodic wrap for rank 0

@@ -20,7 +20,7 @@ mpi::Trace run(std::vector<mpi::Program> programs) {
 std::vector<mpi::Program> barrier_only(int ranks) {
   std::vector<mpi::Program> programs(static_cast<std::size_t>(ranks));
   for (int r = 0; r < ranks; ++r) {
-    programs[static_cast<std::size_t>(r)].mark(0);
+    programs[static_cast<std::size_t>(r)].mark();
     append_barrier(programs[static_cast<std::size_t>(r)], r, ranks, 0);
   }
   return programs;
@@ -38,7 +38,7 @@ TEST(Barrier, CompletesOnAllRankCounts) {
 TEST(Barrier, SingleRankIsNoop) {
   mpi::Program prog;
   append_barrier(prog, 0, 1, 0);
-  EXPECT_TRUE(prog.empty());
+  EXPECT_TRUE(prog.body().empty());
 }
 
 TEST(Barrier, NobodyLeavesBeforeTheLastArrives) {
@@ -88,7 +88,7 @@ TEST(RingAllreduce, RoundStructure) {
   // 2(n-1) = 8 rounds, each isend+irecv+waitall.
   EXPECT_EQ(prog.rounds(), 8);
   int sends = 0;
-  for (const auto& op : prog.ops())
+  for (const auto& op : prog.body())
     if (const auto* send = std::get_if<mpi::OpIsend>(&op)) {
       ++sends;
       EXPECT_EQ(send->bytes, 1000);  // bytes / ranks
@@ -103,9 +103,9 @@ TEST(Bcast, RootSendsLeavesReceive) {
   for (int r = 0; r < n; ++r)
     append_bcast(programs[static_cast<std::size_t>(r)], r, n, 4096, 0);
   // Root has no receive; leaf 7 has no send.
-  for (const auto& op : programs[0].ops())
+  for (const auto& op : programs[0].body())
     EXPECT_FALSE(std::holds_alternative<mpi::OpIrecv>(op));
-  for (const auto& op : programs[7].ops())
+  for (const auto& op : programs[7].body())
     EXPECT_FALSE(std::holds_alternative<mpi::OpIsend>(op));
   const auto trace = run(std::move(programs));
   for (int r = 0; r < n; ++r) EXPECT_GT(trace.finish(r).ns(), 0);

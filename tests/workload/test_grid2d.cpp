@@ -75,14 +75,17 @@ TEST(Grid2D, ProgramsHaveSymmetricExchange) {
   Grid2DSpec spec = spec_4x3();
   const auto programs = build_grid2d(spec);
   ASSERT_EQ(programs.size(), 12u);
-  // Per step: every neighbor gets one send and one recv.
+  // The step body gives every neighbor one send and one recv, and runs
+  // once per step.
   int sends = 0, recvs = 0;
-  for (const auto& op : programs[5].ops()) {
+  for (const auto& op : programs[5].body()) {
     sends += std::holds_alternative<mpi::OpIsend>(op);
     recvs += std::holds_alternative<mpi::OpIrecv>(op);
   }
   EXPECT_EQ(sends, recvs);
-  EXPECT_EQ(sends, 4 * spec.steps);  // rank 5 = (1,1) is interior
+  EXPECT_EQ(sends, 4);  // rank 5 = (1,1) is interior
+  EXPECT_EQ(programs[5].repeats(), spec.steps);
+  EXPECT_EQ(programs[5].max_window_requests(), 8u);
 }
 
 TEST(Grid2D, DelayInjection) {
@@ -91,6 +94,18 @@ TEST(Grid2D, DelayInjection) {
   const auto programs = build_grid2d(spec, delays);
   EXPECT_EQ(programs[5].total_injected(), milliseconds(7.0));
   EXPECT_EQ(programs[4].total_injected(), Duration::zero());
+  // The injection point follows the compute and precedes the first send,
+  // and only step 1 uses it.
+  const auto& body = programs[5].body();
+  ASSERT_GE(body.size(), 4u);
+  EXPECT_TRUE(std::holds_alternative<mpi::OpCompute>(body[1]));
+  ASSERT_TRUE(std::holds_alternative<mpi::OpInject>(body[2]));
+  EXPECT_TRUE(std::get<mpi::OpInject>(body[2]).point);
+  EXPECT_TRUE(std::holds_alternative<mpi::OpIsend>(body[3]));
+  ASSERT_EQ(programs[5].injections().size(), 1u);
+  EXPECT_EQ(programs[5].injections()[0].iteration, 1);
+  for (const auto& op : programs[4].body())
+    EXPECT_FALSE(std::holds_alternative<mpi::OpInject>(op));
 }
 
 TEST(Grid2D, Validation) {
