@@ -66,7 +66,7 @@ void Process::add_noise(const noise::NoiseSpec& spec, Rng rng) {
 
 void Process::start() {
   IW_REQUIRE(program_ != nullptr, "start() requires a program");
-  engine_.at(engine_.now(), [this] { resume(); });
+  engine_.at(engine_.now(), [this] { resume(engine_.now()); });
 }
 
 Duration Process::sample_noise() {
@@ -75,7 +75,7 @@ Duration Process::sample_noise() {
   return extra;
 }
 
-void Process::resume() {
+void Process::resume(SimTime now) {
   const auto& body = program_->body();
   for (;;) {
     if (pc_ == body.size()) {
@@ -90,6 +90,7 @@ void Process::resume() {
     // The send/recv posts lead the dispatch chain: a step posts one of
     // each per neighbor but hits every other op kind once.
     if (const auto* send = std::get_if<OpIsend>(&op)) {
+      IW_ASSERT(now == engine_.now(), "post ahead of the engine clock");
       const auto id = static_cast<RequestId>(req_count_);
       Request& req = push_request();
       // Eager sends hand back their local-completion delay instead of
@@ -98,7 +99,7 @@ void Process::resume() {
               transport_.post_send(rank_, send->peer, send->tag + iteration_,
                                    send->bytes, id)) {
         req.timed = true;
-        req.due = engine_.now() + *local;
+        req.due = now + *local;
         latest_due_ = std::max(latest_due_, req.due);
       } else {
         ++open_requests_;
@@ -108,6 +109,7 @@ void Process::resume() {
     }
 
     if (const auto* recv = std::get_if<OpIrecv>(&op)) {
+      IW_ASSERT(now == engine_.now(), "post ahead of the engine clock");
       const auto id = static_cast<RequestId>(req_count_);
       push_request();
       // Count the receive open before posting: an unexpected match settles
@@ -120,19 +122,22 @@ void Process::resume() {
     }
 
     if (const auto* comp = std::get_if<OpCompute>(&op)) {
+      // A fused wait end runs this at its own settle time, ahead of the
+      // engine clock: the noise streams are the rank's own, and nothing
+      // reads the rank until the compute ends.
       const Duration extra = comp->noisy ? sample_noise() : Duration::zero();
-      engine_.after(comp->duration + extra,
-                    [this, begin = engine_.now(), extra] {
-                      end_phase(SegKind::compute, begin, extra);
-                    });
+      engine_.at(now + comp->duration + extra, [this, begin = now, extra] {
+        end_phase(SegKind::compute, begin, extra);
+      });
       return;
     }
 
     if (const auto* work = std::get_if<OpMemWork>(&op)) {
+      IW_ASSERT(now == engine_.now(), "memory work ahead of the engine clock");
       IW_REQUIRE(domain_ != nullptr,
                  "OpMemWork requires a bandwidth domain on this rank");
       const Duration extra = work->noisy ? sample_noise() : Duration::zero();
-      domain_->submit(work->bytes, [this, begin = engine_.now(), extra] {
+      domain_->submit(work->bytes, [this, begin = now, extra] {
         engine_.after(extra, [this, begin, extra] {
           end_phase(SegKind::compute, begin, extra);
         });
@@ -141,6 +146,7 @@ void Process::resume() {
     }
 
     if (const auto* inject = std::get_if<OpInject>(&op)) {
+      IW_ASSERT(now == engine_.now(), "injection ahead of the engine clock");
       Duration duration = inject->duration;
       if (inject->point) {
         // The injection point runs only in the iterations the program
@@ -153,20 +159,21 @@ void Process::resume() {
         }
         duration = listed[next_injection_++].duration;
       }
-      engine_.after(duration, [this, begin = engine_.now()] {
+      engine_.after(duration, [this, begin = now] {
         end_phase(SegKind::injected, begin, Duration::zero());
       });
       return;
     }
 
     if (std::holds_alternative<OpWaitAll>(op)) {
-      if (requests_settled(engine_.now())) {
+      IW_ASSERT(now == engine_.now(), "WaitAll ahead of the engine clock");
+      if (requests_settled(now)) {
         req_count_ = 0;
         ++pc_;
         continue;
       }
       blocked_ = true;
-      wait_begin_ = engine_.now();
+      wait_begin_ = now;
       if (tracer_ != nullptr) [[unlikely]]
         tracer_->record(wait_begin_, obs::TraceEvent::kWaitBegin, rank_);
       schedule_timed_wake();
@@ -174,7 +181,7 @@ void Process::resume() {
     }
 
     if (std::holds_alternative<OpMark>(op)) {
-      trace_->mark_step(rank_, next_step_, engine_.now());
+      trace_->mark_step(rank_, next_step_, now);
       ++next_step_;
       ++pc_;
       continue;
@@ -186,40 +193,62 @@ void Process::resume() {
   // Program complete.
   if (!done_) {
     done_ = true;
-    trace_->set_finish(rank_, engine_.now());
+    trace_->set_finish(rank_, now);
     if (on_done_.fn != nullptr) on_done_.fn(on_done_.ctx, rank_);
   }
 }
 
 void Process::end_phase(SegKind kind, SimTime begin, Duration noise) {
   // No mark runs while a phase is pending, so the step is still current.
-  trace_->add_segment(rank_, Segment{kind, begin, engine_.now(),
-                                     next_step_ - 1, noise});
+  const SimTime now = engine_.now();
+  trace_->add_segment(rank_, Segment{kind, begin, now, next_step_ - 1, noise});
   ++pc_;
-  resume();
+  resume(now);
 }
 
 bool Process::requests_settled(SimTime now) const {
   return open_requests_ == 0 && latest_due_ <= now;
 }
 
+bool Process::compute_follows_wait() const {
+  // Scan from the op after the WaitAll at pc_, wrapping into the next
+  // iteration. The scan stops at the latest on the WaitAll itself.
+  const auto& body = program_->body();
+  std::size_t pc = pc_ + 1;
+  for (;;) {
+    if (pc == body.size()) {
+      if (iteration_ + 1 >= program_->repeats()) return false;
+      pc = 0;
+      continue;
+    }
+    if (std::holds_alternative<OpCompute>(body[pc])) return true;
+    if (!std::holds_alternative<OpMark>(body[pc])) return false;
+    ++pc;
+  }
+}
+
 void Process::schedule_timed_wake() {
-  // If any request has not settled yet, its settlement will re-arm us;
-  // otherwise nothing would, so wake at the latest known due time. Each
-  // window arms at most one wake: the arming call is the one that settles
-  // the last open request, and requests settle only once.
+  // If any request has not settled yet, its settlement will re-arm us.
+  // Otherwise every due time is known, and so is the wait's end. When only
+  // marks and a core-bound compute follow, ending the wait now at that
+  // time is rank-local, so no wake is needed. Else wake at the latest due
+  // time. Each window arms at most one wake: the arming call is the one
+  // that settles the last open request, and requests settle only once.
   if (open_requests_ > 0) return;
+  if (compute_follows_wait()) {
+    finish_wait(latest_due_);
+    return;
+  }
   engine_.at(latest_due_, [this] {
     if (!blocked_) return;
     IW_ASSERT(requests_settled(engine_.now()),
               "timed wake before every request settled");
-    finish_wait();
+    finish_wait(engine_.now());
   });
 }
 
-void Process::finish_wait() {
+void Process::finish_wait(SimTime now) {
   blocked_ = false;
-  const SimTime now = engine_.now();
   if (tracer_ != nullptr) [[unlikely]]
     tracer_->record(now, obs::TraceEvent::kWaitEnd, rank_);
   if (now > wait_begin_) {
@@ -229,7 +258,7 @@ void Process::finish_wait() {
   req_count_ = 0;
   latest_due_ = SimTime::zero();
   ++pc_;
-  resume();
+  resume(now);
 }
 
 void Process::on_request_settles_at(RequestId id, SimTime due) {
@@ -247,7 +276,7 @@ void Process::on_request_settles_at(RequestId id, SimTime due) {
     schedule_timed_wake();
     return;
   }
-  finish_wait();
+  finish_wait(engine_.now());
 }
 
 }  // namespace iw::mpi

@@ -65,13 +65,13 @@ class Process {
   void start();
 
   /// Transport callback for completions whose finish time is already known
-  /// (a matched receive settles `overhead` after its arrival; a two-sided
-  /// rendezvous push settles both its sender, at injection end, and its
-  /// receiver, at arrival + overhead, when it is posted): marks the request
-  /// as settling at `due` instead of costing a completion event. A blocked
-  /// WaitAll whose remaining requests are all timed re-arms a single wake
-  /// at the latest due point — one event per wait window, not one per
-  /// completion.
+  /// (a matched receive settles `overhead` after its arrival; an eager
+  /// message whose receive is already posted, and a two-sided rendezvous
+  /// push, settle when they are sent): marks the request as settling at
+  /// `due` instead of costing a completion event. Once a blocked WaitAll's
+  /// requests are all timed, the wait ends at the latest due point: at
+  /// most one wake per wait window, and none when the window is followed
+  /// by marks and a core-bound compute (see schedule_timed_wake()).
   void on_request_settles_at(RequestId id, SimTime due);
 
   /// Plain-pointer completion hook (rank-done notification): no type-erased
@@ -89,14 +89,27 @@ class Process {
   [[nodiscard]] bool blocked() const { return blocked_; }
 
  private:
-  void resume();  ///< interpret (iteration, pc) until blocked or timed
+  /// Interprets (iteration, pc) at the rank-local time `now` until blocked
+  /// or timed. `now` runs ahead of the engine clock only in a fused wait
+  /// end, which reaches marks and one compute and nothing else: every post,
+  /// injection, memory phase and WaitAll asserts `now == engine_.now()`.
+  void resume(SimTime now);
   [[nodiscard]] Duration sample_noise();
   /// True when every request has settled and its due point has passed.
   [[nodiscard]] bool requests_settled(SimTime now) const;
-  /// If every unfinished request has a known (timed) completion point,
-  /// schedules one wake event at the latest of them.
+  /// True when the ops after the WaitAll at pc_, wrapping into the next
+  /// iteration, are marks followed by an OpCompute. False after the
+  /// program's last WaitAll, whose end is the rank's finish time.
+  [[nodiscard]] bool compute_follows_wait() const;
+  /// Once every request of the blocked window has a known (timed)
+  /// completion point, ends the wait at the latest of them. When a compute
+  /// follows (compute_follows_wait()), it ends the wait right away, ahead
+  /// of the clock: the wait segment, the wait-end record and the step mark
+  /// take that time, and the compute end is scheduled from it. Otherwise
+  /// it schedules one wake event there.
   void schedule_timed_wake();
-  void finish_wait();               ///< records the wait segment, resumes
+  /// Records the wait segment ending at `now`, resumes at `now`.
+  void finish_wait(SimTime now);
   /// Records the timed phase begun at `begin` as a segment, resumes.
   void end_phase(SegKind kind, SimTime begin, Duration noise);
 

@@ -54,6 +54,7 @@ void Transport::reconfigure(const net::FabricProfile& fabric,
     s.nic_free = SimTime::zero();
     s.nic_inflight = 0;
     s.outstanding_handshakes = 0;
+    s.arrivals_in_flight = 0;
     s.deferred.clear();
   }
   rdv_slab_.clear();
@@ -171,6 +172,7 @@ void Transport::audit() const {
     s.nic_backlog.audit();
     IW_ASSERT(s.outstanding_handshakes >= 0,
               "negative outstanding handshake count");
+    IW_ASSERT(s.arrivals_in_flight >= 0, "negative in-flight arrival count");
     for (const std::uint32_t slot : s.deferred)
       assert_rdv_live(slot, "deferred push list");
     for (std::size_t i = 0; i < s.unexpected_rts.size(); ++i)
@@ -218,7 +220,7 @@ void Transport::audit() const {
 
 void Transport::transfer(net::LinkClass cls, int src, int dst,
                          std::int64_t bytes, sim::EventFn on_injected,
-                         sim::EventFn on_arrival, bool counted) {
+                         sim::EventFn on_arrival) {
   const bool same_node = cls == net::LinkClass::intra_socket ||
                          cls == net::LinkClass::inter_socket;
   memory::BandwidthDomain* src_domain = same_node ? domain_of(src) : nullptr;
@@ -229,8 +231,7 @@ void Transport::transfer(net::LinkClass cls, int src, int dst,
     // transfer) or on_arrival (one-sided puts complete the receiver via
     // the FIN instead) schedules nothing.
     const net::LinkParams& p = fabric_.params(cls);
-    const SimTime arrival =
-        counted ? inject_counted(p, src, bytes) : inject(p, src, bytes);
+    const SimTime arrival = inject(p, src, bytes);
     if (on_injected) engine_.at(arrival - p.latency, std::move(on_injected));
     if (on_arrival) engine_.at(arrival, std::move(on_arrival));
     return;
@@ -463,31 +464,76 @@ void Transport::post_ghost_send(int src, int dst, int tag,
 
 Duration Transport::send_eager(net::LinkClass cls, int src, int dst, int tag,
                                std::int64_t bytes) {
-  const Duration overhead = fabric_.params(cls).overhead;
+  const net::LinkParams& p = fabric_.params(cls);
   const Envelope envelope{src, dst, tag, bytes};
+  RankState& s = state(dst);
   trace(obs::TraceEvent::kEagerSend, src, dst, bytes);
   // The arrival closure carries the link overhead, so a matched arrival
-  // never re-classifies the link. The injection is counted against the
-  // finite NIC budget (a no-op on the memory path and the ideal NIC).
-  transfer(cls, src, dst, bytes, nullptr,
-           [this, envelope, overhead] { on_eager_arrival(envelope, overhead); },
-           /*counted=*/nic_limited_);
+  // never re-classifies the link.
+  const auto arrive = [this, envelope, o = p.overhead] {
+    on_eager_arrival(envelope, o);
+  };
   // Local completion: buffering costs only the per-message overhead. The
-  // caller folds this into its own wait accounting — no completion event.
-  return overhead;
+  // caller folds the returned delay into its own wait accounting, so the
+  // sender costs no completion event.
+  if (!nic_path(cls, src)) {
+    // Memory path: the bandwidth domains decide the arrival time later.
+    ++s.arrivals_in_flight;
+    transfer(cls, src, dst, bytes, nullptr, arrive);
+    return p.overhead;
+  }
+
+  // The NIC fixes the arrival time now, so a receive that is already
+  // posted settles here, at arrival + overhead, with no arrival event.
+  // That takes no credit window (a credit returns at the arrival) and no
+  // earlier eager or RTS arrival to dst still on the wire: one from src
+  // with the same tag must take this receive first (MPI non-overtaking). A
+  // due time strictly after now keeps on_request_settles_at from resuming
+  // the receiver inside this send.
+  const SimTime arrival = inject_counted(p, src, bytes);
+  if (!track_credits_ && s.arrivals_in_flight == 0 &&
+      arrival + p.overhead > engine_.now()) {
+    if (const std::size_t i = find_posted(s, envelope);
+        i < s.posted_recvs.size()) {
+      ++stats_.eager_at_post;
+      if (tracer_ != nullptr) [[unlikely]]
+        tracer_->record(arrival, obs::TraceEvent::kEagerRecv, dst, src, bytes);
+      settle_posted(envelope, i, arrival, p.overhead);
+      return p.overhead;
+    }
+  }
+  ++s.arrivals_in_flight;
+  engine_.at(arrival, arrive);
+  return p.overhead;
+}
+
+std::size_t Transport::find_posted(const RankState& s,
+                                   const Envelope& envelope) const {
+  const auto& q = s.posted_recvs;
+  std::size_t i = 0;
+  while (i < q.size() && !envelope.matches(q[i].src, q[i].tag)) ++i;
+  return i;
+}
+
+void Transport::settle_posted(const Envelope& envelope, std::size_t i,
+                              SimTime arrival, Duration overhead) {
+  auto& q = state(envelope.dst).posted_recvs;
+  if (tracer_ != nullptr) [[unlikely]]
+    tracer_->record(arrival, obs::TraceEvent::kMatch, envelope.dst,
+                    envelope.src, envelope.bytes);
+  complete(envelope.dst, q[i].request, arrival + overhead);
+  if (track_credits_) return_credit(envelope.src, envelope.dst);
+  q.erase(i);
 }
 
 void Transport::on_eager_arrival(const Envelope& envelope, Duration overhead) {
   RankState& s = state(envelope.dst);
+  --s.arrivals_in_flight;
   trace(obs::TraceEvent::kEagerRecv, envelope.dst, envelope.src,
         envelope.bytes);
-  auto& q = s.posted_recvs;
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    if (!envelope.matches(q[i].src, q[i].tag)) continue;
-    trace(obs::TraceEvent::kMatch, envelope.dst, envelope.src, envelope.bytes);
-    complete(envelope.dst, q[i].request, engine_.now() + overhead);
-    if (track_credits_) return_credit(envelope.src, envelope.dst);
-    q.erase(i);
+  if (const std::size_t i = find_posted(s, envelope);
+      i < s.posted_recvs.size()) {
+    settle_posted(envelope, i, engine_.now(), overhead);
     return;
   }
   ++stats_.unexpected_eager;
@@ -518,9 +564,8 @@ void Transport::send_rts(net::LinkClass cls, std::uint32_t slot) {
   const int src = rdv_slab_[slot].envelope.src;
   trace(obs::TraceEvent::kRtsSend, src, rdv_slab_[slot].envelope.dst,
         rdv_slab_[slot].envelope.bytes, slot);
-  const SimTime rts_arrival = nic_limited_
-                                  ? inject_counted(fabric_.params(cls), src, 0)
-                                  : inject(fabric_.params(cls), src, 0);
+  const SimTime rts_arrival = inject_counted(fabric_.params(cls), src, 0);
+  ++state(rdv_slab_[slot].envelope.dst).arrivals_in_flight;
   engine_.at(rts_arrival, [this, slot] { on_rts_arrival(slot); });
 }
 
@@ -528,11 +573,11 @@ void Transport::on_rts_arrival(std::uint32_t slot) {
   assert_rdv_live(slot, "on_rts_arrival");
   const Envelope envelope = rdv_slab_[slot].envelope;
   RankState& s = state(envelope.dst);
+  --s.arrivals_in_flight;
   trace(obs::TraceEvent::kRtsRecv, envelope.dst, envelope.src, envelope.bytes,
         slot);
   auto& q = s.posted_recvs;
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    if (!envelope.matches(q[i].src, q[i].tag)) continue;
+  if (const std::size_t i = find_posted(s, envelope); i < q.size()) {
     const RequestId recv_request = q[i].request;
     trace(obs::TraceEvent::kMatch, envelope.dst, envelope.src, envelope.bytes,
           slot);

@@ -11,12 +11,17 @@
 // its request completes immediately after the local overhead — the sender
 // "can get rid of its messages" (paper Sec. IV). Data travels autonomously;
 // unexpected arrivals queue at the receiver until a matching Irecv is
-// posted. The eager limit is the fabric's `eager_limit_bytes`. An optional
-// per-endpoint credit window (EagerPolicy::credit_window) bounds the eager
-// messages in flight per pair and demotes further eager sends to
-// rendezvous, modeling the footnote in the paper ("a limit to the internal
-// buffers ... handled like a transition to a rendezvous protocol");
-// credits return when the receiver drains the message.
+// posted. A NIC-path send whose receive is already posted knows the
+// receive's finish time (arrival + `o`) when it is sent and settles it
+// then, with no arrival event, unless credits are tracked or another
+// eager/RTS arrival to the receiver is still in flight (which might have
+// to match that receive first). The eager limit is the fabric's
+// `eager_limit_bytes`. An optional per-endpoint credit window
+// (EagerPolicy::credit_window) bounds the eager messages in flight per
+// pair and demotes further eager sends to rendezvous, modeling the
+// footnote in the paper ("a limit to the internal buffers ... handled like
+// a transition to a rendezvous protocol"); credits return when the
+// receiver drains the message.
 //
 // Rendezvous protocol (bytes > eager limit): RTS control message to the
 // receiver; when the RTS has arrived *and* a matching receive is posted, the
@@ -103,6 +108,7 @@ class Transport {
   /// Counters for tests/ablations.
   struct Stats {
     std::uint64_t eager_sends = 0;
+    std::uint64_t eager_at_post = 0;     ///< eager sends settled when posted
     std::uint64_t rendezvous_sends = 0;
     std::uint64_t credit_stalls = 0;     ///< eager-sized but out of credits
     std::uint64_t nic_backlogged = 0;    ///< posts that hit the retry backlog
@@ -278,8 +284,13 @@ class Transport {
     SimTime nic_free = SimTime::zero();
     int nic_inflight = 0;                  ///< budgeted injections in flight
     int outstanding_handshakes = 0;        ///< RTS sent, CTS not yet received
+    int arrivals_in_flight = 0;            ///< eager/RTS arrivals on the wire
     std::vector<std::uint32_t> deferred;   ///< handshake-complete, push held
   };
+  // One RankState per rank: at 10^5 ranks every 8 bytes here is ~0.8 MB of
+  // peak RSS. The audit layer adds a canary to each queue.
+  static_assert(IW_AUDIT_ENABLED || sizeof(RankState) <= 232,
+                "RankState outgrew its 232-byte budget");
 
   [[nodiscard]] const net::LinkParams& link(int a, int b) const;
   RankState& state(int rank) {
@@ -322,13 +333,12 @@ class Transport {
   /// sends); `on_arrival` (may be empty for one-sided puts, where the FIN
   /// completes the receiver instead) fires when the payload is available at
   /// the destination. Uses the NIC path across nodes and the memory-copy
-  /// path within a node when domains are configured; `counted` charges a
-  /// NIC-path injection against the finite budget. The continuations are
+  /// path within a node when domains are configured. NIC-path injections
+  /// here are budget-exempt protocol responses. The continuations are
   /// one-shot move-only closures: they travel through the protocol layers
   /// by move, never by copy.
   void transfer(net::LinkClass cls, int src, int dst, std::int64_t bytes,
-                sim::EventFn on_injected, sim::EventFn on_arrival,
-                bool counted = false);
+                sim::EventFn on_injected, sim::EventFn on_arrival);
 
   void check_ranks(int src, int dst) const {
     IW_REQUIRE(src >= 0 && dst >= 0 &&
@@ -340,9 +350,18 @@ class Transport {
   /// Returns the sender's local-completion delay (the link overhead); the
   /// caller owns the request's completion, so no id is taken. Wire-level
   /// only: protocol accounting (stats, credits) is charged by
-  /// post_send at post time, so backlog drains do not double-count.
+  /// post_send at post time, so backlog drains do not double-count. A NIC
+  /// send whose receive is already posted settles that receive here.
   Duration send_eager(net::LinkClass cls, int src, int dst, int tag,
                       std::int64_t bytes);
+  /// Index of the first posted receive at `s` matching `envelope`, or
+  /// s.posted_recvs.size() if none does.
+  [[nodiscard]] std::size_t find_posted(const RankState& s,
+                                        const Envelope& envelope) const;
+  /// Settles the posted receive `i` of envelope.dst with the eager payload
+  /// arriving at `arrival`, at arrival + `overhead`, and removes it.
+  void settle_posted(const Envelope& envelope, std::size_t i, SimTime arrival,
+                     Duration overhead);
   /// Acquires a rendezvous record and posts (or backlogs) its RTS.
   void send_rendezvous(net::LinkClass cls, int src, int dst, int tag,
                        std::int64_t bytes, RequestId request);

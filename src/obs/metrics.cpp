@@ -77,6 +77,7 @@ void MetricsRegistry::publish(const mpi::Transport& transport) {
   // here — extend both when extending either.
   const mpi::Transport::Stats& s = transport.stats();
   add(MetricId::transport_eager_sends, s.eager_sends);
+  add(MetricId::transport_eager_at_post, s.eager_at_post);
   add(MetricId::transport_rendezvous_sends, s.rendezvous_sends);
   add(MetricId::transport_credit_stalls, s.credit_stalls);
   add(MetricId::transport_nic_backlogged, s.nic_backlogged);

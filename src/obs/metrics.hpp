@@ -45,6 +45,7 @@ class BandwidthDomain;
   X(engine_batches, "engine.batches", counter)                              \
   X(engine_calendar_peak, "engine.calendar_peak", gauge)                    \
   X(transport_eager_sends, "transport.eager_sends", counter)                \
+  X(transport_eager_at_post, "transport.eager_at_post", counter)            \
   X(transport_rendezvous_sends, "transport.rendezvous_sends", counter)      \
   X(transport_credit_stalls, "transport.credit_stalls", counter)            \
   X(transport_nic_backlogged, "transport.nic_backlogged", counter)          \

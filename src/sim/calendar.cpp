@@ -60,23 +60,12 @@ void Calendar::reset() noexcept {
   peak_size_ = 0;
 }
 
-SimTime Calendar::next_time() const {
-  IW_REQUIRE(!empty(), "next_time on empty calendar");
-  return SimTime{ready_head_ < ready_.size() ? base_ : lowest_bucket_min()};
-}
-
 Event Calendar::pop() {
   IW_REQUIRE(!empty(), "pop on empty calendar");
   fill_ready(std::numeric_limits<std::int64_t>::max());
   const std::uint64_t seq_slot = take_ready();
   return Event{SimTime{base_}, seq_slot >> kSlotBits,
                std::move(slab_[seq_slot & kSlotMask])};
-}
-
-bool Calendar::pop_if_at(SimTime when, EventFn& out) {
-  if (empty() || next_time() != when) return false;
-  SimTime at;
-  return pop_until(when, at, out);
 }
 
 bool Calendar::pop_until(SimTime deadline, SimTime& when, EventFn& out) {

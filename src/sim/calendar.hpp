@@ -26,9 +26,9 @@
 // yet, and a redistribution feeds only empty buckets (all lower than the
 // one it drains), in order. So a refilled ready run is already sorted, and
 // a same-time schedule appending to it keeps it sorted. Only removing an
-// event moves the base: next_time() and a failing pop_if_at()/pop_until()
-// never do, so after run_until(deadline) the engine may still schedule
-// anywhere in [now, next pending time).
+// event moves the base: a failing pop_until() never does, so after
+// run_until(deadline) the engine may still schedule anywhere in
+// [now, next pending time).
 //
 // The order is exactly the deterministic (time, seq) contract. The paper's
 // rings (an injected delay, rendezvous handshakes, fine-grained noise) make
@@ -74,23 +74,14 @@ class Calendar {
   /// Largest number of simultaneously pending events seen so far.
   [[nodiscard]] std::size_t peak_size() const noexcept { return peak_size_; }
 
-  /// Time of the earliest pending event. Requires !empty(). Does not move
-  /// the base.
-  [[nodiscard]] SimTime next_time() const;
-
   /// Removes and returns the earliest event. Requires !empty().
   Event pop();
-
-  /// If the earliest pending event fires exactly at `when`, moves its
-  /// closure into `out` and returns true; otherwise leaves `out` (and the
-  /// base) untouched and returns false. Equal-time events come out in
-  /// ascending seq order.
-  bool pop_if_at(SimTime when, EventFn& out);
 
   /// The run loop's one call per event: if the earliest pending event fires
   /// at or before `deadline`, stores its time in `when`, moves its closure
   /// into `out` and returns true; otherwise leaves both (and the base)
-  /// untouched and returns false.
+  /// untouched and returns false. Equal-time events come out in ascending
+  /// seq order.
   bool pop_until(SimTime deadline, SimTime& when, EventFn& out);
 
   /// Full structural audit (audit builds only; a no-op otherwise). Checks

@@ -27,10 +27,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "support/check.hpp"
+#include "support/error.hpp"
 
 namespace iw {
 
@@ -119,12 +121,14 @@ class RingQueue {
   [[nodiscard]] std::size_t slot(std::size_t i) const noexcept {
     return (head_ + i) & (buf_.size() - 1);
   }
-  [[nodiscard]] std::size_t next(std::size_t i) const noexcept {
-    return (i + 1) & (buf_.size() - 1);
+  [[nodiscard]] std::uint32_t next(std::uint32_t i) const noexcept {
+    return static_cast<std::uint32_t>((i + 1) & (buf_.size() - 1));
   }
 
   void grow() {
     const std::size_t new_cap = buf_.empty() ? 8 : buf_.size() * 2;
+    IW_CHECK(new_cap <= std::numeric_limits<std::uint32_t>::max(),
+             "RingQueue capacity exceeds its 32-bit indices");
     std::vector<T> bigger(new_cap);
     for (std::size_t i = 0; i < size_; ++i) bigger[i] = std::move(buf_[slot(i)]);
     buf_ = std::move(bigger);
@@ -136,10 +140,12 @@ class RingQueue {
   static constexpr std::uint64_t kCanary = 0xA11D17C4'1B5EE7EDull;
   std::uint64_t canary_ = kCanary;
 #endif
+  // 32-bit bookkeeping keeps the transport's per-rank state small; grow()
+  // refuses a capacity past 2^32 - 1.
   std::vector<T> buf_;  ///< power-of-two sized (or empty)
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-  std::uint64_t grows_ = 0;
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
+  std::uint32_t grows_ = 0;
 };
 
 }  // namespace iw

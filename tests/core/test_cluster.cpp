@@ -108,6 +108,51 @@ TEST(Cluster, ReusedRunsStopGrowingTransportPools) {
   EXPECT_EQ(cluster.transport_pool_stats().allocations, warm.allocations);
 }
 
+// Every event of a periodic ring run, accounted for exactly: one start and
+// one final wake per rank, one compute end per rank-step, one arrival per
+// eager message whose receive was not yet posted when it was sent, and the
+// RTS and CTS arrivals of each two-sided rendezvous message. Every wait
+// but the last ends fused into the next compute, with no wake.
+TEST(Cluster, EventsPerRankStepAreAccountedExactly) {
+  constexpr std::uint64_t kRanks = 8;
+  constexpr std::uint64_t kSteps = 10;
+  for (const bool rendezvous : {false, true}) {
+    for (const auto direction : {workload::Direction::unidirectional,
+                                 workload::Direction::bidirectional}) {
+      for (const bool noisy : {false, true}) {
+        workload::RingSpec ring;
+        ring.ranks = static_cast<int>(kRanks);
+        ring.steps = static_cast<int>(kSteps);
+        ring.texec = milliseconds(1.0);
+        ring.boundary = workload::Boundary::periodic;
+        ring.direction = direction;
+        ring.noisy = noisy;
+        ClusterConfig config = cluster_for_ring(ring);
+        ring.msg_bytes =
+            rendezvous ? 2 * config.fabric.eager_limit_bytes : 8192;
+        if (noisy)
+          config.system_noise =
+              noise::NoiseSpec::exponential(microseconds(200.0));
+        Cluster cluster(config);
+        (void)cluster.run(workload::build_ring(ring));
+
+        const auto& s = cluster.transport_stats();
+        const std::uint64_t messages =
+            kRanks * kSteps *
+            (direction == workload::Direction::bidirectional ? 2 : 1);
+        EXPECT_EQ(rendezvous ? s.rendezvous_sends : s.eager_sends, messages);
+        EXPECT_LE(s.eager_at_post, s.eager_sends);
+        EXPECT_EQ(cluster.events_processed(),
+                  kRanks + kRanks * kSteps + kRanks +
+                      (s.eager_sends - s.eager_at_post) +
+                      2 * s.rendezvous_sends)
+            << (rendezvous ? "rendezvous" : "eager") << ' '
+            << workload::to_string(direction) << (noisy ? " noisy" : "");
+      }
+    }
+  }
+}
+
 TEST(Cluster, ProgramCountMustMatchRanks) {
   workload::RingSpec ring;
   ring.ranks = 4;

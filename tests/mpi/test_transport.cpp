@@ -264,6 +264,106 @@ TEST(Transport, TwoSidedPushDeliversOnceAtSettleTimeWithoutProcesses) {
   EXPECT_EQ((deliveries[{1, 0}]), recv_at);
 }
 
+/// Two Process-wired ranks on `fabric` (one per node, so every message
+/// takes the NIC path) running the given programs to completion.
+struct WiredPair {
+  explicit WiredPair(const net::FabricProfile& fabric_profile)
+      : topo(net::TopologySpec::one_rank_per_node(2)),
+        fabric(fabric_profile),
+        transport(engine, topo, fabric, {}),
+        trace(2),
+        rank0(0, engine, transport, trace),
+        rank1(1, engine, transport, trace),
+        table{&rank0, &rank1} {
+    transport.set_processes(table.data());
+  }
+
+  void run(const Program& p0, const Program& p1) {
+    rank0.set_program(&p0);
+    rank1.set_program(&p1);
+    rank0.start();
+    rank1.start();
+    engine.run();
+    EXPECT_TRUE(rank0.done());
+    EXPECT_TRUE(rank1.done());
+  }
+
+  sim::Engine engine;
+  net::Topology topo;
+  net::FabricProfile fabric;
+  Transport transport;
+  Trace trace;
+  Process rank0;
+  Process rank1;
+  std::vector<Process*> table;
+};
+
+TEST(Transport, EagerSettleAtPostKeepsSameTagMessagesInOrder) {
+  // 10 us latency, 1 us overhead, 1000 B in 1 us. Rank 0 sends m1 at 0
+  // (arrives at 11 us) and m2, same tag, at 2 us (arrives at 13 us). Rank
+  // 1 posts its first receive at 1 us, while m1 is in flight, so m2 finds
+  // a matching posted receive when it is sent. That receive is m1's: m2
+  // must not settle it at post time, and each receive settles at its own
+  // message's arrival + o.
+  net::FabricProfile fabric =
+      net::FabricProfile::ideal(microseconds(10.0), 1e9);
+  for (auto& link : fabric.link) link.overhead = microseconds(1.0);
+  WiredPair w(fabric);
+  Program p0;
+  p0.isend(1, 1000, 0).compute(microseconds(2.0), false).isend(1, 1000, 0);
+  p0.waitall();
+  Program p1;
+  p1.compute(microseconds(1.0), false).irecv(0, 1000, 0).waitall();
+  p1.irecv(0, 1000, 0).waitall();
+  w.run(p0, p1);
+
+  EXPECT_EQ(w.transport.stats().eager_sends, 2u);
+  EXPECT_EQ(w.transport.stats().eager_at_post, 0u);
+  EXPECT_EQ(w.transport.stats().unexpected_eager, 0u);
+  const auto segs = w.trace.segments(1);
+  ASSERT_EQ(segs.size(), 3u);
+  EXPECT_EQ(segs[1].kind, SegKind::wait);
+  EXPECT_EQ(segs[1].end, SimTime{12'000});
+  EXPECT_EQ(segs[2].kind, SegKind::wait);
+  EXPECT_EQ(segs[2].end, SimTime{14'000});
+  EXPECT_EQ(w.trace.finish(1), SimTime{14'000});
+
+  // With m1 already received, the same exchange settles m2 at post time:
+  // rank 1 posts its second receive before m2 is sent.
+  WiredPair late(fabric);
+  Program q0;
+  q0.isend(1, 1000, 0).compute(microseconds(20.0), false);
+  q0.isend(1, 1000, 0).waitall();
+  late.run(q0, p1);
+  EXPECT_EQ(late.transport.stats().eager_at_post, 1u);
+  const auto late_segs = late.trace.segments(1);
+  ASSERT_EQ(late_segs.size(), 3u);
+  EXPECT_EQ(late_segs[1].end, SimTime{12'000});
+  EXPECT_EQ(late_segs[2].end, SimTime{32'000});  // 20 + 1 + 10 + o
+}
+
+TEST(Transport, EagerSettleAtPostFallsBackOnAZeroDelayFabric) {
+  // Zero latency, overhead and payload time: the receive would settle at
+  // its post time, inside the sender's resume. The send must instead take
+  // the arrival event, which settles the receiver from the event loop.
+  WiredPair w(net::FabricProfile::ideal(Duration::zero(), 1e9));
+  Program p0;
+  p0.compute(microseconds(1.0), false).isend(1, 0, 0).waitall();
+  Program p1;
+  p1.irecv(0, 0, 0).waitall().mark().compute(microseconds(1.0), false);
+  w.run(p0, p1);
+
+  EXPECT_EQ(w.transport.stats().eager_sends, 1u);
+  EXPECT_EQ(w.transport.stats().eager_at_post, 0u);
+  // Two starts, two compute ends and the arrival. Neither wait wakes: the
+  // sender's request is settled on reaching its WaitAll, and the arrival
+  // ends the receiver's wait when it fires.
+  EXPECT_EQ(w.engine.events_processed(), 5u);
+  EXPECT_EQ(w.trace.finish(0), SimTime{1'000});
+  EXPECT_EQ(w.trace.step_begin(1)[0], SimTime{1'000});
+  EXPECT_EQ(w.trace.finish(1), SimTime{2'000});
+}
+
 TEST(Transport, DeferredPushHoldsDataWhileHandshakeOutstanding) {
   TransportFixture f(3, {}, fabric_with_eager_limit(0));
   // Rank 0 sends to 1 (recv posted) and to 2 (no recv posted -> handshake

@@ -44,35 +44,39 @@ TEST(Calendar, MixedTiesAndTimes) {
   EXPECT_EQ(order, (std::vector<int>{0, 10, 11, 12}));
 }
 
-TEST(Calendar, NextTimeReportsEarliest) {
+TEST(Calendar, PopUntilReportsEarliest) {
   Calendar cal;
   cal.schedule(SimTime{42}, [] {});
   cal.schedule(SimTime{7}, [] {});
-  EXPECT_EQ(cal.next_time(), SimTime{7});
+  EventFn fn;
+  SimTime when;
+  EXPECT_FALSE(cal.pop_until(SimTime{6}, when, fn));
   EXPECT_EQ(cal.size(), 2u);
+  EXPECT_TRUE(cal.pop_until(SimTime::max(), when, fn));
+  EXPECT_EQ(when, SimTime{7});
+  EXPECT_EQ(cal.size(), 1u);
 }
 
-TEST(Calendar, EmptyAccessorsThrow) {
+TEST(Calendar, EmptyCalendarPopsNothing) {
   Calendar cal;
   EXPECT_TRUE(cal.empty());
-  EXPECT_THROW((void)cal.next_time(), std::invalid_argument);
+  EventFn fn;
+  SimTime when;
+  EXPECT_FALSE(cal.pop_until(SimTime::max(), when, fn));
   EXPECT_THROW((void)cal.pop(), std::invalid_argument);
 }
 
 // The base is the last removed time: scheduling before it is a contract
 // violation, while scheduling at it or anywhere up to the next pending
-// time stays legal, and a peek or a failing pop_if_at/pop_until does not
-// move it.
+// time stays legal, and a failing pop_until does not move it.
 TEST(Calendar, ScheduleBeforeLastPopThrows) {
   Calendar cal;
   cal.schedule(SimTime{10}, [] {});
   cal.schedule(SimTime{1000}, [] {});
   EXPECT_EQ(cal.pop().when, SimTime{10});
   EXPECT_THROW(cal.schedule(SimTime{9}, [] {}), std::invalid_argument);
-  EXPECT_EQ(cal.next_time(), SimTime{1000});
   EventFn fn;
   SimTime when;
-  EXPECT_FALSE(cal.pop_if_at(SimTime{999}, fn));
   EXPECT_FALSE(cal.pop_until(SimTime{999}, when, fn));
   EXPECT_NO_THROW(cal.schedule(SimTime{10}, [] {}));
   EXPECT_NO_THROW(cal.schedule(SimTime{500}, [] {}));
@@ -151,18 +155,23 @@ TEST(Calendar, AcceptsMoveOnlyClosures) {
   EXPECT_EQ(observed, 42);
 }
 
-TEST(Calendar, PopIfAtDrainsOnlyTheGivenTimestamp) {
+TEST(Calendar, PopUntilDrainsOnlyUpToTheDeadline) {
   Calendar cal;
   int fired = 0;
   cal.schedule(SimTime{5}, [&] { ++fired; });
   cal.schedule(SimTime{5}, [&] { ++fired; });
   cal.schedule(SimTime{8}, [&] { ++fired; });
   EventFn fn;
-  while (cal.pop_if_at(SimTime{5}, fn)) fn();
+  SimTime when;
+  while (cal.pop_until(SimTime{5}, when, fn)) {
+    EXPECT_EQ(when, SimTime{5});
+    fn();
+  }
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(cal.size(), 1u);
-  EXPECT_FALSE(cal.pop_if_at(SimTime{7}, fn));
-  EXPECT_TRUE(cal.pop_if_at(SimTime{8}, fn));
+  EXPECT_FALSE(cal.pop_until(SimTime{7}, when, fn));
+  EXPECT_TRUE(cal.pop_until(SimTime{8}, when, fn));
+  EXPECT_EQ(when, SimTime{8});
 }
 
 TEST(Calendar, PeakSizeCountsSameTimeEvents) {
@@ -252,11 +261,12 @@ TEST(Calendar, AuditHoldsThroughChurnAndReset) {
 }
 
 // The calendar against a std::priority_queue over (when, seq) under churn:
-// schedules interleave with pop(), next_time() peeks and pop_if_at()
-// drains, drains reschedule at the current time with zero delay, and
-// reset() starts every round from a pristine calendar (with events still
-// pending in the even rounds). The far jumps run once up to 4096 ns and
-// once up to 2^40 ns, so high buckets fill and get redistributed.
+// schedules interleave with pop() and pop_until() drains to a random
+// deadline, drains reschedule at the current time with zero delay, a drain
+// stops exactly at the first event past its deadline, and reset() starts
+// every round from a pristine calendar (with events still pending in the
+// even rounds). The far jumps run once up to 4096 ns and once up to
+// 2^40 ns, so high buckets fill and get redistributed.
 TEST(Calendar, MatchesReferenceHeapUnderRandomInterleaving) {
   using Key = std::pair<std::int64_t, std::uint64_t>;
   for (const std::uint64_t far :
@@ -306,13 +316,17 @@ TEST(Calendar, MatchesReferenceHeapUnderRandomInterleaving) {
           } else if (r < 6) {
             pop_one();
           } else {
-            now = cal.next_time().ns();
+            const auto deadline =
+                now + static_cast<std::int64_t>(next() % 32);
             EventFn fn;
-            while (cal.pop_if_at(SimTime{now}, fn)) {
+            SimTime when;
+            while (cal.pop_until(SimTime{deadline}, when, fn)) {
               fn();
-              expect_next(now);
+              expect_next(when.ns());
+              now = when.ns();
               if (next() % 4 == 0) schedule(now);
             }
+            EXPECT_TRUE(ref.empty() || ref.top().first > deadline);
           }
           ASSERT_EQ(cal.size(), ref.size());
           cal.audit();
