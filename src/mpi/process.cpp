@@ -45,18 +45,11 @@ void Process::set_request_storage(Request* base, std::uint32_t capacity) {
   req_cap_ = capacity;
 }
 
-void Process::grow_own_requests() {
-  IW_CHECK(req_ == nullptr || req_ == own_requests_.data(),
-           "request window exceeds the cluster-provided slab capacity");
-  own_requests_.resize(std::max<std::size_t>(8, own_requests_.size() * 2));
-  req_ = own_requests_.data();
-  req_cap_ = static_cast<std::uint32_t>(own_requests_.size());
-}
-
-Request& Process::push_request() {
-  if (req_count_ == req_cap_) grow_own_requests();
+RequestId Process::push_request() {
+  IW_CHECK(req_count_ < req_cap_,
+           "request window exceeds the bound request storage");
   req_[req_count_] = Request{};
-  return req_[req_count_++];
+  return static_cast<RequestId>(req_count_++);
 }
 
 void Process::add_noise(const noise::NoiseSpec& spec, Rng rng) {
@@ -88,32 +81,22 @@ void Process::resume(SimTime now) {
     const Op& op = body[pc_];
 
     // The send/recv posts lead the dispatch chain: a step posts one of
-    // each per neighbor but hits every other op kind once.
+    // each per neighbor but hits every other op kind once. Each request
+    // counts as open before it is posted: an eager send, and a receive
+    // that matches an unexpected arrival, settle it from inside the post.
     if (const auto* send = std::get_if<OpIsend>(&op)) {
       IW_ASSERT(now == engine_.now(), "post ahead of the engine clock");
-      const auto id = static_cast<RequestId>(req_count_);
-      Request& req = push_request();
-      // Eager sends hand back their local-completion delay instead of
-      // scheduling a completion event; the request settles by the clock.
-      if (const auto local =
-              transport_.post_send(rank_, send->peer, send->tag + iteration_,
-                                   send->bytes, id)) {
-        req.timed = true;
-        req.due = now + *local;
-        latest_due_ = std::max(latest_due_, req.due);
-      } else {
-        ++open_requests_;
-      }
+      const RequestId id = push_request();
+      ++open_requests_;
+      transport_.post_send(rank_, send->peer, send->tag + iteration_,
+                           send->bytes, id);
       ++pc_;
       continue;
     }
 
     if (const auto* recv = std::get_if<OpIrecv>(&op)) {
       IW_ASSERT(now == engine_.now(), "post ahead of the engine clock");
-      const auto id = static_cast<RequestId>(req_count_);
-      push_request();
-      // Count the receive open before posting: an unexpected match settles
-      // it synchronously from inside post_recv.
+      const RequestId id = push_request();
       ++open_requests_;
       transport_.post_recv(rank_, recv->peer, recv->tag + iteration_,
                            recv->bytes, id);

@@ -5,8 +5,8 @@
 // remain.
 //
 // Processes are pooled by the Cluster: reset() re-arms one for another run
-// (new trace binding, new program) while the request vector keeps its
-// capacity, so steady-state interpretation allocates nothing per message.
+// (new trace binding, new program) while the request storage binding stays,
+// so steady-state interpretation allocates nothing per message.
 #pragma once
 
 #include <cstdint>
@@ -56,22 +56,24 @@ class Process {
   void reset(int rank, Trace& trace);
 
   /// Binds the request window to `capacity` slots of an external slab (the
-  /// Cluster carves one slab for all ranks). Without a binding the process
-  /// falls back to growable owned storage (standalone/test use). Must be
-  /// called only while no requests are open.
+  /// Cluster carves one slab for all ranks, `capacity` from the program's
+  /// max_window_requests()). Required before a program that posts runs: a
+  /// post past the bound capacity fails an always-on check. Must be called
+  /// only while no requests are open.
   void set_request_storage(Request* base, std::uint32_t capacity);
 
   /// Called once after wiring; schedules the first instruction at t=0.
   void start();
 
-  /// Transport callback for completions whose finish time is already known
-  /// (a matched receive settles `overhead` after its arrival; an eager
-  /// message whose receive is already posted, and a two-sided rendezvous
-  /// push, settle when they are sent): marks the request as settling at
-  /// `due` instead of costing a completion event. Once a blocked WaitAll's
-  /// requests are all timed, the wait ends at the latest due point: at
-  /// most one wake per wait window, and none when the window is followed
-  /// by marks and a core-bound compute (see schedule_timed_wake()).
+  /// Transport's one completion path, called once per request when its
+  /// finish time is known (an eager send from inside its post; a matched
+  /// receive `overhead` after its arrival; an eager message whose receive
+  /// is already posted, and a two-sided rendezvous push, when they are
+  /// sent): marks the request as settling at `due` instead of costing a
+  /// completion event. Once a blocked WaitAll's requests are all timed, the
+  /// wait ends at the latest due point: at most one wake per wait window,
+  /// and none when the window is followed by marks and a core-bound compute
+  /// (see schedule_timed_wake()).
   void on_request_settles_at(RequestId id, SimTime due);
 
   /// Plain-pointer completion hook (rank-done notification): no type-erased
@@ -127,11 +129,10 @@ class Process {
   };
   std::vector<NoiseSource> noise_;
 
-  /// Appends to the request window, growing owned fallback storage if no
-  /// slab is bound (a bound slab overflowing is a contract error: the
-  /// Cluster sizes it from Program::max_window_requests()).
-  Request& push_request();
-  void grow_own_requests();
+  /// Appends an unsettled request to the window and returns its id. An
+  /// overflowing window is a contract error: the storage is sized from
+  /// Program::max_window_requests().
+  RequestId push_request();
 
   /// Interpreter position: op `pc_` of the body in iteration `iteration_`,
   /// and the next unused entry of the program's injection list.
@@ -139,12 +140,11 @@ class Process {
   std::int32_t iteration_ = 0;
   std::size_t next_injection_ = 0;
   std::int32_t next_step_ = 0;
-  /// Request window: a pointer into the Cluster's shared request slab (SoA
-  /// storage, one carve per rank) or into own_requests_ when standalone.
+  /// Request window: a pointer into the shared request slab (SoA storage,
+  /// one carve per rank).
   Request* req_ = nullptr;
   std::uint32_t req_count_ = 0;
   std::uint32_t req_cap_ = 0;
-  std::vector<Request> own_requests_;
   /// O(1) WaitAll accounting: requests whose settle time the transport has
   /// not reported yet, plus the latest timed due point of the window.
   int open_requests_ = 0;

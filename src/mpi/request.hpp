@@ -11,8 +11,8 @@ namespace iw::mpi {
 using RequestId = int;
 
 /// A request's settle state; the transport keeps everything else about the
-/// operation. `timed` is set once the finish time is known (at post time
-/// for eager sends, through Transport's completion wiring otherwise). No
+/// operation. `timed` is set once the finish time is known, when Transport
+/// settles the request (from inside the post for eager sends). No
 /// completion event exists: the request counts as settled once the clock
 /// reaches `due`.
 struct Request {

@@ -48,8 +48,7 @@ void Transport::reconfigure(const net::FabricProfile& fabric,
   if (ranks_.size() != nranks_) ranks_.resize(nranks_);
   for (RankState& s : ranks_) {
     s.posted_recvs.clear();
-    s.unexpected_eager.clear();
-    s.unexpected_rts.clear();
+    s.unexpected.clear();
     s.nic_backlog.clear();
     s.nic_free = SimTime::zero();
     s.nic_inflight = 0;
@@ -76,7 +75,6 @@ void Transport::reconfigure(const net::FabricProfile& fabric,
   }
 
   procs_ = nullptr;
-  on_complete_ = nullptr;
   domains_by_rank_.clear();
   use_domains_ = false;
   tracer_ = nullptr;
@@ -94,10 +92,6 @@ void Transport::reconfigure(const net::FabricProfile& fabric,
 
 void Transport::set_processes(Process* const* by_rank) { procs_ = by_rank; }
 
-void Transport::set_completion_handler(CompletionFn fn) {
-  on_complete_ = std::move(fn);
-}
-
 void Transport::set_memory_domains(
     const std::vector<memory::BandwidthDomain*>& by_rank) {
   IW_REQUIRE(by_rank.empty() || by_rank.size() == nranks_,
@@ -110,8 +104,8 @@ Transport::PoolStats Transport::pool_stats() const {
   PoolStats p;
   p.allocations = pool_allocations_;
   for (const RankState& s : ranks_) {
-    p.allocations += s.posted_recvs.grows() + s.unexpected_eager.grows() +
-                     s.unexpected_rts.grows() + s.nic_backlog.grows();
+    p.allocations +=
+        s.posted_recvs.grows() + s.unexpected.grows() + s.nic_backlog.grows();
     p.nic_backlog_depth += s.nic_backlog.size();
     p.nic_inflight += static_cast<std::size_t>(s.nic_inflight);
   }
@@ -167,16 +161,16 @@ void Transport::audit() const {
   std::int64_t backlog_sum = 0;
   for (const RankState& s : ranks_) {
     s.posted_recvs.audit();
-    s.unexpected_eager.audit();
-    s.unexpected_rts.audit();
+    s.unexpected.audit();
     s.nic_backlog.audit();
     IW_ASSERT(s.outstanding_handshakes >= 0,
               "negative outstanding handshake count");
     IW_ASSERT(s.arrivals_in_flight >= 0, "negative in-flight arrival count");
     for (const std::uint32_t slot : s.deferred)
       assert_rdv_live(slot, "deferred push list");
-    for (std::size_t i = 0; i < s.unexpected_rts.size(); ++i)
-      assert_rdv_live(s.unexpected_rts[i].slot, "unexpected RTS queue");
+    for (std::size_t i = 0; i < s.unexpected.size(); ++i)
+      if (s.unexpected[i].slot != kEagerSlot)
+        assert_rdv_live(s.unexpected[i].slot, "unexpected queue");
     // NIC budget bounds: in-flight injections stay inside [0, depth], and
     // budget state exists only under a finite-injection configuration.
     IW_ASSERT(s.nic_inflight >= 0, "negative in-flight injection count");
@@ -376,10 +370,10 @@ void Transport::on_nic_drain(int src) {
       // The deferred local completion: the sender is charged its overhead
       // only now, when the message actually reaches the NIC — the coupling
       // that distinguishes a finite-injection NIC from the ideal one.
-      const Duration overhead =
-          send_eager(cls, entry.envelope.src, entry.envelope.dst,
-                     entry.envelope.tag, entry.envelope.bytes);
-      complete(src, entry.request, engine_.now() + overhead);
+      send_eager(cls, entry.envelope.src, entry.envelope.dst,
+                 entry.envelope.tag, entry.envelope.bytes);
+      complete(src, entry.request,
+               engine_.now() + fabric_.params(cls).overhead);
     } else {
       assert_rdv_live(entry.slot, "NIC backlog drain");
       const Envelope& env = rdv_slab_[entry.slot].envelope;
@@ -388,26 +382,15 @@ void Transport::on_nic_drain(int src) {
   }
 }
 
-void Transport::deliver(int rank, RequestId request) {
-  IW_ASSERT(on_complete_ != nullptr, "completion handler not set");
-  on_complete_(rank, request);
-}
-
 void Transport::complete(int rank, RequestId request, SimTime due) {
-  // Direct-wired mode: the finish time is known now, so tell the process
-  // the request settles at `due` — no completion event at all. The
-  // CompletionFn fallback (tests, harnesses without Process objects) keeps
-  // the event-delivered semantics: one delivery event at `due`.
-  if (procs_ != nullptr) {
-    procs_[rank]->on_request_settles_at(request, due);
-    return;
-  }
-  engine_.at(due, [this, rank, request] { deliver(rank, request); });
+  // The finish time is known now, so the process learns that the request
+  // settles at `due`: no completion event at all.
+  IW_ASSERT(procs_ != nullptr, "request settled with no process table set");
+  procs_[rank]->on_request_settles_at(request, due);
 }
 
-std::optional<Duration> Transport::post_send(int src, int dst, int tag,
-                                             std::int64_t bytes,
-                                             RequestId request) {
+void Transport::post_send(int src, int dst, int tag, std::int64_t bytes,
+                          RequestId request) {
   IW_REQUIRE(src != dst, "self-sends are not modeled");
   check_ranks(src, dst);
   const net::LinkClass cls = topo_.classify(src, dst);
@@ -433,9 +416,11 @@ std::optional<Duration> Transport::post_send(int src, int dst, int tag,
       backlog_push(src, BacklogEntry{BacklogEntry::Kind::eager,
                                      Envelope{src, dst, tag, bytes}, request,
                                      0});
-      return std::nullopt;  // completes through the wiring at drain time
+      return;  // completes at drain time
     }
-    return send_eager(cls, src, dst, tag, bytes);
+    send_eager(cls, src, dst, tag, bytes);
+    complete(src, request, engine_.now() + fabric_.params(cls).overhead);
+    return;
   }
 
   if (no_credit) {
@@ -443,7 +428,6 @@ std::optional<Duration> Transport::post_send(int src, int dst, int tag,
     trace(obs::TraceEvent::kCreditDemotion, src, dst, bytes);
   }
   send_rendezvous(cls, src, dst, tag, bytes, request);
-  return std::nullopt;
 }
 
 void Transport::post_ghost_send(int src, int dst, int tag,
@@ -457,13 +441,13 @@ void Transport::post_ghost_send(int src, int dst, int tag,
   const net::LinkClass cls = topo_.classify(src, dst);
   trace(obs::TraceEvent::kPostSend, src, dst, bytes);
   ++stats_.eager_sends;
-  // The returned local-completion delay is dropped: the ghost's own
-  // timeline is analytic, only the arrival side matters here.
-  (void)send_eager(cls, src, dst, tag, bytes);
+  // No local completion: the ghost's own timeline is analytic, only the
+  // arrival side matters here.
+  send_eager(cls, src, dst, tag, bytes);
 }
 
-Duration Transport::send_eager(net::LinkClass cls, int src, int dst, int tag,
-                               std::int64_t bytes) {
+void Transport::send_eager(net::LinkClass cls, int src, int dst, int tag,
+                           std::int64_t bytes) {
   const net::LinkParams& p = fabric_.params(cls);
   const Envelope envelope{src, dst, tag, bytes};
   RankState& s = state(dst);
@@ -473,14 +457,11 @@ Duration Transport::send_eager(net::LinkClass cls, int src, int dst, int tag,
   const auto arrive = [this, envelope, o = p.overhead] {
     on_eager_arrival(envelope, o);
   };
-  // Local completion: buffering costs only the per-message overhead. The
-  // caller folds the returned delay into its own wait accounting, so the
-  // sender costs no completion event.
   if (!nic_path(cls, src)) {
     // Memory path: the bandwidth domains decide the arrival time later.
     ++s.arrivals_in_flight;
     transfer(cls, src, dst, bytes, nullptr, arrive);
-    return p.overhead;
+    return;
   }
 
   // The NIC fixes the arrival time now, so a receive that is already
@@ -499,12 +480,11 @@ Duration Transport::send_eager(net::LinkClass cls, int src, int dst, int tag,
       if (tracer_ != nullptr) [[unlikely]]
         tracer_->record(arrival, obs::TraceEvent::kEagerRecv, dst, src, bytes);
       settle_posted(envelope, i, arrival, p.overhead);
-      return p.overhead;
+      return;
     }
   }
   ++s.arrivals_in_flight;
   engine_.at(arrival, arrive);
-  return p.overhead;
 }
 
 std::size_t Transport::find_posted(const RankState& s,
@@ -539,7 +519,7 @@ void Transport::on_eager_arrival(const Envelope& envelope, Duration overhead) {
   ++stats_.unexpected_eager;
   trace(obs::TraceEvent::kUnexpectedEager, envelope.dst, envelope.src,
         envelope.bytes);
-  s.unexpected_eager.push_back(envelope);
+  s.unexpected.push_back(Unexpected{kEagerSlot, envelope});
 }
 
 void Transport::send_rendezvous(net::LinkClass cls, int src, int dst, int tag,
@@ -592,7 +572,7 @@ void Transport::on_rts_arrival(std::uint32_t slot) {
   ++stats_.unexpected_rts;
   trace(obs::TraceEvent::kUnexpectedRts, envelope.dst, envelope.src,
         envelope.bytes, slot);
-  s.unexpected_rts.push_back(RtsRecord{slot, envelope});
+  s.unexpected.push_back(Unexpected{slot, envelope});
 }
 
 void Transport::issue_cts(std::uint32_t slot, RequestId recv_request) {
@@ -778,34 +758,30 @@ void Transport::post_recv(int dst, int src, int tag, std::int64_t bytes,
   RankState& s = state(dst);
   trace(obs::TraceEvent::kPostRecv, dst, src, bytes);
 
-  // 1) Already-arrived eager payload?
-  auto& ue = s.unexpected_eager;
-  for (std::size_t i = 0; i < ue.size(); ++i) {
-    if (!ue[i].matches(src, tag)) continue;
-    const auto& p = link(src, dst);
-    trace(obs::TraceEvent::kMatch, dst, src, ue[i].bytes);
-    complete(dst, request, engine_.now() + p.overhead);
-    if (track_credits_) return_credit(src, dst);
-    ue.erase(i);
-    return;
-  }
-
-  // 2) A waiting rendezvous handshake?
-  auto& ur = s.unexpected_rts;
-  for (std::size_t i = 0; i < ur.size(); ++i) {
-    if (!ur[i].envelope.matches(src, tag)) continue;
-    const std::uint32_t slot = ur[i].slot;
-    trace(obs::TraceEvent::kMatch, dst, src, ur[i].envelope.bytes, slot);
-    ur.erase(i);
-    if (flavor_ == RendezvousFlavor::rdma_get) {
-      issue_get(slot, request);
+  // 1) The earliest unexpected arrival from (src, tag): an eager payload or
+  //    a waiting rendezvous handshake. One arrival-ordered queue keeps a
+  //    later eager message from overtaking an earlier RTS.
+  auto& uq = s.unexpected;
+  for (std::size_t i = 0; i < uq.size(); ++i) {
+    if (!uq[i].envelope.matches(src, tag)) continue;
+    const Unexpected u = uq[i];
+    uq.erase(i);
+    if (u.slot == kEagerSlot) {
+      trace(obs::TraceEvent::kMatch, dst, src, u.envelope.bytes);
+      complete(dst, request, engine_.now() + link(src, dst).overhead);
+      if (track_credits_) return_credit(src, dst);
     } else {
-      issue_cts(slot, request);
+      trace(obs::TraceEvent::kMatch, dst, src, u.envelope.bytes, u.slot);
+      if (flavor_ == RendezvousFlavor::rdma_get) {
+        issue_get(u.slot, request);
+      } else {
+        issue_cts(u.slot, request);
+      }
     }
     return;
   }
 
-  // 3) Nothing yet: queue the receive.
+  // 2) Nothing yet: queue the receive.
   s.posted_recvs.push_back(PostedRecv{src, tag, bytes, request});
 }
 

@@ -11,11 +11,14 @@
 // its request completes immediately after the local overhead — the sender
 // "can get rid of its messages" (paper Sec. IV). Data travels autonomously;
 // unexpected arrivals queue at the receiver until a matching Irecv is
-// posted. A NIC-path send whose receive is already posted knows the
-// receive's finish time (arrival + `o`) when it is sent and settles it
-// then, with no arrival event, unless credits are tracked or another
-// eager/RTS arrival to the receiver is still in flight (which might have
-// to match that receive first). The eager limit is the fabric's
+// posted. Eager payloads and rendezvous RTSs share one arrival-ordered
+// unexpected queue, so a receive matches the earliest arrival from its
+// (source, tag), whatever its protocol (MPI non-overtaking). A NIC-path
+// send whose receive is already posted knows the receive's finish time
+// (arrival + `o`) when it is sent and settles it then, with no arrival
+// event, unless credits are tracked or another eager/RTS arrival to the
+// receiver is still in flight (which might have to match that receive
+// first). The eager limit is the fabric's
 // `eager_limit_bytes`. An optional per-endpoint credit window
 // (EagerPolicy::credit_window) bounds the eager messages in flight per
 // pair and demotes further eager sends to rendezvous, modeling the
@@ -76,16 +79,16 @@
 //     entries; credit ablations at several thousand ranks pay that
 //     footprint knowingly.) Likewise the default unbounded NIC
 //     (injection_depth 0) skips all budget machinery.
-//   * Request completions and memory-domain lookups route through
-//     rank-indexed pointer tables (Process* / BandwidthDomain*) owned by
-//     the Cluster instead of std::function callbacks.
+//   * Every request completion, eager local completions included, is one
+//     direct call into the owning Process (on_request_settles_at) through a
+//     rank-indexed Process* table; memory-domain lookups use a
+//     BandwidthDomain* table the same way. Both tables are owned by the
+//     Cluster; there are no callbacks.
 // pool_stats() exposes the pools' allocation counters so tests can assert
 // the zero-allocation claim.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "memory/bandwidth_domain.hpp"
@@ -130,23 +133,17 @@ class Transport {
     std::size_t nic_inflight = 0;       ///< budgeted injections in flight
   };
 
-  using CompletionFn = std::function<void(int rank, RequestId request)>;
-
   Transport(sim::Engine& engine, const net::Topology& topo,
             const net::FabricProfile& fabric, const TransportConfig& config);
 
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  /// Hot-path completion wiring: `by_rank` points at a rank-indexed Process*
-  /// table (owned by the Cluster, alive for the run). Completions call
-  /// Process::on_request_settles_at directly — no type-erased dispatch.
+  /// Completion wiring: `by_rank` points at a rank-indexed Process* table
+  /// (owned by the caller, alive for the run). Every request settles through
+  /// Process::on_request_settles_at; the table must be set before the first
+  /// post and is cleared by reconfigure().
   void set_processes(Process* const* by_rank);
-
-  /// Fallback completion seam for harnesses that drive the transport
-  /// without Process objects (tests, benches). Used only when no process
-  /// table is set.
-  void set_completion_handler(CompletionFn fn);
 
   /// Enables memory-bus accounting for intra-node payloads: a message
   /// between ranks of the same node is a pair of memory copies (source-side
@@ -170,15 +167,14 @@ class Transport {
 
   /// Nonblocking send of `bytes` from `src` to `dst`.
   ///
-  /// Eager sends complete locally at a time known at post time (now + the
-  /// per-message overhead `o` — the sender "can get rid of its messages"),
-  /// so instead of scheduling a completion event the call returns that
-  /// local-completion delay and the caller owns it (Process folds it into
-  /// its WaitAll accounting; harnesses schedule their own event). Returns
-  /// nullopt for rendezvous sends and NIC-backlogged sends, whose
-  /// completion is event-driven and arrives through the completion wiring.
-  std::optional<Duration> post_send(int src, int dst, int tag,
-                                    std::int64_t bytes, RequestId request);
+  /// An eager send completes locally at a time known at post time (now +
+  /// the per-message overhead `o` — the sender "can get rid of its
+  /// messages"), so it settles `request` from inside this call, with no
+  /// completion event; the caller must count the request open before
+  /// posting. Rendezvous and NIC-backlogged sends settle later, once their
+  /// finish time is known.
+  void post_send(int src, int dst, int tag, std::int64_t bytes,
+                 RequestId request);
 
   /// Nonblocking receive at `dst` for a message from `src`.
   void post_recv(int dst, int src, int tag, std::int64_t bytes,
@@ -259,10 +255,13 @@ class Transport {
     RequestId recv_request = -1;  ///< filled in when the CTS is issued
   };
 
-  struct RtsRecord {
+  /// An arrival no posted receive matched yet: an eager payload (slot
+  /// kEagerSlot) or a rendezvous RTS (its slab slot).
+  struct Unexpected {
     std::uint32_t slot;
     Envelope envelope;
   };
+  static constexpr std::uint32_t kEagerSlot = 0xFFFFFFFFu;
 
   /// One send waiting in the NIC retry backlog. Eager entries carry their
   /// envelope and the local request to complete at drain time; rendezvous
@@ -278,8 +277,7 @@ class Transport {
 
   struct RankState {
     RingQueue<PostedRecv> posted_recvs;
-    RingQueue<Envelope> unexpected_eager;
-    RingQueue<RtsRecord> unexpected_rts;
+    RingQueue<Unexpected> unexpected;      ///< in arrival order
     RingQueue<BacklogEntry> nic_backlog;   ///< finite-injection retry queue
     SimTime nic_free = SimTime::zero();
     int nic_inflight = 0;                  ///< budgeted injections in flight
@@ -289,8 +287,8 @@ class Transport {
   };
   // One RankState per rank: at 10^5 ranks every 8 bytes here is ~0.8 MB of
   // peak RSS. The audit layer adds a canary to each queue.
-  static_assert(IW_AUDIT_ENABLED || sizeof(RankState) <= 232,
-                "RankState outgrew its 232-byte budget");
+  static_assert(IW_AUDIT_ENABLED || sizeof(RankState) <= 168,
+                "RankState outgrew its 168-byte budget");
 
   [[nodiscard]] const net::LinkParams& link(int a, int b) const;
   RankState& state(int rank) {
@@ -347,13 +345,13 @@ class Transport {
                "rank out of range");
   }
 
-  /// Returns the sender's local-completion delay (the link overhead); the
-  /// caller owns the request's completion, so no id is taken. Wire-level
-  /// only: protocol accounting (stats, credits) is charged by
-  /// post_send at post time, so backlog drains do not double-count. A NIC
-  /// send whose receive is already posted settles that receive here.
-  Duration send_eager(net::LinkClass cls, int src, int dst, int tag,
-                      std::int64_t bytes);
+  /// Puts an eager payload on the wire. The caller settles the sender's
+  /// request (ghost sends have none), so no id is taken. Wire-level only:
+  /// protocol accounting (stats, credits) is charged by post_send at post
+  /// time, so backlog drains do not double-count. A NIC send whose receive
+  /// is already posted settles that receive here.
+  void send_eager(net::LinkClass cls, int src, int dst, int tag,
+                  std::int64_t bytes);
   /// Index of the first posted receive at `s` matching `envelope`, or
   /// s.posted_recvs.size() if none does.
   [[nodiscard]] std::size_t find_posted(const RankState& s,
@@ -374,11 +372,9 @@ class Transport {
   void put_data(std::uint32_t slot);
   void issue_get(std::uint32_t slot, RequestId recv_request);
   void on_get_arrival(std::uint32_t slot);
-  /// Settles `request` on `rank` at the absolute time `due` (>= now): a
-  /// direct call into the Process when wired, one delivery event at `due`
-  /// under the CompletionFn fallback.
+  /// Settles `request` on `rank` at the absolute time `due` (>= now): one
+  /// direct call into the rank's Process, no event.
   void complete(int rank, RequestId request, SimTime due);
-  void deliver(int rank, RequestId request);
 
   /// Returns one eager credit for a drained (src -> dst) message.
   void return_credit(int src, int dst) {
@@ -457,9 +453,8 @@ class Transport {
   int credit_window_ = 0;
   RendezvousFlavor flavor_ = RendezvousFlavor::two_sided;
 
-  // Rank-indexed wiring (devirtualized callbacks).
+  // Rank-indexed wiring: direct calls, no callbacks.
   Process* const* procs_ = nullptr;
-  CompletionFn on_complete_;
   std::vector<memory::BandwidthDomain*> domains_by_rank_;
   bool use_domains_ = false;
 

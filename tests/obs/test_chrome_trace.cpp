@@ -14,13 +14,12 @@
 #include <utility>
 #include <vector>
 
+#include "../mpi/wired_ranks.hpp"
 #include "core/trace_io.hpp"
+#include "mpi/program.hpp"
 #include "mpi/trace.hpp"
-#include "mpi/transport.hpp"
 #include "net/fabric.hpp"
-#include "net/topology.hpp"
 #include "obs/tracer.hpp"
-#include "sim/engine.hpp"
 
 namespace iw::core {
 namespace {
@@ -249,25 +248,21 @@ TEST(ChromeTrace, TwoSidedPushesInFlightPairWithTheirArrivals) {
   // Push arrivals are recorded when the push is posted, so the export must
   // still put every arrow's end at the arrival time and keep each track
   // monotone.
-  sim::Engine engine;
-  net::Topology topo(net::TopologySpec::one_rank_per_node(4));
   net::FabricProfile fabric = net::FabricProfile::ideal(microseconds(1.0), 1e9);
   fabric.eager_limit_bytes = 0;
-  mpi::Transport transport(engine, topo, fabric, {});
+  mpi::WiredRanks w(4, {}, fabric);
   obs::Tracer tracer;
-  transport.set_tracer(&tracer);
-  std::map<int, SimTime> recv_done;  // rank -> receive delivery time
-  transport.set_completion_handler([&](int rank, mpi::RequestId req) {
-    if (req == 1) recv_done[rank] = engine.now();
-  });
+  w.transport.set_tracer(&tracer);
 
   constexpr std::int64_t kBytes = 100'000;
-  for (int dst = 1; dst <= 3; ++dst) transport.post_recv(dst, 0, 0, kBytes, 1);
-  transport.post_recv(0, 2, 0, kBytes, 1);
-  for (int dst = 1; dst <= 3; ++dst)
-    (void)transport.post_send(0, dst, 0, kBytes, 0);
-  (void)transport.post_send(2, 0, 0, kBytes, 0);
-  engine.run();
+  std::vector<mpi::Program> p(4);
+  p[0].irecv(2, kBytes, 0);
+  for (int dst = 1; dst <= 3; ++dst) p[0].isend(dst, kBytes, 0);
+  p[0].waitall();
+  p[1].irecv(0, kBytes, 0).waitall();
+  p[2].irecv(0, kBytes, 0).isend(0, kBytes, 0).waitall();
+  p[3].irecv(0, kBytes, 0).waitall();
+  w.run(p);
 
   // Arrivals: rank 0's three pushes leave back to back from t = 2 us; rank
   // 2's push leaves at 2 us on its own NIC.
@@ -275,7 +270,12 @@ TEST(ChromeTrace, TwoSidedPushesInFlightPairWithTheirArrivals) {
                                        {2, SimTime{203'000}},
                                        {3, SimTime{303'000}},
                                        {0, SimTime{103'000}}};
-  EXPECT_EQ(recv_done, arrival);  // zero overhead: delivery at arrival
+  // Zero overhead: each receive completes at its arrival. Ranks 1-3 finish
+  // there (rank 2's own push was injected by 102 us); rank 0's window ends
+  // when its last push is injected, at 302 us, and its receive is pinned by
+  // the arrival leg of its flow below.
+  for (int r = 1; r <= 3; ++r) EXPECT_EQ(w.trace.finish(r), arrival.at(r));
+  EXPECT_EQ(w.trace.finish(0), SimTime{302'000});
 
   const std::vector<obs::TraceRecord> records = tracer.drain_ordered();
   int push_sends = 0;

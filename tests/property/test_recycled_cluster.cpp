@@ -1,0 +1,180 @@
+// Property: one WaveRunner recycling its Cluster through a random sequence
+// of differing experiments gives every experiment exactly the result a
+// fresh Cluster gives it. Sweep workers and the daemon run every point
+// this way, so whatever Cluster::reset(), Transport::reconfigure() and
+// Process::reset() fail to clear would leak from one point into the next.
+// Each of 20 seeded sequences mixes ring and 2-D grid experiments that
+// differ in rank count, message size (eager and rendezvous), noise,
+// boundary, direction, placement, and on some draws a credit window, a
+// finite NIC or a one-sided rendezvous flavor, all with fast-forward off.
+// Traces, step marks, engine counters and transport stats must be
+// identical.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "core/experiment.hpp"
+#include "mpi/trace.hpp"
+#include "net/topology.hpp"
+#include "noise/system_profiles.hpp"
+#include "obs/metrics.hpp"
+#include "support/rng.hpp"
+#include "workload/delay.hpp"
+#include "workload/grid2d.hpp"
+#include "workload/ring.hpp"
+
+namespace iw::core {
+namespace {
+
+int pick(Rng& rng, int lo, int hi) {  ///< uniform in [lo, hi]
+  return lo + static_cast<int>(
+                  rng.uniform_below(static_cast<std::uint64_t>(hi - lo + 1)));
+}
+
+bool chance(Rng& rng, double p) { return rng.uniform() < p; }
+
+WaveExperiment draw_experiment(Rng& rng) {
+  // Eager sizes sit below the 128 KiB limit, rendezvous sizes above it.
+  constexpr std::int64_t kSizes[] = {1024, 8192, 65536, 262144, 1048576};
+  const std::int64_t bytes = kSizes[pick(rng, 0, 4)];
+  const int steps = pick(rng, 6, 12);
+  const Duration texec = milliseconds(1.0);
+  const auto boundary = chance(rng, 0.5) ? workload::Boundary::open
+                                         : workload::Boundary::periodic;
+
+  WaveExperiment exp;
+  int inj_rank = 0;
+  if (chance(rng, 0.25)) {
+    workload::Grid2DSpec grid;
+    grid.px = pick(rng, 3, 5);
+    grid.py = pick(rng, 3, 5);
+    grid.boundary = boundary;
+    grid.msg_bytes = bytes;
+    grid.steps = steps;
+    grid.texec = texec;
+    exp.cluster.topo = net::TopologySpec::one_rank_per_node(grid.ranks());
+    inj_rank = workload::grid_rank(grid, grid.px / 2, grid.py / 2);
+    exp.grid = grid;
+  } else {
+    workload::RingSpec ring;
+    ring.ranks = pick(rng, 6, 24);
+    ring.direction = chance(rng, 0.5) ? workload::Direction::unidirectional
+                                      : workload::Direction::bidirectional;
+    ring.boundary = boundary;
+    ring.msg_bytes = bytes;
+    ring.steps = steps;
+    ring.texec = texec;
+    const bool ppn1 = chance(rng, 0.7);
+    exp.cluster = cluster_for_ring(ring, ppn1, pick(rng, 2, 10));
+    inj_rank = pick(rng, 0, ring.ranks - 1);
+    exp.ring = ring;
+  }
+  exp.cluster.seed = rng.next_u64();
+  if (chance(rng, 0.2))
+    exp.cluster.transport.eager.credit_window = pick(rng, 1, 3);
+  if (chance(rng, 0.2))
+    exp.cluster.transport.nic.injection_depth = pick(rng, 1, 3);
+  if (chance(rng, 0.2))
+    exp.cluster.transport.rendezvous.flavor =
+        chance(rng, 0.5) ? mpi::RendezvousFlavor::rdma_put
+                         : mpi::RendezvousFlavor::rdma_get;
+  if (chance(rng, 0.5))
+    exp.injected_noise = noise::NoiseSpec::exponential(
+        microseconds(static_cast<double>(pick(rng, 10, 200))));
+  exp.delays = workload::single_delay(inj_rank, pick(rng, 1, steps / 2),
+                                      milliseconds(pick(rng, 2, 12)));
+  exp.min_idle = milliseconds(0.2);
+  return exp;
+}
+
+void expect_same_trace(const mpi::Trace& a, const mpi::Trace& b,
+                       const std::string& where) {
+  ASSERT_EQ(a.ranks(), b.ranks()) << where;
+  for (int r = 0; r < a.ranks(); ++r) {
+    const auto sa = a.segments(r);
+    const auto sb = b.segments(r);
+    ASSERT_EQ(sa.size(), sb.size()) << where << " rank " << r;
+    for (std::size_t i = 0; i < sa.size(); ++i) {
+      EXPECT_EQ(sa[i].kind, sb[i].kind) << where << " rank " << r;
+      EXPECT_EQ(sa[i].begin, sb[i].begin) << where << " rank " << r;
+      EXPECT_EQ(sa[i].end, sb[i].end) << where << " rank " << r;
+      EXPECT_EQ(sa[i].step, sb[i].step) << where << " rank " << r;
+      EXPECT_EQ(sa[i].noise, sb[i].noise) << where << " rank " << r;
+    }
+    const auto ma = a.step_begin(r);
+    const auto mb = b.step_begin(r);
+    EXPECT_TRUE(std::equal(ma.begin(), ma.end(), mb.begin(), mb.end()))
+        << where << " rank " << r << ": step marks differ";
+    EXPECT_EQ(a.finish(r), b.finish(r)) << where << " rank " << r;
+  }
+}
+
+/// The run-level part of the metrics a cluster publishes: every counter
+/// (engine and transport stats) and the gauges that describe the run, not
+/// the pools' lifetime capacity, which a recycled cluster keeps by design.
+void expect_same_metrics(const obs::MetricsSnapshot& a,
+                         const obs::MetricsSnapshot& b,
+                         const std::string& where) {
+  for (std::size_t i = 0; i < obs::kMetricCount; ++i) {
+    const auto id = static_cast<obs::MetricId>(i);
+    if (obs::metric_kind(id) != obs::MetricKind::counter) continue;
+    EXPECT_EQ(a.counter(id), b.counter(id))
+        << where << " " << obs::metric_name(id);
+  }
+  for (const obs::MetricId id :
+       {obs::MetricId::engine_calendar_peak,
+        obs::MetricId::transport_credits_outstanding,
+        obs::MetricId::pool_rdv_in_flight, obs::MetricId::pool_nic_backlog_depth,
+        obs::MetricId::pool_nic_inflight})
+    EXPECT_EQ(a.gauge(id), b.gauge(id)) << where << " " << obs::metric_name(id);
+}
+
+TEST(RecycledCluster, RandomSequencesMatchFreshClusters) {
+  int experiments = 0;
+  int rendezvous = 0;
+  for (std::uint64_t seq = 0; seq < 20; ++seq) {
+    Rng rng(0xC1A57E5ull + seq);
+    WaveRunner runner;  // one recycled Cluster per sequence
+    const int length = pick(rng, 3, 6);
+    for (int i = 0; i < length; ++i) {
+      WaveExperiment exp = draw_experiment(rng);
+      const std::string where =
+          "sequence " + std::to_string(seq) + " experiment " +
+          std::to_string(i);
+      obs::MetricsRegistry reused_metrics;
+      obs::MetricsRegistry fresh_metrics;
+      exp.cluster.metrics = &reused_metrics;
+      const WaveResult reused = runner.run(exp);
+      exp.cluster.metrics = &fresh_metrics;
+      const WaveResult fresh = run_wave_experiment(exp);
+
+      expect_same_trace(reused.trace, fresh.trace, where);
+      expect_same_metrics(reused_metrics.snapshot(), fresh_metrics.snapshot(),
+                          where);
+      EXPECT_EQ(reused.protocol, fresh.protocol) << where;
+      EXPECT_EQ(reused.events_processed, fresh.events_processed) << where;
+      EXPECT_EQ(reused.peak_events_pending, fresh.peak_events_pending)
+          << where;
+      EXPECT_EQ(reused.eager_demotions, fresh.eager_demotions) << where;
+      EXPECT_EQ(reused.nic_backlogged, fresh.nic_backlogged) << where;
+      EXPECT_EQ(reused.deferred_pushes, fresh.deferred_pushes) << where;
+      EXPECT_EQ(reused.unexpected_eager, fresh.unexpected_eager) << where;
+      EXPECT_EQ(reused.unexpected_rts, fresh.unexpected_rts) << where;
+      EXPECT_EQ(reused.measured_cycle, fresh.measured_cycle) << where;
+      EXPECT_EQ(reused.injection_time, fresh.injection_time) << where;
+      ++experiments;
+      if (reused.protocol == mpi::WireProtocol::rendezvous) ++rendezvous;
+      if (::testing::Test::HasFailure()) return;  // one report is enough
+    }
+  }
+  // The draws must cover both protocols.
+  EXPECT_GE(experiments, 60);
+  EXPECT_GT(rendezvous, 0);
+  EXPECT_LT(rendezvous, experiments);
+}
+
+}  // namespace
+}  // namespace iw::core

@@ -44,6 +44,13 @@ Rules (each line of output is `path:line: [rule] message`):
                      rank and break the fixed memory-per-rank budget the
                      machine-scale path depends on. Rank state stays flat
                      slabs plus row descriptors.
+  src-reachability   every src/ file is reachable through #include chains
+                     from a non-test target (examples/, bench/,
+                     idlewave_bench/); a .cpp counts as reached with its
+                     header. Code only tests reach is a seam no golden,
+                     bench or example exercises. Exceptions live in
+                     tools/lint/allowlist.txt as `<path> src-reachability`,
+                     each with the ROADMAP item that resolves it.
 
 Exit status: 0 clean, 1 violations found, 2 internal error.
 
@@ -118,7 +125,8 @@ def strip_comments(text: str) -> str:
 
 
 def load_allowlist(repo: Path) -> set[tuple[str, str]]:
-    """(relative path, construct) pairs exempt from banned-construct."""
+    """(relative path, construct or rule) pairs: exemptions from
+    banned-construct, and from src-reachability."""
     allow: set[tuple[str, str]] = set()
     path = repo / "tools" / "lint" / "allowlist.txt"
     if not path.is_file():
@@ -379,6 +387,57 @@ def check_soa_hot_structs(repo: Path) -> list[str]:
     return problems
 
 
+REACHABILITY_ROOTS = ("examples", "bench", "idlewave_bench")
+INCLUDE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.M)
+
+
+def resolve_include(repo: Path, includer: Path, name: str) -> Path | None:
+    """The file a quoted include names: next to the includer first, then
+    under src/ and each root directory (the targets' include paths)."""
+    for base in (includer.parent, repo / "src",
+                 *(repo / d for d in REACHABILITY_ROOTS)):
+        candidate = (base / name).resolve()
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+def check_src_reachability(repo: Path) -> list[str]:
+    """src/ files that no example, bench or benchmark target includes."""
+    allow = {path for path, what in load_allowlist(repo)
+             if what == "src-reachability"}
+    pending = [p.resolve() for d in REACHABILITY_ROOTS
+               for p in sorted((repo / d).rglob("*"))
+               if p.suffix in (".hpp", ".cpp")]
+    reached: set[Path] = set()
+    while pending:
+        path = pending.pop()
+        if path in reached:
+            continue
+        reached.add(path)
+        for name in INCLUDE.findall(path.read_text()):
+            target = resolve_include(repo, path, name)
+            if target is not None:
+                pending.append(target)
+                # A header's definitions live in its .cpp, linked with it.
+                source = target.with_suffix(".cpp")
+                if target.suffix == ".hpp" and source.is_file():
+                    pending.append(source)
+    problems = []
+    for path in sorted((repo / "src").rglob("*")):
+        if path.suffix not in (".hpp", ".cpp") or path.resolve() in reached:
+            continue
+        rel = path.relative_to(repo).as_posix()
+        if rel in allow:
+            continue
+        problems.append(
+            f"{rel}:1: [src-reachability] no example, bench or benchmark "
+            f"target includes this file, so only tests exercise it — give "
+            f"it a non-test user, delete it, or allowlist it with the "
+            f"ROADMAP item that resolves it")
+    return problems
+
+
 RULES = {
     "banned-construct": check_banned_constructs,
     "source-registration": check_source_registration,
@@ -387,6 +446,7 @@ RULES = {
     "transport-config-validate": check_transport_config_validate,
     "stats-in-registry": check_stats_in_registry,
     "soa-hot-structs": check_soa_hot_structs,
+    "src-reachability": check_src_reachability,
 }
 
 
@@ -458,6 +518,14 @@ def make_clean_tree(root: Path) -> None:
     (root / "tests" / "golden" / "mini.csv").write_text(
         "# iw-golden schema=1 scenario=mini points=1\n"
         "index,np\n0,4\n")
+    # One example reaches every src/ file: a header directly, the metrics
+    # source through the header it defines.
+    (root / "src" / "obs" / "metrics.hpp").write_text(CLEAN_HPP)
+    (root / "examples").mkdir()
+    (root / "examples" / "mini.cpp").write_text(
+        '#include "sim/calendar.hpp"\n#include "mpi/transport_config.hpp"\n'
+        '#include "mpi/trace.hpp"\n#include "mpi/transport.hpp"\n'
+        '#include "obs/metrics.hpp"\nint main() { return 0; }\n')
 
 
 # Each self-test case seeds one violation; a rule may have several cases
@@ -492,6 +560,9 @@ def seed_violation(root: Path, case: str) -> None:
             "    unsigned long eager_sends = 0;\n",
             "    unsigned long eager_sends = 0;\n"
             "    unsigned long ghost_counter = 0;\n"))
+    elif case == "src-reachability":
+        # A header that only tests would include.
+        (root / "src" / "sim" / "orphan.hpp").write_text(CLEAN_HPP)
     elif case == "soa-hot-structs":
         # A per-rank history vector-of-vectors sneaks into the trace SoA.
         hpp = root / "src" / "mpi" / "trace.hpp"
