@@ -41,9 +41,14 @@ class LineReader {
  public:
   explicit LineReader(int fd) : fd_(fd) {}
 
-  /// False on EOF (daemon closed the connection).
+  /// False on EOF (daemon closed the connection). Throws on a line longer
+  /// than LineBuffer::kMaxLineBytes.
   bool next(std::string& line) {
     while (!buf_.next_line(line)) {
+      if (buf_.overlong())
+        throw std::runtime_error(
+            "daemon sent a line longer than " +
+            std::to_string(LineBuffer::kMaxLineBytes) + " bytes");
       char chunk[16384];
       const ssize_t n = ::read(fd_, chunk, sizeof chunk);
       if (n <= 0) return false;

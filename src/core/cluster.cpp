@@ -73,17 +73,6 @@ mpi::Process& Cluster::bind_process(std::size_t slot, int rank,
   return processes_.emplace(rank, engine_, transport_, trace);
 }
 
-void Cluster::load_program(mpi::Process& proc, const mpi::Program& program,
-                           mpi::Trace& trace, std::size_t& offset) {
-  trace.reserve_rank(proc.rank(), program.segment_bound(),
-                     program.step_marks());
-  proc.set_request_storage(
-      request_slab_.data() + offset,
-      static_cast<std::uint32_t>(program.max_window_requests()));
-  offset += program.max_window_requests();
-  proc.set_program(&program);
-}
-
 void Cluster::wire_domains() {
   // Socket bandwidth domains (only when memory-bound work is configured).
   // They serve both OpMemWork phases and — via the transport — intra-node
@@ -124,12 +113,11 @@ void Cluster::publish_metrics() {
 
 void Cluster::record_footprint(const mpi::Trace& trace) {
   // The per-rank budget counts the rank-proportional simulation state: the
-  // trace slabs, the shared request slab, the process/domain pools, the
-  // rank-indexed wiring tables, and the topology's classification tables.
-  // (The calendar and transport pools scale with the *active* working set,
-  // not with ranks, and are deliberately excluded.)
+  // trace slabs, the process/domain pools, the rank-indexed wiring tables,
+  // and the topology's classification tables. (The calendar and transport
+  // pools scale with the *active* working set, not with ranks, and are
+  // deliberately excluded.)
   std::size_t bytes = trace.bytes_used();
-  bytes += request_slab_.capacity() * sizeof(mpi::Request);
   bytes += processes_.bytes_used();
   bytes += domains_.bytes_used();
   bytes += process_table_.capacity() * sizeof(mpi::Process*);
@@ -145,50 +133,54 @@ void Cluster::record_footprint(const mpi::Trace& trace) {
                              peak_bytes_per_rank_);
 }
 
-mpi::Trace Cluster::run(const std::vector<mpi::Program>& programs,
-                        const noise::NoiseSpec& injected_noise) {
+template <typename ProgramAt>
+mpi::Trace Cluster::run_programs(std::size_t count, ProgramAt program_at,
+                                 const noise::NoiseSpec& injected_noise,
+                                 std::span<const GhostSend> ghost_sends,
+                                 std::span<const GhostPost> ghost_posts) {
   IW_REQUIRE(!ran_, "Cluster::run requires a fresh or reset() instance");
-  IW_REQUIRE(static_cast<int>(programs.size()) == topo_.ranks(),
-             "need exactly one program per rank");
+  const auto nranks = static_cast<std::size_t>(topo_.ranks());
+  IW_REQUIRE(count == nranks, "need exactly one program slot per rank");
   ran_ = true;
 
-  const auto nranks = static_cast<std::size_t>(topo_.ranks());
-  // Every rank's request window sits back-to-back in one slab, and its
-  // trace rows in the trace's two slabs. All three are sized once, before
-  // any binding, so none moves under a bound process or reallocates while
-  // rows are assigned.
-  StorageShape shape;
-  for (const auto& program : programs) shape.add(program);
-  request_slab_.resize(shape.requests);
-  mpi::Trace trace(topo_.ranks(), shape.segments, shape.steps);
+  // Every rank's trace rows sit in the trace's two slabs, sized once,
+  // before any binding, so neither reallocates while rows are assigned.
+  std::size_t segments = 0;
+  std::size_t steps = 0;
+  for (std::size_t rank = 0; rank < nranks; ++rank) {
+    if (const mpi::Program* program = program_at(rank)) {
+      segments += program->segment_bound();
+      steps += program->step_marks();
+    }
+  }
+  mpi::Trace trace(topo_.ranks(), segments, steps);
 
   wire_domains();
 
-  process_table_.clear();
-  process_table_.reserve(nranks);
-  std::size_t offset = 0;
+  // Silent ranks get a null process-table entry. That is safe because a
+  // silent rank never posts a receive: arrivals from ghosts into silent
+  // destinations park in the transport's unexpected queues and are never
+  // completed, so procs_[silent] is never dereferenced.
+  process_table_.assign(nranks, nullptr);
+  std::size_t active = 0;  // processes bound, and the next pool slot
   for (int rank = 0; rank < topo_.ranks(); ++rank) {
-    const mpi::Program& program = programs[static_cast<std::size_t>(rank)];
-    mpi::Process& proc = bind_process(static_cast<std::size_t>(rank), rank,
-                                      trace);
-    load_program(proc, program, trace, offset);
-    if (config_.system_noise.kind != noise::NoiseSpec::Kind::none) {
-      proc.add_noise(config_.system_noise,
-                     Rng::for_stream(config_.seed,
-                                     static_cast<std::uint64_t>(rank),
-                                     kSystemNoiseStream));
-    }
-    if (injected_noise.kind != noise::NoiseSpec::Kind::none) {
-      proc.add_noise(injected_noise,
-                     Rng::for_stream(config_.seed,
-                                     static_cast<std::uint64_t>(rank),
-                                     kInjectedNoiseStream));
-    }
+    const mpi::Program* program = program_at(static_cast<std::size_t>(rank));
+    if (program == nullptr) continue;
+    mpi::Process& proc = bind_process(active++, rank, trace);
+    trace.reserve_rank(rank, program->segment_bound(), program->step_marks());
+    proc.set_program(program);
+    const auto stream = [&](std::uint64_t purpose) {
+      return Rng::for_stream(config_.seed, static_cast<std::uint64_t>(rank),
+                             purpose);
+    };
+    if (config_.system_noise.kind != noise::NoiseSpec::Kind::none)
+      proc.add_noise(config_.system_noise, stream(kSystemNoiseStream));
+    if (injected_noise.kind != noise::NoiseSpec::Kind::none)
+      proc.add_noise(injected_noise, stream(kInjectedNoiseStream));
     if (!domain_table_.empty())
       proc.set_domain(domain_table_[static_cast<std::size_t>(rank)]);
-    process_table_.push_back(&proc);
+    process_table_[static_cast<std::size_t>(rank)] = &proc;
   }
-  procs_in_use_ = nranks;
 
   // Rank-indexed completion wiring: the transport calls straight into
   // Process::on_request_settles_at, no type-erased hop.
@@ -198,69 +190,8 @@ mpi::Trace Cluster::run(const std::vector<mpi::Program>& programs,
   engine_.set_tracer(config_.tracer);
   transport_.set_tracer(config_.tracer);
   if (config_.tracer != nullptr)
-    for (std::size_t r = 0; r < procs_in_use_; ++r)
+    for (std::size_t r = 0; r < active; ++r)
       processes_[r].set_tracer(config_.tracer);
-
-  for (std::size_t r = 0; r < procs_in_use_; ++r) processes_[r].start();
-  engine_.run();
-
-  for (std::size_t r = 0; r < procs_in_use_; ++r)
-    IW_CHECK(processes_[r].done(),
-             "deadlock: a process never finished its program");
-
-  publish_metrics();
-  record_footprint(trace);
-
-  return trace;
-}
-
-mpi::Trace Cluster::run_fast_forward(
-    const std::vector<const mpi::Program*>& programs,
-    std::span<const GhostSend> ghost_sends,
-    std::span<const GhostPost> ghost_posts) {
-  IW_REQUIRE(!ran_, "Cluster::run requires a fresh or reset() instance");
-  IW_REQUIRE(static_cast<int>(programs.size()) == topo_.ranks(),
-             "need exactly one program slot per rank");
-  // The fast-forward envelope (core::plan_fast_forward) excludes every
-  // feature that could couple a silent rank back into the simulation;
-  // re-prove the structural parts here.
-  IW_REQUIRE(!config_.memory,
-             "fast-forward runs cannot use memory domains");
-  IW_REQUIRE(config_.system_noise.kind == noise::NoiseSpec::Kind::none,
-             "fast-forward runs cannot carry system noise");
-  IW_REQUIRE(config_.tracer == nullptr,
-             "fast-forward runs cannot be flight-recorded");
-  ran_ = true;
-
-  const auto nranks = static_cast<std::size_t>(topo_.ranks());
-  StorageShape shape;  // sized once, as in run()
-  for (const auto* program : programs)
-    if (program != nullptr) shape.add(*program);
-  request_slab_.resize(shape.requests);
-  mpi::Trace trace(topo_.ranks(), shape.segments, shape.steps);
-
-  domains_in_use_ = 0;
-  domain_table_.clear();
-  transport_.set_memory_domains(domain_table_);
-
-  // Silent ranks get a null process-table entry. That is safe because a
-  // silent rank never posts a receive: arrivals from ghosts into silent
-  // destinations park in the transport's unexpected queues and are never
-  // completed, so procs_[silent] is never dereferenced.
-  process_table_.assign(nranks, nullptr);
-  std::size_t slot = 0;
-  std::size_t offset = 0;
-  for (int rank = 0; rank < topo_.ranks(); ++rank) {
-    const mpi::Program* program = programs[static_cast<std::size_t>(rank)];
-    if (program == nullptr) continue;
-    mpi::Process& proc = bind_process(slot++, rank, trace);
-    load_program(proc, *program, trace, offset);
-    process_table_[static_cast<std::size_t>(rank)] = &proc;
-  }
-  procs_in_use_ = slot;
-  transport_.set_processes(process_table_.data());
-  engine_.set_tracer(nullptr);
-  transport_.set_tracer(nullptr);
 
   // Pre-schedule the ghost traffic: each post fires at the silent sender's
   // analytically known compute-end time and injects its batch in program
@@ -277,10 +208,10 @@ mpi::Trace Cluster::run_fast_forward(
     });
   }
 
-  for (std::size_t r = 0; r < procs_in_use_; ++r) processes_[r].start();
+  for (std::size_t r = 0; r < active; ++r) processes_[r].start();
   engine_.run();
 
-  for (std::size_t r = 0; r < procs_in_use_; ++r)
+  for (std::size_t r = 0; r < active; ++r)
     IW_CHECK(processes_[r].done(),
              "deadlock: a process never finished its program");
 
@@ -288,6 +219,32 @@ mpi::Trace Cluster::run_fast_forward(
   record_footprint(trace);
 
   return trace;
+}
+
+mpi::Trace Cluster::run(const std::vector<mpi::Program>& programs,
+                        const noise::NoiseSpec& injected_noise) {
+  return run_programs(
+      programs.size(),
+      [&programs](std::size_t rank) { return &programs[rank]; },
+      injected_noise, {}, {});
+}
+
+mpi::Trace Cluster::run_fast_forward(
+    const std::vector<const mpi::Program*>& programs,
+    std::span<const GhostSend> ghost_sends,
+    std::span<const GhostPost> ghost_posts) {
+  // The fast-forward envelope (core::plan_fast_forward) excludes every
+  // feature that could couple a silent rank back into the simulation;
+  // re-prove the structural parts here.
+  IW_REQUIRE(!config_.memory,
+             "fast-forward runs cannot use memory domains");
+  IW_REQUIRE(config_.system_noise.kind == noise::NoiseSpec::Kind::none,
+             "fast-forward runs cannot carry system noise");
+  IW_REQUIRE(config_.tracer == nullptr,
+             "fast-forward runs cannot be flight-recorded");
+  return run_programs(
+      programs.size(), [&programs](std::size_t rank) { return programs[rank]; },
+      noise::NoiseSpec::none(), ghost_sends, ghost_posts);
 }
 
 }  // namespace iw::core

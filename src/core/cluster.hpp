@@ -16,24 +16,22 @@
 // determinism suite guards that equivalence.
 //
 // Machine-scale layout: per-rank state lives in struct-of-arrays storage —
-// trace rows index into shared slabs (mpi::Trace), every process's request
-// window is a slice of one shared request slab, and Process/BandwidthDomain
-// objects come from chunked object pools with stable addresses. A run sums
-// its programs' counters (Program::max_window_requests(), segment_bound(),
-// step_marks()) and sizes the request slab and both trace slabs once,
+// trace rows index into shared slabs (mpi::Trace), and Process and
+// BandwidthDomain objects come from chunked object pools with stable
+// addresses. A process keeps no per-request storage: a request is a count
+// in its WaitAll window. A run sums its programs' counters
+// (Program::segment_bound(), step_marks()) and sizes both trace slabs once,
 // exactly, before it assigns any row. The memory-per-rank budget this buys
 // is surfaced as peak_bytes_per_rank().
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "memory/bandwidth_domain.hpp"
 #include "mpi/process.hpp"
-#include "mpi/request.hpp"
 #include "mpi/trace.hpp"
 #include "mpi/transport.hpp"
 #include "net/fabric.hpp"
@@ -110,8 +108,8 @@ class Cluster {
 
   /// Fast-forward run over an *active subset* of ranks: programs[r] is the
   /// rank's program, or nullptr for a silent rank that is provably outside
-  /// every delay/boundary light cone. Silent ranks get no Process, no
-  /// request slice, and no trace reservation — the analytic layer
+  /// every delay/boundary light cone. Silent ranks get no Process and no
+  /// trace reservation — the analytic layer
   /// (core::run_ring_fast_forward) synthesizes their rows afterwards. The
   /// rim of the active set still receives messages from its silent
   /// neighbors; those arrive as the pre-scheduled `ghost_posts`, each
@@ -144,8 +142,8 @@ class Cluster {
     return engine_.peak_events_pending();
   }
 
-  /// Simulation-state bytes per rank of the last run: trace slabs, request
-  /// slab, process/domain pools, the rank-indexed wiring tables, and the
+  /// Simulation-state bytes per rank of the last run: trace slabs,
+  /// process/domain pools, the rank-indexed wiring tables, and the
   /// topology's classification tables. The scale bench regression-gates
   /// this against the fixed per-rank budget.
   [[nodiscard]] double peak_bytes_per_rank() const {
@@ -163,21 +161,15 @@ class Cluster {
   /// previously bound processes.
   mpi::Process& bind_process(std::size_t slot, int rank, mpi::Trace& trace);
 
-  /// Storage a set of programs needs, summed from their counters.
-  struct StorageShape {
-    std::size_t requests = 0;
-    std::size_t segments = 0;
-    std::size_t steps = 0;
-    void add(const mpi::Program& program) {
-      requests += program.max_window_requests();
-      segments += program.segment_bound();
-      steps += program.step_marks();
-    }
-  };
-  /// Carves `program`'s trace rows and request window (at `offset`, which
-  /// advances) and hands the program to `proc`.
-  void load_program(mpi::Process& proc, const mpi::Program& program,
-                    mpi::Trace& trace, std::size_t& offset);
+  /// The one run body. `program_at(rank)` is the rank's program, or null
+  /// for a silent rank; each non-null program gets the next pool process,
+  /// so in a full run slot == rank. Ghost posts are scheduled before any
+  /// process starts.
+  template <typename ProgramAt>
+  mpi::Trace run_programs(std::size_t count, ProgramAt program_at,
+                          const noise::NoiseSpec& injected_noise,
+                          std::span<const GhostSend> ghost_sends,
+                          std::span<const GhostPost> ghost_posts);
 
   void wire_domains();
   void publish_metrics();
@@ -190,8 +182,6 @@ class Cluster {
   support::ObjectPool<memory::BandwidthDomain> domains_;
   std::size_t domains_in_use_ = 0;
   support::ObjectPool<mpi::Process> processes_;
-  std::size_t procs_in_use_ = 0;
-  std::vector<mpi::Request> request_slab_;    ///< all ranks' request windows
   std::vector<mpi::Process*> process_table_;  ///< rank-indexed hot-path wiring
   std::vector<memory::BandwidthDomain*> domain_table_;
   double peak_bytes_per_rank_ = 0.0;

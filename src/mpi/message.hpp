@@ -5,6 +5,12 @@
 
 namespace iw::mpi {
 
+/// Handle to a pending nonblocking operation (the MPI_Request analogue):
+/// its index in the owning process's current WaitAll window. The transport
+/// keeps everything about the operation and settles the id once, with its
+/// finish time; the process only counts the ids still open.
+using RequestId = int;
+
 /// Wire protocol actually used for a message (paper Sec. II-C1). Short
 /// messages go eager (buffered, no handshake — the sender "can get rid of
 /// its messages"); large ones go rendezvous (RTS/CTS handshake that couples
@@ -19,6 +25,12 @@ enum class WireProtocol : std::uint8_t { eager, rendezvous };
 /// still outstanding. This reproduces the paper's sigma = 2 propagation
 /// speed for bidirectional rendezvous communication (Sec. IV-C, Fig. 5(g,h),
 /// Fig. 7) while leaving every other mode at sigma = 1.
+///
+/// The rule can deadlock a legal program: a rank that posts two rendezvous
+/// sends to one receiver in one window, which receives them in two
+/// one-request windows, holds the first payload for the second handshake,
+/// whose receive waits for the first payload. Cluster::run then fails its
+/// deadlock check; under `independent` the same program completes.
 ///
 /// `independent` is the idealized fully-asynchronous semantic; under it all
 /// modes propagate at sigma = 1 (the ablation bench demonstrates this).

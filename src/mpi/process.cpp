@@ -29,26 +29,18 @@ void Process::reset(int rank, Trace& trace) {
   iteration_ = 0;
   next_injection_ = 0;
   next_step_ = 0;
-  req_count_ = 0;  // storage binding/capacity retained for the next run
+  req_count_ = 0;
   open_requests_ = 0;
   latest_due_ = SimTime::zero();
   blocked_ = false;
   wait_begin_ = SimTime::zero();
   done_ = false;
-  on_done_ = DoneFn{};
+  IW_AUDIT(settled_.clear());
 }
 
-void Process::set_request_storage(Request* base, std::uint32_t capacity) {
-  IW_REQUIRE(req_count_ == 0,
-             "cannot rebind request storage while requests are open");
-  req_ = base;
-  req_cap_ = capacity;
-}
-
-RequestId Process::push_request() {
-  IW_CHECK(req_count_ < req_cap_,
-           "request window exceeds the bound request storage");
-  req_[req_count_] = Request{};
+RequestId Process::open_request() {
+  ++open_requests_;
+  IW_AUDIT(settled_.push_back(0));
   return static_cast<RequestId>(req_count_++);
 }
 
@@ -86,8 +78,7 @@ void Process::resume(SimTime now) {
     // that matches an unexpected arrival, settle it from inside the post.
     if (const auto* send = std::get_if<OpIsend>(&op)) {
       IW_ASSERT(now == engine_.now(), "post ahead of the engine clock");
-      const RequestId id = push_request();
-      ++open_requests_;
+      const RequestId id = open_request();
       transport_.post_send(rank_, send->peer, send->tag + iteration_,
                            send->bytes, id);
       ++pc_;
@@ -96,8 +87,7 @@ void Process::resume(SimTime now) {
 
     if (const auto* recv = std::get_if<OpIrecv>(&op)) {
       IW_ASSERT(now == engine_.now(), "post ahead of the engine clock");
-      const RequestId id = push_request();
-      ++open_requests_;
+      const RequestId id = open_request();
       transport_.post_recv(rank_, recv->peer, recv->tag + iteration_,
                            recv->bytes, id);
       ++pc_;
@@ -152,6 +142,7 @@ void Process::resume(SimTime now) {
       IW_ASSERT(now == engine_.now(), "WaitAll ahead of the engine clock");
       if (requests_settled(now)) {
         req_count_ = 0;
+        IW_AUDIT(settled_.clear());
         ++pc_;
         continue;
       }
@@ -177,7 +168,6 @@ void Process::resume(SimTime now) {
   if (!done_) {
     done_ = true;
     trace_->set_finish(rank_, now);
-    if (on_done_.fn != nullptr) on_done_.fn(on_done_.ctx, rank_);
   }
 }
 
@@ -239,6 +229,7 @@ void Process::finish_wait(SimTime now) {
                                        next_step_ - 1, Duration::zero()});
   }
   req_count_ = 0;
+  IW_AUDIT(settled_.clear());
   latest_due_ = SimTime::zero();
   ++pc_;
   resume(now);
@@ -247,10 +238,9 @@ void Process::finish_wait(SimTime now) {
 void Process::on_request_settles_at(RequestId id, SimTime due) {
   IW_REQUIRE(id >= 0 && static_cast<std::uint32_t>(id) < req_count_,
              "unknown request id");
-  Request& req = req_[static_cast<std::size_t>(id)];
-  IW_ASSERT(!req.timed, "request settled twice");
-  req.timed = true;
-  req.due = due;
+  IW_ASSERT(settled_[static_cast<std::size_t>(id)] == 0,
+            "request settled twice");
+  IW_AUDIT(settled_[static_cast<std::size_t>(id)] = 1);
   latest_due_ = std::max(latest_due_, due);
   --open_requests_;
 

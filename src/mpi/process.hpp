@@ -4,9 +4,13 @@
 // (iteration, pc) pair: pc wraps to the body's start while iterations
 // remain.
 //
+// A request is a count: the transport hands back its window index and
+// settles it once, with its finish time. The process keeps only the number
+// still open and the latest finish time of the window, which is all a
+// WaitAll needs, so interpretation stores nothing per message.
+//
 // Processes are pooled by the Cluster: reset() re-arms one for another run
-// (new trace binding, new program) while the request storage binding stays,
-// so steady-state interpretation allocates nothing per message.
+// (new trace binding, new program).
 #pragma once
 
 #include <cstdint>
@@ -14,7 +18,6 @@
 
 #include "memory/bandwidth_domain.hpp"
 #include "mpi/program.hpp"
-#include "mpi/request.hpp"
 #include "mpi/trace.hpp"
 #include "mpi/transport.hpp"
 #include "noise/system_profiles.hpp"
@@ -52,15 +55,7 @@ class Process {
   /// fast-forward path reuses one contiguous block of processes for
   /// whatever sparse active set the plan selects): rebinds the trace,
   /// clears the program, noise sources, domain, and interpreter state.
-  /// Request storage keeps its capacity.
   void reset(int rank, Trace& trace);
-
-  /// Binds the request window to `capacity` slots of an external slab (the
-  /// Cluster carves one slab for all ranks, `capacity` from the program's
-  /// max_window_requests()). Required before a program that posts runs: a
-  /// post past the bound capacity fails an always-on check. Must be called
-  /// only while no requests are open.
-  void set_request_storage(Request* base, std::uint32_t capacity);
 
   /// Called once after wiring; schedules the first instruction at t=0.
   void start();
@@ -76,19 +71,7 @@ class Process {
   /// (see schedule_timed_wake()).
   void on_request_settles_at(RequestId id, SimTime due);
 
-  /// Plain-pointer completion hook (rank-done notification): no type-erased
-  /// state, so wiring it costs nothing on the hot path.
-  struct DoneFn {
-    void (*fn)(void* ctx, int rank) = nullptr;
-    void* ctx = nullptr;
-  };
-
-  /// Invoked when the program has fully executed.
-  void set_done_handler(DoneFn fn) { on_done_ = fn; }
-
-  [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] bool done() const { return done_; }
-  [[nodiscard]] bool blocked() const { return blocked_; }
 
  private:
   /// Interprets (iteration, pc) at the rank-local time `now` until blocked
@@ -129,10 +112,8 @@ class Process {
   };
   std::vector<NoiseSource> noise_;
 
-  /// Appends an unsettled request to the window and returns its id. An
-  /// overflowing window is a contract error: the storage is sized from
-  /// Program::max_window_requests().
-  RequestId push_request();
+  /// Opens a request in the window and returns its id, the window index.
+  RequestId open_request();
 
   /// Interpreter position: op `pc_` of the body in iteration `iteration_`,
   /// and the next unused entry of the program's injection list.
@@ -140,19 +121,20 @@ class Process {
   std::int32_t iteration_ = 0;
   std::size_t next_injection_ = 0;
   std::int32_t next_step_ = 0;
-  /// Request window: a pointer into the shared request slab (SoA storage,
-  /// one carve per rank).
-  Request* req_ = nullptr;
+  /// O(1) WaitAll accounting: requests posted in the window, those whose
+  /// settle time the transport has not reported yet, and the latest timed
+  /// due point of the window.
   std::uint32_t req_count_ = 0;
-  std::uint32_t req_cap_ = 0;
-  /// O(1) WaitAll accounting: requests whose settle time the transport has
-  /// not reported yet, plus the latest timed due point of the window.
   int open_requests_ = 0;
   SimTime latest_due_ = SimTime::zero();
   bool blocked_ = false;
   SimTime wait_begin_;
   bool done_ = false;
-  DoneFn on_done_;
+#if IW_AUDIT_ENABLED
+  /// Audit-only shadow of the window: 1 = request already settled. Catches
+  /// a request the transport settles twice.
+  std::vector<std::uint8_t> settled_;
+#endif
 };
 
 }  // namespace iw::mpi

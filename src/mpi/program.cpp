@@ -1,7 +1,5 @@
 #include "mpi/program.hpp"
 
-#include <algorithm>
-
 #include "support/error.hpp"
 
 namespace iw::mpi {
@@ -17,7 +15,7 @@ Program& Program::post(Op op, int peer, std::int64_t bytes) {
   IW_REQUIRE(peer >= 0, "peer must be a valid rank");
   IW_REQUIRE(bytes >= 0, "message size must be non-negative");
   append(op);
-  max_window_requests_ = std::max(max_window_requests_, ++window_requests_);
+  open_posts_ = true;
   return *this;
 }
 
@@ -33,9 +31,7 @@ Program& Program::mem_work(std::int64_t bytes, bool noisy) {
 
 Program& Program::inject(Duration d) {
   IW_REQUIRE(d.ns() >= 0, "injected delay must be non-negative");
-  append(OpInject{d}, 1);
-  fixed_injected_ += d;
-  return *this;
+  return append(OpInject{d}, 1);
 }
 
 Program& Program::inject_point() {
@@ -55,8 +51,7 @@ Program& Program::irecv(int peer, std::int64_t bytes, int tag) {
 
 Program& Program::waitall() {
   append(OpWaitAll{}, 1);
-  ++body_waits_;
-  window_requests_ = 0;
+  open_posts_ = false;
   return *this;
 }
 
@@ -69,7 +64,7 @@ Program& Program::mark() {
 Program& Program::repeat(int n) {
   IW_REQUIRE(!sealed_, "repeat() may be called only once");
   IW_REQUIRE(n >= 1, "a body repeats at least once");
-  IW_REQUIRE(window_requests_ == 0,
+  IW_REQUIRE(!open_posts_,
              "a repeated body must close its posts with a WaitAll");
   sealed_ = true;
   repeats_ = n;
@@ -83,7 +78,6 @@ Program& Program::inject_at(int iteration, Duration d) {
              "injection iteration out of range");
   IW_REQUIRE(injections_.empty() || injections_.back().iteration <= iteration,
              "injection iterations must be non-decreasing");
-  listed_injected_ += d;
   if (!injections_.empty() && injections_.back().iteration == iteration)
     injections_.back().duration += d;
   else

@@ -7,8 +7,8 @@
 // repeats() times. Iteration i adds i to every send/recv tag. A flat
 // program is a body repeated once. The body may hold one injection point,
 // and a sorted injection list names the iterations that delay there. The
-// builders keep the counters the Cluster sizes storage from, so reading a
-// program's shape never walks its ops.
+// builders keep the two counters the Cluster sizes the trace from
+// (segment_bound(), step_marks()), so reading them never walks the ops.
 #pragma once
 
 #include <cstdint>
@@ -86,8 +86,7 @@ class Program {
   Program& mark();
 
   /// Runs the body `n` times and seals it. Callable once, and only when
-  /// every post is closed by a WaitAll: a window spanning iterations would
-  /// outgrow max_window_requests().
+  /// every post is closed by a WaitAll, so no window spans iterations.
   Program& repeat(int n);
   /// Delays `iteration` by `d` at the injection point. Iterations must be
   /// in range and non-decreasing; a repeated iteration adds to its entry.
@@ -98,14 +97,6 @@ class Program {
   [[nodiscard]] std::span<const Injection> injections() const {
     return injections_;
   }
-
-  /// Total nominal (noise-free, contention-free) injected delay time.
-  [[nodiscard]] Duration total_injected() const {
-    return fixed_injected_ * repeats_ + listed_injected_;
-  }
-
-  /// Number of WaitAll operations run (== communication rounds).
-  [[nodiscard]] int rounds() const { return body_waits_ * repeats_; }
 
   /// Number of step marks run: the exact step-row size.
   [[nodiscard]] std::size_t step_marks() const {
@@ -120,13 +111,6 @@ class Program {
            injections_.size();
   }
 
-  /// Largest number of requests simultaneously open in any WaitAll window
-  /// (posts since the previous WaitAll). The Cluster sizes the shared
-  /// request slab from this.
-  [[nodiscard]] std::size_t max_window_requests() const {
-    return max_window_requests_;
-  }
-
  private:
   Program& append(Op op, std::size_t segments = 0);
   Program& post(Op op, int peer, std::int64_t bytes);  ///< a send/recv
@@ -136,13 +120,9 @@ class Program {
   int repeats_ = 1;
   bool sealed_ = false;
   bool has_point_ = false;
-  int body_waits_ = 0;
+  bool open_posts_ = false;  ///< a post since the last WaitAll
   std::size_t body_marks_ = 0;
   std::size_t body_segments_ = 0;
-  Duration fixed_injected_ = Duration::zero();
-  Duration listed_injected_ = Duration::zero();
-  std::size_t window_requests_ = 0;
-  std::size_t max_window_requests_ = 0;
 };
 
 }  // namespace iw::mpi

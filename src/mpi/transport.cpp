@@ -782,7 +782,7 @@ void Transport::post_recv(int dst, int src, int tag, std::int64_t bytes,
   }
 
   // 2) Nothing yet: queue the receive.
-  s.posted_recvs.push_back(PostedRecv{src, tag, bytes, request});
+  s.posted_recvs.push_back(PostedRecv{src, tag, request});
 }
 
 }  // namespace iw::mpi

@@ -93,7 +93,6 @@
 
 #include "memory/bandwidth_domain.hpp"
 #include "mpi/message.hpp"
-#include "mpi/request.hpp"
 #include "mpi/transport_config.hpp"
 #include "net/fabric.hpp"
 #include "net/topology.hpp"
@@ -240,10 +239,10 @@ class Transport {
                                                   std::int64_t bytes) const;
 
  private:
+  /// A receive no arrival matched yet; the message size is the sender's.
   struct PostedRecv {
     int src;
     int tag;
-    std::int64_t bytes;
     RequestId request;
   };
 

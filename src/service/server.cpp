@@ -95,7 +95,7 @@ void Server::io_loop() {
       std::string line;
       while (!c.dead && !stopping_.load() && c.in.next_line(line))
         handle_line(c, line);
-      if (!c.dead && c.in.pending_bytes() > kMaxLineBytes) {
+      if (!c.dead && c.in.overlong()) {
         // Best effort: the connection closes whether or not this lands.
         (void)send_line(c.fd.get(),
                         error_response("line-too-long",

@@ -12,9 +12,9 @@
 // queue slots free at once, the running batch stops at its next point
 // boundary, and completed physics stays in the shared cache.
 //
-// A request line may hold at most kMaxLineBytes: a connection that buffers
-// more without a '\n' gets a "line-too-long" error line and is closed, so
-// no client can grow the daemon without limit.
+// A request line may hold at most kMaxLineBytes (LineBuffer's cap): a
+// connection whose next line is longer gets a "line-too-long" error line
+// and is closed, so no client can grow the daemon without limit.
 #pragma once
 
 #include <atomic>
@@ -36,8 +36,8 @@ struct ServerOptions {
 
 class Server {
  public:
-  /// Longest unterminated request line a connection may buffer.
-  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+  /// Longest request line a connection may send.
+  static constexpr std::size_t kMaxLineBytes = LineBuffer::kMaxLineBytes;
 
   explicit Server(ServerOptions options);
   ~Server();

@@ -94,10 +94,15 @@ bool send_line(int fd, const std::string& line) {
 
 bool LineBuffer::next_line(std::string& line) {
   const std::size_t pos = buf_.find('\n');
-  if (pos == std::string::npos) return false;
+  if (pos == std::string::npos || pos > kMaxLineBytes) return false;
   line.assign(buf_, 0, pos);
   buf_.erase(0, pos + 1);
   return true;
+}
+
+bool LineBuffer::overlong() const {
+  // The scan runs only once the buffer could hold an overlong line.
+  return buf_.size() > kMaxLineBytes && buf_.find('\n') > kMaxLineBytes;
 }
 
 }  // namespace iw

@@ -51,17 +51,24 @@ class ScopedFd {
 /// send_all of `line` plus the terminating '\n'.
 [[nodiscard]] bool send_line(int fd, const std::string& line);
 
-/// Reassembles '\n'-terminated lines from arbitrary read fragments.
+/// Reassembles '\n'-terminated lines from arbitrary read fragments. A line
+/// may hold at most kMaxLineBytes (without its '\n'): a longer one is never
+/// returned, and overlong() tells the reader to give up on the stream, so
+/// no peer can grow a reader without limit.
 class LineBuffer {
  public:
+  /// Longest line a reader accepts, shared by the daemon and its clients.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
   void feed(const char* data, std::size_t size) { buf_.append(data, size); }
 
   /// Extracts the next complete line (without its '\n') into `line`.
-  /// Returns false when no complete line is buffered yet.
+  /// Returns false when no complete line is buffered yet, or when the next
+  /// line is overlong().
   bool next_line(std::string& line);
 
-  /// Bytes buffered but not yet terminated by '\n'.
-  [[nodiscard]] std::size_t pending_bytes() const { return buf_.size(); }
+  /// True once the next line, complete or not, exceeds kMaxLineBytes.
+  [[nodiscard]] bool overlong() const;
 
  private:
   std::string buf_;

@@ -1,6 +1,11 @@
 // Tests for the Cluster facade and experiment helpers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
 #include "workload/collectives.hpp"
@@ -236,6 +241,41 @@ TEST(Cluster, MarksWithoutWaitallTraceIsSizedExactly) {
     EXPECT_EQ(trace.segments(r).size(), 7u);
   }
   EXPECT_EQ(trace.bytes_used(), exact_trace_bytes(programs));
+}
+
+/// Rank 0 posts two 1 MiB (rendezvous) sends to rank 1 in one window;
+/// rank 1 receives them in two one-request windows. Legal MPI, but under
+/// deferred push the first payload waits for the second handshake, whose
+/// receive waits for the first payload.
+std::vector<mpi::Program> two_sends_received_one_at_a_time() {
+  constexpr std::int64_t kMiB = std::int64_t{1} << 20;
+  std::vector<mpi::Program> programs(2);
+  programs[0].isend(1, kMiB, 0).isend(1, kMiB, 1).waitall();
+  programs[1].irecv(0, kMiB, 0).waitall().irecv(0, kMiB, 1).waitall();
+  return programs;
+}
+
+TEST(Cluster, DeferredPushDeadlocksOnReceivesPostedOneAtATime) {
+  const auto programs = two_sends_received_one_at_a_time();
+  ClusterConfig config;
+  config.topo = net::TopologySpec::one_rank_per_node(2);
+  ASSERT_EQ(config.transport.rendezvous.pipelining,
+            mpi::RendezvousPipelining::deferred_push);
+  Cluster cluster(config);
+  try {
+    (void)cluster.run(programs);
+    FAIL() << "expected the deadlock check to throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos)
+        << e.what();
+  }
+
+  // Independent pushes carry the same program to completion.
+  config.transport.rendezvous.pipelining =
+      mpi::RendezvousPipelining::independent;
+  cluster.reset(config);
+  const auto trace = cluster.run(programs);
+  EXPECT_EQ(trace.makespan(), SimTime{709'850});
 }
 
 TEST(ExperimentHelpers, MeasuredCycleFromMarks) {

@@ -1,10 +1,14 @@
 // Tests for the process interpreter: op semantics, blocking, tracing.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "memory/bandwidth_domain.hpp"
 #include "mpi/process.hpp"
 #include "net/fabric.hpp"
 #include "noise/system_profiles.hpp"
+#include "support/check.hpp"
 #include "wired_ranks.hpp"
 
 namespace iw::mpi {
@@ -123,15 +127,38 @@ TEST(Process, MemWorkWithoutDomainThrows) {
   EXPECT_THROW(f.engine.run(), std::invalid_argument);
 }
 
-TEST(Process, DoneHandlerFires) {
+TEST(Process, FinishingRecordsTheFinishTime) {
   WiredRanks f(1);
-  int done_rank = -1;
-  f.procs[0]->set_done_handler(
-      {[](void* ctx, int r) { *static_cast<int*>(ctx) = r; }, &done_rank});
   Program p;
   p.compute(milliseconds(1.0), false);
-  f.run({std::move(p)});
-  EXPECT_EQ(done_rank, 0);
+  f.start({std::move(p)});
+  EXPECT_FALSE(f.rank(0).done());
+  f.engine.run();
+  EXPECT_TRUE(f.rank(0).done());
+  EXPECT_EQ(f.trace.finish(0), SimTime::zero() + milliseconds(1.0));
+}
+
+// The transport settles each request of a window once. An id outside the
+// window is rejected in every build; a second settle of one id is a
+// transport bug that audit builds catch.
+TEST(Process, RejectsUnknownAndTwiceSettledRequests) {
+  WiredRanks f(2);
+  std::vector<Program> p(2);
+  p[0].irecv(1, 8, 0).irecv(1, 8, 1).waitall();  // rank 1 never sends
+  f.run(std::move(p));
+  Process& proc = f.rank(0);
+  EXPECT_THROW(proc.on_request_settles_at(2, SimTime{10}),
+               std::invalid_argument);
+  proc.on_request_settles_at(0, SimTime{10});
+  if (!check::kAuditEnabled)
+    GTEST_SKIP() << "double settles are caught only in audit builds";
+  try {
+    proc.on_request_settles_at(0, SimTime{10});
+    FAIL() << "expected the audit to catch the second settle";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("settled twice"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Process, TwoRankRingStaysInLockstep) {

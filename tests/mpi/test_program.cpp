@@ -1,6 +1,8 @@
 // Tests for the rank-program builder: the body, its repeat count, the
-// injection list, and the counters the Cluster sizes storage from.
+// injection list, and the counters the Cluster sizes the trace from.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "mpi/program.hpp"
 
@@ -20,27 +22,39 @@ TEST(Program, BuilderAppendsInOrder) {
   EXPECT_EQ(p.repeats(), 1);
 }
 
-TEST(Program, TotalInjectedSums) {
+TEST(Program, FixedInjectionsKeepTheirDurations) {
   Program p;
   p.inject(milliseconds(2.0)).compute(milliseconds(1.0))
       .inject(milliseconds(3.5));
-  EXPECT_EQ(p.total_injected(), milliseconds(5.5));
+  ASSERT_EQ(p.body().size(), 3u);
+  const auto& first = std::get<OpInject>(p.body()[0]);
+  const auto& second = std::get<OpInject>(p.body()[2]);
+  EXPECT_EQ(first.duration, milliseconds(2.0));
+  EXPECT_EQ(second.duration, milliseconds(3.5));
+  EXPECT_FALSE(first.point || second.point);
+  EXPECT_TRUE(p.injections().empty());
+  EXPECT_EQ(p.segment_bound(), 3u);
 }
 
-TEST(Program, RoundsCountsWaitalls) {
+TEST(Program, EveryWaitallCountsOneSegment) {
   Program p;
   for (int i = 0; i < 7; ++i)
     p.compute(milliseconds(1.0)).isend(0, 1, i).waitall();
-  EXPECT_EQ(p.rounds(), 7);
+  EXPECT_EQ(std::count_if(p.body().begin(), p.body().end(),
+                          [](const Op& op) {
+                            return std::holds_alternative<OpWaitAll>(op);
+                          }),
+            7);
+  EXPECT_EQ(p.segment_bound(), 7u * 2u);  // compute + wait per round
 }
 
 TEST(Program, EmptyProgram) {
   const Program p;
   EXPECT_TRUE(p.body().empty());
-  EXPECT_EQ(p.rounds(), 0);
+  EXPECT_EQ(p.repeats(), 1);
   EXPECT_EQ(p.step_marks(), 0u);
   EXPECT_EQ(p.segment_bound(), 0u);
-  EXPECT_EQ(p.total_injected(), Duration::zero());
+  EXPECT_TRUE(p.injections().empty());
 }
 
 TEST(Program, OpFieldsPreserved) {
@@ -78,13 +92,13 @@ TEST(Program, RepeatedBodyCounters) {
       .inject_at(0, milliseconds(2.0))
       .inject_at(3, milliseconds(3.0));
   EXPECT_EQ(p.repeats(), 4);
-  EXPECT_EQ(p.rounds(), 4);
   EXPECT_EQ(p.step_marks(), 4u);
   // compute + fixed inject + wait per iteration, plus one per listed entry.
   EXPECT_EQ(p.segment_bound(), 3u * 4u + 2u);
-  EXPECT_EQ(p.max_window_requests(), 2u);
-  EXPECT_EQ(p.total_injected(), milliseconds(0.5) * 4 + milliseconds(5.0));
+  EXPECT_EQ(std::get<OpInject>(p.body()[6]).duration, milliseconds(0.5));
   ASSERT_EQ(p.injections().size(), 2u);
+  EXPECT_EQ(p.injections()[0].iteration, 0);
+  EXPECT_EQ(p.injections()[0].duration, milliseconds(2.0));
   EXPECT_EQ(p.injections()[1].iteration, 3);
   EXPECT_EQ(p.injections()[1].duration, milliseconds(3.0));
 }
@@ -96,7 +110,6 @@ TEST(Program, RepeatedIterationAddsToItsEntry) {
   ASSERT_EQ(p.injections().size(), 1u);
   EXPECT_EQ(p.injections()[0].duration, milliseconds(5.0));
   EXPECT_EQ(p.segment_bound(), 4u);
-  EXPECT_EQ(p.total_injected(), milliseconds(5.0));
 }
 
 TEST(Program, RepeatRejectsOpenPosts) {
@@ -119,7 +132,7 @@ TEST(Program, RepeatSealsTheBody) {
   EXPECT_THROW(p.waitall(), std::invalid_argument);
   EXPECT_THROW(p.inject_point(), std::invalid_argument);
   EXPECT_EQ(p.body().size(), 1u);
-  EXPECT_EQ(p.rounds(), 0);
+  EXPECT_EQ(p.segment_bound(), 2u);  // the compute, run twice
 }
 
 TEST(Program, InjectAtRejectsNegativeDurations) {

@@ -1,7 +1,6 @@
 // Test harness: simulated ranks wired the way Cluster wires them. Each rank
 // is a Process running its own Program over one Transport; the transport
-// settles every request through a rank-indexed Process* table, and each
-// process's request window is carved from one slab sized by its program.
+// settles every request through a rank-indexed Process* table.
 //
 // A request's completion time is read off the trace: a one-request window
 // (a post, a WaitAll and a step mark, see send_window()/recv_window())
@@ -16,7 +15,6 @@
 
 #include "mpi/process.hpp"
 #include "mpi/program.hpp"
-#include "mpi/request.hpp"
 #include "mpi/trace.hpp"
 #include "mpi/transport.hpp"
 #include "net/fabric.hpp"
@@ -61,23 +59,14 @@ struct WiredRanks {
     }
   }
 
-  /// Binds one program per rank (the harness keeps them) with a request
-  /// window carved from one slab, wires the process table (reconfigure()
-  /// clears it) and starts each rank at engine.now(). To start again, once
-  /// the previous programs have finished or after an engine reset, rearm()
-  /// first; the trace keeps appending.
+  /// Binds one program per rank (the harness keeps them), wires the
+  /// process table (reconfigure() clears it) and starts each rank at
+  /// engine.now(). To start again, once the previous programs have finished
+  /// or after an engine reset, rearm() first; the trace keeps appending.
   void start(std::vector<Program> rank_programs) {
     programs = std::move(rank_programs);
-    std::size_t slots = 0;
-    for (const Program& p : programs) slots += p.max_window_requests();
-    requests.assign(slots, Request{});
     transport.set_processes(table.data());
-    std::size_t offset = 0;
     for (std::size_t r = 0; r < programs.size(); ++r) {
-      const std::size_t window = programs[r].max_window_requests();
-      procs[r]->set_request_storage(requests.data() + offset,
-                                    static_cast<std::uint32_t>(window));
-      offset += window;
       procs[r]->set_program(&programs[r]);
       procs[r]->start();
     }
@@ -112,7 +101,6 @@ struct WiredRanks {
   Transport transport;
   Trace trace;
   std::vector<Program> programs;
-  std::vector<Request> requests;
   std::vector<std::unique_ptr<Process>> procs;
   std::vector<Process*> table;  ///< rank-indexed, as Cluster wires it
 };

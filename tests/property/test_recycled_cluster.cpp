@@ -8,14 +8,17 @@
 // boundary, direction, placement, and on some draws a credit window, a
 // finite NIC or a one-sided rendezvous flavor, all with fast-forward off.
 // Traces, step marks, engine counters and transport stats must be
-// identical.
+// identical. Every such run drains its queues, so a second test recycles
+// the cluster of a run that stopped with work in flight.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/cluster.hpp"
 #include "core/experiment.hpp"
 #include "mpi/trace.hpp"
 #include "net/topology.hpp"
@@ -174,6 +177,52 @@ TEST(RecycledCluster, RandomSequencesMatchFreshClusters) {
   EXPECT_GE(experiments, 60);
   EXPECT_GT(rendezvous, 0);
   EXPECT_LT(rendezvous, experiments);
+}
+
+// A run that fails its deadlock check stops with a rendezvous record, a
+// held push and a blocked receive in flight: rank 0 posts two 1 MiB sends,
+// rank 1 receives them one window at a time, and deferred push holds the
+// first payload for the second handshake. reset() must clear all of it.
+TEST(RecycledCluster, ResetAfterADeadlockedRunMatchesAFreshCluster) {
+  constexpr std::int64_t kMiB = std::int64_t{1} << 20;
+  std::vector<mpi::Program> stuck(2);
+  stuck[0].isend(1, kMiB, 0).isend(1, kMiB, 1).waitall();
+  stuck[1].irecv(0, kMiB, 0).waitall().irecv(0, kMiB, 1).waitall();
+  ClusterConfig stuck_config;
+  stuck_config.topo = net::TopologySpec::one_rank_per_node(2);
+
+  for (const std::int64_t bytes : {std::int64_t{1024}, kMiB}) {
+    const std::string where = std::to_string(bytes) + " B ring";
+    workload::RingSpec ring;
+    ring.ranks = 8;
+    ring.direction = workload::Direction::bidirectional;
+    ring.boundary = workload::Boundary::periodic;
+    ring.msg_bytes = bytes;
+    ring.steps = 10;
+    ring.texec = milliseconds(1.0);
+    const auto programs = workload::build_ring(
+        ring, workload::single_delay(3, 2, milliseconds(4.0)));
+    ClusterConfig config = cluster_for_ring(ring);
+
+    Cluster reused(stuck_config);
+    EXPECT_THROW((void)reused.run(stuck), std::logic_error) << where;
+    obs::MetricsRegistry reused_metrics;
+    config.metrics = &reused_metrics;
+    reused.reset(config);
+    const mpi::Trace got = reused.run(programs);
+
+    obs::MetricsRegistry fresh_metrics;
+    config.metrics = &fresh_metrics;
+    Cluster fresh(config);
+    const mpi::Trace want = fresh.run(programs);
+
+    expect_same_trace(got, want, where);
+    expect_same_metrics(reused_metrics.snapshot(), fresh_metrics.snapshot(),
+                        where);
+    EXPECT_EQ(reused.events_processed(), fresh.events_processed()) << where;
+    EXPECT_EQ(reused.peak_events_pending(), fresh.peak_events_pending())
+        << where;
+  }
 }
 
 }  // namespace

@@ -1,0 +1,67 @@
+// Tests for LineBuffer: reassembly across fragments and the line-length
+// cap every reader of the daemon protocol shares.
+#include <gtest/gtest.h>
+
+#include <string>
+
+#include "support/framing.hpp"
+
+namespace iw {
+namespace {
+
+void feed(LineBuffer& buf, const std::string& bytes) {
+  buf.feed(bytes.data(), bytes.size());
+}
+
+TEST(LineBuffer, ReassemblesLinesAcrossFragments) {
+  LineBuffer buf;
+  std::string line;
+  feed(buf, "ab");
+  EXPECT_FALSE(buf.next_line(line));
+  feed(buf, "c\nde\n\nf");
+  ASSERT_TRUE(buf.next_line(line));
+  EXPECT_EQ(line, "abc");
+  ASSERT_TRUE(buf.next_line(line));
+  EXPECT_EQ(line, "de");
+  ASSERT_TRUE(buf.next_line(line));
+  EXPECT_EQ(line, "");
+  EXPECT_FALSE(buf.next_line(line));
+  EXPECT_FALSE(buf.overlong());
+}
+
+TEST(LineBuffer, TwoMebibytesWithoutNewlineAreRejected) {
+  LineBuffer buf;
+  std::string line;
+  const std::string chunk(64 * 1024, 'x');
+  for (int i = 0; i < 32; ++i) feed(buf, chunk);  // 2 MiB, no '\n'
+  EXPECT_FALSE(buf.next_line(line));
+  EXPECT_TRUE(buf.overlong());
+  // A '\n' arriving afterwards does not make the line acceptable.
+  feed(buf, "\n");
+  EXPECT_FALSE(buf.next_line(line));
+  EXPECT_TRUE(buf.overlong());
+}
+
+TEST(LineBuffer, LineOfExactlyTheCapStillParses) {
+  LineBuffer buf;
+  std::string line;
+  const std::string at_cap(LineBuffer::kMaxLineBytes, 'y');
+  feed(buf, at_cap);
+  EXPECT_FALSE(buf.overlong());  // the '\n' may still come
+  feed(buf, "\nnext\n");
+  ASSERT_TRUE(buf.next_line(line));
+  EXPECT_EQ(line.size(), LineBuffer::kMaxLineBytes);
+  ASSERT_TRUE(buf.next_line(line));
+  EXPECT_EQ(line, "next");
+}
+
+TEST(LineBuffer, CompleteLineOneByteOverTheCapIsRejected) {
+  LineBuffer buf;
+  std::string line;
+  feed(buf, std::string(LineBuffer::kMaxLineBytes + 1, 'z') + "\nok\n");
+  EXPECT_FALSE(buf.next_line(line));
+  EXPECT_TRUE(buf.overlong());
+}
+
+}  // namespace
+}  // namespace iw

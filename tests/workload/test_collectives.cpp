@@ -86,7 +86,10 @@ TEST(RingAllreduce, RoundStructure) {
   mpi::Program prog;
   append_ring_allreduce(prog, 0, 5, 5000, 0);
   // 2(n-1) = 8 rounds, each isend+irecv+waitall.
-  EXPECT_EQ(prog.rounds(), 8);
+  int waits = 0;
+  for (const auto& op : prog.body())
+    waits += std::holds_alternative<mpi::OpWaitAll>(op);
+  EXPECT_EQ(waits, 8);
   int sends = 0;
   for (const auto& op : prog.body())
     if (const auto* send = std::get_if<mpi::OpIsend>(&op)) {
