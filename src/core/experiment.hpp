@@ -83,7 +83,9 @@ struct WaveResult {
 /// runs via Cluster::reset(), so a sweep worker pays for the engine
 /// calendar slab, transport pools, and process objects once instead of per
 /// point. Results are byte-identical to fresh-cluster runs (guarded by the
-/// determinism suite). Not thread-safe; sweep workers hold one each.
+/// determinism suite). Not thread-safe: a campaign worker holds one at a
+/// time, taken from and returned to a process-wide idle list, so runners
+/// outlive the campaign that built them (see sweep/runner.cpp).
 class WaveRunner {
  public:
   [[nodiscard]] WaveResult run(const WaveExperiment& exp);

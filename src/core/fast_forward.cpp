@@ -200,20 +200,21 @@ FastForwardResult run_ring_fast_forward(Cluster& cluster,
   std::vector<GhostPost> ghost_posts;
   for (int r = 0; r < np; ++r) {
     if (plan.active[static_cast<std::size_t>(r)]) continue;
-    const auto peers = workload::send_peers(ring, r);
-    const bool feeds_active =
-        std::any_of(peers.begin(), peers.end(), [&plan](int p) {
-          return plan.active[static_cast<std::size_t>(p)] != 0;
-        });
+    bool feeds_active = false;
+    workload::for_each_peer(ring, r, +1, [&](int p) {
+      feeds_active |= plan.active[static_cast<std::size_t>(p)] != 0;
+    });
     if (!feeds_active) continue;
     const auto& times = send_times[static_cast<std::size_t>(r % period)];
     for (int step = 0; step < ring.steps; ++step) {
       GhostPost post;
       post.when = times[static_cast<std::size_t>(step)];
       post.first = static_cast<std::uint32_t>(ghost_sends.size());
-      post.count = static_cast<std::uint32_t>(peers.size());
-      for (const int peer : peers)
+      workload::for_each_peer(ring, r, +1, [&](int peer) {
         ghost_sends.push_back(GhostSend{r, peer, step, ring.msg_bytes});
+      });
+      post.count =
+          static_cast<std::uint32_t>(ghost_sends.size() - post.first);
       ghost_posts.push_back(post);
     }
   }

@@ -1,10 +1,71 @@
 #include "core/idle_wave.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <optional>
+#include <span>
 
 #include "support/error.hpp"
 
 namespace iw::core {
+namespace {
+
+/// The wave as seen in one trace row: its first qualifying idle period.
+struct FirstWait {
+  bool reached = false;
+  SimTime arrival;
+  Duration amplitude;
+};
+
+/// First wave-attributable idle period, scanned straight off the trace (no
+/// per-rank vector materialization — at machine scale the probe visits up
+/// to every rank). The period must *end* after the injection began (a
+/// begin-time comparison would race with per-rank noise skew: the neighbor
+/// may enter its waiting phase microseconds before the delayed rank starts
+/// the injected segment).
+FirstWait first_wait(std::span<const mpi::Segment> row,
+                     const WaveProbe& probe) {
+  for (const auto& seg : row) {
+    if (seg.kind != mpi::SegKind::wait) continue;
+    if (seg.duration() < probe.min_idle) continue;
+    if (seg.end <= probe.injection_time) continue;
+    return {true, seg.begin, seg.duration()};
+  }
+  return {};
+}
+
+/// first_wait() memoized per physical row, for traces whose silent ranks
+/// share a handful of rows through Trace::alias_rank (fast-forward): each
+/// shared row is scanned once per probe instead of once per rank. The key
+/// is the row's identity — data pointer and length — so a hit is exact by
+/// construction. The table is direct-mapped on the row's slab position
+/// divided by its length: the shared rows are imported back to back with
+/// equal lengths, so up to kSlots of them take consecutive slots and never
+/// evict each other. Any other collision only costs a rescan.
+class RowMemo {
+ public:
+  FirstWait get(std::span<const mpi::Segment> row, const WaveProbe& probe) {
+    if (row.empty()) return {};
+    const auto position = reinterpret_cast<std::uintptr_t>(row.data()) /
+                          sizeof(mpi::Segment);
+    Entry& e = table_[(position / row.size()) % kSlots];
+    if (e.data != row.data() || e.size != row.size())
+      e = Entry{row.data(), row.size(), first_wait(row, probe)};
+    return e.result;
+  }
+
+ private:
+  static constexpr std::size_t kSlots = 128;
+  struct Entry {
+    const mpi::Segment* data = nullptr;
+    std::size_t size = 0;
+    FirstWait result;
+  };
+  std::array<Entry, kSlots> table_{};
+};
+
+}  // namespace
 
 std::vector<IdlePeriod> idle_periods(const mpi::Trace& trace, int rank,
                                      Duration min_duration) {
@@ -36,6 +97,18 @@ WaveAnalysis analyze_wave(const mpi::Trace& trace, const WaveProbe& probe) {
   if (max_hops <= 0)
     max_hops = n - 1;  // open: clipped by rank_at_hops; periodic: once around
 
+  // An open chain ends before max_hops when the injection sits nearer
+  // its end.
+  int hop_count = max_hops;
+  if (probe.boundary == workload::Boundary::open)
+    hop_count = std::min(hop_count, probe.direction > 0
+                                        ? n - 1 - probe.injection_rank
+                                        : probe.injection_rank);
+  analysis.observations.reserve(
+      static_cast<std::size_t>(std::max(0, hop_count)));
+  std::optional<RowMemo> memo;
+  if (trace.has_aliases()) memo.emplace();
+
   bool front_broken = false;
   for (int hops = 1; hops <= max_hops; ++hops) {
     const auto rank =
@@ -46,21 +119,12 @@ WaveAnalysis analyze_wave(const mpi::Trace& trace, const WaveProbe& probe) {
     WaveObservation obs;
     obs.rank = *rank;
     obs.hops = hops;
-    // First wave-attributable idle period, scanned straight off the trace
-    // (no per-rank vector materialization — at machine scale this loop
-    // visits up to every rank). The period must *end* after the injection
-    // began (a begin-time comparison would race with per-rank noise skew:
-    // the neighbor may enter its waiting phase microseconds before the
-    // delayed rank starts the injected segment).
-    for (const auto& seg : trace.segments(*rank)) {
-      if (seg.kind != mpi::SegKind::wait) continue;
-      if (seg.duration() < probe.min_idle) continue;
-      if (seg.end <= probe.injection_time) continue;
-      obs.reached = true;
-      obs.arrival = seg.begin;
-      obs.amplitude = seg.duration();
-      break;
-    }
+    const auto row = trace.segments(*rank);
+    const FirstWait wait =
+        memo ? memo->get(row, probe) : first_wait(row, probe);
+    obs.reached = wait.reached;
+    obs.arrival = wait.arrival;
+    obs.amplitude = wait.amplitude;
     if (obs.reached && !front_broken) ++analysis.survival_hops;
     if (!obs.reached) front_broken = true;
     analysis.observations.push_back(obs);

@@ -95,6 +95,7 @@ void Trace::alias_rank(int rank, int source) {
   seg_rows_[r] = seg_rows_[s];
   step_rows_[r] = step_rows_[s];
   finish_[r] = finish_[s];
+  has_aliases_ = true;
 }
 
 void Trace::import_rank(int rank, const Trace& source, int source_rank) {

@@ -83,6 +83,11 @@ class Trace {
   /// recorded or reserved anything yet.
   void import_rank(int rank, const Trace& source, int source_rank);
 
+  /// True once alias_rank() has made two ranks share a physical row; an
+  /// analysis may then memoize per row (data pointer and count) instead of
+  /// per rank.
+  [[nodiscard]] bool has_aliases() const { return has_aliases_; }
+
   [[nodiscard]] int ranks() const {
     return static_cast<int>(finish_.size());
   }
@@ -119,6 +124,7 @@ class Trace {
   std::vector<Row> seg_rows_;
   std::vector<Row> step_rows_;
   std::vector<SimTime> finish_;
+  bool has_aliases_ = false;
 };
 
 }  // namespace iw::mpi

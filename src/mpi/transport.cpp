@@ -45,8 +45,10 @@ void Transport::reconfigure(const net::FabricProfile& fabric,
   credit_window_ = config_.eager.credit_window;
   flavor_ = config_.rendezvous.flavor;
 
-  if (ranks_.size() != nranks_) ranks_.resize(nranks_);
-  for (RankState& s : ranks_) {
+  // Grow-only, like the Cluster's process pool: states past nranks_ stay
+  // allocated for a later, larger run, and are cleared when it uses them.
+  if (ranks_.size() < nranks_) ranks_.resize(nranks_);
+  for (RankState& s : in_use()) {
     s.posted_recvs.clear();
     s.unexpected.clear();
     s.nic_backlog.clear();
@@ -103,7 +105,7 @@ void Transport::set_memory_domains(
 Transport::PoolStats Transport::pool_stats() const {
   PoolStats p;
   p.allocations = pool_allocations_;
-  for (const RankState& s : ranks_) {
+  for (const RankState& s : in_use()) {
     p.allocations +=
         s.posted_recvs.grows() + s.unexpected.grows() + s.nic_backlog.grows();
     p.nic_backlog_depth += s.nic_backlog.size();
@@ -159,7 +161,7 @@ void Transport::audit() const {
             "pool_stats in-flight count disagrees with the liveness shadow");
   std::int64_t inflight_sum = 0;
   std::int64_t backlog_sum = 0;
-  for (const RankState& s : ranks_) {
+  for (const RankState& s : in_use()) {
     s.posted_recvs.audit();
     s.unexpected.audit();
     s.nic_backlog.audit();

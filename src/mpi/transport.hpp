@@ -89,6 +89,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "memory/bandwidth_domain.hpp"
@@ -159,8 +160,10 @@ class Transport {
   /// Re-arms the transport for another run after the owning cluster reshaped
   /// its topology/fabric/config: protocol state and wiring are cleared, but
   /// every pool (rank queues, rendezvous slab, credit table) keeps its
-  /// storage. Rank-state vectors are resized to the topology's current rank
-  /// count. Validates the config. Must be paired with an Engine::reset().
+  /// storage. Rank states grow to the topology's current rank count and
+  /// never shrink; exactly the states in use are cleared, so a recycled
+  /// cluster alternating a 10^5-rank and a 20-rank point rebuilds nothing.
+  /// Validates the config. Must be paired with an Engine::reset().
   void reconfigure(const net::FabricProfile& fabric,
                    const TransportConfig& config);
 
@@ -292,6 +295,13 @@ class Transport {
   [[nodiscard]] const net::LinkParams& link(int a, int b) const;
   RankState& state(int rank) {
     return ranks_[static_cast<std::size_t>(rank)];
+  }
+  /// The states of this run's ranks; ranks_ may hold more (grow-only).
+  [[nodiscard]] std::span<RankState> in_use() {
+    return std::span<RankState>(ranks_).first(nranks_);
+  }
+  [[nodiscard]] std::span<const RankState> in_use() const {
+    return std::span<const RankState>(ranks_).first(nranks_);
   }
 
   /// Injects a message into `src`'s NIC (link parameters already resolved
@@ -458,7 +468,7 @@ class Transport {
   bool use_domains_ = false;
 
   // Pools. All storage survives reconfigure(); only logical state resets.
-  std::vector<RankState> ranks_;
+  std::vector<RankState> ranks_;  ///< grow-only; [0, nranks_) in use
   std::vector<RdvSend> rdv_slab_;
   std::vector<std::uint32_t> rdv_free_;
   std::vector<int> eager_credits_;  ///< ranks^2, in-flight msgs; credits only

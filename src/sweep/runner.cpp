@@ -3,13 +3,57 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <memory>
 #include <mutex>
+#include <new>
 #include <thread>
 
 #include "obs/metrics.hpp"
 
 namespace iw::sweep {
 namespace {
+
+/// Process-wide idle list of WaveRunners. A campaign worker takes one (or
+/// builds one when the list is empty) and hands it back when it finishes,
+/// so back-to-back campaigns — verify_scenario per scenario, the daemon's
+/// batches — recycle their clusters instead of building and freeing one
+/// per call; at 10^5 ranks that set-up and tear-down dwarfs the
+/// fast-forwarded simulation. Every runner exists because a worker needed
+/// it, so the list never holds more than the peak number of concurrent
+/// workers. A worker whose point threw drops its runner.
+class IdleRunners {
+ public:
+  std::unique_ptr<core::WaveRunner> take() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!idle_.empty()) {
+        std::unique_ptr<core::WaveRunner> runner = std::move(idle_.back());
+        idle_.pop_back();
+        return runner;
+      }
+    }
+    return std::make_unique<core::WaveRunner>();
+  }
+
+  /// Runs at the end of a worker thread, so it must not throw: a runner
+  /// the list has no room for is freed instead.
+  void give_back(std::unique_ptr<core::WaveRunner> runner) noexcept {
+    std::lock_guard<std::mutex> lock(mutex_);
+    try {
+      idle_.push_back(std::move(runner));
+    } catch (const std::bad_alloc&) {
+    }
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<core::WaveRunner>> idle_;
+};
+
+IdleRunners& idle_runners() {
+  static IdleRunners runners;
+  return runners;
+}
 
 /// Shared state of one campaign execution. Workers claim point indices from
 /// an atomic cursor; completion flags and the emit cursor live behind one
@@ -60,9 +104,10 @@ struct Collector {
 
   void worker() {
     // Each worker recycles one Cluster across the points it claims
-    // (calendar slab, transport pools, process objects); reused clusters
-    // are byte-identical to fresh ones, so claim order stays irrelevant.
-    core::WaveRunner lab;
+    // (calendar slab, transport pools, process objects), and across
+    // campaigns through the idle list; reused clusters are byte-identical
+    // to fresh ones, so claim order stays irrelevant.
+    std::unique_ptr<core::WaveRunner> lab;  // taken with the first point
     double busy_seconds = 0.0;
     for (;;) {
       // A failed point poisons the campaign; don't burn wall-clock
@@ -71,8 +116,9 @@ struct Collector {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= points.size()) break;
       try {
+        if (!lab) lab = idle_runners().take();
         const auto begin = std::chrono::steady_clock::now();
-        SweepRecord rec = reduce(points[i], lab.run(points[i].exp));
+        SweepRecord rec = reduce(points[i], lab->run(points[i].exp));
         busy_seconds += std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - begin)
                             .count();
@@ -87,9 +133,11 @@ struct Collector {
         std::lock_guard<std::mutex> lock(mutex);
         if (!error) error = std::current_exception();
         failed.store(true, std::memory_order_relaxed);
+        lab.reset();
         break;
       }
     }
+    if (lab) idle_runners().give_back(std::move(lab));
     if (options.metrics) {
       std::lock_guard<std::mutex> lock(mutex);
       options.metrics->set_max(obs::MetricId::sweep_worker_busy_seconds,

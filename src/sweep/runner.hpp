@@ -7,6 +7,10 @@
 // finish), which makes an N-thread campaign byte-identical to the
 // single-threaded one. Cancellation stops workers at the next point
 // boundary; every record completed before the stop is still delivered.
+// Threads are per call, but each worker takes its core::WaveRunner from a
+// process-wide idle list and returns it, so consecutive campaigns recycle
+// their clusters; the list holds at most as many runners as were ever
+// running at once, each keeping the pools of the largest point it ran.
 #pragma once
 
 #include <atomic>

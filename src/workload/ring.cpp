@@ -6,15 +6,6 @@
 namespace iw::workload {
 namespace {
 
-/// Resolves rank + offset under the boundary rule; -1 if outside an open
-/// chain.
-int neighbor(const RingSpec& spec, int rank, int offset) {
-  const int n = spec.ranks;
-  int peer = rank + offset;
-  if (spec.boundary == Boundary::periodic) return ((peer % n) + n) % n;
-  return (peer >= 0 && peer < n) ? peer : -1;
-}
-
 void validate(const RingSpec& spec) {
   IW_REQUIRE(spec.ranks >= 2, "ring needs at least two ranks");
   IW_REQUIRE(spec.distance >= 1, "communication distance must be >= 1");
@@ -27,15 +18,9 @@ void validate(const RingSpec& spec) {
                "periodic ring must be larger than the neighborhood");
 }
 
-/// Peers at offsets sign*k (then -sign*k when bidirectional), k = 1..d.
 std::vector<int> peers(const RingSpec& spec, int rank, int sign) {
   std::vector<int> out;
-  for (int k = 1; k <= spec.distance; ++k) {
-    if (const int p = neighbor(spec, rank, sign * k); p >= 0) out.push_back(p);
-    if (spec.direction == Direction::bidirectional)
-      if (const int p = neighbor(spec, rank, -sign * k); p >= 0)
-        out.push_back(p);
-  }
+  for_each_peer(spec, rank, sign, [&out](int p) { out.push_back(p); });
   return out;
 }
 
@@ -47,10 +32,10 @@ void emit_ring_rank(const RingSpec& spec, int rank,
                     std::span<const DelaySpec> delays, mpi::Program& prog) {
   prog.mark().compute(spec.texec, spec.noisy);
   if (!delays.empty()) prog.inject_point();
-  for (const int peer : peers(spec, rank, 1))
-    prog.isend(peer, spec.msg_bytes, 0);
-  for (const int peer : peers(spec, rank, -1))
-    prog.irecv(peer, spec.msg_bytes, 0);
+  for_each_peer(spec, rank, +1,
+                [&](int peer) { prog.isend(peer, spec.msg_bytes, 0); });
+  for_each_peer(spec, rank, -1,
+                [&](int peer) { prog.irecv(peer, spec.msg_bytes, 0); });
   prog.waitall().repeat(spec.steps);
   for (const auto& d : delays) prog.inject_at(d.step, d.duration);
 }

@@ -67,6 +67,26 @@ struct DelaySpec {
                                            std::span<const DelaySpec> delays =
                                                {});
 
+/// Calls `fn(peer)` for every send target (`sign` = +1) or receive source
+/// (`sign` = -1) of `rank`, in program order: offset sign*k, then -sign*k
+/// when bidirectional, for k = 1..d, skipping ranks off an open chain.
+/// Allocates nothing, so the fast-forward ghost schedule can walk every
+/// silent rank of a machine-scale ring.
+template <typename Fn>
+void for_each_peer(const RingSpec& spec, int rank, int sign, Fn&& fn) {
+  const int n = spec.ranks;
+  const auto neighbor = [&spec, rank, n](int offset) {
+    const int peer = rank + offset;
+    if (spec.boundary == Boundary::periodic) return ((peer % n) + n) % n;
+    return (peer >= 0 && peer < n) ? peer : -1;
+  };
+  for (int k = 1; k <= spec.distance; ++k) {
+    if (const int p = neighbor(sign * k); p >= 0) fn(p);
+    if (spec.direction == Direction::bidirectional)
+      if (const int p = neighbor(-sign * k); p >= 0) fn(p);
+  }
+}
+
 /// Neighbor list (send targets) of `rank` under the spec; exposed for tests
 /// and for the analytic Tcomm estimate.
 [[nodiscard]] std::vector<int> send_peers(const RingSpec& spec, int rank);

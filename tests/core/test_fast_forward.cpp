@@ -10,9 +10,12 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/experiment.hpp"
 #include "core/fast_forward.hpp"
+#include "expect_same_wave.hpp"
 #include "obs/metrics.hpp"
 #include "workload/delay.hpp"
 
@@ -74,22 +77,24 @@ void expect_ffwd_matches_full(WaveExperiment exp) {
   EXPECT_LT(fast.events_processed, full.events_processed);
 }
 
-TEST(FastForward, ByteIdentityOpenUnidirectional) {
-  expect_ffwd_matches_full(ring_experiment(64, workload::Direction::unidirectional,
-                                           workload::Boundary::open, 1));
+// The byte-identity configurations: open and periodic rings, distance 2,
+// and a hierarchical topology under both boundaries.
+WaveExperiment open_unidirectional() {
+  return ring_experiment(64, workload::Direction::unidirectional,
+                         workload::Boundary::open, 1);
 }
 
-TEST(FastForward, ByteIdentityOpenBidirectionalDistance2) {
-  expect_ffwd_matches_full(ring_experiment(96, workload::Direction::bidirectional,
-                                           workload::Boundary::open, 2));
+WaveExperiment open_bidirectional_distance2() {
+  return ring_experiment(96, workload::Direction::bidirectional,
+                         workload::Boundary::open, 2);
 }
 
-TEST(FastForward, ByteIdentityPeriodicBidirectional) {
-  expect_ffwd_matches_full(ring_experiment(72, workload::Direction::bidirectional,
-                                           workload::Boundary::periodic, 1));
+WaveExperiment periodic_bidirectional() {
+  return ring_experiment(72, workload::Direction::bidirectional,
+                         workload::Boundary::periodic, 1);
 }
 
-TEST(FastForward, ByteIdentityHierarchicalTopology) {
+WaveExperiment hierarchical_open() {
   // Packed sockets behind a leaf-switch tier: pattern period
   // 2 x 2 x 8 = 32 ranks, exercised by the residue synthesis.
   WaveExperiment exp = ring_experiment(
@@ -97,17 +102,59 @@ TEST(FastForward, ByteIdentityHierarchicalTopology) {
   exp.cluster = cluster_for_ring(exp.ring, /*ppn1=*/false, /*per_socket=*/2);
   exp.cluster.system_noise = noise::NoiseSpec::none();
   exp.cluster.topo.nodes_per_switch = 8;
-  expect_ffwd_matches_full(exp);
+  return exp;
 }
 
-TEST(FastForward, ByteIdentityPeriodicHierarchical) {
+WaveExperiment hierarchical_periodic() {
   // Periodic eligibility demands np divisible by the period (here 32).
   WaveExperiment exp = ring_experiment(
       96, workload::Direction::bidirectional, workload::Boundary::periodic, 1);
   exp.cluster = cluster_for_ring(exp.ring, /*ppn1=*/false, /*per_socket=*/2);
   exp.cluster.system_noise = noise::NoiseSpec::none();
   exp.cluster.topo.nodes_per_switch = 8;
-  expect_ffwd_matches_full(exp);
+  return exp;
+}
+
+TEST(FastForward, ByteIdentityOpenUnidirectional) {
+  expect_ffwd_matches_full(open_unidirectional());
+}
+
+TEST(FastForward, ByteIdentityOpenBidirectionalDistance2) {
+  expect_ffwd_matches_full(open_bidirectional_distance2());
+}
+
+TEST(FastForward, ByteIdentityPeriodicBidirectional) {
+  expect_ffwd_matches_full(periodic_bidirectional());
+}
+
+TEST(FastForward, ByteIdentityHierarchicalTopology) {
+  expect_ffwd_matches_full(hierarchical_open());
+}
+
+TEST(FastForward, ByteIdentityPeriodicHierarchical) {
+  expect_ffwd_matches_full(hierarchical_periodic());
+}
+
+// The fast-forward trace aliases its silent ranks onto shared rows, which
+// analyze_wave() scans once per row; the full run's trace has a private row
+// per rank. Both analyses must agree field by field.
+TEST(FastForward, AnalysisMatchesFullSimulation) {
+  const std::pair<std::string, WaveExperiment> cases[] = {
+      {"open unidirectional", open_unidirectional()},
+      {"open bidirectional d=2", open_bidirectional_distance2()},
+      {"periodic bidirectional", periodic_bidirectional()},
+      {"hierarchical open", hierarchical_open()},
+      {"hierarchical periodic", hierarchical_periodic()}};
+  for (auto [name, exp] : cases) {
+    exp.ffwd = FfwdMode::off;
+    const WaveResult full = run_wave_experiment(exp);
+    exp.ffwd = FfwdMode::force;
+    const WaveResult fast = run_wave_experiment(exp);
+    ASSERT_TRUE(fast.trace.has_aliases()) << name;
+    ASSERT_FALSE(full.up.observations.empty()) << name;
+    expect_same_analysis(full.up, fast.up, name + " up");
+    expect_same_analysis(full.down, fast.down, name + " down");
+  }
 }
 
 TEST(FastForward, SkipAccountingMatchesPlan) {

@@ -1,7 +1,11 @@
 // Tests for idle-period extraction and wave-front analysis on crafted traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "core/idle_wave.hpp"
+#include "expect_same_wave.hpp"
 
 namespace iw::core {
 namespace {
@@ -223,6 +227,66 @@ TEST(AnalyzeWave, WaitsEndingBeforeInjectionAreIgnored) {
   const WaveAnalysis wave = analyze_wave(trace, probe);
   ASSERT_TRUE(wave.observations[0].reached);
   EXPECT_EQ(wave.observations[0].arrival, SimTime{20'000'000});
+}
+
+// Fast-forward traces alias most ranks onto a few shared rows, and
+// analyze_wave() then scans each shared row once. The memoized analysis
+// must equal the per-rank scan of the same content held in private rows:
+// 300 distinct rows around the injection (more than the memo's table, so
+// entries get evicted and rescanned) and 300 ranks aliasing three shared
+// rows that never reach, reach before the injection, and reach after it.
+TEST(AnalyzeWave, AliasedRowsMatchPrivateCopies) {
+  constexpr int kRanks = 600;
+  constexpr int kInjection = 150;
+  const auto seg = [](mpi::SegKind kind, std::int64_t begin_us,
+                      std::int64_t end_us) {
+    return mpi::Segment{kind, SimTime{begin_us * 1000},
+                        SimTime{end_us * 1000}, 0, Duration::zero()};
+  };
+  mpi::Trace aliased(kRanks);
+  for (int r = 0; r < 300; ++r) {
+    const std::int64_t hops = r > kInjection ? r - kInjection : kInjection - r;
+    aliased.add_segment(r, seg(mpi::SegKind::compute, 0, 3000));
+    aliased.add_segment(r, seg(mpi::SegKind::wait, 3000, 3000 + 40 * (r % 7)));
+    aliased.add_segment(
+        r, seg(mpi::SegKind::wait, 10000 + 250 * hops,
+               10000 + 250 * hops + std::max<std::int64_t>(0, 20000 - 90 * hops)));
+  }
+  aliased.add_segment(300, seg(mpi::SegKind::wait, 9000, 9300));
+  aliased.add_segment(301, seg(mpi::SegKind::wait, 2000, 7000));
+  aliased.add_segment(301, seg(mpi::SegKind::wait, 12000, 12200));
+  aliased.add_segment(302, seg(mpi::SegKind::compute, 0, 3000));
+  aliased.add_segment(302, seg(mpi::SegKind::wait, 30000, 34000));
+  for (int r = 303; r < kRanks; ++r) aliased.alias_rank(r, 300 + r % 3);
+
+  mpi::Trace copies(kRanks);
+  for (int r = 0; r < kRanks; ++r) copies.import_rank(r, aliased, r);
+  ASSERT_TRUE(aliased.has_aliases());
+  ASSERT_FALSE(copies.has_aliases());
+
+  for (const auto boundary :
+       {workload::Boundary::open, workload::Boundary::periodic}) {
+    for (const int direction : {+1, -1}) {
+      for (const int max_hops : {0, 250}) {
+        for (const double min_idle_ms : {1.0, 0.1}) {
+          WaveProbe probe;
+          probe.injection_rank = kInjection;
+          probe.injection_time = SimTime{10'000'000};
+          probe.min_idle = milliseconds(min_idle_ms);
+          probe.direction = direction;
+          probe.boundary = boundary;
+          probe.max_hops = max_hops;
+          const std::string where =
+              std::string(workload::to_string(boundary)) + " direction " +
+              std::to_string(direction) + " max_hops " +
+              std::to_string(max_hops) + " min_idle " +
+              std::to_string(min_idle_ms);
+          expect_same_analysis(analyze_wave(aliased, probe),
+                               analyze_wave(copies, probe), where);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

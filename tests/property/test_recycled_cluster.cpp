@@ -8,8 +8,11 @@
 // boundary, direction, placement, and on some draws a credit window, a
 // finite NIC or a one-sided rendezvous flavor, all with fast-forward off.
 // Traces, step marks, engine counters and transport stats must be
-// identical. Every such run drains its queues, so a second test recycles
-// the cluster of a run that stopped with work in flight.
+// identical. The transport keeps rank states past a smaller run's count,
+// so the sequences must regrow past a size they shrank from, and a
+// dedicated test runs 2048, 8, then 2048 ranks on one cluster. Every such
+// run drains its queues, so a last test recycles the cluster of a run that
+// stopped with work in flight.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -135,48 +138,97 @@ void expect_same_metrics(const obs::MetricsSnapshot& a,
     EXPECT_EQ(a.gauge(id), b.gauge(id)) << where << " " << obs::metric_name(id);
 }
 
+/// Runs `exp` on the recycled `runner` and on a fresh cluster and requires
+/// identical traces, marks, counters and transport stats.
+WaveResult expect_matches_fresh(WaveRunner& runner, WaveExperiment exp,
+                                const std::string& where) {
+  obs::MetricsRegistry reused_metrics;
+  obs::MetricsRegistry fresh_metrics;
+  exp.cluster.metrics = &reused_metrics;
+  WaveResult reused = runner.run(exp);
+  exp.cluster.metrics = &fresh_metrics;
+  const WaveResult fresh = run_wave_experiment(exp);
+
+  expect_same_trace(reused.trace, fresh.trace, where);
+  expect_same_metrics(reused_metrics.snapshot(), fresh_metrics.snapshot(),
+                      where);
+  EXPECT_EQ(reused.protocol, fresh.protocol) << where;
+  EXPECT_EQ(reused.events_processed, fresh.events_processed) << where;
+  EXPECT_EQ(reused.peak_events_pending, fresh.peak_events_pending) << where;
+  EXPECT_EQ(reused.eager_demotions, fresh.eager_demotions) << where;
+  EXPECT_EQ(reused.nic_backlogged, fresh.nic_backlogged) << where;
+  EXPECT_EQ(reused.deferred_pushes, fresh.deferred_pushes) << where;
+  EXPECT_EQ(reused.unexpected_eager, fresh.unexpected_eager) << where;
+  EXPECT_EQ(reused.unexpected_rts, fresh.unexpected_rts) << where;
+  EXPECT_EQ(reused.measured_cycle, fresh.measured_cycle) << where;
+  EXPECT_EQ(reused.injection_time, fresh.injection_time) << where;
+  return reused;
+}
+
+int ranks_of(const WaveExperiment& exp) {
+  return exp.grid ? exp.grid->ranks() : exp.ring.ranks;
+}
+
 TEST(RecycledCluster, RandomSequencesMatchFreshClusters) {
   int experiments = 0;
   int rendezvous = 0;
+  // Runs that grow past a size the sequence had shrunk from: the transport
+  // keeps rank states past a smaller run's count and must clear the ones
+  // the larger run reuses.
+  int regrowths = 0;
   for (std::uint64_t seq = 0; seq < 20; ++seq) {
     Rng rng(0xC1A57E5ull + seq);
     WaveRunner runner;  // one recycled Cluster per sequence
     const int length = pick(rng, 3, 6);
+    int peak = 0;          // largest run so far
+    bool shrunk = false;   // a run since the peak was smaller than it
     for (int i = 0; i < length; ++i) {
-      WaveExperiment exp = draw_experiment(rng);
+      const WaveExperiment exp = draw_experiment(rng);
       const std::string where =
           "sequence " + std::to_string(seq) + " experiment " +
           std::to_string(i);
-      obs::MetricsRegistry reused_metrics;
-      obs::MetricsRegistry fresh_metrics;
-      exp.cluster.metrics = &reused_metrics;
-      const WaveResult reused = runner.run(exp);
-      exp.cluster.metrics = &fresh_metrics;
-      const WaveResult fresh = run_wave_experiment(exp);
-
-      expect_same_trace(reused.trace, fresh.trace, where);
-      expect_same_metrics(reused_metrics.snapshot(), fresh_metrics.snapshot(),
-                          where);
-      EXPECT_EQ(reused.protocol, fresh.protocol) << where;
-      EXPECT_EQ(reused.events_processed, fresh.events_processed) << where;
-      EXPECT_EQ(reused.peak_events_pending, fresh.peak_events_pending)
-          << where;
-      EXPECT_EQ(reused.eager_demotions, fresh.eager_demotions) << where;
-      EXPECT_EQ(reused.nic_backlogged, fresh.nic_backlogged) << where;
-      EXPECT_EQ(reused.deferred_pushes, fresh.deferred_pushes) << where;
-      EXPECT_EQ(reused.unexpected_eager, fresh.unexpected_eager) << where;
-      EXPECT_EQ(reused.unexpected_rts, fresh.unexpected_rts) << where;
-      EXPECT_EQ(reused.measured_cycle, fresh.measured_cycle) << where;
-      EXPECT_EQ(reused.injection_time, fresh.injection_time) << where;
+      const WaveResult reused = expect_matches_fresh(runner, exp, where);
+      const int ranks = ranks_of(exp);
+      if (shrunk && ranks > peak) ++regrowths;
+      if (ranks < peak) shrunk = true;
+      if (ranks > peak) {
+        peak = ranks;
+        shrunk = false;
+      }
       ++experiments;
       if (reused.protocol == mpi::WireProtocol::rendezvous) ++rendezvous;
       if (::testing::Test::HasFailure()) return;  // one report is enough
     }
   }
-  // The draws must cover both protocols.
+  // The draws must cover both protocols and regrowth after a shrink.
   EXPECT_GE(experiments, 60);
   EXPECT_GT(rendezvous, 0);
   EXPECT_LT(rendezvous, experiments);
+  EXPECT_GT(regrowths, 0);
+}
+
+// Shrink, then grow back: the 8-rank run clears only its own rank states,
+// so the second 2048-rank run reuses 2040 states the first one left dirty
+// (NIC clocks, queue contents) and must clear every one of them.
+TEST(RecycledCluster, ShrinkThenGrowMatchesAFreshCluster) {
+  const auto ring_of = [](int ranks, std::int64_t bytes) {
+    WaveExperiment exp;
+    exp.ring.ranks = ranks;
+    exp.ring.direction = workload::Direction::bidirectional;
+    exp.ring.boundary = workload::Boundary::periodic;
+    exp.ring.msg_bytes = bytes;
+    exp.ring.steps = 8;
+    exp.ring.texec = milliseconds(1.0);
+    exp.cluster = cluster_for_ring(exp.ring, /*ppn1=*/false, 4);
+    exp.delays = workload::single_delay(ranks / 3, 2, milliseconds(5.0));
+    exp.min_idle = milliseconds(0.2);
+    return exp;
+  };
+  WaveRunner runner;
+  (void)expect_matches_fresh(runner, ring_of(2048, 8192), "2048 ranks");
+  (void)expect_matches_fresh(runner, ring_of(8, 262144), "8 ranks");
+  (void)expect_matches_fresh(runner, ring_of(2048, 262144),
+                             "2048 ranks again");
 }
 
 // A run that fails its deadlock check stops with a rendezvous record, a

@@ -1,6 +1,7 @@
 // Tests for the sharded campaign runner and the structured result sinks:
 // thread-count invariance (byte-identical CSV/JSONL), in-order streaming,
-// cancellation without loss of completed records, and record reduction.
+// cancellation without loss of completed records, runners recycled across
+// campaigns, and record reduction.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sweep/record.hpp"
@@ -211,6 +213,88 @@ TEST(SweepRunner, ReusedClusterMatchesFreshClustersByteForByte) {
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
   for (const auto& path : {fresh_csv, reused_csv}) std::remove(path.c_str());
+}
+
+/// A campaign led by a fast-forward point of 4096 ranks, then small ones:
+/// the runner that served it goes back to the idle list with its large
+/// pools and serves the next campaign's points.
+SweepSpec ffwd_campaign() {
+  SweepSpec spec;
+  spec.delay_ms = {12};
+  spec.np = {4096, 64};
+  spec.ppn = {2};
+  spec.switch_nodes = {8};
+  spec.steps = 10;
+  spec.system_noise = "none";
+  spec.ffwd = "force";
+  return spec;
+}
+
+/// Every record of `result` equals the one a fresh run_wave_experiment()
+/// of its point gives, byte for byte.
+void expect_matches_fresh_runs(const CampaignResult& result,
+                               const std::vector<SweepPoint>& points,
+                               const std::string& where) {
+  ASSERT_EQ(result.records.size(), points.size()) << where;
+  for (std::size_t i = 0; i < points.size(); ++i)
+    EXPECT_EQ(record_json_line(result.records[i]),
+              record_json_line(
+                  reduce(points[i], core::run_wave_experiment(points[i].exp))))
+        << where << " point " << i;
+}
+
+// Campaign workers take their runners from one process-wide idle list, so
+// consecutive campaigns recycle clusters across calls: a 4096-rank
+// fast-forward campaign, a small one on the same runner, then the large
+// one again on the shrunk runner.
+TEST(SweepRunner, BackToBackCampaignsRecycleRunners) {
+  const auto large = expand(ffwd_campaign());
+  ASSERT_EQ(large.front().exp.ring.ranks, 4096);
+  const auto small = expand(tiny_campaign());
+  RunnerOptions options;
+  options.threads = 1;
+  expect_matches_fresh_runs(run_campaign(large, options), large, "large");
+  expect_matches_fresh_runs(run_campaign(small, options), small, "small");
+  expect_matches_fresh_runs(run_campaign(large, options), large,
+                            "large again");
+}
+
+// Two 2-worker campaigns at once share the idle list; under TSan this is
+// where taking and returning runners contend.
+TEST(SweepRunner, ConcurrentCampaignsShareTheIdleList) {
+  SweepSpec grid;
+  grid.workload = Workload::grid2d;
+  grid.delay_ms = {10};
+  grid.msg_bytes = {8192, 262144};
+  grid.np = {16, 25};
+  grid.steps = 8;
+  const std::vector<SweepPoint> campaigns[] = {expand(tiny_campaign()),
+                                               expand(grid)};
+  CampaignResult results[2];
+  {
+    std::vector<std::thread> callers;
+    for (int c = 0; c < 2; ++c)
+      callers.emplace_back([&campaigns, &results, c] {
+        RunnerOptions options;
+        options.threads = 2;
+        results[c] = run_campaign(campaigns[c], options);
+      });
+    for (std::thread& t : callers) t.join();
+  }
+  expect_matches_fresh_runs(results[0], campaigns[0], "ring campaign");
+  expect_matches_fresh_runs(results[1], campaigns[1], "grid campaign");
+}
+
+// A worker whose point threw drops its runner; the next campaign still
+// matches fresh clusters.
+TEST(SweepRunner, CleanCampaignAfterAFailedOneMatchesFreshRuns) {
+  auto poisoned = expand(tiny_campaign());
+  poisoned[1].exp.delays.front().rank = 999;
+  RunnerOptions options;
+  options.threads = 2;
+  EXPECT_THROW((void)run_campaign(poisoned, options), std::invalid_argument);
+  const auto clean = expand(tiny_campaign());
+  expect_matches_fresh_runs(run_campaign(clean, options), clean, "clean");
 }
 
 TEST(SweepRecord, ReduceCarriesAxesAndObservables) {
