@@ -8,6 +8,9 @@
 // simulated-time-skipped counter and the footprint gauge. At the smallest
 // np the two traces are compared segment-for-segment: the speedup is only
 // worth recording if the fast path is byte-identical where it overlaps.
+// Both sides run on fresh clusters; each rung also times the ffwd point the
+// way a sweep runs it, on a core::WaveRunner that has just run the 256-rank
+// point (`ffwd_recycled_seconds`), so the reset between points shows.
 //
 // Flags: --json=<path> (default BENCH_scale.json), --quick (CI ladder,
 //        tops out at 10240 ranks), --reps=N,
@@ -54,6 +57,7 @@ struct Rung {
   int np = 0;
   Side full;
   Side ffwd;
+  double ffwd_recycled_seconds = 0.0;
   double speedup = 0.0;  ///< full.seconds / ffwd.seconds
   bool identity_checked = false;
   bool identical = true;
@@ -100,6 +104,24 @@ Side measure(int np, core::FfwdMode mode, int reps, mpi::Trace* keep_trace) {
       *keep_trace = std::move(result.trace);
   }
   return side;
+}
+
+/// Best-of-`reps` time of the ffwd point at `np` on a recycled runner that
+/// has just run the 256-rank ffwd point: the sweep path, reset included.
+double measure_recycled(int np, int reps) {
+  const core::WaveExperiment small = experiment_at(256, core::FfwdMode::force);
+  const core::WaveExperiment big = experiment_at(np, core::FfwdMode::force);
+  core::WaveRunner runner;
+  double best = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < reps; ++r) {
+    (void)runner.run(small);
+    const auto begin = std::chrono::steady_clock::now();
+    (void)runner.run(big);
+    best = std::min(best, std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - begin)
+                              .count());
+  }
+  return best;
 }
 
 /// Content identity (segments, step marks, finish), not slab identity:
@@ -153,6 +175,7 @@ int bench_main(int argc, char** argv) {
                         check_identity ? &full_trace : nullptr);
     rung.ffwd = measure(rung.np, core::FfwdMode::force, reps,
                         check_identity ? &ffwd_trace : nullptr);
+    rung.ffwd_recycled_seconds = measure_recycled(rung.np, reps);
     rung.speedup =
         rung.ffwd.seconds > 0 ? rung.full.seconds / rung.ffwd.seconds : 0.0;
     if (check_identity) {
@@ -163,7 +186,8 @@ int bench_main(int argc, char** argv) {
               << " ev/s (" << rung.full.seconds << " s, "
               << rung.full.bytes_per_rank << " B/rank), ffwd "
               << rung.ffwd.events_per_sec << " ev/s (" << rung.ffwd.seconds
-              << " s, " << rung.ffwd.bytes_per_rank << " B/rank), speedup "
+              << " s, " << rung.ffwd.bytes_per_rank << " B/rank; "
+              << rung.ffwd_recycled_seconds << " s recycled), speedup "
               << rung.speedup << "x"
               << (rung.identity_checked
                       ? (rung.identical ? ", traces identical"
@@ -209,6 +233,7 @@ int bench_main(int argc, char** argv) {
         << ", \"ffwd_events\": " << r.ffwd.events
         << ", \"ffwd_events_per_sec\": " << r.ffwd.events_per_sec
         << ", \"ffwd_bytes_per_rank\": " << r.ffwd.bytes_per_rank
+        << ", \"ffwd_recycled_seconds\": " << r.ffwd_recycled_seconds
         << ", \"ffwd_skips\": " << r.ffwd.ffwd_skips
         << ", \"ffwd_time_skipped_us\": " << r.ffwd.ffwd_time_skipped_us
         << ", \"speedup\": " << r.speedup

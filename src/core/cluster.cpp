@@ -1,7 +1,9 @@
 #include "core/cluster.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
+#include <variant>
 
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -37,7 +39,7 @@ Cluster::Cluster(ClusterConfig config)
 void Cluster::reset(ClusterConfig config) {
   config_ = std::move(config);
   engine_.reset();
-  topo_ = net::Topology(config_.topo);
+  topo_.reset(config_.topo);
   // Keep the constructor's calendar pre-sizing when reshaping larger.
   engine_.reserve_events(calendar_budget(topo_.ranks()));
   transport_.reconfigure(config_.fabric, config_.transport);
@@ -133,41 +135,74 @@ void Cluster::record_footprint(const mpi::Trace& trace) {
                              peak_bytes_per_rank_);
 }
 
-template <typename ProgramAt>
-mpi::Trace Cluster::run_programs(std::size_t count, ProgramAt program_at,
+template <typename ActiveAt>
+mpi::Trace Cluster::run_programs(std::size_t count, ActiveAt active_at,
                                  const noise::NoiseSpec& injected_noise,
                                  std::span<const GhostSend> ghost_sends,
                                  std::span<const GhostPost> ghost_posts) {
   IW_REQUIRE(!ran_, "Cluster::run requires a fresh or reset() instance");
   const auto nranks = static_cast<std::size_t>(topo_.ranks());
-  IW_REQUIRE(count == nranks, "need exactly one program slot per rank");
+  const bool full = count == nranks;
   ran_ = true;
 
-  // Every rank's trace rows sit in the trace's two slabs, sized once,
-  // before any binding, so neither reallocates while rows are assigned.
+  // Every bound rank's trace row sits in the trace's two slabs, sized
+  // once, before any binding, so neither reallocates while rows are
+  // assigned. A fast-forward run holds rows for its active set only.
   std::size_t segments = 0;
   std::size_t steps = 0;
-  for (std::size_t rank = 0; rank < nranks; ++rank) {
-    if (const mpi::Program* program = program_at(rank)) {
-      segments += program->segment_bound();
-      steps += program->step_marks();
-    }
+  for (std::size_t i = 0; i < count; ++i) {
+    const ActiveRank a = active_at(i);
+    IW_REQUIRE(a.program != nullptr, "active ranks need a program");
+    IW_REQUIRE(a.rank >= 0 && static_cast<std::size_t>(a.rank) < nranks &&
+                   (i == 0 || active_at(i - 1).rank < a.rank),
+               "active ranks must be ascending and in range");
+    segments += a.program->segment_bound();
+    steps += a.program->step_marks();
   }
-  mpi::Trace trace(topo_.ranks(), segments, steps);
+  mpi::Trace trace(topo_.ranks(), segments, steps,
+                   full ? std::nullopt : std::optional<std::size_t>(count));
+
+  // A sparse run tells the transport which rank states it can touch, so
+  // the next reset() clears those instead of all of them: the bound ranks,
+  // every peer their programs name, and both ends of every ghost send.
+  if (!full) {
+    touched_.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+      const ActiveRank a = active_at(i);
+      touched_.push_back(a.rank);
+      for (const mpi::Op& op : a.program->body()) {
+        if (const auto* send = std::get_if<mpi::OpIsend>(&op))
+          touched_.push_back(send->peer);
+        else if (const auto* recv = std::get_if<mpi::OpIrecv>(&op))
+          touched_.push_back(recv->peer);
+      }
+    }
+    for (const GhostSend& g : ghost_sends) {
+      touched_.push_back(g.src);
+      touched_.push_back(g.dst);
+    }
+    std::sort(touched_.begin(), touched_.end());
+    touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                   touched_.end());
+    transport_.limit_clear_to(touched_);
+  }
 
   wire_domains();
 
-  // Silent ranks get a null process-table entry. That is safe because a
+  // The process table is grow-only: the last run's entries are nulled and
+  // this run's set, so silent ranks read null. That is safe because a
   // silent rank never posts a receive: arrivals from ghosts into silent
   // destinations park in the transport's unexpected queues and are never
   // completed, so procs_[silent] is never dereferenced.
-  process_table_.assign(nranks, nullptr);
-  std::size_t active = 0;  // processes bound, and the next pool slot
-  for (int rank = 0; rank < topo_.ranks(); ++rank) {
-    const mpi::Program* program = program_at(static_cast<std::size_t>(rank));
-    if (program == nullptr) continue;
-    mpi::Process& proc = bind_process(active++, rank, trace);
+  if (process_table_.size() < nranks) process_table_.resize(nranks, nullptr);
+  for (std::size_t slot = 0; slot < bound_; ++slot)
+    process_table_[static_cast<std::size_t>(processes_[slot].rank())] =
+        nullptr;
+  bound_ = 0;  // processes bound, and the next pool slot
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto [rank, program] = active_at(i);
     trace.reserve_rank(rank, program->segment_bound(), program->step_marks());
+    mpi::Process& proc = bind_process(bound_++, rank, trace);
     proc.set_program(program);
     const auto stream = [&](std::uint64_t purpose) {
       return Rng::for_stream(config_.seed, static_cast<std::uint64_t>(rank),
@@ -190,7 +225,7 @@ mpi::Trace Cluster::run_programs(std::size_t count, ProgramAt program_at,
   engine_.set_tracer(config_.tracer);
   transport_.set_tracer(config_.tracer);
   if (config_.tracer != nullptr)
-    for (std::size_t r = 0; r < active; ++r)
+    for (std::size_t r = 0; r < bound_; ++r)
       processes_[r].set_tracer(config_.tracer);
 
   // Pre-schedule the ghost traffic: each post fires at the silent sender's
@@ -208,10 +243,10 @@ mpi::Trace Cluster::run_programs(std::size_t count, ProgramAt program_at,
     });
   }
 
-  for (std::size_t r = 0; r < active; ++r) processes_[r].start();
+  for (std::size_t r = 0; r < bound_; ++r) processes_[r].start();
   engine_.run();
 
-  for (std::size_t r = 0; r < active; ++r)
+  for (std::size_t r = 0; r < bound_; ++r)
     IW_CHECK(processes_[r].done(),
              "deadlock: a process never finished its program");
 
@@ -223,16 +258,19 @@ mpi::Trace Cluster::run_programs(std::size_t count, ProgramAt program_at,
 
 mpi::Trace Cluster::run(const std::vector<mpi::Program>& programs,
                         const noise::NoiseSpec& injected_noise) {
+  IW_REQUIRE(programs.size() == static_cast<std::size_t>(topo_.ranks()),
+             "need exactly one program per rank");
   return run_programs(
       programs.size(),
-      [&programs](std::size_t rank) { return &programs[rank]; },
+      [&programs](std::size_t rank) {
+        return ActiveRank{static_cast<int>(rank), &programs[rank]};
+      },
       injected_noise, {}, {});
 }
 
-mpi::Trace Cluster::run_fast_forward(
-    const std::vector<const mpi::Program*>& programs,
-    std::span<const GhostSend> ghost_sends,
-    std::span<const GhostPost> ghost_posts) {
+mpi::Trace Cluster::run_fast_forward(std::span<const ActiveRank> active,
+                                     std::span<const GhostSend> ghost_sends,
+                                     std::span<const GhostPost> ghost_posts) {
   // The fast-forward envelope (core::plan_fast_forward) excludes every
   // feature that could couple a silent rank back into the simulation;
   // re-prove the structural parts here.
@@ -242,8 +280,10 @@ mpi::Trace Cluster::run_fast_forward(
              "fast-forward runs cannot carry system noise");
   IW_REQUIRE(config_.tracer == nullptr,
              "fast-forward runs cannot be flight-recorded");
+  IW_REQUIRE(active.size() <= static_cast<std::size_t>(topo_.ranks()),
+             "more active ranks than the machine has");
   return run_programs(
-      programs.size(), [&programs](std::size_t rank) { return programs[rank]; },
+      active.size(), [active](std::size_t i) { return active[i]; },
       noise::NoiseSpec::none(), ghost_sends, ghost_posts);
 }
 

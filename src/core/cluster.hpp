@@ -13,16 +13,19 @@
 // objects. Sweeps run thousands of points through one Cluster this way
 // (see core::WaveRunner) instead of reconstructing the world per point. A
 // reset cluster is byte-for-byte indistinguishable from a fresh one; the
-// determinism suite guards that equivalence.
+// determinism suite and the recycled-cluster property test guard that
+// equivalence. reset() clears only what the last run touched: after a
+// fast-forward run over a 10^5-rank machine that is the transport rank
+// states of the active set and its rim, not all of them.
 //
 // Machine-scale layout: per-rank state lives in struct-of-arrays storage —
-// trace rows index into shared slabs (mpi::Trace), and Process and
-// BandwidthDomain objects come from chunked object pools with stable
-// addresses. A process keeps no per-request storage: a request is a count
-// in its WaitAll window. A run sums its programs' counters
-// (Program::segment_bound(), step_marks()) and sizes both trace slabs once,
-// exactly, before it assigns any row. The memory-per-rank budget this buys
-// is surfaced as peak_bytes_per_rank().
+// each rank holds a 4-byte row index into the trace's rows, which index
+// into shared slabs (mpi::Trace), and Process and BandwidthDomain objects
+// come from chunked object pools with stable addresses. A process keeps no
+// per-request storage: a request is a count in its WaitAll window. A run
+// sums its programs' counters (Program::segment_bound(), step_marks()) and
+// sizes both trace slabs once, exactly, before it assigns any row. The
+// memory-per-rank budget this buys is surfaced as peak_bytes_per_rank().
 #pragma once
 
 #include <cstdint>
@@ -74,6 +77,12 @@ struct ClusterConfig {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
+/// One event-simulated rank of a fast-forward run and its program.
+struct ActiveRank {
+  int rank = 0;
+  const mpi::Program* program = nullptr;
+};
+
 /// One pre-scheduled send posted on behalf of a rank outside the
 /// fast-forward active set (see Cluster::run_fast_forward).
 struct GhostSend {
@@ -106,26 +115,31 @@ class Cluster {
                  const noise::NoiseSpec& injected_noise =
                      noise::NoiseSpec::none());
 
-  /// Fast-forward run over an *active subset* of ranks: programs[r] is the
-  /// rank's program, or nullptr for a silent rank that is provably outside
-  /// every delay/boundary light cone. Silent ranks get no Process and no
-  /// trace reservation — the analytic layer
-  /// (core::run_ring_fast_forward) synthesizes their rows afterwards. The
-  /// rim of the active set still receives messages from its silent
-  /// neighbors; those arrive as the pre-scheduled `ghost_posts`, each
-  /// posting a batch of `ghost_sends` through the transport at the ghost
-  /// rank's analytically known send time. Both spans must stay alive for
-  /// the duration of the call. Requires the fast-forward eligibility
+  /// Fast-forward run over an *active subset* of ranks: `active` lists
+  /// the event-simulated ranks in ascending order with their programs;
+  /// every other rank is silent, provably outside every delay/boundary
+  /// light cone. Silent ranks get no Process and no trace row — the
+  /// analytic layer (core::run_ring_fast_forward) synthesizes them
+  /// afterwards. The rim of the active set still receives messages from its
+  /// silent neighbors; those arrive as the pre-scheduled `ghost_posts`,
+  /// each posting a batch of `ghost_sends` through the transport at the
+  /// ghost rank's analytically known send time. All three spans must stay
+  /// alive for the duration of the call. Costs O(active + ghost sends) on
+  /// top of the rank-indexed tables. Requires the fast-forward eligibility
   /// envelope (no noise, no memory domains, no tracer); callable once per
   /// construction/reset().
-  mpi::Trace run_fast_forward(const std::vector<const mpi::Program*>& programs,
+  mpi::Trace run_fast_forward(std::span<const ActiveRank> active,
                               std::span<const GhostSend> ghost_sends,
                               std::span<const GhostPost> ghost_posts);
 
   /// Re-arms the cluster for another run under a (possibly different)
   /// configuration. The engine calendar, transport pools, and the process
   /// and domain objects are recycled; behaviour is identical to a freshly
-  /// constructed Cluster with the same config.
+  /// constructed Cluster with the same config. It clears what the last run
+  /// touched: the engine, and the transport rank states of every rank after
+  /// a full run but only the declared ones after a fast-forward run. The
+  /// topology is reshaped in place (its tables kept under unchanged tier
+  /// sizes), and the next run re-points the process table.
   void reset(ClusterConfig config);
 
   [[nodiscard]] const net::Topology& topology() const { return topo_; }
@@ -161,12 +175,12 @@ class Cluster {
   /// previously bound processes.
   mpi::Process& bind_process(std::size_t slot, int rank, mpi::Trace& trace);
 
-  /// The one run body. `program_at(rank)` is the rank's program, or null
-  /// for a silent rank; each non-null program gets the next pool process,
-  /// so in a full run slot == rank. Ghost posts are scheduled before any
-  /// process starts.
-  template <typename ProgramAt>
-  mpi::Trace run_programs(std::size_t count, ProgramAt program_at,
+  /// The one run body. `active_at(i)`, i < count, is the i-th bound rank
+  /// and its program, ascending; each gets the next pool process, so in a
+  /// full run (count == ranks) slot == rank. Ghost posts are scheduled
+  /// before any process starts.
+  template <typename ActiveAt>
+  mpi::Trace run_programs(std::size_t count, ActiveAt active_at,
                           const noise::NoiseSpec& injected_noise,
                           std::span<const GhostSend> ghost_sends,
                           std::span<const GhostPost> ghost_posts);
@@ -182,7 +196,10 @@ class Cluster {
   support::ObjectPool<memory::BandwidthDomain> domains_;
   std::size_t domains_in_use_ = 0;
   support::ObjectPool<mpi::Process> processes_;
-  std::vector<mpi::Process*> process_table_;  ///< rank-indexed hot-path wiring
+  std::size_t bound_ = 0;  ///< pool processes the last run bound
+  /// Rank-indexed hot-path wiring, grow-only; only bound ranks are set.
+  std::vector<mpi::Process*> process_table_;
+  std::vector<int> touched_;  ///< a sparse run's transport states (scratch)
   std::vector<memory::BandwidthDomain*> domain_table_;
   double peak_bytes_per_rank_ = 0.0;
   bool ran_ = false;

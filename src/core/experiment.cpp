@@ -141,7 +141,7 @@ mpi::Trace run_ring_trace(Cluster& cluster, const WaveExperiment& exp,
     // forwarding an all-active machine is pure overhead.
     if (plan.eligible &&
         (exp.ffwd == FfwdMode::force ||
-         plan.active_count < static_cast<std::size_t>(exp.ring.ranks))) {
+         plan.active.size() < static_cast<std::size_t>(exp.ring.ranks))) {
       FastForwardResult ff = run_ring_fast_forward(cluster, exp, plan);
       ffwd_skips = ff.skips;
       ffwd_time_skipped = ff.time_skipped;

@@ -25,17 +25,25 @@ int pattern_period_of(const net::TopologySpec& spec) {
   return period;
 }
 
-void mark_cone(std::vector<std::uint8_t>& active, int center, int radius,
-               workload::Boundary boundary) {
-  const int np = static_cast<int>(active.size());
-  for (int off = -radius; off <= radius; ++off) {
-    int r = center + off;
-    if (boundary == workload::Boundary::periodic) {
-      r = ((r % np) + np) % np;
-    } else if (r < 0 || r >= np) {
-      continue;
-    }
-    active[static_cast<std::size_t>(r)] = 1;
+/// Adds the cone of `radius` ranks around `center` to `cones` as inclusive
+/// rank intervals: clipped on an open chain, split where a periodic ring
+/// wraps.
+void add_cone(std::vector<std::pair<int, int>>& cones, int np, int center,
+              int radius, workload::Boundary boundary) {
+  int lo = center - radius;
+  int hi = center + radius;
+  if (boundary == workload::Boundary::open) {
+    cones.emplace_back(std::max(lo, 0), std::min(hi, np - 1));
+  } else if (hi - lo + 1 >= np) {
+    cones.emplace_back(0, np - 1);
+  } else if (lo < 0) {
+    cones.emplace_back(lo + np, np - 1);
+    cones.emplace_back(0, hi);
+  } else if (hi >= np) {
+    cones.emplace_back(lo, np - 1);
+    cones.emplace_back(0, hi - np);
+  } else {
+    cones.emplace_back(lo, hi);
   }
 }
 
@@ -133,16 +141,21 @@ FastForwardPlan plan_fast_forward(const WaveExperiment& exp) {
   }
 
   plan.eligible = true;
-  plan.active.assign(static_cast<std::size_t>(np), 0);
   const int radius = ring.distance * (ring.steps + 2);
+  std::vector<std::pair<int, int>> cones;
   for (const auto& d : exp.delays)
-    mark_cone(plan.active, d.rank, radius, ring.boundary);
+    add_cone(cones, np, d.rank, radius, ring.boundary);
   if (ring.boundary == workload::Boundary::open) {
-    mark_cone(plan.active, 0, radius, ring.boundary);
-    mark_cone(plan.active, np - 1, radius, ring.boundary);
+    add_cone(cones, np, 0, radius, ring.boundary);
+    add_cone(cones, np, np - 1, radius, ring.boundary);
   }
-  plan.active_count = static_cast<std::size_t>(
-      std::count(plan.active.begin(), plan.active.end(), 1));
+  // The union of the cones, ascending: sorted intervals, each rank once.
+  std::sort(cones.begin(), cones.end());
+  int next = 0;  // lowest rank not yet listed
+  for (const auto& [lo, hi] : cones) {
+    for (int r = std::max(lo, next); r <= hi; ++r) plan.active.push_back(r);
+    next = std::max(next, hi + 1);
+  }
   return plan;
 }
 
@@ -183,28 +196,32 @@ FastForwardResult run_ring_fast_forward(Cluster& cluster,
   }
 
   // Programs for the active set only: the silent majority never gets one.
-  std::vector<const mpi::Program*> programs(static_cast<std::size_t>(np),
-                                            nullptr);
   std::vector<mpi::Program> storage;
-  storage.reserve(plan.active_count);
-  for (int r = 0; r < np; ++r) {
-    if (!plan.active[static_cast<std::size_t>(r)]) continue;
+  storage.reserve(plan.active.size());
+  std::vector<ActiveRank> active;
+  active.reserve(plan.active.size());
+  for (const int r : plan.active) {
     storage.push_back(workload::build_ring_rank(ring, r, exp.delays));
-    programs[static_cast<std::size_t>(r)] = &storage.back();
+    active.push_back(ActiveRank{r, &storage.back()});
   }
+  const auto is_active = [&plan](int r) {
+    return std::binary_search(plan.active.begin(), plan.active.end(), r);
+  };
 
-  // Ghost schedule: every silent rank feeding the active rim replays *all*
-  // of its sends in program order at its reference send times — partial
-  // replay would shift the NIC serialization of the sends that matter.
+  // Ghost schedule: every silent rank feeding the active rim — a receive
+  // source of some active rank — replays *all* of its sends in program
+  // order at its reference send times, ascending by rank; partial replay
+  // would shift the NIC serialization of the sends that matter.
+  std::vector<int> rim;
+  for (const int a : plan.active)
+    workload::for_each_peer(ring, a, -1, [&](int p) {
+      if (!is_active(p)) rim.push_back(p);
+    });
+  std::sort(rim.begin(), rim.end());
+  rim.erase(std::unique(rim.begin(), rim.end()), rim.end());
   std::vector<GhostSend> ghost_sends;
   std::vector<GhostPost> ghost_posts;
-  for (int r = 0; r < np; ++r) {
-    if (plan.active[static_cast<std::size_t>(r)]) continue;
-    bool feeds_active = false;
-    workload::for_each_peer(ring, r, +1, [&](int p) {
-      feeds_active |= plan.active[static_cast<std::size_t>(p)] != 0;
-    });
-    if (!feeds_active) continue;
+  for (const int r : rim) {
     const auto& times = send_times[static_cast<std::size_t>(r % period)];
     for (int step = 0; step < ring.steps; ++step) {
       GhostPost post;
@@ -220,22 +237,34 @@ FastForwardResult run_ring_fast_forward(Cluster& cluster,
   }
 
   FastForwardResult result{
-      cluster.run_fast_forward(programs, ghost_sends, ghost_posts)};
+      cluster.run_fast_forward(active, ghost_sends, ghost_posts)};
 
-  // Synthesize the silent timelines: one imported canonical row per
-  // residue class, O(1) aliases for the rest of the class.
+  // Synthesize the silent timelines, gap by gap between active ranks: one
+  // imported canonical row per residue class, one row-index store for the
+  // rest of the class. The skip counters are per-class sums.
   std::vector<int> canonical(static_cast<std::size_t>(period), -1);
-  for (int r = 0; r < np; ++r) {
-    if (plan.active[static_cast<std::size_t>(r)]) continue;
-    const auto q = static_cast<std::size_t>(r % period);
-    if (canonical[q] < 0) {
-      result.trace.import_rank(r, ref_trace, r % period);
-      canonical[q] = r;
-    } else {
-      result.trace.alias_rank(r, canonical[q]);
+  std::vector<std::int64_t> class_size(static_cast<std::size_t>(period), 0);
+  int first = 0;  // first rank of the current silent gap
+  for (std::size_t i = 0; i <= plan.active.size(); ++i) {
+    const int end = i < plan.active.size() ? plan.active[i] : np;
+    for (int r = first, q = first % period; r < end; ++r) {
+      const auto k = static_cast<std::size_t>(q);
+      if (canonical[k] < 0) {
+        result.trace.import_rank(r, ref_trace, q);
+        canonical[k] = r;
+      } else {
+        result.trace.alias_rank(r, canonical[k]);
+      }
+      ++class_size[k];
+      if (++q == period) q = 0;
     }
-    result.skips += static_cast<std::uint64_t>(ring.steps);
-    result.time_skipped += result.trace.finish(r) - SimTime::zero();
+    first = end + 1;
+  }
+  for (std::size_t k = 0; k < canonical.size(); ++k) {
+    if (class_size[k] == 0) continue;
+    result.skips += static_cast<std::uint64_t>(class_size[k] * ring.steps);
+    result.time_skipped +=
+        (result.trace.finish(canonical[k]) - SimTime::zero()) * class_size[k];
   }
 
   if (exp.cluster.metrics != nullptr) {

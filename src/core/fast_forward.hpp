@@ -22,10 +22,22 @@
 // Silent timelines are synthesized from a periodic reference ring of
 // np_ref = P * max(2, ceil((2d+1)/P)) ranks, where P is the topology's
 // pattern_period(): rank r's timeline equals reference rank (r mod P).
+// Each residue class gets one imported trace row, and every other silent
+// rank of the class is one 4-byte row-index store onto it
+// (mpi::Trace::alias_rank).
 // Two periods are the proven minimum — with m >= 2 every wrapped
 // reference-ring neighbor pair crosses all topology tiers, exactly like
 // the corresponding (non-wrapped) bulk pair in the real machine, so every
 // link classifies identically and the per-step times agree bit for bit.
+//
+// Cost: everything but the rank-indexed tables is O(active set + pattern
+// period). The plan lists the active ranks, the Cluster binds only those
+// and tells the transport which rank states they can touch (so the next
+// reset clears those alone), the ghost schedule visits only the rim, and
+// the skip counters are per-class sums. What stays O(np) is a handful of
+// flat tables: the trace's row index and its alias stores, the topology's
+// tier tables and the process table (both kept across runs of one shape,
+// so filled once), and the wave probe's walk over every hop.
 //
 // Eligibility (plan_fast_forward) is deliberately conservative: ring
 // workloads only, no noise of either source, no memory domains, no flight
@@ -74,8 +86,9 @@ struct FastForwardPlan {
   std::string reason;     ///< first failed eligibility condition, if any
   int period = 1;         ///< topology pattern period P
   int np_ref = 0;         ///< reference-ring size (P * m, m >= 2)
-  std::vector<std::uint8_t> active;  ///< per-rank: 1 = event-simulated
-  std::size_t active_count = 0;
+  /// The event-simulated ranks, ascending: the union of the light cones,
+  /// O(active) entries however large the machine.
+  std::vector<int> active;
 };
 
 [[nodiscard]] FastForwardPlan plan_fast_forward(const WaveExperiment& exp);

@@ -1,8 +1,6 @@
 #include "core/idle_wave.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cstdint>
 #include <optional>
 #include <span>
 
@@ -35,34 +33,29 @@ FirstWait first_wait(std::span<const mpi::Segment> row,
   return {};
 }
 
-/// first_wait() memoized per physical row, for traces whose silent ranks
-/// share a handful of rows through Trace::alias_rank (fast-forward): each
-/// shared row is scanned once per probe instead of once per rank. The key
-/// is the row's identity — data pointer and length — so a hit is exact by
-/// construction. The table is direct-mapped on the row's slab position
-/// divided by its length: the shared rows are imported back to back with
-/// equal lengths, so up to kSlots of them take consecutive slots and never
-/// evict each other. Any other collision only costs a rescan.
+/// first_wait() memoized per physical row: on a trace whose silent ranks
+/// share a handful of rows through Trace::alias_rank (fast-forward), each
+/// shared row is scanned once per probe instead of once per rank, and a
+/// rank the wave never reaches costs a row-index load and a table lookup.
+/// Keyed by row index, so a hit is exact and the table is as long as the
+/// trace has rows: the active set plus one row per residue class there,
+/// one row per rank on a full trace.
 class RowMemo {
  public:
-  FirstWait get(std::span<const mpi::Segment> row, const WaveProbe& probe) {
-    if (row.empty()) return {};
-    const auto position = reinterpret_cast<std::uintptr_t>(row.data()) /
-                          sizeof(mpi::Segment);
-    Entry& e = table_[(position / row.size()) % kSlots];
-    if (e.data != row.data() || e.size != row.size())
-      e = Entry{row.data(), row.size(), first_wait(row, probe)};
+  explicit RowMemo(const mpi::Trace& trace) : table_(trace.rows()) {}
+
+  FirstWait get(const mpi::Trace& trace, int rank, const WaveProbe& probe) {
+    Entry& e = table_[trace.row_of(rank)];
+    if (!e.known) e = Entry{true, first_wait(trace.segments(rank), probe)};
     return e.result;
   }
 
  private:
-  static constexpr std::size_t kSlots = 128;
   struct Entry {
-    const mpi::Segment* data = nullptr;
-    std::size_t size = 0;
+    bool known = false;
     FirstWait result;
   };
-  std::array<Entry, kSlots> table_{};
+  std::vector<Entry> table_;
 };
 
 }  // namespace
@@ -97,48 +90,44 @@ WaveAnalysis analyze_wave(const mpi::Trace& trace, const WaveProbe& probe) {
   if (max_hops <= 0)
     max_hops = n - 1;  // open: clipped by rank_at_hops; periodic: once around
 
-  // An open chain ends before max_hops when the injection sits nearer
-  // its end.
-  int hop_count = max_hops;
-  if (probe.boundary == workload::Boundary::open)
-    hop_count = std::min(hop_count, probe.direction > 0
-                                        ? n - 1 - probe.injection_rank
-                                        : probe.injection_rank);
-  analysis.observations.reserve(
-      static_cast<std::size_t>(std::max(0, hop_count)));
-  std::optional<RowMemo> memo;
-  if (trace.has_aliases()) memo.emplace();
+  IW_REQUIRE(probe.injection_rank >= 0 && probe.injection_rank < n,
+             "injection rank out of range");
+  IW_REQUIRE(probe.direction == 1 || probe.direction == -1,
+             "direction must be +-1");
+  RowMemo memo(trace);
 
+  // The rank_at_hops() sequence, one step per hop, wrapping on a periodic
+  // ring without a modulo per hop: at machine scale this loop visits every
+  // rank.
+  const bool periodic = probe.boundary == workload::Boundary::periodic;
   bool front_broken = false;
+  int rank = probe.injection_rank;
   for (int hops = 1; hops <= max_hops; ++hops) {
-    const auto rank =
-        rank_at_hops(probe.injection_rank, hops, probe.direction, n,
-                     probe.boundary);
-    if (!rank) break;  // walked off an open chain
+    rank += probe.direction;
+    if (periodic) {
+      if (rank == n) rank = 0;
+      if (rank < 0) rank = n - 1;
+    } else if (rank < 0 || rank >= n) {
+      break;  // walked off an open chain
+    }
+    analysis.hops_probed = hops;
 
-    WaveObservation obs;
-    obs.rank = *rank;
-    obs.hops = hops;
-    const auto row = trace.segments(*rank);
-    const FirstWait wait =
-        memo ? memo->get(row, probe) : first_wait(row, probe);
-    obs.reached = wait.reached;
-    obs.arrival = wait.arrival;
-    obs.amplitude = wait.amplitude;
-    if (obs.reached && !front_broken) ++analysis.survival_hops;
-    if (!obs.reached) front_broken = true;
-    analysis.observations.push_back(obs);
+    const FirstWait wait = memo.get(trace, rank, probe);
+    if (!wait.reached) {
+      front_broken = true;
+      continue;
+    }
+    if (!front_broken) ++analysis.survival_hops;
+    analysis.front.push_back(
+        WaveObservation{rank, hops, wait.arrival, wait.amplitude});
   }
 
   std::vector<double> hops_x, arrival_y, amp_y;
-  for (const auto& obs : analysis.observations) {
-    if (!obs.reached) continue;
+  for (const auto& obs : analysis.front) {
     hops_x.push_back(static_cast<double>(obs.hops));
     arrival_y.push_back(obs.arrival.sec());
     amp_y.push_back(obs.amplitude.us());
   }
-
-  analysis.reached_count = static_cast<int>(hops_x.size());
 
   analysis.front_fit = fit_line(hops_x, arrival_y);
   if (analysis.front_fit.valid && analysis.front_fit.slope > 0.0) {

@@ -7,6 +7,11 @@
 //   * the propagation speed (ranks/s) via a least-squares front fit,
 //   * the decay rate beta (us/rank) via an amplitude fit (paper Fig. 8),
 //   * the survival distance (hops until the wave fell below threshold).
+// The probe streams: it walks hop by hop, counts survival as it goes and
+// keeps only the ranks the wave reached, so a 10^5-rank machine whose wave
+// reaches a few dozen ranks costs a few dozen entries, not one per hop. On
+// a fast-forward trace, whose silent ranks share a handful of rows, each
+// row is scanned once per probe (memoized by row index).
 #pragma once
 
 #include <optional>
@@ -34,11 +39,10 @@ struct IdlePeriod {
                                                    int rank,
                                                    Duration min_duration);
 
-/// The wave as observed at one rank.
+/// The wave as observed at one rank it reached.
 struct WaveObservation {
   int rank = 0;
   int hops = 0;           ///< distance from the injection rank (boundary-aware)
-  bool reached = false;   ///< did a qualifying idle period occur?
   SimTime arrival;        ///< begin of the first qualifying idle period
   Duration amplitude;     ///< duration of that idle period
 };
@@ -58,7 +62,12 @@ struct WaveProbe {
 };
 
 struct WaveAnalysis {
-  std::vector<WaveObservation> observations;
+  /// Hops the probe walked. Ranks it passed without finding a qualifying
+  /// idle period keep no entry: at machine scale that is nearly all of
+  /// them.
+  int hops_probed = 0;
+  /// The ranks the wave reached, in hop order: the points of both fits.
+  std::vector<WaveObservation> front;
   /// Arrival-time fit over reached ranks: seconds vs hops.
   LineFit front_fit;
   /// Propagation speed in ranks per second (1/front slope); 0 if the wave
@@ -69,11 +78,10 @@ struct WaveAnalysis {
   /// Decay rate beta >= 0 in us/rank (paper Fig. 8): how much idle duration
   /// the wave loses per hop.
   double decay_us_per_rank = 0.0;
-  /// Hops the wave survived (count of consecutively reached ranks).
+  /// Hops the wave survived (count of consecutively reached ranks; <=
+  /// front.size(), since a wave can skip a rank and reappear past it
+  /// without extending survival).
   int survival_hops = 0;
-  /// Total observations the wave reached (>= survival_hops; a wave can skip
-  /// a rank and reappear past it without extending survival).
-  int reached_count = 0;
   /// True when speed_ranks_per_sec came from a real fit: >= 2 reached ranks
   /// and a positive front slope. All edge cases — wave never arrives,
   /// single-observation front, every wait below min_idle — leave this false
@@ -93,7 +101,9 @@ struct WaveAnalysis {
                                         const WaveProbe& probe);
 
 /// Convenience: the rank `hops` away from `origin` in `direction` under the
-/// boundary rule; nullopt when walking off an open chain.
+/// boundary rule; nullopt when walking off an open chain. analyze_wave()
+/// visits exactly this sequence for hops = 1, 2, ..., stepping one rank at a
+/// time.
 [[nodiscard]] std::optional<int> rank_at_hops(int origin, int hops,
                                               int direction, int ranks,
                                               workload::Boundary boundary);

@@ -8,9 +8,11 @@ namespace iw::mpi {
 
 Process::Process(int rank, sim::Engine& engine, Transport& transport,
                  Trace& trace)
-    : rank_(rank), engine_(engine), transport_(transport), trace_(&trace) {
-  IW_REQUIRE(rank >= 0, "rank must be non-negative");
-}
+    : rank_(rank),
+      row_(trace.own_row(rank)),
+      engine_(engine),
+      transport_(transport),
+      trace_(&trace) {}
 
 void Process::set_program(const Program* program) {
   IW_REQUIRE(program != nullptr, "program must not be null");
@@ -18,7 +20,7 @@ void Process::set_program(const Program* program) {
 }
 
 void Process::reset(int rank, Trace& trace) {
-  IW_REQUIRE(rank >= 0, "rank must be non-negative");
+  row_ = trace.own_row(rank);
   rank_ = rank;
   trace_ = &trace;
   program_ = nullptr;
@@ -155,7 +157,7 @@ void Process::resume(SimTime now) {
     }
 
     if (std::holds_alternative<OpMark>(op)) {
-      trace_->mark_step(rank_, next_step_, now);
+      trace_->append_step(row_, next_step_, now);
       ++next_step_;
       ++pc_;
       continue;
@@ -167,14 +169,15 @@ void Process::resume(SimTime now) {
   // Program complete.
   if (!done_) {
     done_ = true;
-    trace_->set_finish(rank_, now);
+    trace_->set_row_finish(row_, now);
   }
 }
 
 void Process::end_phase(SegKind kind, SimTime begin, Duration noise) {
   // No mark runs while a phase is pending, so the step is still current.
   const SimTime now = engine_.now();
-  trace_->add_segment(rank_, Segment{kind, begin, now, next_step_ - 1, noise});
+  trace_->append_segment(row_,
+                         Segment{kind, begin, now, next_step_ - 1, noise});
   ++pc_;
   resume(now);
 }
@@ -225,8 +228,8 @@ void Process::finish_wait(SimTime now) {
   if (tracer_ != nullptr) [[unlikely]]
     tracer_->record(now, obs::TraceEvent::kWaitEnd, rank_);
   if (now > wait_begin_) {
-    trace_->add_segment(rank_, Segment{SegKind::wait, wait_begin_, now,
-                                       next_step_ - 1, Duration::zero()});
+    trace_->append_segment(row_, Segment{SegKind::wait, wait_begin_, now,
+                                         next_step_ - 1, Duration::zero()});
   }
   req_count_ = 0;
   IW_AUDIT(settled_.clear());

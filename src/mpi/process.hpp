@@ -53,8 +53,10 @@ class Process {
 
   /// Re-arms the process for another run as `rank` (the pooled
   /// fast-forward path reuses one contiguous block of processes for
-  /// whatever sparse active set the plan selects): rebinds the trace,
-  /// clears the program, noise sources, domain, and interpreter state.
+  /// whatever sparse active set the plan selects): rebinds the trace and
+  /// resolves the rank's row in it (creating an empty one if the rank has
+  /// none), clears the program, noise sources, domain, and interpreter
+  /// state.
   void reset(int rank, Trace& trace);
 
   /// Called once after wiring; schedules the first instruction at t=0.
@@ -72,6 +74,7 @@ class Process {
   void on_request_settles_at(RequestId id, SimTime due);
 
   [[nodiscard]] bool done() const { return done_; }
+  [[nodiscard]] int rank() const { return rank_; }
 
  private:
   /// Interprets (iteration, pc) at the rank-local time `now` until blocked
@@ -99,6 +102,7 @@ class Process {
   void end_phase(SegKind kind, SimTime begin, Duration noise);
 
   int rank_;
+  Trace::RowId row_;  ///< this rank's trace row, resolved once at bind
   sim::Engine& engine_;
   Transport& transport_;
   Trace* trace_;

@@ -35,7 +35,6 @@ void Transport::reconfigure(const net::FabricProfile& fabric,
   }
   fabric_ = fabric;
   config_ = config;
-  nranks_ = static_cast<std::size_t>(topo_.ranks());
 
   // Config-derived fast flags: every optional subsystem (finite NIC,
   // credit window) costs nothing when disabled.
@@ -45,10 +44,10 @@ void Transport::reconfigure(const net::FabricProfile& fabric,
   credit_window_ = config_.eager.credit_window;
   flavor_ = config_.rendezvous.flavor;
 
-  // Grow-only, like the Cluster's process pool: states past nranks_ stay
-  // allocated for a later, larger run, and are cleared when it uses them.
-  if (ranks_.size() < nranks_) ranks_.resize(nranks_);
-  for (RankState& s : in_use()) {
+  // Clear what the last run touched, against its rank count; states past
+  // it are clean already. Then grow (never shrink, like the Cluster's
+  // process pool): new states are born clean.
+  const auto clear = [](RankState& s) {
     s.posted_recvs.clear();
     s.unexpected.clear();
     s.nic_backlog.clear();
@@ -57,7 +56,17 @@ void Transport::reconfigure(const net::FabricProfile& fabric,
     s.outstanding_handshakes = 0;
     s.arrivals_in_flight = 0;
     s.deferred.clear();
+  };
+  if (clear_all_) {
+    for (RankState& s : in_use()) clear(s);
+  } else {
+    for (const int rank : touched_) clear(state(rank));
   }
+  clear_all_ = true;
+  touched_.clear();
+  nranks_ = static_cast<std::size_t>(topo_.ranks());
+  if (ranks_.size() < nranks_) ranks_.resize(nranks_);
+
   rdv_slab_.clear();
   rdv_free_.clear();
 #if IW_AUDIT_ENABLED
@@ -93,6 +102,14 @@ void Transport::reconfigure(const net::FabricProfile& fabric,
 }
 
 void Transport::set_processes(Process* const* by_rank) { procs_ = by_rank; }
+
+void Transport::limit_clear_to(std::span<const int> ranks) {
+  for (const int rank : ranks)
+    IW_REQUIRE(rank >= 0 && static_cast<std::size_t>(rank) < nranks_,
+               "rank out of range");
+  touched_.assign(ranks.begin(), ranks.end());
+  clear_all_ = false;
+}
 
 void Transport::set_memory_domains(
     const std::vector<memory::BandwidthDomain*>& by_rank) {

@@ -161,11 +161,23 @@ class Transport {
   /// its topology/fabric/config: protocol state and wiring are cleared, but
   /// every pool (rank queues, rendezvous slab, credit table) keeps its
   /// storage. Rank states grow to the topology's current rank count and
-  /// never shrink; exactly the states in use are cleared, so a recycled
-  /// cluster alternating a 10^5-rank and a 20-rank point rebuilds nothing.
-  /// Validates the config. Must be paired with an Engine::reset().
+  /// never shrink. Only the states the last run touched are cleared —
+  /// every state of it, or the list limit_clear_to() declared — so every
+  /// retained state is clean afterwards, and a recycled cluster
+  /// alternating a 10^5-rank fast-forward point and a 20-rank point clears
+  /// a few hundred states, not 10^5. Validates the config. Must be paired
+  /// with an Engine::reset().
   void reconfigure(const net::FabricProfile& fabric,
                    const TransportConfig& config);
+
+  /// Declares every rank whose state the coming run can touch, so the next
+  /// reconfigure() clears only these: the ranks that post, plus every peer
+  /// they post to or receive from, plus the sources and destinations of
+  /// ghost sends. Arrivals into a rank that never posts still park in its
+  /// unexpected queue, so receiving-only peers must be listed. Without a
+  /// declaration the next reconfigure() clears all of the run's states.
+  /// Costs nothing per message.
+  void limit_clear_to(std::span<const int> ranks);
 
   /// Nonblocking send of `bytes` from `src` to `dst`.
   ///
@@ -469,6 +481,10 @@ class Transport {
 
   // Pools. All storage survives reconfigure(); only logical state resets.
   std::vector<RankState> ranks_;  ///< grow-only; [0, nranks_) in use
+  /// What the next reconfigure() clears: [0, nranks_) when clear_all_,
+  /// else the ranks limit_clear_to() listed.
+  bool clear_all_ = true;
+  std::vector<int> touched_;
   std::vector<RdvSend> rdv_slab_;
   std::vector<std::uint32_t> rdv_free_;
   std::vector<int> eager_credits_;  ///< ranks^2, in-flight msgs; credits only

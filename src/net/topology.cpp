@@ -1,5 +1,7 @@
 #include "net/topology.hpp"
 
+#include <algorithm>
+
 #include "support/error.hpp"
 
 namespace iw::net {
@@ -19,66 +21,81 @@ TopologySpec TopologySpec::packed(int ranks, int per_socket) {
   return spec;
 }
 
-Topology::Topology(const TopologySpec& spec)
-    : spec_(spec),
-      per_socket_(spec.ranks_per_socket > 0 ? spec.ranks_per_socket
-                                            : spec.cores_per_socket) {
-  IW_REQUIRE(spec_.ranks > 0, "topology needs at least one rank");
-  IW_REQUIRE(spec_.cores_per_socket > 0, "cores_per_socket must be positive");
-  IW_REQUIRE(spec_.sockets_per_node > 0, "sockets_per_node must be positive");
-  IW_REQUIRE(per_socket_ <= spec_.cores_per_socket,
+Topology::Topology(const TopologySpec& spec) { reset(spec); }
+
+void Topology::reset(const TopologySpec& spec) {
+  const int per_socket = spec.ranks_per_socket > 0 ? spec.ranks_per_socket
+                                                   : spec.cores_per_socket;
+  IW_REQUIRE(spec.ranks > 0, "topology needs at least one rank");
+  IW_REQUIRE(spec.cores_per_socket > 0, "cores_per_socket must be positive");
+  IW_REQUIRE(spec.sockets_per_node > 0, "sockets_per_node must be positive");
+  IW_REQUIRE(per_socket <= spec.cores_per_socket,
              "cannot place more ranks on a socket than it has cores");
-  IW_REQUIRE(spec_.nodes_per_switch >= 0,
+  IW_REQUIRE(spec.nodes_per_switch >= 0,
              "nodes_per_switch must be non-negative (0 = flat fabric)");
-  IW_REQUIRE(spec_.switches_per_island >= 0,
+  IW_REQUIRE(spec.switches_per_island >= 0,
              "switches_per_island must be non-negative (0 = no islands)");
-  IW_REQUIRE(spec_.switches_per_island == 0 || spec_.nodes_per_switch > 0,
+  IW_REQUIRE(spec.switches_per_island == 0 || spec.nodes_per_switch > 0,
              "an island tier requires a switch tier (set nodes_per_switch)");
+  // Under compact placement a rank's tier indices depend on the tier
+  // sizes, not on the rank count: with the same sizes the tables built so
+  // far stay valid, and only ranks past their end need entries.
+  const bool same_tiers = per_socket == per_socket_ &&
+                          spec.sockets_per_node == spec_.sockets_per_node &&
+                          spec.nodes_per_switch == spec_.nodes_per_switch &&
+                          spec.switches_per_island == spec_.switches_per_island;
+  const std::size_t valid = same_tiers ? socket_by_rank_.size() : 0;
+  spec_ = spec;
+  per_socket_ = per_socket;
 
-  socket_by_rank_.reserve(static_cast<std::size_t>(spec_.ranks));
-  node_by_rank_.reserve(static_cast<std::size_t>(spec_.ranks));
-  if (has_switch_tier())
-    switch_by_rank_.reserve(static_cast<std::size_t>(spec_.ranks));
-  if (has_island_tier())
-    island_by_rank_.reserve(static_cast<std::size_t>(spec_.ranks));
-
-  // One pass of running tier counters instead of per-rank divisions: each
-  // table entry increments when the rank index crosses its tier boundary.
-  int socket = 0, in_socket = 0;
-  int node = 0, in_node_sockets = 0;
-  int sw = 0, in_switch_nodes = 0;
-  int island = 0, in_island_switches = 0;
-  for (int rank = 0; rank < spec_.ranks; ++rank) {
-    socket_by_rank_.push_back(socket);
-    node_by_rank_.push_back(node);
-    if (has_switch_tier()) switch_by_rank_.push_back(sw);
-    if (has_island_tier()) island_by_rank_.push_back(island);
-    if (++in_socket == per_socket_) {
-      in_socket = 0;
-      ++socket;
-      if (++in_node_sockets == spec_.sockets_per_node) {
-        in_node_sockets = 0;
-        ++node;
-        if (has_switch_tier() &&
-            ++in_switch_nodes == spec_.nodes_per_switch) {
-          in_switch_nodes = 0;
-          ++sw;
-          if (has_island_tier() &&
-              ++in_island_switches == spec_.switches_per_island) {
-            in_island_switches = 0;
-            ++island;
-          }
+  // Tier t's index runs in blocks of its rank count: a running counter
+  // writes each entry once, with no division per rank. The tables never
+  // shrink their storage.
+  const int n = spec_.ranks;
+  if (valid < static_cast<std::size_t>(n)) {
+    const auto extend = [valid, n](std::vector<std::int32_t>& table,
+                                   int block) {
+      if (block == 0) {  // tier disabled
+        table.clear();
+        return;
+      }
+      table.resize(static_cast<std::size_t>(n));
+      auto index = static_cast<std::int32_t>(valid / block);
+      int left = block - static_cast<int>(valid % block);
+      for (std::size_t r = valid; r < table.size(); ++r) {
+        table[r] = index;
+        if (--left == 0) {
+          left = block;
+          ++index;
         }
       }
-    }
+    };
+    extend(socket_by_rank_, per_socket_);
+    extend(node_by_rank_, ranks_per_node());
+    extend(switch_by_rank_, ranks_per_switch());
+    extend(island_by_rank_, ranks_per_island());
   }
 
-  // classify(0, r) covers every producible class under compact placement:
-  // any pair (a, b) crossing a tier boundary implies that boundary lies
-  // below rank b, so the pair (0, b) crosses it too.
-  produces_[static_cast<std::size_t>(LinkClass::self)] = true;
-  for (int rank = 1; rank < spec_.ranks; ++rank)
-    produces_[static_cast<std::size_t>(classify(0, rank))] = true;
+  // classify(0, r) over r covers every producible class under compact
+  // placement (a pair crossing a tier boundary implies that boundary lies
+  // below its higher rank b, so (0, b) crosses it too). The first rank past
+  // a tier block classifies by the next tier up, so a class exists exactly
+  // when that rank exists and still shares the next tier with rank 0.
+  const auto crosses = [n](int block) { return block > 0 && n > block; };
+  const auto set = [this](LinkClass cls, bool on) {
+    produces_[static_cast<std::size_t>(cls)] = on;
+  };
+  set(LinkClass::self, true);
+  set(LinkClass::intra_socket, n > 1 && per_socket_ > 1);
+  set(LinkClass::inter_socket,
+      crosses(per_socket_) && spec_.sockets_per_node > 1);
+  set(LinkClass::inter_node,
+      crosses(ranks_per_node()) &&
+          (!has_switch_tier() || spec_.nodes_per_switch > 1));
+  set(LinkClass::inter_switch,
+      crosses(ranks_per_switch()) &&
+          (!has_island_tier() || spec_.switches_per_island > 1));
+  set(LinkClass::inter_island, crosses(ranks_per_island()));
 }
 
 int Topology::socket_of(int rank) const {

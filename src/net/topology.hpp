@@ -13,8 +13,11 @@
 // default to 0 = disabled, which reproduces the flat fabric exactly:
 // a flat topology never produces inter_switch/inter_island links, so every
 // pre-hierarchy configuration is bit-for-bit unchanged. Classification
-// stays division-free: all tiers are precomputed rank-indexed tables built
-// once at construction.
+// stays division-free: all tiers are precomputed rank-indexed tables. A
+// rank's tier indices depend only on the tier sizes, so reset() to a spec
+// with the same tier sizes keeps the tables and writes entries only for
+// ranks past their end; the tables may run longer than ranks(). Which link
+// classes exist follows from the tier sizes in closed form.
 #pragma once
 
 #include <array>
@@ -44,6 +47,13 @@ struct TopologySpec {
 class Topology {
  public:
   explicit Topology(const TopologySpec& spec);
+
+  /// Reshapes the topology to `spec` in place: the rank tables keep their
+  /// storage, and under unchanged tier sizes only ranks past the tables'
+  /// end get entries (alternating a 10^5-rank and a 256-rank machine of
+  /// one shape writes nothing). Same checks and result as constructing a
+  /// Topology from `spec`.
+  void reset(const TopologySpec& spec);
 
   [[nodiscard]] int ranks() const { return spec_.ranks; }
   [[nodiscard]] int ranks_per_socket() const { return per_socket_; }
@@ -115,7 +125,7 @@ class Topology {
 
  private:
   TopologySpec spec_;
-  int per_socket_;
+  int per_socket_ = 0;
   std::vector<std::int32_t> socket_by_rank_;
   std::vector<std::int32_t> node_by_rank_;
   std::vector<std::int32_t> switch_by_rank_;  ///< empty when tier disabled

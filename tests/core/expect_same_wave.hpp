@@ -23,14 +23,14 @@ inline void expect_same_fit(const LineFit& a, const LineFit& b,
 
 inline void expect_same_analysis(const WaveAnalysis& a, const WaveAnalysis& b,
                                  const std::string& where) {
-  ASSERT_EQ(a.observations.size(), b.observations.size()) << where;
-  for (std::size_t i = 0; i < a.observations.size(); ++i) {
-    const WaveObservation& oa = a.observations[i];
-    const WaveObservation& ob = b.observations[i];
-    const std::string at = where + " observation " + std::to_string(i);
+  EXPECT_EQ(a.hops_probed, b.hops_probed) << where;
+  ASSERT_EQ(a.front.size(), b.front.size()) << where;
+  for (std::size_t i = 0; i < a.front.size(); ++i) {
+    const WaveObservation& oa = a.front[i];
+    const WaveObservation& ob = b.front[i];
+    const std::string at = where + " front entry " + std::to_string(i);
     EXPECT_EQ(oa.rank, ob.rank) << at;
     EXPECT_EQ(oa.hops, ob.hops) << at;
-    EXPECT_EQ(oa.reached, ob.reached) << at;
     EXPECT_EQ(oa.arrival, ob.arrival) << at;
     EXPECT_EQ(oa.amplitude, ob.amplitude) << at;
   }
@@ -39,7 +39,6 @@ inline void expect_same_analysis(const WaveAnalysis& a, const WaveAnalysis& b,
   EXPECT_EQ(a.speed_ranks_per_sec, b.speed_ranks_per_sec) << where;
   EXPECT_EQ(a.decay_us_per_rank, b.decay_us_per_rank) << where;
   EXPECT_EQ(a.survival_hops, b.survival_hops) << where;
-  EXPECT_EQ(a.reached_count, b.reached_count) << where;
   EXPECT_EQ(a.front_valid, b.front_valid) << where;
   EXPECT_EQ(a.front_rmse_us, b.front_rmse_us) << where;
   EXPECT_EQ(a.amplitude_rmse_us, b.amplitude_rmse_us) << where;

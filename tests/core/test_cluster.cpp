@@ -313,8 +313,10 @@ TEST(RunWaveExperiment, NoDelaysMeansNoWave) {
   exp.ring = ring;
   exp.cluster = cluster_for_ring(ring);
   const auto result = run_wave_experiment(exp);
-  EXPECT_TRUE(result.up.observations.empty());
-  EXPECT_TRUE(result.down.observations.empty());
+  EXPECT_EQ(result.up.hops_probed, 0);
+  EXPECT_TRUE(result.up.front.empty());
+  EXPECT_EQ(result.down.hops_probed, 0);
+  EXPECT_TRUE(result.down.front.empty());
   EXPECT_EQ(result.trace.ranks(), 4);
 }
 

@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/fast_forward.hpp"
@@ -151,7 +152,7 @@ TEST(FastForward, AnalysisMatchesFullSimulation) {
     exp.ffwd = FfwdMode::force;
     const WaveResult fast = run_wave_experiment(exp);
     ASSERT_TRUE(fast.trace.has_aliases()) << name;
-    ASSERT_FALSE(full.up.observations.empty()) << name;
+    ASSERT_FALSE(full.up.front.empty()) << name;
     expect_same_analysis(full.up, fast.up, name + " up");
     expect_same_analysis(full.down, fast.down, name + " down");
   }
@@ -162,11 +163,11 @@ TEST(FastForward, SkipAccountingMatchesPlan) {
       80, workload::Direction::unidirectional, workload::Boundary::open, 1);
   const FastForwardPlan plan = plan_fast_forward(exp);
   ASSERT_TRUE(plan.eligible) << plan.reason;
-  ASSERT_LT(plan.active_count, static_cast<std::size_t>(80));
+  ASSERT_LT(plan.active.size(), static_cast<std::size_t>(80));
   WaveExperiment forced = exp;
   forced.ffwd = FfwdMode::force;
   const WaveResult result = run_wave_experiment(forced);
-  const std::uint64_t silent = 80 - plan.active_count;
+  const std::uint64_t silent = 80 - plan.active.size();
   EXPECT_EQ(result.ffwd_skips,
             silent * static_cast<std::uint64_t>(exp.ring.steps));
 }
@@ -232,11 +233,53 @@ TEST(FastForward, AutoFallsBackWhenNothingIsSilent) {
   WaveExperiment exp = ring_experiment(
       12, workload::Direction::unidirectional, workload::Boundary::open, 1);
   const FastForwardPlan plan = plan_fast_forward(exp);
-  ASSERT_EQ(plan.active_count, static_cast<std::size_t>(12));
+  ASSERT_EQ(plan.active.size(), static_cast<std::size_t>(12));
   exp.ffwd = FfwdMode::auto_;
   const WaveResult result = run_wave_experiment(exp);
   EXPECT_EQ(result.ffwd_skips, 0u);
   EXPECT_GT(result.events_processed, 0u);
+}
+
+// The plan lists the union of the light cones, ascending and each rank
+// once: cones that wrap a periodic ring, cones that overlap each other, and
+// an open chain's end cones, against a per-rank marking of every cone.
+TEST(FastForward, PlanListsTheUnionOfTheLightCones) {
+  constexpr int kRanks = 96;
+  constexpr int kRadius = 2 * (12 + 2);  // d * (steps + 2)
+  for (const auto boundary :
+       {workload::Boundary::open, workload::Boundary::periodic}) {
+    for (const int first : {0, 3, 40, 77, 95}) {
+      WaveExperiment exp = ring_experiment(
+          kRanks, workload::Direction::bidirectional, boundary, 2);
+      exp.delays = workload::single_delay(first, 1, milliseconds(10.0));
+      exp.delays.push_back(workload::DelaySpec{(first + 30) % kRanks, 2,
+                                               milliseconds(5.0)});
+      const FastForwardPlan plan = plan_fast_forward(exp);
+      ASSERT_TRUE(plan.eligible) << plan.reason;
+
+      std::vector<bool> marked(kRanks, false);
+      const auto mark = [&](int center) {
+        for (int r = center - kRadius; r <= center + kRadius; ++r) {
+          if (boundary == workload::Boundary::periodic)
+            marked[static_cast<std::size_t>((r % kRanks + kRanks) % kRanks)] =
+                true;
+          else if (r >= 0 && r < kRanks)
+            marked[static_cast<std::size_t>(r)] = true;
+        }
+      };
+      for (const auto& d : exp.delays) mark(d.rank);
+      if (boundary == workload::Boundary::open) {
+        mark(0);
+        mark(kRanks - 1);
+      }
+      std::vector<int> want;
+      for (int r = 0; r < kRanks; ++r)
+        if (marked[static_cast<std::size_t>(r)]) want.push_back(r);
+      EXPECT_EQ(plan.active, want)
+          << (boundary == workload::Boundary::open ? "open" : "periodic")
+          << ", first delay at rank " << first;
+    }
+  }
 }
 
 TEST(FastForward, AutoFallsBackWhenIneligible) {

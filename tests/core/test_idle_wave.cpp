@@ -121,7 +121,7 @@ TEST(AnalyzeWave, MaxHopsLimitsProbe) {
   probe.direction = +1;
   probe.max_hops = 3;
   const WaveAnalysis wave = analyze_wave(trace, probe);
-  EXPECT_EQ(wave.observations.size(), 3u);
+  EXPECT_EQ(wave.hops_probed, 3);
   EXPECT_EQ(wave.survival_hops, 3);
 }
 
@@ -135,7 +135,7 @@ TEST(AnalyzeWave, WaveNeverReachesAnyRank) {
   probe.injection_time = SimTime{10'000'000};
   probe.min_idle = milliseconds(1.0);
   const WaveAnalysis wave = analyze_wave(trace, probe);
-  EXPECT_EQ(wave.reached_count, 0);
+  EXPECT_TRUE(wave.front.empty());
   EXPECT_EQ(wave.survival_hops, 0);
   EXPECT_FALSE(wave.front_valid);
   EXPECT_FALSE(wave.front_fit.valid);
@@ -155,7 +155,7 @@ TEST(AnalyzeWave, SingleObservationFrontIsDegenerateNotGarbage) {
   probe.injection_time = SimTime{10'000'000};
   probe.min_idle = milliseconds(1.0);
   const WaveAnalysis wave = analyze_wave(trace, probe);
-  EXPECT_EQ(wave.reached_count, 1);
+  EXPECT_EQ(wave.front.size(), 1u);
   EXPECT_EQ(wave.survival_hops, 1);
   EXPECT_EQ(wave.front_fit.n, 1u);
   EXPECT_FALSE(wave.front_fit.valid);
@@ -176,11 +176,14 @@ TEST(AnalyzeWave, PeriodicBoundaryHopsWrapAround) {
   probe.min_idle = milliseconds(1.0);
   probe.boundary = workload::Boundary::periodic;
   const WaveAnalysis wave = analyze_wave(trace, probe);
-  ASSERT_EQ(wave.observations.size(), 5u);  // once around minus one
-  EXPECT_EQ(wave.observations[0].rank, 5);
-  EXPECT_EQ(wave.observations[1].rank, 0);  // wrapped
-  EXPECT_EQ(wave.observations[2].rank, 1);
-  EXPECT_TRUE(wave.observations[1].reached);
+  EXPECT_EQ(wave.hops_probed, 5);  // once around minus one
+  ASSERT_EQ(wave.front.size(), 3u);
+  EXPECT_EQ(wave.front[0].rank, 5);
+  EXPECT_EQ(wave.front[0].hops, 1);
+  EXPECT_EQ(wave.front[1].rank, 0);  // wrapped, and reached
+  EXPECT_EQ(wave.front[1].hops, 2);
+  EXPECT_EQ(wave.front[2].rank, 1);
+  EXPECT_EQ(wave.front[2].hops, 3);
   EXPECT_EQ(wave.survival_hops, 3);
   EXPECT_TRUE(wave.front_valid);
   EXPECT_NEAR(wave.speed_ranks_per_sec, 250.0, 1e-6);  // 4 ms per hop
@@ -193,7 +196,7 @@ TEST(AnalyzeWave, AllWaitsBelowMinIdleYieldNoFit) {
   probe.injection_time = SimTime{10'000'000};
   probe.min_idle = milliseconds(25.0);  // above every amplitude
   const WaveAnalysis wave = analyze_wave(trace, probe);
-  EXPECT_EQ(wave.reached_count, 0);
+  EXPECT_TRUE(wave.front.empty());
   EXPECT_EQ(wave.survival_hops, 0);
   EXPECT_FALSE(wave.front_valid);
   EXPECT_DOUBLE_EQ(wave.speed_ranks_per_sec, 0.0);
@@ -208,7 +211,7 @@ TEST(AnalyzeWave, CleanWaveResidualsAreTinyAndR2Perfect) {
   probe.min_idle = milliseconds(1.0);
   const WaveAnalysis wave = analyze_wave(trace, probe);
   EXPECT_TRUE(wave.front_valid);
-  EXPECT_EQ(wave.reached_count, 9);
+  EXPECT_EQ(wave.front.size(), 9u);
   EXPECT_NEAR(wave.front_rmse_us, 0.0, 1e-6);      // exact line
   EXPECT_NEAR(wave.amplitude_rmse_us, 0.0, 1e-6);  // exact line
   EXPECT_NEAR(wave.front_fit.r2, 1.0, 1e-12);
@@ -225,16 +228,17 @@ TEST(AnalyzeWave, WaitsEndingBeforeInjectionAreIgnored) {
   probe.min_idle = milliseconds(1.0);
   probe.direction = +1;
   const WaveAnalysis wave = analyze_wave(trace, probe);
-  ASSERT_TRUE(wave.observations[0].reached);
-  EXPECT_EQ(wave.observations[0].arrival, SimTime{20'000'000});
+  ASSERT_FALSE(wave.front.empty());
+  EXPECT_EQ(wave.front[0].hops, 1);  // rank 3, the first hop, is reached
+  EXPECT_EQ(wave.front[0].arrival, SimTime{20'000'000});
 }
 
 // Fast-forward traces alias most ranks onto a few shared rows, and
-// analyze_wave() then scans each shared row once. The memoized analysis
-// must equal the per-rank scan of the same content held in private rows:
-// 300 distinct rows around the injection (more than the memo's table, so
-// entries get evicted and rescanned) and 300 ranks aliasing three shared
-// rows that never reach, reach before the injection, and reach after it.
+// analyze_wave() then scans each shared row once. The analysis of the
+// aliased trace must equal that of the same content held in one private
+// row per rank: 300 distinct rows around the injection and 300 ranks
+// aliasing three shared rows that never reach, reach before the
+// injection, and reach after it.
 TEST(AnalyzeWave, AliasedRowsMatchPrivateCopies) {
   constexpr int kRanks = 600;
   constexpr int kInjection = 150;

@@ -8,11 +8,15 @@
 // boundary, direction, placement, and on some draws a credit window, a
 // finite NIC or a one-sided rendezvous flavor, all with fast-forward off.
 // Traces, step marks, engine counters and transport stats must be
-// identical. The transport keeps rank states past a smaller run's count,
-// so the sequences must regrow past a size they shrank from, and a
-// dedicated test runs 2048, 8, then 2048 ranks on one cluster. Every such
-// run drains its queues, so a last test recycles the cluster of a run that
-// stopped with work in flight.
+// identical. A second property alternates machine-scale fast-forward points
+// of the scale_wave shape with smaller full and fast-forward points: after
+// a fast-forward run reset() clears only the transport states that run
+// touched, so a state it missed (a ghost send's silent destination, say)
+// would leak into the next run that uses that rank. The transport keeps
+// rank states past a smaller run's count, so the sequences must regrow past
+// a size they shrank from, and a dedicated test runs 2048, 8, then 2048
+// ranks on one cluster. Every such run drains its queues, so a last test
+// recycles the cluster of a run that stopped with work in flight.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -162,6 +166,8 @@ WaveResult expect_matches_fresh(WaveRunner& runner, WaveExperiment exp,
   EXPECT_EQ(reused.unexpected_rts, fresh.unexpected_rts) << where;
   EXPECT_EQ(reused.measured_cycle, fresh.measured_cycle) << where;
   EXPECT_EQ(reused.injection_time, fresh.injection_time) << where;
+  EXPECT_EQ(reused.ffwd_skips, fresh.ffwd_skips) << where;
+  EXPECT_EQ(reused.ffwd_time_skipped, fresh.ffwd_time_skipped) << where;
   return reused;
 }
 
@@ -207,9 +213,74 @@ TEST(RecycledCluster, RandomSequencesMatchFreshClusters) {
   EXPECT_GT(regrowths, 0);
 }
 
-// Shrink, then grow back: the 8-rank run clears only its own rank states,
-// so the second 2048-rank run reuses 2040 states the first one left dirty
-// (NIC clocks, queue contents) and must clear every one of them.
+/// A ring of the scale_wave shape (2 ranks per socket, 8 nodes per leaf
+/// switch: pattern period 32) with one delay, noise-free so fast-forward
+/// is eligible. `np` must be a multiple of 32.
+WaveExperiment scale_shape(Rng& rng, int np, int max_delay_rank,
+                           FfwdMode ffwd) {
+  WaveExperiment exp;
+  exp.ring.ranks = np;
+  exp.ring.direction = chance(rng, 0.7) ? workload::Direction::bidirectional
+                                        : workload::Direction::unidirectional;
+  exp.ring.boundary = chance(rng, 0.5) ? workload::Boundary::open
+                                       : workload::Boundary::periodic;
+  exp.ring.distance = pick(rng, 1, 2);
+  exp.ring.msg_bytes = 8192;
+  exp.ring.steps = pick(rng, 6, 12);
+  exp.ring.texec = milliseconds(1.0);
+  exp.cluster = cluster_for_ring(exp.ring, /*ppn1=*/false, 2);
+  exp.cluster.topo.nodes_per_switch = 8;
+  exp.cluster.seed = rng.next_u64();
+  exp.delays = workload::single_delay(pick(rng, 0, max_delay_rank),
+                                      pick(rng, 1, exp.ring.steps / 2),
+                                      milliseconds(pick(rng, 2, 12)));
+  exp.min_idle = milliseconds(0.2);
+  exp.ffwd = ffwd;
+  return exp;
+}
+
+// Each sequence alternates a >= 8192-rank fast-forward point with a smaller
+// full point (64-512 ranks, which reuses the low rank states the big
+// point's rim may have dirtied: its delays sit in the lowest 400 ranks, and
+// open chains simulate both ends) or a smaller fast-forward point.
+TEST(RecycledCluster, FastForwardPointsMatchFreshClusters) {
+  int big_points = 0;
+  int aliased = 0;
+  int full_after_ffwd = 0;
+  for (std::uint64_t seq = 0; seq < 6; ++seq) {
+    Rng rng(0xFF3D5EEDull + seq);
+    WaveRunner runner;
+    for (int i = 0; i < 6; ++i) {
+      const std::string where = "ffwd sequence " + std::to_string(seq) +
+                                " experiment " + std::to_string(i);
+      WaveExperiment exp;
+      if (i % 2 == 0) {
+        exp = scale_shape(rng, 32 * pick(rng, 256, 512), 400, FfwdMode::force);
+        ++big_points;
+      } else if (chance(rng, 0.7)) {
+        exp = scale_shape(rng, 32 * pick(rng, 2, 16), 63, FfwdMode::off);
+        ++full_after_ffwd;
+      } else {
+        exp = scale_shape(rng, 32 * pick(rng, 16, 64), 400, FfwdMode::force);
+      }
+      const WaveResult reused = expect_matches_fresh(runner, exp, where);
+      if (exp.ffwd == FfwdMode::force) {
+        EXPECT_GT(reused.ffwd_skips, 0u) << where;
+        if (reused.trace.has_aliases()) ++aliased;
+      }
+      if (::testing::Test::HasFailure()) return;  // one report is enough
+    }
+  }
+  // Every fast-forward point aliases its silent ranks onto shared rows.
+  EXPECT_EQ(big_points, 18);
+  EXPECT_EQ(aliased, 36 - full_after_ffwd);
+  EXPECT_GE(full_after_ffwd, 9);
+}
+
+// Shrink, then grow back: the 2048-rank run is full, so reset() clears all
+// of its 2048 rank states; the 8-rank run then clears its own 8, and the
+// second 2048-rank run must find the 2040 states past them clean (no NIC
+// clocks or queue contents left by the first).
 TEST(RecycledCluster, ShrinkThenGrowMatchesAFreshCluster) {
   const auto ring_of = [](int ranks, std::int64_t bytes) {
     WaveExperiment exp;
