@@ -82,7 +82,8 @@ class BandwidthDomain;
   X(service_jobs_submitted, "service.jobs_submitted", counter)              \
   X(service_jobs_rejected, "service.jobs_rejected", counter)                \
   X(service_jobs_cancelled, "service.jobs_cancelled", counter)              \
-  X(service_sched_decisions, "service.sched_decisions", counter)
+  X(service_sched_decisions, "service.sched_decisions", counter)            \
+  X(service_cache_bytes, "service.cache_bytes", gauge)
 
 namespace iw::obs {
 

@@ -88,7 +88,9 @@ const std::string* PointCache::find(const std::string& key) const {
 
 const std::string& PointCache::insert(const std::string& key,
                                       std::string line) {
-  return store_.emplace(key, std::move(line)).first->second;
+  const auto [it, inserted] = store_.emplace(key, std::move(line));
+  if (inserted) bytes_ += it->first.size() + it->second.size();
+  return it->second;
 }
 
 }  // namespace iw::service

@@ -53,11 +53,14 @@ class PointCache {
   const std::string& insert(const std::string& key, std::string line);
 
   [[nodiscard]] std::size_t size() const { return store_.size(); }
+  /// Key plus line bytes held (string payloads, not map node overhead).
+  [[nodiscard]] std::size_t bytes() const { return bytes_; }
 
  private:
   /// Node-based and never evicted: the lines find() and insert() return
   /// stay valid for the cache's lifetime, so jobs refer to them.
   std::map<std::string, std::string> store_;
+  std::size_t bytes_ = 0;
 };
 
 }  // namespace iw::service

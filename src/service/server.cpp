@@ -152,7 +152,6 @@ void Server::handle_line(Conn& conn, const std::string& line) {
         return;
       }
       conn.jobs.push_back(r.job);
-      conn.streaming.push_back(r.job);
       drain_streams(conn);
       return;
     }
@@ -193,8 +192,8 @@ void Server::handle_line(Conn& conn, const std::string& line) {
 }
 
 void Server::drain_streams(Conn& conn) {
-  for (std::size_t i = 0; i < conn.streaming.size();) {
-    const std::uint64_t job = conn.streaming[i];
+  for (std::size_t i = 0; i < conn.jobs.size();) {
+    const std::uint64_t job = conn.jobs[i];
     // Order matters: checking finished() before draining guarantees the
     // terminal line (pushed before finished() flips) is in this drain.
     const bool fin = service_.finished(job);
@@ -205,9 +204,10 @@ void Server::drain_streams(Conn& conn) {
         conn.dead = true;
         return;
       }
+    // Its terminal line is sent: abandon() would be a no-op from here on,
+    // so the connection forgets the job.
     if (fin)
-      conn.streaming.erase(conn.streaming.begin() +
-                           static_cast<std::ptrdiff_t>(i));
+      conn.jobs.erase(conn.jobs.begin() + static_cast<std::ptrdiff_t>(i));
     else
       ++i;
   }
@@ -217,7 +217,6 @@ void Server::disconnect(Conn& conn) {
   for (const std::uint64_t job : conn.jobs) service_.abandon(job);
   conn.fd.reset();
   conn.jobs.clear();
-  conn.streaming.clear();
 }
 
 }  // namespace iw::service

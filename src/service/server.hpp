@@ -65,8 +65,9 @@ class Server {
   struct Conn {
     ScopedFd fd;
     LineBuffer in;
-    std::vector<std::uint64_t> jobs;       ///< submitted on this connection
-    std::vector<std::uint64_t> streaming;  ///< jobs with lines still coming
+    /// Jobs submitted on this connection whose terminal line is not yet
+    /// sent: each is abandoned if the connection drops.
+    std::vector<std::uint64_t> jobs;
     bool dead = false;
   };
 

@@ -50,8 +50,6 @@ SubmitResult CampaignService::submit(const std::string& client, int priority,
     Job& j = *owned;
     j.id = next_job_++;
     j.client = client;
-    j.priority = priority;
-    j.spec = spec;
     j.points = std::move(pts);
     const std::size_t n = j.points.size();
     j.keys.resize(n);
@@ -60,6 +58,9 @@ SubmitResult CampaignService::submit(const std::string& client, int priority,
     std::size_t reserved = 0;
     std::size_t submit_hits = 0;
     for (std::size_t pi = 0; pi < n; ++pi) {
+      // record_line and pump use the slot position as the point index, so
+      // a finished job needs no points to stream or replay its records.
+      assert(j.points[pi].index == pi);
       j.keys[pi] = canonical_point_key(spec, j.points[pi]);
       const std::string& key = j.keys[pi];
       if (const std::string* hit = cache_.find(key)) {
@@ -80,6 +81,7 @@ SubmitResult CampaignService::submit(const std::string& client, int priority,
     }
     queue_.open(client, j.id, priority, j.compute_order.size(), reserved);
     Job& placed = *jobs_.emplace(j.id, std::move(owned)).first->second;
+    jobs_open_ += 1;
     if (m) m->add(obs::MetricId::service_jobs_submitted, 1);
     check_finalize(placed);
     publish_gauges();
@@ -116,7 +118,11 @@ bool CampaignService::drain(std::uint64_t job, std::vector<std::string>& lines) 
   Job* j = find_job(job);
   if (j == nullptr) return false;
   for (std::string& line : j->out) lines.push_back(std::move(line));
-  j->out.clear();
+  // Nothing follows the terminal line: a finished job gives the buffer back.
+  if (j->finished)
+    std::vector<std::string>().swap(j->out);
+  else
+    j->out.clear();
   return true;
 }
 
@@ -131,16 +137,13 @@ bool CampaignService::results_so_far(std::uint64_t job,
   std::lock_guard<std::mutex> lk(mu_);
   const Job* j = find_job(job);
   if (j == nullptr) return false;
-  for (std::size_t pi = 0; pi < j->points.size(); ++pi)
+  for (std::size_t pi = 0; pi < j->slots.size(); ++pi)
     if (j->slots[pi] == Job::Slot::done) lines.push_back(record_line(*j, pi));
   return true;
 }
 
 std::string CampaignService::status_json() const {
   std::lock_guard<std::mutex> lk(mu_);
-  std::size_t open = 0;
-  for (const auto& [id, j] : jobs_)
-    if (!j->finished) open += 1;
   std::string clients = "{";
   bool first = true;
   for (const auto& [name, s] : stats_) {
@@ -162,8 +165,9 @@ std::string CampaignService::status_json() const {
       {{"type", json_str("status")},
        {"queue_depth", std::to_string(queue_.queue_depth())},
        {"clients_active", std::to_string(queue_.clients_active())},
-       {"jobs_open", std::to_string(open)},
+       {"jobs_open", std::to_string(jobs_open_)},
        {"cache_entries", std::to_string(cache_.size())},
+       {"cache_bytes", std::to_string(cache_.bytes())},
        {"decisions", std::to_string(queue_.decisions())},
        {"points_computed", std::to_string(total_computed_)},
        {"clients", clients}});
@@ -175,7 +179,7 @@ void CampaignService::abandon(std::uint64_t job) {
     Job* j = find_job(job);
     if (j == nullptr || j->abandoned) return;
     j->abandoned = true;
-    j->out.clear();
+    std::vector<std::string>().swap(j->out);
     if (!j->finished && !j->cancelled) {
       reclaim_unfinished(*j);
       if (options_.metrics)
@@ -237,13 +241,17 @@ bool CampaignService::pump() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     batch_in_flight_ = false;
+    // j is unfinished here: its claimed points are not done, and
+    // queue_.claimed(jid) stays non-zero until complete_claimed below. Only
+    // a job waiting on its own key (two points with one key) can finish,
+    // and so shed its expansion, inside the waiter loop of its last record;
+    // that loop reads the local `key`, never j.keys.
     Job& j = *jobs_.at(jid);
     obs::MetricsRegistry* m = options_.metrics;
-    std::map<std::uint64_t, std::size_t> by_index;
-    for (const std::size_t pi : point_idx) by_index[j.points[pi].index] = pi;
     for (const sweep::SweepRecord& rec : res.records) {
-      const std::size_t pi = by_index.at(rec.index);
-      const std::string& key = j.keys[pi];
+      const std::size_t pi = rec.index;  // the batch holds j's own points
+      assert(j.slots[pi] == Job::Slot::claimed);
+      const std::string key = std::move(j.keys[pi]);
       const std::string& line =
           cache_.insert(key, sweep::record_json_line(rec));
       fill_record(j, pi, line);
@@ -316,7 +324,7 @@ void CampaignService::reclaim_unfinished(Job& j) {
   // Seen by run_campaign's workers: a running batch stops claiming points
   // at the next boundary; everything it completed is still delivered.
   j.cancel_flag.store(true, std::memory_order_relaxed);
-  for (std::size_t pi = 0; pi < j.points.size(); ++pi) {
+  for (std::size_t pi = 0; pi < j.slots.size(); ++pi) {
     if (j.slots[pi] == Job::Slot::pending) {
       j.slots[pi] = Job::Slot::reclaimed;
       release_ownership(j.keys[pi]);
@@ -360,11 +368,11 @@ std::string CampaignService::record_line(const Job& j, std::size_t pi) {
   // The one column that is campaign-relative rather than a pure function of
   // the cache key: a shared point keeps its bytes but takes the requesting
   // campaign's point index.
-  return sweep::with_json_index(*j.lines[pi], j.points[pi].index);
+  return sweep::with_json_index(*j.lines[pi], pi);
 }
 
 void CampaignService::advance_emission(Job& j) {
-  while (j.next_emit < j.points.size() &&
+  while (j.next_emit < j.slots.size() &&
          j.slots[j.next_emit] == Job::Slot::done) {
     if (!j.abandoned) j.out.push_back(record_line(j, j.next_emit));
     j.emitted += 1;
@@ -391,7 +399,7 @@ void CampaignService::release_ownership(const std::string& key) {
 
 void CampaignService::check_finalize(Job& j) {
   if (j.finished) return;
-  const std::size_t n = j.points.size();
+  const std::size_t n = j.slots.size();
   if (j.cancelled) {
     if (queue_.claimed(j.id) != 0) return;  // a batch is still draining
     // Records a cancellation left beyond the contiguous streamed prefix —
@@ -406,15 +414,24 @@ void CampaignService::check_finalize(Job& j) {
       j.out.push_back(j.terminal_error.empty()
                           ? cancelled_response(j.id, j.emitted)
                           : error_response("compute-failed", j.terminal_error));
-    j.finished = true;
-    queue_.close(j.id);
   } else if (j.done_count == n) {
     if (!j.abandoned)
       j.out.push_back(
           done_response(j.id, j.emitted, j.cache_hits, j.computed));
-    j.finished = true;
-    queue_.close(j.id);
+  } else {
+    return;
   }
+  j.finished = true;
+  jobs_open_ -= 1;
+  queue_.close(j.id);
+  // Nothing reads a finished job's expansion: drain, results, finished,
+  // abandon and status need only its slots, lines and counters. Every
+  // caller is past its last read of this job's points and keys: submit,
+  // cancel and abandon call this last, and pump moves each key out before
+  // the fill that may finish the job (see there).
+  std::vector<sweep::SweepPoint>().swap(j.points);
+  std::vector<std::string>().swap(j.keys);
+  std::vector<std::size_t>().swap(j.compute_order);
 }
 
 void CampaignService::publish_gauges() {
@@ -424,6 +441,8 @@ void CampaignService::publish_gauges() {
          static_cast<double>(queue_.queue_depth()));
   m->set(obs::MetricId::service_clients_active,
          static_cast<double>(queue_.clients_active()));
+  m->set(obs::MetricId::service_cache_bytes,
+         static_cast<double>(cache_.bytes()));
   m->set(obs::MetricId::service_points_per_sec,
          total_batch_seconds_ > 0.0
              ? static_cast<double>(total_computed_) / total_batch_seconds_

@@ -26,6 +26,15 @@
 //                oldest waiter is promoted to owner and computes it.
 //   compute    — this job becomes the key's owner; the point enters the
 //                fair-share queue.
+//
+// Memory: a job holds its expanded points and their cache keys only while
+// it is unfinished. When it finishes (every point done, or cancelled with
+// no claimed point left), it keeps just what drain/results/finished/
+// abandon/status read — one slot byte and one cache line pointer per
+// point, its counters and its undrained output, about 9 B per point plus a
+// fixed header. Re-submitting cached campaigns therefore grows the daemon
+// by that much per point, and the cache is the only state that grows with
+// distinct points.
 #pragma once
 
 #include <atomic>
@@ -136,10 +145,14 @@ class CampaignService {
   struct Job {
     std::uint64_t id = 0;
     std::string client;
-    int priority = 0;
-    sweep::SweepSpec spec;
-    std::vector<sweep::SweepPoint> points;
+    // The expansion: read only while the job is unfinished, released by
+    // check_finalize when it finishes.
+    std::vector<sweep::SweepPoint> points;  ///< points[pi].index == pi
     std::vector<std::string> keys;  ///< canonical cache key per point
+    /// Point indices needing compute, in point order; the JobQueue's slot
+    /// offsets index this array (promotions append, claims walk forward).
+    std::vector<std::size_t> compute_order;
+    // Kept for the job's lifetime.
     /// Per-point slot state. done/pending/claimed/reserved as in the
     /// class comment; reclaimed = cancelled before a record existed.
     enum class Slot : std::uint8_t {
@@ -149,13 +162,10 @@ class CampaignService {
       reserved,
       reclaimed
     };
-    std::vector<Slot> slots;
+    std::vector<Slot> slots;  ///< one per point: its size is the point count
     /// Cache-owned record line per point, set where the slot is done; a
     /// job holds no copy of the bytes (see record_line).
     std::vector<const std::string*> lines;
-    /// Point indices needing compute, in point order; the JobQueue's slot
-    /// offsets index this array (promotions append, claims walk forward).
-    std::vector<std::size_t> compute_order;
     std::size_t next_emit = 0;  ///< first point index not yet emitted
     std::size_t emitted = 0;
     std::size_t done_count = 0;
@@ -187,10 +197,12 @@ class CampaignService {
   void reclaim_unfinished(Job& j);
   /// Marks point `pi` done with `line`, a cache-owned record line.
   void fill_record(Job& j, std::size_t pi, const std::string& line);
-  /// Point `pi`'s record line with the job's own point index.
+  /// Point `pi`'s record line with the job's own point index, `pi`.
   static std::string record_line(const Job& j, std::size_t pi);
   void advance_emission(Job& j);
   void release_ownership(const std::string& key);
+  /// Emits the terminal line once the job is done or drained of claimed
+  /// work, then releases its expansion (points, keys, compute_order).
   void check_finalize(Job& j);
   void publish_gauges();
   [[nodiscard]] bool runnable_locked() const;
@@ -205,6 +217,7 @@ class CampaignService {
   std::map<std::string, std::vector<Owner>> waiters_;  ///< key -> reserved
   std::map<std::string, ClientStats> stats_;
   std::uint64_t next_job_ = 1;
+  std::size_t jobs_open_ = 0;  ///< accepted and not yet finished
   std::uint64_t total_computed_ = 0;
   double total_batch_seconds_ = 0.0;
   bool stop_ = false;

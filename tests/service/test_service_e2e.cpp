@@ -8,8 +8,11 @@
 //       JSONL a client assembles from the stream equals a one-shot
 //       run_campaign + JsonlSink file of the same campaign;
 //   (b) two overlapping campaigns recompute zero shared points.
+// Plus the finished-job contract: a job that released its expansion still
+// replays exactly what it streamed, however its points were served.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -17,11 +20,13 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "service/cache.hpp"
 #include "service/protocol.hpp"
 #include "service/service.hpp"
 #include "support/json.hpp"
 #include "sweep/record.hpp"
 #include "sweep/runner.hpp"
+#include "sweep/spec.hpp"
 
 namespace iw::service {
 namespace {
@@ -210,6 +215,187 @@ TEST(ServiceE2E, ResultsReplayMatchesStream) {
   std::vector<std::string> replayed;
   ASSERT_TRUE(service.results_so_far(r.job, replayed));
   EXPECT_EQ(replayed, split(streamed).records);
+}
+
+// ---------------------------------------------------------------------------
+// Finished jobs. A job drops its expanded points and keys when it finishes
+// and keeps only its slots and cache line pointers; everything a client can
+// still ask of it must read the same from those.
+// ---------------------------------------------------------------------------
+
+/// Drains the whole stream of a finished job and checks what it keeps: the
+/// `results` replay equals the streamed records byte for byte, a drain after
+/// the terminal line yields nothing, and abandoning it (a disconnect)
+/// changes nothing. Returns the streamed lines.
+std::vector<std::string> expect_finished_job_keeps_its_records(
+    CampaignService& service, std::uint64_t job) {
+  EXPECT_TRUE(service.finished(job));
+  std::vector<std::string> streamed;
+  EXPECT_TRUE(service.drain(job, streamed));
+  EXPECT_FALSE(streamed.empty());
+  if (streamed.empty()) return streamed;
+  EXPECT_FALSE(is_record_line(streamed.back()))
+      << "the stream ends in its terminal line";
+
+  std::vector<std::string> replayed;
+  EXPECT_TRUE(service.results_so_far(job, replayed));
+  EXPECT_EQ(replayed, split(streamed).records);
+
+  std::vector<std::string> after;
+  EXPECT_TRUE(service.drain(job, after));
+  EXPECT_TRUE(after.empty()) << "nothing follows the terminal line";
+
+  const std::string status = service.status_json();
+  service.abandon(job);
+  EXPECT_FALSE(service.cancel(job));
+  EXPECT_TRUE(service.finished(job));
+  EXPECT_TRUE(service.drain(job, after));
+  EXPECT_TRUE(after.empty());
+  std::vector<std::string> again;
+  EXPECT_TRUE(service.results_so_far(job, again));
+  EXPECT_EQ(again, replayed);
+  EXPECT_EQ(service.status_json(), status);
+  return streamed;
+}
+
+TEST(ServiceFinishedJob, ComputedJobReplaysItsStream) {
+  ServiceOptions options;
+  options.batch_points = 1;
+  CampaignService service(options);
+  const sweep::SweepSpec spec = quick_spec({3.0, 6.0, 9.0});
+  const SubmitResult r = service.submit("a", 0, spec);
+  ASSERT_TRUE(r.accepted);
+  pump_dry(service);
+  const std::vector<std::string> streamed =
+      expect_finished_job_keeps_its_records(service, r.job);
+  EXPECT_EQ(joined(split(streamed).records), one_shot_jsonl(spec, 1));
+}
+
+TEST(ServiceFinishedJob, JobCachedAtSubmitReplaysItsStream) {
+  CampaignService service;
+  const sweep::SweepSpec spec = quick_spec({3.0, 6.0, 9.0});
+  const SubmitResult first = service.submit("a", 0, spec);
+  ASSERT_TRUE(first.accepted);
+  pump_dry(service);
+  const SubmitResult cached = service.submit("b", 0, spec);
+  ASSERT_TRUE(cached.accepted);
+  EXPECT_EQ(cached.cached, 3u);
+  const std::vector<std::string> streamed =
+      expect_finished_job_keeps_its_records(service, cached.job);
+  EXPECT_EQ(joined(split(streamed).records), one_shot_jsonl(spec, 1));
+}
+
+TEST(ServiceFinishedJob, WaiterFilledByAnotherBatchReplaysItsStream) {
+  ServiceOptions options;
+  options.batch_points = 2;
+  CampaignService service(options);
+  // b extends a's first axis: its first two points wait on a's batches.
+  const SubmitResult a = service.submit("a", 0, quick_spec({6.0, 12.0}));
+  const SubmitResult b = service.submit("b", 0, quick_spec({6.0, 12.0, 18.0}));
+  ASSERT_TRUE(a.accepted);
+  ASSERT_TRUE(b.accepted);
+  EXPECT_EQ(b.cached, 0u);
+  pump_dry(service);
+  expect_finished_job_keeps_its_records(service, a.job);
+  const std::vector<std::string> streamed =
+      expect_finished_job_keeps_its_records(service, b.job);
+  const json::Value done = json::parse(streamed.back());
+  EXPECT_EQ(done.find("cache_hits")->number, 2.0) << "both waiters filled";
+  EXPECT_EQ(done.find("computed")->number, 1.0);
+  EXPECT_EQ(joined(split(streamed).records),
+            one_shot_jsonl(quick_spec({6.0, 12.0, 18.0}), 1));
+}
+
+struct CancelHook {
+  CampaignService* service = nullptr;
+  std::atomic<std::uint64_t> job{0};
+};
+
+void cancel_after_first_point(void* opaque, std::uint64_t job,
+                              std::size_t done_in_batch) {
+  auto* hook = static_cast<CancelHook*>(opaque);
+  if (job == hook->job.load() && done_in_batch >= 1) {
+    hook->job.store(0);
+    hook->service->cancel(job);
+  }
+}
+
+TEST(ServiceFinishedJob, JobCancelledMidBatchReplaysItsPartialStream) {
+  CancelHook hook;
+  ServiceOptions options;
+  options.threads = 1;  // sequential points: the cancel lands mid-batch
+  options.batch_points = 8;
+  options.on_batch_point = &cancel_after_first_point;
+  options.on_batch_ctx = &hook;
+  CampaignService service(options);
+  hook.service = &service;
+  const SubmitResult r =
+      service.submit("a", 0, quick_spec({3.0, 6.0, 9.0, 12.0}));
+  ASSERT_TRUE(r.accepted);
+  hook.job.store(r.job);
+  pump_dry(service);
+  const std::vector<std::string> streamed =
+      expect_finished_job_keeps_its_records(service, r.job);
+  const std::size_t partial = split(streamed).records.size();
+  EXPECT_GE(partial, 1u);
+  EXPECT_LT(partial, 4u);
+  EXPECT_EQ(json::parse(streamed.back()).find("type")->text, "cancelled");
+}
+
+TEST(ServiceStatus, JobsOpenFollowsSubmitCancelAbandonAndFinish) {
+  CampaignService service;
+  const auto jobs_open = [&service] {
+    return json::parse(service.status_json()).find("jobs_open")->number;
+  };
+  const sweep::SweepSpec spec = quick_spec({6.0, 12.0});
+  const SubmitResult a = service.submit("a", 0, spec);
+  EXPECT_EQ(jobs_open(), 1.0);
+  const SubmitResult b = service.submit("b", 0, quick_spec({18.0}));
+  const SubmitResult c = service.submit("c", 0, quick_spec({24.0}));
+  EXPECT_EQ(jobs_open(), 3.0);
+  EXPECT_TRUE(service.cancel(b.job));
+  EXPECT_EQ(jobs_open(), 2.0);
+  service.abandon(c.job);
+  EXPECT_EQ(jobs_open(), 1.0);
+  pump_dry(service);
+  ASSERT_TRUE(service.finished(a.job));
+  EXPECT_EQ(jobs_open(), 0.0);
+  // Finished at submit (fully cached), then acted on again once finished.
+  const SubmitResult d = service.submit("d", 0, spec);
+  ASSERT_TRUE(service.finished(d.job));
+  EXPECT_EQ(jobs_open(), 0.0);
+  EXPECT_FALSE(service.cancel(b.job));
+  service.abandon(a.job);
+  service.abandon(d.job);
+  EXPECT_EQ(jobs_open(), 0.0);
+}
+
+TEST(ServiceStatus, CacheBytesCountKeysAndLines) {
+  obs::MetricsRegistry metrics;
+  ServiceOptions options;
+  options.metrics = &metrics;
+  CampaignService service(options);
+  const auto cache_bytes = [&service] {
+    return json::parse(service.status_json()).find("cache_bytes")->number;
+  };
+  EXPECT_EQ(cache_bytes(), 0.0);
+  const sweep::SweepSpec spec = quick_spec({6.0, 12.0});
+  const SubmitResult r = service.submit("a", 0, spec);
+  ASSERT_TRUE(r.accepted);
+  pump_dry(service);
+  std::vector<std::string> records;
+  ASSERT_TRUE(service.results_so_far(r.job, records));
+  // The first campaign to compute a point stores the very line it streams.
+  std::size_t expected = 0;
+  const std::vector<sweep::SweepPoint> points = sweep::expand(spec);
+  for (std::size_t i = 0; i < points.size(); ++i)
+    expected += canonical_point_key(spec, points[i]).size() + records[i].size();
+  EXPECT_EQ(cache_bytes(), static_cast<double>(expected));
+  EXPECT_EQ(metrics.gauge(obs::MetricId::service_cache_bytes),
+            static_cast<double>(expected));
+  // A cached re-submit stores nothing.
+  ASSERT_TRUE(service.submit("b", 0, spec).accepted);
+  EXPECT_EQ(cache_bytes(), static_cast<double>(expected));
 }
 
 }  // namespace
