@@ -10,7 +10,10 @@
 // worth recording if the fast path is byte-identical where it overlaps.
 // Both sides run on fresh clusters; each rung also times the ffwd point the
 // way a sweep runs it, on a core::WaveRunner that has just run the 256-rank
-// point (`ffwd_recycled_seconds`), so the reset between points shows.
+// point (`ffwd_recycled_seconds`), so the reset between points shows. The
+// transport rank states the ffwd run claims (`ffwd_rank_states`) follow the
+// light cone, which does not grow with np, so the top rung may not claim
+// more of them than the smallest.
 //
 // Flags: --json=<path> (default BENCH_scale.json), --quick (CI ladder,
 //        tops out at 10240 ranks), --reps=N,
@@ -51,6 +54,7 @@ struct Side {
   std::uint64_t ffwd_skips = 0;
   std::uint64_t ffwd_time_skipped_us = 0;
   double bytes_per_rank = 0.0;
+  std::uint64_t rank_states = 0;  ///< transport states the run claimed
 };
 
 struct Rung {
@@ -95,6 +99,8 @@ Side measure(int np, core::FfwdMode mode, int reps, mpi::Trace* keep_trace) {
         static_cast<std::uint64_t>(result.ffwd_time_skipped.ns() / 1000);
     side.bytes_per_rank =
         metrics.gauge(obs::MetricId::mem_peak_bytes_per_rank);
+    side.rank_states = static_cast<std::uint64_t>(
+        metrics.gauge(obs::MetricId::pool_rank_states));
     if (seconds < side.seconds) {
       side.seconds = seconds;
       side.events_per_sec =
@@ -186,7 +192,8 @@ int bench_main(int argc, char** argv) {
               << " ev/s (" << rung.full.seconds << " s, "
               << rung.full.bytes_per_rank << " B/rank), ffwd "
               << rung.ffwd.events_per_sec << " ev/s (" << rung.ffwd.seconds
-              << " s, " << rung.ffwd.bytes_per_rank << " B/rank; "
+              << " s, " << rung.ffwd.bytes_per_rank << " B/rank, "
+              << rung.ffwd.rank_states << " rank states; "
               << rung.ffwd_recycled_seconds << " s recycled), speedup "
               << rung.speedup << "x"
               << (rung.identity_checked
@@ -205,6 +212,9 @@ int bench_main(int argc, char** argv) {
   // ladder's top rung is silent-dominated enough that anything less means
   // the fast path stopped skipping.
   const bool speedup_floor_ok = quick || top.speedup >= 10.0;
+  // The fast path claims transport states for the ranks it touches, the
+  // light cone and its rim, whose size does not depend on np.
+  const bool states_ok = top.ffwd.rank_states <= rungs.front().ffwd.rank_states;
   std::cout << "\ntop rung np=" << top.np << ": speedup " << top.speedup
             << "x, ffwd footprint " << top.ffwd.bytes_per_rank
             << " B/rank (budget " << kFfwdBudgetBytesPerRank << ")\n";
@@ -212,6 +222,10 @@ int bench_main(int argc, char** argv) {
     std::cout << "*** ffwd bytes/rank BLEW THE BUDGET\n";
   if (!speedup_floor_ok)
     std::cout << "*** speedup below the 10x machine-scale floor\n";
+  if (!states_ok)
+    std::cout << "*** ffwd rank states grew with np: " << top.ffwd.rank_states
+              << " at np=" << top.np << " vs " << rungs.front().ffwd.rank_states
+              << " at np=" << rungs.front().np << "\n";
 
   std::ofstream out(json_path);
   if (!out) throw std::runtime_error("cannot write " + json_path);
@@ -233,6 +247,7 @@ int bench_main(int argc, char** argv) {
         << ", \"ffwd_events\": " << r.ffwd.events
         << ", \"ffwd_events_per_sec\": " << r.ffwd.events_per_sec
         << ", \"ffwd_bytes_per_rank\": " << r.ffwd.bytes_per_rank
+        << ", \"ffwd_rank_states\": " << r.ffwd.rank_states
         << ", \"ffwd_recycled_seconds\": " << r.ffwd_recycled_seconds
         << ", \"ffwd_skips\": " << r.ffwd.ffwd_skips
         << ", \"ffwd_time_skipped_us\": " << r.ffwd.ffwd_time_skipped_us
@@ -287,7 +302,9 @@ int bench_main(int argc, char** argv) {
     }
   }
 
-  return identical && budget_ok && speedup_floor_ok && baseline_ok ? 0 : 1;
+  const bool ok = identical && budget_ok && speedup_floor_ok && states_ok &&
+                  baseline_ok;
+  return ok ? 0 : 1;
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <utility>
-#include <variant>
 
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -115,15 +114,17 @@ void Cluster::publish_metrics() {
 
 void Cluster::record_footprint(const mpi::Trace& trace) {
   // The per-rank budget counts the rank-proportional simulation state: the
-  // trace slabs, the process/domain pools, the rank-indexed wiring tables,
-  // and the topology's classification tables. (The calendar and transport
-  // pools scale with the *active* working set, not with ranks, and are
+  // trace slabs, the process/domain pools, the rank-indexed wiring tables
+  // (the transport's state table among them), and the topology's
+  // classification tables. (The calendar and the transport's pooled rank
+  // states scale with the *active* working set, not with ranks, and are
   // deliberately excluded.)
   std::size_t bytes = trace.bytes_used();
   bytes += processes_.bytes_used();
   bytes += domains_.bytes_used();
   bytes += process_table_.capacity() * sizeof(mpi::Process*);
   bytes += domain_table_.capacity() * sizeof(memory::BandwidthDomain*);
+  bytes += transport_.rank_table_bytes();
   const int tiers = 2 + (topo_.has_switch_tier() ? 1 : 0) +
                     (topo_.has_island_tier() ? 1 : 0);
   bytes += static_cast<std::size_t>(topo_.ranks()) *
@@ -161,31 +162,6 @@ mpi::Trace Cluster::run_programs(std::size_t count, ActiveAt active_at,
   }
   mpi::Trace trace(topo_.ranks(), segments, steps,
                    full ? std::nullopt : std::optional<std::size_t>(count));
-
-  // A sparse run tells the transport which rank states it can touch, so
-  // the next reset() clears those instead of all of them: the bound ranks,
-  // every peer their programs name, and both ends of every ghost send.
-  if (!full) {
-    touched_.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      const ActiveRank a = active_at(i);
-      touched_.push_back(a.rank);
-      for (const mpi::Op& op : a.program->body()) {
-        if (const auto* send = std::get_if<mpi::OpIsend>(&op))
-          touched_.push_back(send->peer);
-        else if (const auto* recv = std::get_if<mpi::OpIrecv>(&op))
-          touched_.push_back(recv->peer);
-      }
-    }
-    for (const GhostSend& g : ghost_sends) {
-      touched_.push_back(g.src);
-      touched_.push_back(g.dst);
-    }
-    std::sort(touched_.begin(), touched_.end());
-    touched_.erase(std::unique(touched_.begin(), touched_.end()),
-                   touched_.end());
-    transport_.limit_clear_to(touched_);
-  }
 
   wire_domains();
 

@@ -14,9 +14,10 @@
 // (see core::WaveRunner) instead of reconstructing the world per point. A
 // reset cluster is byte-for-byte indistinguishable from a fresh one; the
 // determinism suite and the recycled-cluster property test guard that
-// equivalence. reset() clears only what the last run touched: after a
-// fast-forward run over a 10^5-rank machine that is the transport rank
-// states of the active set and its rim, not all of them.
+// equivalence. reset() clears only what the last run touched: the
+// transport gives a rank its state on the first protocol touch, so after a
+// fast-forward run over a 10^5-rank machine there are states for the active
+// set and its rim only, and those are all the reset clears.
 //
 // Machine-scale layout: per-rank state lives in struct-of-arrays storage —
 // each rank holds a 4-byte row index into the trace's rows, which index
@@ -136,10 +137,11 @@ class Cluster {
   /// configuration. The engine calendar, transport pools, and the process
   /// and domain objects are recycled; behaviour is identical to a freshly
   /// constructed Cluster with the same config. It clears what the last run
-  /// touched: the engine, and the transport rank states of every rank after
-  /// a full run but only the declared ones after a fast-forward run. The
-  /// topology is reshaped in place (its tables kept under unchanged tier
-  /// sizes), and the next run re-points the process table.
+  /// touched: the engine, and the transport rank states that run claimed
+  /// (every rank's after a full run, the active set's and its rim's after a
+  /// fast-forward run). The topology is reshaped in place (its tables kept
+  /// under unchanged tier sizes), and the next run re-points the process
+  /// table.
   void reset(ClusterConfig config);
 
   [[nodiscard]] const net::Topology& topology() const { return topo_; }
@@ -199,7 +201,6 @@ class Cluster {
   std::size_t bound_ = 0;  ///< pool processes the last run bound
   /// Rank-indexed hot-path wiring, grow-only; only bound ranks are set.
   std::vector<mpi::Process*> process_table_;
-  std::vector<int> touched_;  ///< a sparse run's transport states (scratch)
   std::vector<memory::BandwidthDomain*> domain_table_;
   double peak_bytes_per_rank_ = 0.0;
   bool ran_ = false;

@@ -31,13 +31,14 @@
 // link classifies identically and the per-step times agree bit for bit.
 //
 // Cost: everything but the rank-indexed tables is O(active set + pattern
-// period). The plan lists the active ranks, the Cluster binds only those
-// and tells the transport which rank states they can touch (so the next
-// reset clears those alone), the ghost schedule visits only the rim, and
-// the skip counters are per-class sums. What stays O(np) is a handful of
-// flat tables: the trace's row index and its alias stores, the topology's
-// tier tables and the process table (both kept across runs of one shape,
-// so filled once), and the wave probe's walk over every hop.
+// period). The plan lists the active ranks, the Cluster binds only those,
+// the transport gives states only to the ranks the run touches (so the
+// next reset clears those alone), the ghost schedule visits only the rim,
+// and the skip counters are per-class sums. What stays O(np) is a handful
+// of flat tables: the trace's row index and its alias stores, the
+// topology's tier tables, the process table and the transport's state
+// table (kept across runs of one shape, so filled once), and the wave
+// probe's walk over every hop.
 //
 // Eligibility (plan_fast_forward) is deliberately conservative: ring
 // workloads only, no noise of either source, no memory domains, no flight

@@ -44,10 +44,11 @@ void Transport::reconfigure(const net::FabricProfile& fabric,
   credit_window_ = config_.eager.credit_window;
   flavor_ = config_.rendezvous.flavor;
 
-  // Clear what the last run touched, against its rank count; states past
-  // it are clean already. Then grow (never shrink, like the Cluster's
-  // process pool): new states are born clean.
-  const auto clear = [](RankState& s) {
+  // Clear and release every state the last run claimed; the rest of the
+  // pool is clean already. The rank table grows (never shrinks, like the
+  // Cluster's process table) with every entry null.
+  for (std::size_t i = 0; i < claimed_.size(); ++i) {
+    RankState& s = states_[i];
     s.posted_recvs.clear();
     s.unexpected.clear();
     s.nic_backlog.clear();
@@ -56,16 +57,11 @@ void Transport::reconfigure(const net::FabricProfile& fabric,
     s.outstanding_handshakes = 0;
     s.arrivals_in_flight = 0;
     s.deferred.clear();
-  };
-  if (clear_all_) {
-    for (RankState& s : in_use()) clear(s);
-  } else {
-    for (const int rank : touched_) clear(state(rank));
+    by_rank_[static_cast<std::size_t>(claimed_[i])] = nullptr;
   }
-  clear_all_ = true;
-  touched_.clear();
+  claimed_.clear();
   nranks_ = static_cast<std::size_t>(topo_.ranks());
-  if (ranks_.size() < nranks_) ranks_.resize(nranks_);
+  if (by_rank_.size() < nranks_) by_rank_.resize(nranks_, nullptr);
 
   rdv_slab_.clear();
   rdv_free_.clear();
@@ -103,12 +99,16 @@ void Transport::reconfigure(const net::FabricProfile& fabric,
 
 void Transport::set_processes(Process* const* by_rank) { procs_ = by_rank; }
 
-void Transport::limit_clear_to(std::span<const int> ranks) {
-  for (const int rank : ranks)
-    IW_REQUIRE(rank >= 0 && static_cast<std::size_t>(rank) < nranks_,
-               "rank out of range");
-  touched_.assign(ranks.begin(), ranks.end());
-  clear_all_ = false;
+Transport::RankState& Transport::claim(int rank) {
+  const std::size_t i = claimed_.size();
+  if (i == states_.size()) {
+    ++pool_allocations_;
+    states_.emplace();
+  }
+  push_counted(claimed_, rank);
+  RankState& s = states_[i];
+  by_rank_[static_cast<std::size_t>(rank)] = &s;
+  return s;
 }
 
 void Transport::set_memory_domains(
@@ -122,12 +122,17 @@ void Transport::set_memory_domains(
 Transport::PoolStats Transport::pool_stats() const {
   PoolStats p;
   p.allocations = pool_allocations_;
-  for (const RankState& s : in_use()) {
+  // Every pooled state, claimed or not: a state keeps the queue capacity
+  // an earlier run grew, and an unclaimed one holds no backlog or budget.
+  for (std::size_t i = 0; i < states_.size(); ++i) {
+    const RankState& s = states_[i];
     p.allocations +=
         s.posted_recvs.grows() + s.unexpected.grows() + s.nic_backlog.grows();
     p.nic_backlog_depth += s.nic_backlog.size();
     p.nic_inflight += static_cast<std::size_t>(s.nic_inflight);
   }
+  p.rank_states = claimed_.size();
+  p.rank_state_capacity = states_.size();
   p.rdv_slab_capacity = rdv_slab_.capacity();
   p.rdv_in_flight = rdv_slab_.size() - rdv_free_.size();
   return p;
@@ -178,7 +183,11 @@ void Transport::audit() const {
             "pool_stats in-flight count disagrees with the liveness shadow");
   std::int64_t inflight_sum = 0;
   std::int64_t backlog_sum = 0;
-  for (const RankState& s : in_use()) {
+  for (std::size_t i = 0; i < claimed_.size(); ++i) {
+    const RankState& s = states_[i];
+    IW_ASSERT(static_cast<std::size_t>(claimed_[i]) < by_rank_.size() &&
+                  by_rank_[static_cast<std::size_t>(claimed_[i])] == &s,
+              "claimed rank state not wired into the rank table");
     s.posted_recvs.audit();
     s.unexpected.audit();
     s.nic_backlog.audit();

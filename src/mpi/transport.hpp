@@ -72,7 +72,13 @@
 //     slot index rides inside the RTS/CTS event closures (the simulated
 //     control-message envelope), so every protocol step is one array index.
 //   * Per-endpoint matching queues and the NIC retry backlog are RingQueues
-//     over pooled storage that is retained across runs (see reconfigure()).
+//     inside pooled rank states that are retained across runs (see
+//     reconfigure()). A rank gets its state the first time the protocol
+//     touches it: a rank-indexed pointer table (8 bytes per rank) is null
+//     for an unclaimed rank, and state() claims the next pooled state on
+//     the first touch. A fast-forward run over 10^5 ranks therefore holds
+//     states for its active set and rim only, and a claimed state stays at
+//     its address for the run (the pool's chunks never move).
 //   * Credit accounting uses a flat (src, dst) table sized from the
 //     Topology — and is skipped entirely under the default unlimited
 //     credits, where the demotion can never trigger. (The table is ranks^2
@@ -89,7 +95,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "memory/bandwidth_domain.hpp"
@@ -100,6 +105,7 @@
 #include "obs/tracer.hpp"
 #include "sim/engine.hpp"
 #include "support/check.hpp"
+#include "support/object_pool.hpp"
 #include "support/ring_queue.hpp"
 
 namespace iw::mpi {
@@ -131,6 +137,8 @@ class Transport {
     std::size_t rdv_in_flight = 0;    ///< live rendezvous records
     std::size_t nic_backlog_depth = 0;  ///< entries waiting across all ranks
     std::size_t nic_inflight = 0;       ///< budgeted injections in flight
+    std::size_t rank_states = 0;        ///< states this run has claimed
+    std::size_t rank_state_capacity = 0;  ///< pooled states, claimed or not
   };
 
   Transport(sim::Engine& engine, const net::Topology& topo,
@@ -159,25 +167,17 @@ class Transport {
 
   /// Re-arms the transport for another run after the owning cluster reshaped
   /// its topology/fabric/config: protocol state and wiring are cleared, but
-  /// every pool (rank queues, rendezvous slab, credit table) keeps its
-  /// storage. Rank states grow to the topology's current rank count and
-  /// never shrink. Only the states the last run touched are cleared —
-  /// every state of it, or the list limit_clear_to() declared — so every
-  /// retained state is clean afterwards, and a recycled cluster
+  /// every pool (rank states and their queues, rendezvous slab, credit
+  /// table) keeps its storage. Each state the last run claimed is cleared,
+  /// its table entry nulled and the state returned to the pool, so the
+  /// next run starts with every rank unclaimed. A recycled cluster
   /// alternating a 10^5-rank fast-forward point and a 20-rank point clears
-  /// a few hundred states, not 10^5. Validates the config. Must be paired
-  /// with an Engine::reset().
+  /// a few hundred states, not 10^5, and no rank the last run touched can
+  /// escape the clear. The rank table grows to the topology's rank count
+  /// and never shrinks. Validates the config. Must be paired with an
+  /// Engine::reset().
   void reconfigure(const net::FabricProfile& fabric,
                    const TransportConfig& config);
-
-  /// Declares every rank whose state the coming run can touch, so the next
-  /// reconfigure() clears only these: the ranks that post, plus every peer
-  /// they post to or receive from, plus the sources and destinations of
-  /// ghost sends. Arrivals into a rank that never posts still park in its
-  /// unexpected queue, so receiving-only peers must be listed. Without a
-  /// declaration the next reconfigure() clears all of the run's states.
-  /// Costs nothing per message.
-  void limit_clear_to(std::span<const int> ranks);
 
   /// Nonblocking send of `bytes` from `src` to `dst`.
   ///
@@ -215,6 +215,12 @@ class Transport {
   }
   [[nodiscard]] const TransportConfig& config() const { return config_; }
   [[nodiscard]] PoolStats pool_stats() const;
+  /// Heap bytes of the rank-indexed state table, the transport's one cost
+  /// per rank of the machine (8 B); the pooled states scale with the ranks
+  /// the runs touch.
+  [[nodiscard]] std::size_t rank_table_bytes() const {
+    return by_rank_.capacity() * sizeof(RankState*);
+  }
 
   /// Arms (or with nullptr disarms) the protocol flight recorder. The only
   /// hot-path cost while disarmed is one predicted-not-taken branch per
@@ -235,10 +241,12 @@ class Transport {
   /// otherwise): rendezvous free-list integrity (on-slab, no double-free),
   /// slot-liveness reconciliation against pool_stats() (live records ==
   /// slab extent - free list), deferred-push lists and backlogged RTS
-  /// entries referencing only live slots, per-rank queue canaries, NIC
-  /// budget bounds (0 <= nic_inflight <= injection_depth) with shadow-total
+  /// entries referencing only live slots, the queue canaries of every
+  /// claimed rank state and its rank-table entry, NIC budget bounds
+  /// (0 <= nic_inflight <= injection_depth) with shadow-total
   /// reconciliation of in-flight injections, backlog depth, and outstanding
-  /// eager credits. reconfigure() runs it on entry — so every sweep-point
+  /// eager credits. It walks the claimed states only, so it costs what the
+  /// run touched. reconfigure() runs it on entry — so every sweep-point
   /// recycle re-proves the pools — and again after clearing, when no record
   /// may remain live.
   void audit() const;
@@ -299,22 +307,22 @@ class Transport {
     int arrivals_in_flight = 0;            ///< eager/RTS arrivals on the wire
     std::vector<std::uint32_t> deferred;   ///< handshake-complete, push held
   };
-  // One RankState per rank: at 10^5 ranks every 8 bytes here is ~0.8 MB of
-  // peak RSS. The audit layer adds a canary to each queue.
+  // One RankState per touched rank: a full run of 10^5 ranks claims them
+  // all, and then every 8 bytes here is ~0.8 MB of peak RSS. The audit layer
+  // adds a canary to each queue.
   static_assert(IW_AUDIT_ENABLED || sizeof(RankState) <= 168,
                 "RankState outgrew its 168-byte budget");
 
   [[nodiscard]] const net::LinkParams& link(int a, int b) const;
+  /// The rank's state, claimed from the pool on the first touch.
   RankState& state(int rank) {
-    return ranks_[static_cast<std::size_t>(rank)];
+    RankState* s = by_rank_[static_cast<std::size_t>(rank)];
+    if (s == nullptr) [[unlikely]]
+      s = &claim(rank);
+    return *s;
   }
-  /// The states of this run's ranks; ranks_ may hold more (grow-only).
-  [[nodiscard]] std::span<RankState> in_use() {
-    return std::span<RankState>(ranks_).first(nranks_);
-  }
-  [[nodiscard]] std::span<const RankState> in_use() const {
-    return std::span<const RankState>(ranks_).first(nranks_);
-  }
+  /// Binds the next pooled state (a clean one) to `rank`.
+  RankState& claim(int rank);
 
   /// Injects a message into `src`'s NIC (link parameters already resolved
   /// by the caller — each protocol op classifies its link exactly once);
@@ -480,11 +488,11 @@ class Transport {
   bool use_domains_ = false;
 
   // Pools. All storage survives reconfigure(); only logical state resets.
-  std::vector<RankState> ranks_;  ///< grow-only; [0, nranks_) in use
-  /// What the next reconfigure() clears: [0, nranks_) when clear_all_,
-  /// else the ranks limit_clear_to() listed.
-  bool clear_all_ = true;
-  std::vector<int> touched_;
+  /// Rank-indexed, grow-only; null while the rank is unclaimed.
+  std::vector<RankState*> by_rank_;
+  /// Pooled states: [0, claimed_.size()) are bound, the rest are clean.
+  support::ObjectPool<RankState> states_;
+  std::vector<int> claimed_;  ///< claimed_[i] holds states_[i]
   std::vector<RdvSend> rdv_slab_;
   std::vector<std::uint32_t> rdv_free_;
   std::vector<int> eager_credits_;  ///< ranks^2, in-flight msgs; credits only

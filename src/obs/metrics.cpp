@@ -97,6 +97,9 @@ void MetricsRegistry::publish(const mpi::Transport& transport) {
   set_max(MetricId::pool_nic_backlog_depth,
           static_cast<double>(p.nic_backlog_depth));
   set_max(MetricId::pool_nic_inflight, static_cast<double>(p.nic_inflight));
+  set_max(MetricId::pool_rank_states, static_cast<double>(p.rank_states));
+  set_max(MetricId::pool_rank_state_capacity,
+          static_cast<double>(p.rank_state_capacity));
   // Flow-control shadow level (nonzero only mid-run or after a stall).
   set_max(MetricId::transport_credits_outstanding,
           static_cast<double>(transport.credits_outstanding()));

@@ -60,6 +60,8 @@ class BandwidthDomain;
   X(pool_rdv_in_flight, "pool.rdv_in_flight", gauge)                        \
   X(pool_nic_backlog_depth, "pool.nic_backlog_depth", gauge)                \
   X(pool_nic_inflight, "pool.nic_inflight", gauge)                          \
+  X(pool_rank_states, "pool.rank_states", gauge)                            \
+  X(pool_rank_state_capacity, "pool.rank_state_capacity", gauge)            \
   X(memory_jobs_submitted, "memory.jobs_submitted", counter)                \
   X(memory_bytes_submitted, "memory.bytes_submitted", counter)              \
   X(sweep_points_done, "sweep.points_done", counter)                        \

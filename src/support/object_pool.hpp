@@ -1,7 +1,8 @@
 // A grow-only pool of non-movable objects with stable addresses.
 //
 // The Cluster wires Process and BandwidthDomain objects by raw pointer into
-// the transport's rank tables, so their addresses must survive pool growth;
+// the transport's rank tables, and the transport holds its claimed rank
+// states by reference across claims, so their addresses must survive growth;
 // and per-object unique_ptr storage is exactly the allocation-per-rank
 // pattern the SoA refactor removes. The pool allocates fixed-size chunks
 // (one allocation per 64 objects instead of one per object), constructs in

@@ -9,29 +9,36 @@
 // finite NIC or a one-sided rendezvous flavor, all with fast-forward off.
 // Traces, step marks, engine counters and transport stats must be
 // identical. A second property alternates machine-scale fast-forward points
-// of the scale_wave shape with smaller full and fast-forward points: after
-// a fast-forward run reset() clears only the transport states that run
-// touched, so a state it missed (a ghost send's silent destination, say)
-// would leak into the next run that uses that rank. The transport keeps
-// rank states past a smaller run's count, so the sequences must regrow past
-// a size they shrank from, and a dedicated test runs 2048, 8, then 2048
-// ranks on one cluster. Every such run drains its queues, so a last test
-// recycles the cluster of a run that stopped with work in flight.
+// of the scale_wave shape with smaller full and fast-forward points: the
+// transport gives a rank its state on the first touch and reset() clears
+// the states the run claimed, so a claim that escaped the clear would leak
+// into the next run that reuses the pooled state. The pool rebinds states
+// to other ranks run after run, so the sequences must regrow past a size
+// they shrank from, a dedicated test runs 2048, 8, then 2048 ranks on one
+// cluster, and another counts the states a 102,400-rank fast-forward point
+// claims against the ranks it can touch. Every such run drains its queues,
+// so a last test recycles the cluster of a run that stopped with work in
+// flight.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
+#include "core/fast_forward.hpp"
+#include "mpi/program.hpp"
 #include "mpi/trace.hpp"
 #include "net/topology.hpp"
 #include "noise/system_profiles.hpp"
 #include "obs/metrics.hpp"
 #include "support/rng.hpp"
+#include "sweep/scenario.hpp"
+#include "sweep/spec.hpp"
 #include "workload/delay.hpp"
 #include "workload/grid2d.hpp"
 #include "workload/ring.hpp"
@@ -138,7 +145,8 @@ void expect_same_metrics(const obs::MetricsSnapshot& a,
        {obs::MetricId::engine_calendar_peak,
         obs::MetricId::transport_credits_outstanding,
         obs::MetricId::pool_rdv_in_flight, obs::MetricId::pool_nic_backlog_depth,
-        obs::MetricId::pool_nic_inflight})
+        obs::MetricId::pool_nic_inflight,
+        obs::MetricId::pool_rank_states})
     EXPECT_EQ(a.gauge(id), b.gauge(id)) << where << " " << obs::metric_name(id);
 }
 
@@ -178,9 +186,8 @@ int ranks_of(const WaveExperiment& exp) {
 TEST(RecycledCluster, RandomSequencesMatchFreshClusters) {
   int experiments = 0;
   int rendezvous = 0;
-  // Runs that grow past a size the sequence had shrunk from: the transport
-  // keeps rank states past a smaller run's count and must clear the ones
-  // the larger run reuses.
+  // Runs that grow past a size the sequence had shrunk from: the larger run
+  // claims pooled states a smaller run used, and some it never touched.
   int regrowths = 0;
   for (std::uint64_t seq = 0; seq < 20; ++seq) {
     Rng rng(0xC1A57E5ull + seq);
@@ -278,9 +285,9 @@ TEST(RecycledCluster, FastForwardPointsMatchFreshClusters) {
 }
 
 // Shrink, then grow back: the 2048-rank run is full, so reset() clears all
-// of its 2048 rank states; the 8-rank run then clears its own 8, and the
-// second 2048-rank run must find the 2040 states past them clean (no NIC
-// clocks or queue contents left by the first).
+// of its 2048 rank states; the 8-rank run then claims and clears 8 of them,
+// and the second 2048-rank run must find all 2048 pooled states clean (no
+// NIC clocks or queue contents left by the first).
 TEST(RecycledCluster, ShrinkThenGrowMatchesAFreshCluster) {
   const auto ring_of = [](int ranks, std::int64_t bytes) {
     WaveExperiment exp;
@@ -300,6 +307,84 @@ TEST(RecycledCluster, ShrinkThenGrowMatchesAFreshCluster) {
   (void)expect_matches_fresh(runner, ring_of(8, 262144), "8 ranks");
   (void)expect_matches_fresh(runner, ring_of(2048, 262144),
                              "2048 ranks again");
+}
+
+/// The scale_wave catalog point at `np` under `ffwd`.
+WaveExperiment scale_wave_at(int np, FfwdMode ffwd) {
+  const sweep::Scenario* scenario = sweep::find_scenario("scale_wave");
+  if (scenario == nullptr) throw std::logic_error("scale_wave is missing");
+  sweep::SweepSpec spec = scenario->spec;
+  spec.np = {np};
+  WaveExperiment exp = sweep::expand(spec).front().exp;
+  exp.ffwd = ffwd;
+  return exp;
+}
+
+/// Every rank a fast-forward run of `exp` can touch, ascending: the active
+/// ranks, every peer their programs name, and both ends of every ghost
+/// send. The ghost senders are the silent receive sources of active ranks,
+/// and each replays its sends to all of its peers.
+std::vector<int> fast_forward_touches(const WaveExperiment& exp,
+                                      const FastForwardPlan& plan) {
+  const auto is_active = [&plan](int r) {
+    return std::binary_search(plan.active.begin(), plan.active.end(), r);
+  };
+  std::vector<int> ranks;
+  for (const int a : plan.active) {
+    ranks.push_back(a);
+    const mpi::Program program =
+        workload::build_ring_rank(exp.ring, a, exp.delays);
+    for (const mpi::Op& op : program.body()) {
+      if (const auto* send = std::get_if<mpi::OpIsend>(&op))
+        ranks.push_back(send->peer);
+      else if (const auto* recv = std::get_if<mpi::OpIrecv>(&op))
+        ranks.push_back(recv->peer);
+    }
+    workload::for_each_peer(exp.ring, a, -1, [&](int ghost) {
+      if (is_active(ghost)) return;
+      ranks.push_back(ghost);
+      workload::for_each_peer(exp.ring, ghost, +1,
+                              [&](int dst) { ranks.push_back(dst); });
+    });
+  }
+  std::sort(ranks.begin(), ranks.end());
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+  return ranks;
+}
+
+// A fresh cluster running the 102,400-rank point claims a transport state
+// for exactly the ranks the run can touch, a full 256-rank run after it
+// claims 256, and alternating the two never grows the state pool past the
+// larger of the two sets.
+TEST(RecycledCluster, TransportClaimsOnlyTheRanksARunTouches) {
+  const WaveExperiment big = scale_wave_at(102400, FfwdMode::force);
+  const WaveExperiment small = scale_wave_at(256, FfwdMode::off);
+  const FastForwardPlan plan = plan_fast_forward(big);
+  ASSERT_TRUE(plan.eligible) << plan.reason;
+  const std::size_t touched = fast_forward_touches(big, plan).size();
+  ASSERT_GT(touched, plan.active.size());
+  ASSERT_LT(touched, 1024u);
+  const std::size_t pool = std::max<std::size_t>(touched, 256);
+
+  Cluster cluster(big.cluster);
+  (void)run_ring_fast_forward(cluster, big, plan);
+  EXPECT_EQ(cluster.transport_pool_stats().rank_states, touched);
+  EXPECT_EQ(cluster.transport_pool_stats().rank_state_capacity, touched);
+  const auto small_programs = workload::build_ring(small.ring, small.delays);
+  for (int round = 0; round < 3; ++round) {
+    const std::string where = "round " + std::to_string(round);
+    cluster.reset(small.cluster);
+    EXPECT_EQ(cluster.transport_pool_stats().rank_states, 0u) << where;
+    (void)cluster.run(small_programs);
+    EXPECT_EQ(cluster.transport_pool_stats().rank_states, 256u) << where;
+    EXPECT_EQ(cluster.transport_pool_stats().rank_state_capacity, pool)
+        << where;
+    cluster.reset(big.cluster);
+    (void)run_ring_fast_forward(cluster, big, plan);
+    EXPECT_EQ(cluster.transport_pool_stats().rank_states, touched) << where;
+    EXPECT_EQ(cluster.transport_pool_stats().rank_state_capacity, pool)
+        << where;
+  }
 }
 
 // A run that fails its deadlock check stops with a rendezvous record, a
