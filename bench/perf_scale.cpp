@@ -130,26 +130,6 @@ double measure_recycled(int np, int reps) {
   return best;
 }
 
-/// Content identity (segments, step marks, finish), not slab identity:
-/// the fast path aliases silent rows into shared storage by design.
-bool traces_identical(const mpi::Trace& a, const mpi::Trace& b) {
-  if (a.ranks() != b.ranks()) return false;
-  for (int r = 0; r < a.ranks(); ++r) {
-    const auto sa = a.segments(r);
-    const auto sb = b.segments(r);
-    if (sa.size() != sb.size()) return false;
-    for (std::size_t i = 0; i < sa.size(); ++i)
-      if (sa[i].kind != sb[i].kind || sa[i].begin != sb[i].begin ||
-          sa[i].end != sb[i].end || sa[i].step != sb[i].step)
-        return false;
-    const auto ta = a.step_begin(r);
-    const auto tb = b.step_begin(r);
-    if (!std::equal(ta.begin(), ta.end(), tb.begin(), tb.end())) return false;
-    if (a.finish(r) != b.finish(r)) return false;
-  }
-  return true;
-}
-
 int bench_main(int argc, char** argv) {
   if (const int rc = bench::refuse_if_instrumented("perf_scale")) return rc;
   const Cli cli(argc, argv);
@@ -186,7 +166,7 @@ int bench_main(int argc, char** argv) {
         rung.ffwd.seconds > 0 ? rung.full.seconds / rung.ffwd.seconds : 0.0;
     if (check_identity) {
       rung.identity_checked = true;
-      rung.identical = traces_identical(full_trace, ffwd_trace);
+      rung.identical = mpi::same_timelines(full_trace, ffwd_trace);
     }
     std::cout << "np=" << rung.np << ": full " << rung.full.events_per_sec
               << " ev/s (" << rung.full.seconds << " s, "

@@ -125,8 +125,7 @@ void Cluster::record_footprint(const mpi::Trace& trace) {
   bytes += process_table_.capacity() * sizeof(mpi::Process*);
   bytes += domain_table_.capacity() * sizeof(memory::BandwidthDomain*);
   bytes += transport_.rank_table_bytes();
-  const int tiers = 2 + (topo_.has_switch_tier() ? 1 : 0) +
-                    (topo_.has_island_tier() ? 1 : 0);
+  const int tiers = topo_.has_switch_tier() ? 3 : 2;
   bytes += static_cast<std::size_t>(topo_.ranks()) *
            static_cast<std::size_t>(tiers) * sizeof(std::int32_t);
   peak_bytes_per_rank_ = static_cast<double>(bytes) /

@@ -12,19 +12,6 @@
 namespace iw::core {
 namespace {
 
-/// The topology's translational period, computed from the spec (same value
-/// as Topology::pattern_period(), without building the rank tables).
-int pattern_period_of(const net::TopologySpec& spec) {
-  const int per_socket = spec.ranks_per_socket > 0 ? spec.ranks_per_socket
-                                                   : spec.cores_per_socket;
-  int period = per_socket * spec.sockets_per_node;
-  if (spec.nodes_per_switch > 0) {
-    period *= spec.nodes_per_switch;
-    if (spec.switches_per_island > 0) period *= spec.switches_per_island;
-  }
-  return period;
-}
-
 /// Adds the cone of `radius` ranks around `center` to `cones` as inclusive
 /// rank intervals: clipped on an open chain, split where a periodic ring
 /// wraps.
@@ -47,28 +34,6 @@ void add_cone(std::vector<std::pair<int, int>>& cones, int np, int center,
   }
 }
 
-/// Content equality of two traces (slab layout is irrelevant): the
-/// byte-identity contract of the fast-forward path.
-[[maybe_unused]] bool traces_equal(const mpi::Trace& a, const mpi::Trace& b) {
-  if (a.ranks() != b.ranks()) return false;
-  for (int r = 0; r < a.ranks(); ++r) {
-    if (a.finish(r) != b.finish(r)) return false;
-    const auto sa = a.segments(r);
-    const auto sb = b.segments(r);
-    if (sa.size() != sb.size()) return false;
-    for (std::size_t i = 0; i < sa.size(); ++i) {
-      if (sa[i].kind != sb[i].kind || sa[i].begin != sb[i].begin ||
-          sa[i].end != sb[i].end || sa[i].step != sb[i].step ||
-          sa[i].noise != sb[i].noise)
-        return false;
-    }
-    const auto ma = a.step_begin(r);
-    const auto mb = b.step_begin(r);
-    if (!std::equal(ma.begin(), ma.end(), mb.begin(), mb.end())) return false;
-  }
-  return true;
-}
-
 /// Audit-build cross-check: at small np, re-run the experiment through the
 /// full event simulation and require the synthesized trace to match it
 /// exactly. The threshold keeps audit sweeps affordable; the scale bench
@@ -82,7 +47,7 @@ void add_cone(std::vector<std::pair<int, int>>& cones, int np, int center,
   Cluster full(config);
   const mpi::Trace reference =
       full.run(workload::build_ring(exp.ring, exp.delays), exp.injected_noise);
-  IW_CHECK(traces_equal(ffwd, reference),
+  IW_CHECK(mpi::same_timelines(ffwd, reference),
            "fast-forward trace diverges from the full simulation");
 }
 
@@ -101,7 +66,7 @@ FastForwardPlan plan_fast_forward(const WaveExperiment& exp) {
   FastForwardPlan plan;
   const workload::RingSpec& ring = exp.ring;
   const int np = ring.ranks;
-  plan.period = pattern_period_of(exp.cluster.topo);
+  plan.period = exp.cluster.topo.pattern_period();
   const int neighborhood = 2 * ring.distance + 1;
   plan.np_ref =
       plan.period *

@@ -20,7 +20,7 @@
 // the full simulation exactly.
 //
 // Silent timelines are synthesized from a periodic reference ring of
-// np_ref = P * max(2, ceil((2d+1)/P)) ranks, where P is the topology's
+// np_ref = P * max(2, ceil((2d+1)/P)) ranks, where P is the topology spec's
 // pattern_period(): rank r's timeline equals reference rank (r mod P).
 // Each residue class gets one imported trace row, and every other silent
 // rank of the class is one 4-byte row-index store onto it

@@ -116,4 +116,15 @@ std::size_t Trace::bytes_used() const {
          row_of_.capacity() * sizeof(RowId) + rows_.capacity() * sizeof(Row);
 }
 
+bool same_timelines(const Trace& a, const Trace& b) {
+  if (a.ranks() != b.ranks()) return false;
+  for (int r = 0; r < a.ranks(); ++r) {
+    if (a.finish(r) != b.finish(r) ||
+        !std::ranges::equal(a.segments(r), b.segments(r)) ||
+        !std::ranges::equal(a.step_begin(r), b.step_begin(r)))
+      return false;
+  }
+  return true;
+}
+
 }  // namespace iw::mpi

@@ -61,6 +61,7 @@ struct Segment {
   Duration noise;           ///< noise portion of a compute segment
 
   [[nodiscard]] Duration duration() const { return end - begin; }
+  bool operator==(const Segment&) const = default;
 };
 
 /// Trace of one full simulation run.
@@ -247,5 +248,11 @@ class Trace {
   std::vector<Row> rows_;      ///< per physical row; rows_[0] is empty
   bool has_aliases_ = false;
 };
+
+/// Content identity of two traces: every rank's segments (noise included),
+/// step marks and finish time agree. Slab layout and row sharing are
+/// ignored, so a fast-forward trace with aliased rows equals the full
+/// simulation's.
+[[nodiscard]] bool same_timelines(const Trace& a, const Trace& b);
 
 }  // namespace iw::mpi

@@ -23,7 +23,7 @@ void Transport::reconfigure(const net::FabricProfile& fabric,
   IW_AUDIT(audit());
   config.validate();
   // Fabric coverage: every link class this topology can produce must be
-  // priced. Hierarchical topologies (switch/island tiers) paired with a
+  // priced. A hierarchical topology (switch tier) paired with a
   // hand-built fabric that stops at inter_node would otherwise divide by a
   // zero bandwidth deep inside the first cross-switch transfer.
   for (int c = 0; c < net::kLinkClassCount; ++c) {

@@ -31,13 +31,11 @@ FabricProfile FabricProfile::infiniband_qdr() {
       make_link(microseconds(0.55), 6e9, microseconds(0.30), microseconds(0.12));
   f.params(LinkClass::inter_node) =
       make_link(microseconds(1.70), 3.0e9, microseconds(0.40), microseconds(0.30));
-  // Fabric tiers above the leaf switch (synthetic extensions — the paper
-  // measures within one island): each spine/global hop adds latency while
-  // per-flow bandwidth degrades slightly under tapering.
+  // The tier above the leaf switch (a synthetic extension — the paper
+  // measures within one island): the spine hop adds latency while per-flow
+  // bandwidth degrades slightly under tapering.
   f.params(LinkClass::inter_switch) =
       make_link(microseconds(2.30), 2.8e9, microseconds(0.40), microseconds(0.30));
-  f.params(LinkClass::inter_island) =
-      make_link(microseconds(3.10), 2.5e9, microseconds(0.40), microseconds(0.30));
   f.eager_limit_bytes = 131072;
   return f;
 }
@@ -55,11 +53,9 @@ FabricProfile FabricProfile::omnipath() {
   // attributes Meggie's SMT-off noise peak to it) -> larger per-message o.
   f.params(LinkClass::inter_node) =
       make_link(microseconds(1.10), 10.0e9, microseconds(0.90), microseconds(0.25));
-  // Synthetic upper tiers, same tapering rationale as the InfiniBand preset.
+  // Synthetic spine tier, same tapering rationale as the InfiniBand preset.
   f.params(LinkClass::inter_switch) =
       make_link(microseconds(1.60), 9.0e9, microseconds(0.90), microseconds(0.25));
-  f.params(LinkClass::inter_island) =
-      make_link(microseconds(2.20), 8.0e9, microseconds(0.90), microseconds(0.25));
   f.eager_limit_bytes = 131072;
   return f;
 }

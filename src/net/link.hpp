@@ -1,9 +1,9 @@
 // Link classification and per-link cost parameters.
 //
 // Clusters are hierarchical (paper Sec. II-B): cores share a socket, sockets
-// share a node, nodes share the fabric. Communication cost differs per level,
-// so every (src, dst) rank pair maps to a LinkClass and every LinkClass to a
-// parameter set.
+// share a node, nodes share a leaf switch, and switch groups share the
+// fabric. Communication cost differs per level, so every (src, dst) rank
+// pair maps to a LinkClass and every LinkClass to a parameter set.
 #pragma once
 
 #include <cstdint>
@@ -18,11 +18,10 @@ enum class LinkClass : std::uint8_t {
   intra_socket = 1,  ///< both ranks on the same socket (shared cache/memory)
   inter_socket = 2,  ///< same node, different sockets (QPI/UPI hop)
   inter_node = 3,    ///< different nodes, same leaf switch group
-  inter_switch = 4,  ///< different switch groups, same island (spine hop)
-  inter_island = 5,  ///< different islands (dragonfly-ish global links)
+  inter_switch = 4,  ///< different switch groups (spine hop)
 };
 
-inline constexpr int kLinkClassCount = 6;
+inline constexpr int kLinkClassCount = 5;
 
 [[nodiscard]] constexpr const char* to_string(LinkClass c) {
   switch (c) {
@@ -31,7 +30,6 @@ inline constexpr int kLinkClassCount = 6;
     case LinkClass::inter_socket: return "inter-socket";
     case LinkClass::inter_node: return "inter-node";
     case LinkClass::inter_switch: return "inter-switch";
-    case LinkClass::inter_island: return "inter-island";
   }
   return "?";
 }

@@ -24,8 +24,7 @@ TopologySpec TopologySpec::packed(int ranks, int per_socket) {
 Topology::Topology(const TopologySpec& spec) { reset(spec); }
 
 void Topology::reset(const TopologySpec& spec) {
-  const int per_socket = spec.ranks_per_socket > 0 ? spec.ranks_per_socket
-                                                   : spec.cores_per_socket;
+  const int per_socket = spec.placed_per_socket();
   IW_REQUIRE(spec.ranks > 0, "topology needs at least one rank");
   IW_REQUIRE(spec.cores_per_socket > 0, "cores_per_socket must be positive");
   IW_REQUIRE(spec.sockets_per_node > 0, "sockets_per_node must be positive");
@@ -33,17 +32,12 @@ void Topology::reset(const TopologySpec& spec) {
              "cannot place more ranks on a socket than it has cores");
   IW_REQUIRE(spec.nodes_per_switch >= 0,
              "nodes_per_switch must be non-negative (0 = flat fabric)");
-  IW_REQUIRE(spec.switches_per_island >= 0,
-             "switches_per_island must be non-negative (0 = no islands)");
-  IW_REQUIRE(spec.switches_per_island == 0 || spec.nodes_per_switch > 0,
-             "an island tier requires a switch tier (set nodes_per_switch)");
   // Under compact placement a rank's tier indices depend on the tier
   // sizes, not on the rank count: with the same sizes the tables built so
   // far stay valid, and only ranks past their end need entries.
   const bool same_tiers = per_socket == per_socket_ &&
                           spec.sockets_per_node == spec_.sockets_per_node &&
-                          spec.nodes_per_switch == spec_.nodes_per_switch &&
-                          spec.switches_per_island == spec_.switches_per_island;
+                          spec.nodes_per_switch == spec_.nodes_per_switch;
   const std::size_t valid = same_tiers ? socket_by_rank_.size() : 0;
   spec_ = spec;
   per_socket_ = per_socket;
@@ -73,7 +67,6 @@ void Topology::reset(const TopologySpec& spec) {
     extend(socket_by_rank_, per_socket_);
     extend(node_by_rank_, ranks_per_node());
     extend(switch_by_rank_, ranks_per_switch());
-    extend(island_by_rank_, ranks_per_island());
   }
 
   // classify(0, r) over r covers every producible class under compact
@@ -92,10 +85,7 @@ void Topology::reset(const TopologySpec& spec) {
   set(LinkClass::inter_node,
       crosses(ranks_per_node()) &&
           (!has_switch_tier() || spec_.nodes_per_switch > 1));
-  set(LinkClass::inter_switch,
-      crosses(ranks_per_switch()) &&
-          (!has_island_tier() || spec_.switches_per_island > 1));
-  set(LinkClass::inter_island, crosses(ranks_per_island()));
+  set(LinkClass::inter_switch, crosses(ranks_per_switch()));
 }
 
 int Topology::socket_of(int rank) const {
@@ -114,12 +104,6 @@ int Topology::switch_of(int rank) const {
   return switch_by_rank_[static_cast<std::size_t>(rank)];
 }
 
-int Topology::island_of(int rank) const {
-  IW_REQUIRE(rank >= 0 && rank < spec_.ranks, "rank out of range");
-  IW_REQUIRE(has_island_tier(), "topology has no island tier");
-  return island_by_rank_[static_cast<std::size_t>(rank)];
-}
-
 int Topology::sockets() const {
   return (spec_.ranks + per_socket_ - 1) / per_socket_;
 }
@@ -131,12 +115,6 @@ int Topology::nodes() const {
 int Topology::switches() const {
   IW_REQUIRE(has_switch_tier(), "topology has no switch tier");
   return (nodes() + spec_.nodes_per_switch - 1) / spec_.nodes_per_switch;
-}
-
-int Topology::islands() const {
-  IW_REQUIRE(has_island_tier(), "topology has no island tier");
-  return (switches() + spec_.switches_per_island - 1) /
-         spec_.switches_per_island;
 }
 
 }  // namespace iw::net

@@ -1,23 +1,22 @@
 // Hierarchical cluster topology: ranks -> cores -> sockets -> nodes ->
-// switch groups -> islands.
+// switch groups.
 //
 // Ranks are mapped onto cores in compact order (fill socket 0 of node 0,
 // then socket 1 of node 0, ...), matching the process-core affinity the
 // paper enforces ("process-core affinity was enforced using the available
 // facilities in the MPI implementation").
 //
-// Above the node, two optional fabric tiers model machine-scale layouts in
+// Above the node, one optional fabric tier models machine-scale layouts in
 // the style of Slurm's switch-topology plugin: leaf switch groups
-// (`nodes_per_switch` nodes behind one leaf switch) and islands
-// (`switches_per_island` switch groups behind one spine/global tier). Both
-// default to 0 = disabled, which reproduces the flat fabric exactly:
-// a flat topology never produces inter_switch/inter_island links, so every
-// pre-hierarchy configuration is bit-for-bit unchanged. Classification
-// stays division-free: all tiers are precomputed rank-indexed tables. A
-// rank's tier indices depend only on the tier sizes, so reset() to a spec
-// with the same tier sizes keeps the tables and writes entries only for
-// ranks past their end; the tables may run longer than ranks(). Which link
-// classes exist follows from the tier sizes in closed form.
+// (`nodes_per_switch` nodes behind one leaf switch). It defaults to 0 =
+// disabled, which reproduces the flat fabric exactly: a flat topology never
+// produces inter_switch links, so every pre-hierarchy configuration is
+// bit-for-bit unchanged. Classification stays division-free: all tiers are
+// precomputed rank-indexed tables. A rank's tier indices depend only on the
+// tier sizes, so reset() to a spec with the same tier sizes keeps the
+// tables and writes entries only for ranks past their end; the tables may
+// run longer than ranks(). Which link classes exist follows from the tier
+// sizes in closed form.
 #pragma once
 
 #include <array>
@@ -35,8 +34,20 @@ struct TopologySpec {
   int sockets_per_node = 2;  ///< paper: dual-socket nodes
   int ranks_per_socket = 0;  ///< ranks placed per socket; 0 = fill all cores
   int nodes_per_switch = 0;  ///< nodes behind one leaf switch; 0 = flat fabric
-  int switches_per_island = 0;  ///< switch groups per island; 0 = no islands
-                                ///< (requires nodes_per_switch > 0 when set)
+
+  /// Ranks placed on each socket: ranks_per_socket, or every core when 0.
+  [[nodiscard]] int placed_per_socket() const {
+    return ranks_per_socket > 0 ? ranks_per_socket : cores_per_socket;
+  }
+  /// The translational period of link classification: classify(a, b) ==
+  /// classify(a + P, b + P) for every pair shifted by a multiple of P (all
+  /// tier sizes divide the topmost tier's rank count). The analytic
+  /// fast-forward path keys its reference-ring synthesis on this, without
+  /// building a Topology's rank tables.
+  [[nodiscard]] int pattern_period() const {
+    const int per_node = placed_per_socket() * sockets_per_node;
+    return nodes_per_switch > 0 ? per_node * nodes_per_switch : per_node;
+  }
 
   /// One rank per node (paper's "PPN=1" runs).
   [[nodiscard]] static TopologySpec one_rank_per_node(int nodes);
@@ -64,36 +75,20 @@ class Topology {
   [[nodiscard]] int ranks_per_switch() const {
     return ranks_per_node() * spec_.nodes_per_switch;
   }
-  /// Ranks per island (0 when the island tier is disabled).
-  [[nodiscard]] int ranks_per_island() const {
-    return ranks_per_switch() * spec_.switches_per_island;
-  }
 
   [[nodiscard]] int socket_of(int rank) const;  ///< global socket index
   [[nodiscard]] int node_of(int rank) const;
   [[nodiscard]] int switch_of(int rank) const;  ///< leaf switch group index
-  [[nodiscard]] int island_of(int rank) const;
   [[nodiscard]] int sockets() const;  ///< number of (partially) occupied sockets
   [[nodiscard]] int nodes() const;    ///< number of (partially) occupied nodes
   [[nodiscard]] int switches() const;
-  [[nodiscard]] int islands() const;
 
   [[nodiscard]] bool has_switch_tier() const {
     return spec_.nodes_per_switch > 0;
   }
-  [[nodiscard]] bool has_island_tier() const {
-    return spec_.switches_per_island > 0;
-  }
 
-  /// The translational period of link classification: classify(a, b) ==
-  /// classify(a + P, b + P) for every pair shifted by a multiple of P
-  /// (all tier sizes divide the topmost tier's rank count). The analytic
-  /// fast-forward path keys its reference-ring synthesis on this.
-  [[nodiscard]] int pattern_period() const {
-    if (has_island_tier()) return ranks_per_island();
-    if (has_switch_tier()) return ranks_per_switch();
-    return ranks_per_node();
-  }
+  /// TopologySpec::pattern_period() of this topology's spec.
+  [[nodiscard]] int pattern_period() const { return spec_.pattern_period(); }
 
   /// Whether any rank pair of this topology maps to `cls`. Transport
   /// construction checks that the fabric prices every producible class.
@@ -117,10 +112,7 @@ class Topology {
     if (!has_switch_tier() ||
         switch_by_rank_[ia] == switch_by_rank_[ib])
       return LinkClass::inter_node;
-    if (!has_island_tier() ||
-        island_by_rank_[ia] == island_by_rank_[ib])
-      return LinkClass::inter_switch;
-    return LinkClass::inter_island;
+    return LinkClass::inter_switch;
   }
 
  private:
@@ -129,7 +121,6 @@ class Topology {
   std::vector<std::int32_t> socket_by_rank_;
   std::vector<std::int32_t> node_by_rank_;
   std::vector<std::int32_t> switch_by_rank_;  ///< empty when tier disabled
-  std::vector<std::int32_t> island_by_rank_;  ///< empty when tier disabled
   std::array<bool, static_cast<std::size_t>(kLinkClassCount)> produces_{};
 };
 

@@ -8,7 +8,6 @@
 
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
-#include "workload/collectives.hpp"
 #include "workload/delay.hpp"
 #include "workload/ring.hpp"
 
@@ -208,19 +207,30 @@ std::size_t exact_trace_bytes(const std::vector<mpi::Program>& programs) {
   return bytes;
 }
 
-TEST(Cluster, CollectiveProgramTraceIsSizedExactly) {
-  workload::RingSpec ring;
-  ring.ranks = 5;
-  ring.steps = 6;
-  ring.texec = milliseconds(1.0);
-  ring.noisy = false;
-  const auto programs = workload::build_ring_with_collective(
-      ring, workload::CollectiveKind::allreduce, 2, 5000);
-  Cluster cluster(cluster_for_ring(ring));
+TEST(Cluster, UnmarkedWaitRoundsTraceIsSizedExactly) {
+  // Every step runs a second exchange round in its own WaitAll window that
+  // marks no step: step rows hold 6 marks, not one per WaitAll.
+  constexpr int np = 5;
+  std::vector<mpi::Program> programs(np);
+  for (int r = 0; r < np; ++r) {
+    const int right = (r + 1) % np;
+    const int left = (r + np - 1) % np;
+    programs[static_cast<std::size_t>(r)]
+        .mark()
+        .compute(milliseconds(1.0), false)
+        .isend(right, 5000, 0)
+        .irecv(left, 5000, 0)
+        .waitall()
+        .isend(left, 5000, 100)
+        .irecv(right, 5000, 100)
+        .waitall()
+        .repeat(6);
+  }
+  ClusterConfig config;
+  config.topo = net::TopologySpec::one_rank_per_node(np);
+  Cluster cluster(config);
   const auto trace = cluster.run(programs);
-  // The allreduce rounds wait but mark no step: step rows hold 6 marks,
-  // not one per WaitAll.
-  for (int r = 0; r < ring.ranks; ++r) {
+  for (int r = 0; r < np; ++r) {
     EXPECT_EQ(trace.step_begin(r).size(), 6u);
     EXPECT_LE(trace.segments(r).size(),
               programs[static_cast<std::size_t>(r)].segment_bound());

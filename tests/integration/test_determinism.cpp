@@ -2,7 +2,7 @@
 // measurement in this repository.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstdint>
 
 #include "core/experiment.hpp"
 #include "workload/delay.hpp"
@@ -29,29 +29,10 @@ WaveExperiment canonical_experiment(std::uint64_t seed) {
   return exp;
 }
 
-bool traces_identical(const mpi::Trace& a, const mpi::Trace& b) {
-  if (a.ranks() != b.ranks()) return false;
-  for (int r = 0; r < a.ranks(); ++r) {
-    const auto& sa = a.segments(r);
-    const auto& sb = b.segments(r);
-    if (sa.size() != sb.size()) return false;
-    for (std::size_t i = 0; i < sa.size(); ++i) {
-      if (sa[i].kind != sb[i].kind || sa[i].begin != sb[i].begin ||
-          sa[i].end != sb[i].end || sa[i].step != sb[i].step)
-        return false;
-    }
-    const auto ta = a.step_begin(r);
-    const auto tb = b.step_begin(r);
-    if (!std::equal(ta.begin(), ta.end(), tb.begin(), tb.end())) return false;
-    if (a.finish(r) != b.finish(r)) return false;
-  }
-  return true;
-}
-
 TEST(Determinism, SameSeedSameTraceBitExact) {
   const auto r1 = run_wave_experiment(canonical_experiment(12345));
   const auto r2 = run_wave_experiment(canonical_experiment(12345));
-  EXPECT_TRUE(traces_identical(r1.trace, r2.trace));
+  EXPECT_TRUE(mpi::same_timelines(r1.trace, r2.trace));
   EXPECT_EQ(r1.trace.makespan(), r2.trace.makespan());
   EXPECT_DOUBLE_EQ(r1.up.speed_ranks_per_sec, r2.up.speed_ranks_per_sec);
 }
@@ -59,7 +40,7 @@ TEST(Determinism, SameSeedSameTraceBitExact) {
 TEST(Determinism, DifferentSeedsDiverge) {
   const auto r1 = run_wave_experiment(canonical_experiment(1));
   const auto r2 = run_wave_experiment(canonical_experiment(2));
-  EXPECT_FALSE(traces_identical(r1.trace, r2.trace));
+  EXPECT_FALSE(mpi::same_timelines(r1.trace, r2.trace));
 }
 
 TEST(Determinism, SilentSystemIsSeedInvariant) {
@@ -71,7 +52,7 @@ TEST(Determinism, SilentSystemIsSeedInvariant) {
   exp2.cluster.seed = 999;
   const auto r1 = run_wave_experiment(exp1);
   const auto r2 = run_wave_experiment(exp2);
-  EXPECT_TRUE(traces_identical(r1.trace, r2.trace));
+  EXPECT_TRUE(mpi::same_timelines(r1.trace, r2.trace));
 }
 
 TEST(Determinism, TraceInvariantsHold) {

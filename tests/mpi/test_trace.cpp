@@ -187,6 +187,38 @@ TEST(Trace, MakespanFinishAndBytesOnAliasedTraces) {
   EXPECT_EQ(Trace(3).makespan(), SimTime::zero());
 }
 
+TEST(Trace, SameTimelinesComparesContentNotLayout) {
+  const Trace ref = reference_timeline();
+  // One side aliases rank 2 onto rank 1's imported row, the other copies
+  // both into rows of their own, in the other order.
+  Trace aliased(3);
+  aliased.import_rank(1, ref, 0);
+  aliased.alias_rank(2, 1);
+  Trace copied(3);
+  copied.import_rank(2, ref, 0);
+  copied.import_rank(1, ref, 0);
+  EXPECT_TRUE(same_timelines(aliased, copied));
+  EXPECT_FALSE(same_timelines(aliased, Trace(3)));
+  EXPECT_FALSE(same_timelines(aliased, Trace(4)));
+
+  // Each part of a timeline counts, the noise draw of a segment included.
+  const auto timeline = [](Duration noise, std::int64_t mark,
+                           std::int64_t finish) {
+    Trace t(1);
+    Segment s = seg(SegKind::compute, 0, 30);
+    s.noise = noise;
+    t.add_segment(0, s);
+    t.mark_step(0, 0, SimTime{mark});
+    t.set_finish(0, SimTime{finish});
+    return t;
+  };
+  const Trace base = timeline(Duration{5}, 0, 30);
+  EXPECT_TRUE(same_timelines(base, timeline(Duration{5}, 0, 30)));
+  EXPECT_FALSE(same_timelines(base, timeline(Duration{6}, 0, 30)));
+  EXPECT_FALSE(same_timelines(base, timeline(Duration{5}, 1, 30)));
+  EXPECT_FALSE(same_timelines(base, timeline(Duration{5}, 0, 31)));
+}
+
 TEST(Trace, SegKindNames) {
   EXPECT_STREQ(to_string(SegKind::compute), "compute");
   EXPECT_STREQ(to_string(SegKind::injected), "injected");

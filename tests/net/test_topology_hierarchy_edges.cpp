@@ -1,7 +1,7 @@
-// Edge cases of the hierarchical fabric tiers: degenerate single-rank
-// islands, rank counts that do not divide the switch-group size, and the
-// division-free classification tables checked against a naive modulo
-// reference over randomized shapes.
+// Edge cases of the hierarchical fabric tier: rank counts that do not divide
+// the switch-group size, the pattern period, and the division-free
+// classification tables checked against a naive modulo reference over
+// randomized shapes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,10 +25,7 @@ LinkClass classify_naive(const TopologySpec& spec, int per_socket, int a,
   if (spec.nodes_per_switch == 0) return LinkClass::inter_node;
   const int per_switch = per_node * spec.nodes_per_switch;
   if (a / per_switch == b / per_switch) return LinkClass::inter_node;
-  if (spec.switches_per_island == 0) return LinkClass::inter_switch;
-  const int per_island = per_switch * spec.switches_per_island;
-  if (a / per_island == b / per_island) return LinkClass::inter_switch;
-  return LinkClass::inter_island;
+  return LinkClass::inter_switch;
 }
 
 void expect_matches_naive(const TopologySpec& spec) {
@@ -43,8 +40,7 @@ void expect_matches_naive(const TopologySpec& spec) {
                            << spec.ranks << ", per_socket=" << per_socket
                            << ", sockets=" << spec.sockets_per_node
                            << ", nodes/switch=" << spec.nodes_per_switch
-                           << ", switches/island="
-                           << spec.switches_per_island << ")";
+                           << ")";
       seen[static_cast<std::size_t>(got)] = true;
     }
   }
@@ -56,30 +52,18 @@ void expect_matches_naive(const TopologySpec& spec) {
   }
 }
 
-TEST(TopologyHierarchyEdges, SingleRankIslands) {
-  // One rank per socket, one socket per node, one node per switch, one
-  // switch per island: every rank is alone in its island, so every
-  // cross-rank link is inter_island and nothing below is ever produced.
-  TopologySpec spec;
-  spec.ranks = 5;
-  spec.ranks_per_socket = 1;
-  spec.sockets_per_node = 1;
-  spec.nodes_per_switch = 1;
-  spec.switches_per_island = 1;
+/// The spec's pattern period is the topology's, and classification repeats
+/// with it: every pair shifted by one period classifies like the unshifted
+/// pair (longer shifts follow by induction).
+void expect_period_invariant(const TopologySpec& spec) {
   const Topology topo(spec);
-  EXPECT_EQ(topo.islands(), 5);
-  EXPECT_EQ(topo.switches(), 5);
-  EXPECT_EQ(topo.pattern_period(), 1);
-  for (int a = 0; a < 5; ++a)
-    for (int b = 0; b < 5; ++b)
-      EXPECT_EQ(topo.classify(a, b),
-                a == b ? LinkClass::self : LinkClass::inter_island);
-  EXPECT_FALSE(topo.produces(LinkClass::intra_socket));
-  EXPECT_FALSE(topo.produces(LinkClass::inter_socket));
-  EXPECT_FALSE(topo.produces(LinkClass::inter_node));
-  EXPECT_FALSE(topo.produces(LinkClass::inter_switch));
-  EXPECT_TRUE(topo.produces(LinkClass::inter_island));
-  expect_matches_naive(spec);
+  const int period = spec.pattern_period();
+  ASSERT_EQ(period, topo.pattern_period());
+  for (int a = 0; a + period < spec.ranks; ++a)
+    for (int b = 0; b + period < spec.ranks; ++b)
+      ASSERT_EQ(topo.classify(a, b), topo.classify(a + period, b + period))
+          << "ranks " << a << " -> " << b << " shifted by " << period
+          << " (np=" << spec.ranks << ")";
 }
 
 TEST(TopologyHierarchyEdges, RanksNotDivisibleBySwitchGroup) {
@@ -103,42 +87,29 @@ TEST(TopologyHierarchyEdges, RanksNotDivisibleBySwitchGroup) {
   expect_matches_naive(spec);
 }
 
-TEST(TopologyHierarchyEdges, PartialIslandCounts) {
-  // 4 ranks/switch, 2 switches/island; 20 ranks = 5 switch groups =
-  // 2 full islands plus a partial third.
-  TopologySpec spec;
-  spec.ranks = 20;
-  spec.ranks_per_socket = 1;
-  spec.sockets_per_node = 2;
-  spec.nodes_per_switch = 2;
-  spec.switches_per_island = 2;
-  const Topology topo(spec);
-  EXPECT_EQ(topo.ranks_per_island(), 8);
-  EXPECT_EQ(topo.islands(), 3);
-  EXPECT_EQ(topo.island_of(15), 1);
-  EXPECT_EQ(topo.island_of(16), 2);
-  expect_matches_naive(spec);
-}
-
 TEST(TopologyHierarchyEdges, PatternPeriodTranslationInvariance) {
   TopologySpec spec;
   spec.ranks = 3 * 12;  // three full switch groups
   spec.ranks_per_socket = 2;
   spec.nodes_per_switch = 3;
-  const Topology topo(spec);
-  const int period = topo.pattern_period();
-  ASSERT_EQ(period, 12);
-  for (int a = 0; a < period; ++a)
-    for (int b = 0; b < period; ++b)
-      for (int shift = period; shift + period <= spec.ranks;
-           shift += period)
-        EXPECT_EQ(topo.classify(a, b), topo.classify(a + shift, b + shift));
+  EXPECT_EQ(spec.pattern_period(), 12);
+  expect_period_invariant(spec);
+  // ranks_per_socket = 0 fills every core: 3 cores x 2 sockets x 2 nodes.
+  spec.ranks_per_socket = 0;
+  spec.cores_per_socket = 3;
+  spec.nodes_per_switch = 2;
+  EXPECT_EQ(spec.pattern_period(), 12);
+  expect_period_invariant(spec);
+  // Without a switch tier the node is the period.
+  spec.nodes_per_switch = 0;
+  EXPECT_EQ(spec.pattern_period(), 6);
+  expect_period_invariant(spec);
 }
 
 TEST(TopologyHierarchyEdges, RandomizedShapesMatchNaiveReference) {
-  // Deterministic fuzz over tier shapes, including disabled tiers and
-  // partial top groups. Every (a, b) pair of every shape must agree with
-  // the all-divisions reference.
+  // Deterministic fuzz over tier shapes, including a disabled switch tier
+  // and partial top groups. Every (a, b) pair of every shape must agree
+  // with the all-divisions reference and repeat with the pattern period.
   const Rng rng(0x70D07071ull);
   for (int trial = 0; trial < 40; ++trial) {
     const Rng r = rng.fork(static_cast<std::uint64_t>(trial));
@@ -146,12 +117,9 @@ TEST(TopologyHierarchyEdges, RandomizedShapesMatchNaiveReference) {
     spec.ranks_per_socket = 1 + static_cast<int>(r.fork(0).next_u64() % 3);
     spec.sockets_per_node = 1 + static_cast<int>(r.fork(1).next_u64() % 3);
     spec.nodes_per_switch = static_cast<int>(r.fork(2).next_u64() % 4);  // 0-3
-    spec.switches_per_island =
-        spec.nodes_per_switch == 0
-            ? 0
-            : static_cast<int>(r.fork(3).next_u64() % 3);  // 0-2
     spec.ranks = 2 + static_cast<int>(r.fork(4).next_u64() % 60);
     expect_matches_naive(spec);
+    expect_period_invariant(spec);
   }
 }
 

@@ -114,13 +114,9 @@ void expect_same_trace(const mpi::Trace& a, const mpi::Trace& b,
     const auto sa = a.segments(r);
     const auto sb = b.segments(r);
     ASSERT_EQ(sa.size(), sb.size()) << where << " rank " << r;
-    for (std::size_t i = 0; i < sa.size(); ++i) {
-      EXPECT_EQ(sa[i].kind, sb[i].kind) << where << " rank " << r;
-      EXPECT_EQ(sa[i].begin, sb[i].begin) << where << " rank " << r;
-      EXPECT_EQ(sa[i].end, sb[i].end) << where << " rank " << r;
-      EXPECT_EQ(sa[i].step, sb[i].step) << where << " rank " << r;
-      EXPECT_EQ(sa[i].noise, sb[i].noise) << where << " rank " << r;
-    }
+    for (std::size_t i = 0; i < sa.size(); ++i)
+      EXPECT_TRUE(sa[i] == sb[i])
+          << where << " rank " << r << " segment " << i;
     const auto ma = a.step_begin(r);
     const auto mb = b.step_begin(r);
     EXPECT_TRUE(std::equal(ma.begin(), ma.end(), mb.begin(), mb.end()))

@@ -119,8 +119,11 @@ TEST(PointCache, HoldsLineBytesAndKeepsTheFirst) {
   // Re-inserting keeps (and returns) the first line; the reference holds.
   EXPECT_EQ(&cache.insert("k", R"({"index":4,"np":8})"), &stored);
   EXPECT_EQ(stored, R"({"index":3,"np":8})");
-  for (int i = 0; i < 100; ++i)
-    cache.insert("k" + std::to_string(i), "{}");
+  for (int i = 0; i < 100; ++i) {
+    std::string key = "k";
+    key += std::to_string(i);
+    cache.insert(key, "{}");
+  }
   EXPECT_EQ(cache.find("k"), &stored);
   EXPECT_EQ(cache.size(), 101u);
 }

@@ -299,7 +299,8 @@ TEST(CliListProperty, ValidListsAlwaysParseInFull) {
       const auto v = static_cast<std::int64_t>(rng.uniform_below(1'000'000)) -
                      500'000;
       want.push_back(v);
-      input += (k ? "," : "") + std::to_string(v);
+      if (k > 0) input += ',';
+      input += std::to_string(v);
     }
     const std::string arg = "--x=" + input;
     const char* argv[] = {"prog", arg.c_str()};

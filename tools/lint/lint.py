@@ -50,7 +50,10 @@ Rules (each line of output is `path:line: [rule] message`):
                      header. Code only tests reach is a seam no golden,
                      bench or example exercises. Exceptions live in
                      tools/lint/allowlist.txt as `<path> src-reachability`,
-                     each with the ROADMAP item that resolves it.
+                     each with the ROADMAP item that resolves it. An entry
+                     is stale, and flagged, once its file is gone or a
+                     non-test target reaches it, so the list only shrinks
+                     by deleting entries.
 
 Exit status: 0 clean, 1 violations found, 2 internal error.
 
@@ -424,17 +427,34 @@ def check_src_reachability(repo: Path) -> list[str]:
                 if target.suffix == ".hpp" and source.is_file():
                     pending.append(source)
     problems = []
+    present: set[str] = set()
     for path in sorted((repo / "src").rglob("*")):
-        if path.suffix not in (".hpp", ".cpp") or path.resolve() in reached:
+        if path.suffix not in (".hpp", ".cpp"):
             continue
         rel = path.relative_to(repo).as_posix()
-        if rel in allow:
+        present.add(rel)
+        if path.resolve() in reached or rel in allow:
             continue
         problems.append(
             f"{rel}:1: [src-reachability] no example, bench or benchmark "
             f"target includes this file, so only tests exercise it — give "
             f"it a non-test user, delete it, or allowlist it with the "
             f"ROADMAP item that resolves it")
+    # Stale exemptions: an entry must keep naming a file only tests reach.
+    allowlist = repo / "tools" / "lint" / "allowlist.txt"
+    for rel in sorted(allow):
+        if rel not in present:
+            why = "names a file that no longer exists"
+        elif (repo / rel).resolve() in reached:
+            why = "names a file a non-test target now reaches"
+        else:
+            continue
+        line = next(i for i, raw in enumerate(
+            allowlist.read_text().splitlines(), 1)
+            if raw.split("#", 1)[0].split()[:1] == [rel])
+        problems.append(
+            f"tools/lint/allowlist.txt:{line}: [src-reachability] stale "
+            f"entry: {rel} {why} — delete the entry")
     return problems
 
 
@@ -530,7 +550,9 @@ def make_clean_tree(root: Path) -> None:
 
 # Each self-test case seeds one violation; a rule may have several cases
 # (`<rule>/<variant>`), and every case must be flagged with its rule's tag.
-SELF_TEST_CASES = (*RULES, "soa-hot-structs/wrapped-smart-pointer")
+SELF_TEST_CASES = (*RULES, "soa-hot-structs/wrapped-smart-pointer",
+                   "src-reachability/stale-missing",
+                   "src-reachability/stale-reached")
 
 
 def seed_violation(root: Path, case: str) -> None:
@@ -563,6 +585,14 @@ def seed_violation(root: Path, case: str) -> None:
     elif case == "src-reachability":
         # A header that only tests would include.
         (root / "src" / "sim" / "orphan.hpp").write_text(CLEAN_HPP)
+    elif case == "src-reachability/stale-missing":
+        # The file went, its exemption stayed.
+        (root / "tools" / "lint" / "allowlist.txt").write_text(
+            "src/sim/gone.hpp src-reachability\n")
+    elif case == "src-reachability/stale-reached":
+        # An example reaches the file, so the exemption covers nothing.
+        (root / "tools" / "lint" / "allowlist.txt").write_text(
+            "# reason\nsrc/sim/calendar.hpp src-reachability\n")
     elif case == "soa-hot-structs":
         # A per-rank history vector-of-vectors sneaks into the trace SoA.
         hpp = root / "src" / "mpi" / "trace.hpp"
