@@ -58,6 +58,8 @@ namespace iw::core {
 struct MemorySystem {
   double socket_bandwidth_Bps = 40e9;
   double core_bandwidth_Bps = 6.7e9;
+
+  bool operator==(const MemorySystem&) const = default;
 };
 
 struct ClusterConfig {
@@ -76,6 +78,8 @@ struct ClusterConfig {
   /// Non-owning; must outlive the run. Not synchronized — concurrent
   /// harnesses (sweep workers) publish through their own collector instead.
   obs::MetricsRegistry* metrics = nullptr;
+
+  bool operator==(const ClusterConfig&) const = default;
 };
 
 /// One event-simulated rank of a fast-forward run and its program.

@@ -130,7 +130,8 @@ WaveResult run_grid_experiment(Cluster& cluster, const WaveExperiment& exp) {
 
 /// Runs the ring either through the fast-forward path (when requested and
 /// eligible) or the full event simulation; fills the ffwd counters.
-mpi::Trace run_ring_trace(Cluster& cluster, const WaveExperiment& exp,
+mpi::Trace run_ring_trace(Cluster& cluster, FfwdReference& reference,
+                          const WaveExperiment& exp,
                           std::uint64_t& ffwd_skips,
                           Duration& ffwd_time_skipped) {
   if (exp.ffwd != FfwdMode::off) {
@@ -142,7 +143,8 @@ mpi::Trace run_ring_trace(Cluster& cluster, const WaveExperiment& exp,
     if (plan.eligible &&
         (exp.ffwd == FfwdMode::force ||
          plan.active.size() < static_cast<std::size_t>(exp.ring.ranks))) {
-      FastForwardResult ff = run_ring_fast_forward(cluster, exp, plan);
+      FastForwardResult ff =
+          run_ring_fast_forward(cluster, exp, plan, reference);
       ffwd_skips = ff.skips;
       ffwd_time_skipped = ff.time_skipped;
       return std::move(ff.trace);
@@ -152,10 +154,11 @@ mpi::Trace run_ring_trace(Cluster& cluster, const WaveExperiment& exp,
                      exp.injected_noise);
 }
 
-WaveResult run_ring_experiment(Cluster& cluster, const WaveExperiment& exp) {
+WaveResult run_ring_experiment(Cluster& cluster, FfwdReference& reference,
+                               const WaveExperiment& exp) {
   std::uint64_t ffwd_skips = 0;
   Duration ffwd_time_skipped;
-  WaveResult result{run_ring_trace(cluster, exp, ffwd_skips,
+  WaveResult result{run_ring_trace(cluster, reference, exp, ffwd_skips,
                                    ffwd_time_skipped),
                     {}, {}, mpi::WireProtocol::eager, Duration::zero(), 0.0,
                     SimTime::zero(), cluster.events_processed(),
@@ -215,16 +218,18 @@ WaveResult run_ring_experiment(Cluster& cluster, const WaveExperiment& exp) {
   return result;
 }
 
-WaveResult run_on(Cluster& cluster, const WaveExperiment& exp) {
+WaveResult run_on(Cluster& cluster, FfwdReference& reference,
+                  const WaveExperiment& exp) {
   return exp.grid ? run_grid_experiment(cluster, exp)
-                  : run_ring_experiment(cluster, exp);
+                  : run_ring_experiment(cluster, reference, exp);
 }
 
 }  // namespace
 
 WaveResult run_wave_experiment(const WaveExperiment& exp) {
   Cluster cluster(exp.cluster);
-  return run_on(cluster, exp);
+  FfwdReference reference;
+  return run_on(cluster, reference, exp);
 }
 
 WaveResult WaveRunner::run(const WaveExperiment& exp) {
@@ -233,7 +238,7 @@ WaveResult WaveRunner::run(const WaveExperiment& exp) {
   } else {
     cluster_->reset(exp.cluster);
   }
-  return run_on(*cluster_, exp);
+  return run_on(*cluster_, ffwd_reference_, exp);
 }
 
 }  // namespace iw::core

@@ -82,16 +82,19 @@ struct WaveResult {
 /// Reusable experiment driver: one Cluster is recycled across consecutive
 /// runs via Cluster::reset(), so a sweep worker pays for the engine
 /// calendar slab, transport pools, and process objects once instead of per
-/// point. Results are byte-identical to fresh-cluster runs (guarded by the
-/// determinism suite). Not thread-safe: a campaign worker holds one at a
-/// time, taken from and returned to a process-wide idle list, so runners
-/// outlive the campaign that built them (see sweep/runner.cpp).
+/// point, and the last fast-forward reference ring is kept until a point
+/// needs a different one. Results are byte-identical to fresh-cluster runs
+/// (guarded by the determinism suite). Not thread-safe: a campaign worker
+/// holds one at a time, taken from and returned to a process-wide idle
+/// list, so runners outlive the campaign that built them (see
+/// sweep/runner.cpp).
 class WaveRunner {
  public:
   [[nodiscard]] WaveResult run(const WaveExperiment& exp);
 
  private:
   std::unique_ptr<Cluster> cluster_;
+  FfwdReference ffwd_reference_;
 };
 
 /// Mean distance between consecutive step-begin markers of `rank` over

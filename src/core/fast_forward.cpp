@@ -124,9 +124,42 @@ FastForwardPlan plan_fast_forward(const WaveExperiment& exp) {
   return plan;
 }
 
+void FfwdReference::update(const ClusterConfig& config,
+                           const workload::RingSpec& ring) {
+  if (trace_ && config == config_ && ring == ring_) return;
+  trace_.reset();  // a throw below leaves no stale reference behind
+  Cluster ref_cluster(config);
+  const int period = config.topo.pattern_period();
+  std::vector<SimTime> send_times;
+  send_times.reserve(static_cast<std::size_t>(period) *
+                     static_cast<std::size_t>(ring.steps));
+  mpi::Trace trace = ref_cluster.run(workload::build_ring(ring));
+  // Per-residue send-post times: with no noise and no delays each step has
+  // exactly one compute segment, and sends are posted the instant it ends.
+  for (int q = 0; q < period; ++q) {
+    const std::size_t before = send_times.size();
+    for (const auto& seg : trace.segments(q))
+      if (seg.kind == mpi::SegKind::compute) send_times.push_back(seg.end);
+    IW_CHECK(send_times.size() - before ==
+                 static_cast<std::size_t>(ring.steps),
+             "reference ring must record one compute segment per step");
+  }
+  config_ = config;
+  ring_ = ring;
+  send_times_ = std::move(send_times);
+  trace_.emplace(std::move(trace));
+}
+
+std::span<const SimTime> FfwdReference::send_times(int residue) const {
+  const auto steps = static_cast<std::size_t>(ring_.steps);
+  return std::span<const SimTime>(send_times_)
+      .subspan(static_cast<std::size_t>(residue) * steps, steps);
+}
+
 FastForwardResult run_ring_fast_forward(Cluster& cluster,
                                         const WaveExperiment& exp,
-                                        const FastForwardPlan& plan) {
+                                        const FastForwardPlan& plan,
+                                        FfwdReference& reference) {
   IW_REQUIRE(plan.eligible, "fast-forward plan is not eligible");
   const workload::RingSpec& ring = exp.ring;
   const int np = ring.ranks;
@@ -134,7 +167,10 @@ FastForwardResult run_ring_fast_forward(Cluster& cluster,
 
   // Reference ring: periodic, undisturbed, same per-step physics. Its
   // ranks 0..P-1 are one full topology period, so every silent rank r of
-  // the real machine has the timeline of reference rank r mod P.
+  // the real machine has the timeline of reference rank r mod P. It is
+  // noise-free, and the seed feeds only noise streams, so the reference
+  // configuration leaves the seed at its default: points of one shape that
+  // differ only in their per-point seed share one reference.
   workload::RingSpec ref_ring = ring;
   ref_ring.ranks = plan.np_ref;
   ref_ring.boundary = workload::Boundary::periodic;
@@ -143,22 +179,8 @@ FastForwardResult run_ring_fast_forward(Cluster& cluster,
   ref_config.topo.ranks = plan.np_ref;
   ref_config.fabric = exp.cluster.fabric;
   ref_config.transport = exp.cluster.transport;
-  ref_config.seed = exp.cluster.seed;
-  Cluster ref_cluster(ref_config);
-  const mpi::Trace ref_trace = ref_cluster.run(workload::build_ring(ref_ring));
-
-  // Per-residue send-post times: with no noise and no delays each step has
-  // exactly one compute segment, and sends are posted the instant it ends.
-  std::vector<std::vector<SimTime>> send_times(
-      static_cast<std::size_t>(period));
-  for (int q = 0; q < period; ++q) {
-    auto& times = send_times[static_cast<std::size_t>(q)];
-    times.reserve(static_cast<std::size_t>(ring.steps));
-    for (const auto& seg : ref_trace.segments(q))
-      if (seg.kind == mpi::SegKind::compute) times.push_back(seg.end);
-    IW_CHECK(static_cast<int>(times.size()) == ring.steps,
-             "reference ring must record one compute segment per step");
-  }
+  reference.update(ref_config, ref_ring);
+  const mpi::Trace& ref_trace = reference.trace();
 
   // Programs for the active set only: the silent majority never gets one.
   std::vector<mpi::Program> storage;
@@ -187,7 +209,7 @@ FastForwardResult run_ring_fast_forward(Cluster& cluster,
   std::vector<GhostSend> ghost_sends;
   std::vector<GhostPost> ghost_posts;
   for (const int r : rim) {
-    const auto& times = send_times[static_cast<std::size_t>(r % period)];
+    const std::span<const SimTime> times = reference.send_times(r % period);
     for (int step = 0; step < ring.steps; ++step) {
       GhostPost post;
       post.when = times[static_cast<std::size_t>(step)];

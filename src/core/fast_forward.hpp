@@ -50,16 +50,19 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/cluster.hpp"
 #include "mpi/trace.hpp"
 #include "support/time.hpp"
+#include "workload/ring.hpp"
 
 namespace iw::core {
 
-class Cluster;
 struct WaveExperiment;
 
 enum class FfwdMode : std::uint8_t {
@@ -103,10 +106,37 @@ struct FastForwardResult {
   Duration time_skipped = Duration::zero();
 };
 
+/// The reference ring a fast-forward run synthesizes its silent ranks
+/// from: its trace and its per-residue send-post times, kept together with
+/// the inputs that produced them — the reference ClusterConfig (topology at
+/// np_ref ranks, fabric, transport) and the reference RingSpec. A
+/// WaveRunner keeps one across its points, so a point whose reference
+/// inputs equal the last one's (the same shape at another np, delay or
+/// seed) neither builds nor event-simulates the reference ring.
+class FfwdReference {
+ public:
+  /// Makes this the reference of `config` and `ring`, event-simulating it
+  /// only when either differs from the last call's (defaulted operator==).
+  void update(const ClusterConfig& config, const workload::RingSpec& ring);
+
+  [[nodiscard]] const mpi::Trace& trace() const { return *trace_; }
+  /// Send-post time of every step of reference rank `residue`, which must
+  /// lie in [0, config.topo.pattern_period()).
+  [[nodiscard]] std::span<const SimTime> send_times(int residue) const;
+
+ private:
+  ClusterConfig config_;
+  workload::RingSpec ring_;
+  std::optional<mpi::Trace> trace_;  ///< empty until the first update()
+  std::vector<SimTime> send_times_;  ///< period x steps, by residue
+};
+
 /// Runs the experiment through the fast-forward path on `cluster` (which
-/// must be freshly armed with exp.cluster). `plan` must be eligible.
+/// must be freshly armed with exp.cluster), taking its silent timelines
+/// from `reference`, which it updates first. `plan` must be eligible.
 /// Publishes the engine.ffwd_* metrics into exp.cluster.metrics when set.
 [[nodiscard]] FastForwardResult run_ring_fast_forward(
-    Cluster& cluster, const WaveExperiment& exp, const FastForwardPlan& plan);
+    Cluster& cluster, const WaveExperiment& exp, const FastForwardPlan& plan,
+    FfwdReference& reference);
 
 }  // namespace iw::core

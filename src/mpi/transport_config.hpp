@@ -37,6 +37,8 @@ struct NicModel {
   /// has not finished). 0 = unbounded: the ideal NIC of the plain Hockney
   /// model, with no backlog machinery on the hot path at all.
   int injection_depth = 0;
+
+  bool operator==(const NicModel&) const = default;
 };
 
 /// Eager-protocol admission policy: the paper's finite eager buffers
@@ -47,6 +49,8 @@ struct EagerPolicy {
   /// Exhaustion forces rendezvous; credits return when the receiver drains
   /// the message. 0 = unlimited (no credit accounting on the hot path).
   int credit_window = 0;
+
+  bool operator==(const EagerPolicy&) const = default;
 };
 
 /// Rendezvous payload-movement policy.
@@ -56,12 +60,16 @@ struct RendezvousPolicy {
   /// two_sided flavor only: one-sided puts/gets are executed by the NIC
   /// and never held behind the sender's other handshakes.
   RendezvousPipelining pipelining = RendezvousPipelining::deferred_push;
+
+  bool operator==(const RendezvousPolicy&) const = default;
 };
 
 struct TransportConfig {
   NicModel nic;
   EagerPolicy eager;
   RendezvousPolicy rendezvous;
+
+  bool operator==(const TransportConfig&) const = default;
 
   /// Rejects inconsistent combinations with an std::invalid_argument whose
   /// message names the offending field and how to fix it.

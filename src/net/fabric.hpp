@@ -36,6 +36,8 @@ struct FabricProfile {
     return link[static_cast<std::size_t>(c)];
   }
 
+  bool operator==(const FabricProfile&) const = default;
+
   /// QDR-InfiniBand cluster ("Emmy").
   [[nodiscard]] static FabricProfile infiniband_qdr();
   /// Omni-Path cluster ("Meggie").

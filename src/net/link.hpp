@@ -60,6 +60,8 @@ struct LinkParams {
 
   /// Time for a zero-payload control message (RTS/CTS handshakes).
   [[nodiscard]] Duration control_time() const { return latency; }
+
+  bool operator==(const LinkParams&) const = default;
 };
 
 }  // namespace iw::net

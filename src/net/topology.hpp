@@ -49,6 +49,8 @@ struct TopologySpec {
     return nodes_per_switch > 0 ? per_node * nodes_per_switch : per_node;
   }
 
+  bool operator==(const TopologySpec&) const = default;
+
   /// One rank per node (paper's "PPN=1" runs).
   [[nodiscard]] static TopologySpec one_rank_per_node(int nodes);
   /// `per_socket` ranks on each socket of dual-socket 10-core nodes.

@@ -65,6 +65,8 @@ struct NoiseSpec {
   /// Throws std::invalid_argument unless mean >= 0, shape > 0 and
   /// 0 <= lo <= hi (each checked for the kinds that use it).
   void validate() const;
+
+  bool operator==(const NoiseSpec&) const = default;
 };
 
 }  // namespace iw::noise

@@ -192,25 +192,37 @@ void Server::handle_line(Conn& conn, const std::string& line) {
 }
 
 void Server::drain_streams(Conn& conn) {
+  // The drained lines are framed into one buffer and sent when it reaches
+  // kFlushBytes and at the end: one send per drain, not one per record.
+  constexpr std::size_t kFlushBytes = std::size_t{64} << 10;
+  std::string out;
+  const auto flush = [&conn, &out] {
+    const bool ok = send_all(conn.fd.get(), out.data(), out.size());
+    out.clear();
+    if (!ok) conn.dead = true;
+    return ok;
+  };
+  std::vector<std::string> lines;
   for (std::size_t i = 0; i < conn.jobs.size();) {
     const std::uint64_t job = conn.jobs[i];
     // Order matters: checking finished() before draining guarantees the
     // terminal line (pushed before finished() flips) is in this drain.
     const bool fin = service_.finished(job);
-    std::vector<std::string> lines;
+    lines.clear();
     service_.drain(job, lines);
-    for (const std::string& l : lines)
-      if (!send_line(conn.fd.get(), l)) {
-        conn.dead = true;
-        return;
-      }
-    // Its terminal line is sent: abandon() would be a no-op from here on,
-    // so the connection forgets the job.
+    for (const std::string& l : lines) {
+      out += l;
+      out += '\n';
+      if (out.size() >= kFlushBytes && !flush()) return;
+    }
+    // Its terminal line is drained: abandon() would be a no-op from here
+    // on, so the connection forgets the job.
     if (fin)
       conn.jobs.erase(conn.jobs.begin() + static_cast<std::ptrdiff_t>(i));
     else
       ++i;
   }
+  if (!out.empty()) (void)flush();
 }
 
 void Server::disconnect(Conn& conn) {

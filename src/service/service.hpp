@@ -3,14 +3,16 @@
 // Transport-free heart of the daemon, modeled on the slurmctld controller /
 // queue split: the server (service/server.hpp) owns sockets and framing,
 // this class owns everything else — admission, the fair-share JobQueue,
-// sharding claimed batches onto the existing run_campaign worker pool, the
+// running claimed batches through sweep::run_campaign, the
 // content-addressed PointCache, and per-job output streams of ready-to-send
 // protocol lines. Tests drive it in-process (no fork/exec, no sockets) and
 // get the exact bytes a socket client would.
 //
 // Threading: every public method locks the one service mutex. Batches run
 // on whichever thread calls pump()/run_loop() — the daemon dedicates one
-// worker thread to run_loop() — and the physics itself runs UNLOCKED, so
+// scheduler thread to run_loop() — and that thread is the batch's first
+// campaign worker: at threads = 1 it computes every point itself, with no
+// thread started per batch. The physics runs UNLOCKED, so
 // submit/cancel/status stay responsive during compute; a running batch is
 // stopped at the next point boundary via the job's cancellation flag. The
 // metrics registry (not thread-safe) is only ever touched under the
@@ -54,11 +56,14 @@
 namespace iw::service {
 
 struct ServiceOptions {
-  /// Worker threads run_campaign shards each claimed batch across.
+  /// Campaign workers per claimed batch, the pumping thread included
+  /// (run_campaign starts threads - 1 helpers).
   int threads = 1;
   /// Max points per scheduling decision (one run_campaign call), at least 1
   /// (the constructor throws std::invalid_argument on 0). Small batches
-  /// interleave clients finely; large ones amortize pool spin-up.
+  /// interleave clients finely; large ones amortize the per-batch
+  /// scheduling under the service lock and, at threads > 1, the helper
+  /// threads' start and join.
   std::size_t batch_points = 8;
   QueueLimits limits;
   /// Optional unified metrics registry; written only under the service
@@ -135,7 +140,7 @@ class CampaignService {
   bool pump();
 
   /// pump() until stop(), sleeping while idle. The daemon runs this on a
-  /// dedicated worker thread.
+  /// dedicated scheduler thread.
   void run_loop();
   void stop();
 

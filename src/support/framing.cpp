@@ -93,16 +93,24 @@ bool send_line(int fd, const std::string& line) {
 }
 
 bool LineBuffer::next_line(std::string& line) {
-  const std::size_t pos = buf_.find('\n');
-  if (pos == std::string::npos || pos > kMaxLineBytes) return false;
-  line.assign(buf_, 0, pos);
-  buf_.erase(0, pos + 1);
+  const std::size_t pos = buf_.find('\n', head_);
+  if (pos == std::string::npos || pos - head_ > kMaxLineBytes) return false;
+  line.assign(buf_, head_, pos - head_);
+  head_ = pos + 1;
+  // Compacting only past half keeps the moved bytes below the consumed
+  // ones, so draining k lines costs O(their bytes), not O(k x buffer).
+  if (head_ > buf_.size() / 2) {
+    buf_.erase(0, head_);
+    head_ = 0;
+  }
   return true;
 }
 
 bool LineBuffer::overlong() const {
-  // The scan runs only once the buffer could hold an overlong line.
-  return buf_.size() > kMaxLineBytes && buf_.find('\n') > kMaxLineBytes;
+  // The scan runs only once the buffer could hold an overlong line; npos
+  // (no '\n' yet) counts as overlong too.
+  return buf_.size() - head_ > kMaxLineBytes &&
+         buf_.find('\n', head_) - head_ > kMaxLineBytes;
 }
 
 }  // namespace iw

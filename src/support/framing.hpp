@@ -72,6 +72,7 @@ class LineBuffer {
 
  private:
   std::string buf_;
+  std::size_t head_ = 0;  ///< first unconsumed byte of buf_
 };
 
 }  // namespace iw

@@ -35,8 +35,9 @@ class IdleRunners {
     return std::make_unique<core::WaveRunner>();
   }
 
-  /// Runs at the end of a worker thread, so it must not throw: a runner
-  /// the list has no room for is freed instead.
+  /// Runs at the end of a worker, on a helper thread or between the
+  /// caller's last point and its joins, so it must not throw: a runner the
+  /// list has no room for is freed instead.
   void give_back(std::unique_ptr<core::WaveRunner> runner) noexcept {
     std::lock_guard<std::mutex> lock(mutex_);
     try {
@@ -156,20 +157,24 @@ CampaignResult run_campaign(const std::vector<SweepPoint>& points,
   const int threads = std::clamp<int>(
       options.threads, 1,
       std::max<int>(1, static_cast<int>(points.size())));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
+  // The calling thread is worker 0 and only threads - 1 helpers are
+  // started, so a 1-thread campaign runs on the caller alone, whose caches
+  // still hold the runner it returned to the idle list last time.
+  std::vector<std::thread> helpers;
+  helpers.reserve(static_cast<std::size_t>(threads - 1));
   try {
-    for (int t = 0; t < threads; ++t)
-      pool.emplace_back([&collector] { collector.worker(); });
+    for (int t = 1; t < threads; ++t)
+      helpers.emplace_back([&collector] { collector.worker(); });
   } catch (...) {
-    // Thread creation failed (e.g. OS thread limit). Stop the workers that
+    // Thread creation failed (e.g. OS thread limit). Stop the helpers that
     // did start and join them before propagating — destroying a joinable
     // std::thread would std::terminate.
     collector.failed.store(true, std::memory_order_relaxed);
-    for (std::thread& t : pool) t.join();
+    for (std::thread& t : helpers) t.join();
     throw;
   }
-  for (std::thread& t : pool) t.join();
+  collector.worker();
+  for (std::thread& t : helpers) t.join();
 
   if (collector.error) std::rethrow_exception(collector.error);
 

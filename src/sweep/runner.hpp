@@ -7,10 +7,12 @@
 // finish), which makes an N-thread campaign byte-identical to the
 // single-threaded one. Cancellation stops workers at the next point
 // boundary; every record completed before the stop is still delivered.
-// Threads are per call, but each worker takes its core::WaveRunner from a
-// process-wide idle list and returns it, so consecutive campaigns recycle
-// their clusters; the list holds at most as many runners as were ever
-// running at once, each keeping the pools of the largest point it ran.
+// The calling thread is worker 0 of its own campaign: a call starts
+// threads - 1 helper threads (none at threads = 1), runs a worker itself
+// and then joins the helpers. Every worker takes its core::WaveRunner from
+// a process-wide idle list and returns it, so consecutive campaigns
+// recycle their clusters; the list holds at most as many runners as were
+// ever running at once, each keeping the pools of the largest point it ran.
 #pragma once
 
 #include <atomic>
@@ -28,8 +30,9 @@ class MetricsRegistry;
 namespace iw::sweep {
 
 struct RunnerOptions {
-  /// Worker threads; clamped to [1, points]. The worker pool is used even
-  /// for threads = 1 so both configurations run the same code path.
+  /// Workers, the calling thread included; clamped to [1, points]. Every
+  /// thread count runs the same worker body, so threads = 1 is the
+  /// caller alone, with no thread started.
   int threads = 1;
   /// Called after each completed point with (completed, total), serialized
   /// under the collector lock. Cheap callbacks only.
@@ -44,9 +47,11 @@ struct RunnerOptions {
   /// per-worker busy time — when the pool drains. Non-owning.
   obs::MetricsRegistry* metrics = nullptr;
   /// Record destinations. write() is invoked in ascending index order, one
-  /// record at a time — from worker threads under the collector lock while
-  /// the campaign runs, and from the calling thread (after all workers have
+  /// record at a time — from whichever worker (the calling thread or a
+  /// helper) completes the prefix, under the collector lock, while the
+  /// campaign runs, and from the calling thread (after every helper has
   /// joined) for records a cancellation left beyond the streamed prefix.
+  /// At threads = 1 every write runs on the calling thread.
   std::vector<RecordSink*> sinks;
 };
 
@@ -64,8 +69,9 @@ struct CampaignResult {
   }
 };
 
-/// Runs all `points` through the pool described by `options`.
-/// Rethrows the first worker exception (after joining every thread).
+/// Runs all `points` on the calling thread plus options.threads - 1
+/// helpers. Rethrows the first worker exception (after joining every
+/// helper).
 [[nodiscard]] CampaignResult run_campaign(const std::vector<SweepPoint>& points,
                                           const RunnerOptions& options = {});
 

@@ -39,6 +39,8 @@ struct RingSpec {
   int steps = 20;
   Duration texec = milliseconds(3.0);   ///< paper default execution phase
   bool noisy = true;                    ///< compute phases receive noise
+
+  bool operator==(const RingSpec&) const = default;
 };
 
 /// A one-off delay injected at `rank` after the compute phase of `step`.

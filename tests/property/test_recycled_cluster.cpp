@@ -31,6 +31,7 @@
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
 #include "core/fast_forward.hpp"
+#include "../core/expect_same_wave.hpp"
 #include "mpi/program.hpp"
 #include "mpi/trace.hpp"
 #include "net/topology.hpp"
@@ -147,7 +148,8 @@ void expect_same_metrics(const obs::MetricsSnapshot& a,
 }
 
 /// Runs `exp` on the recycled `runner` and on a fresh cluster and requires
-/// identical traces, marks, counters and transport stats.
+/// identical traces, marks, counters, transport stats and every other
+/// WaveResult field.
 WaveResult expect_matches_fresh(WaveRunner& runner, WaveExperiment exp,
                                 const std::string& where) {
   obs::MetricsRegistry reused_metrics;
@@ -158,8 +160,12 @@ WaveResult expect_matches_fresh(WaveRunner& runner, WaveExperiment exp,
   const WaveResult fresh = run_wave_experiment(exp);
 
   expect_same_trace(reused.trace, fresh.trace, where);
+  EXPECT_TRUE(mpi::same_timelines(reused.trace, fresh.trace)) << where;
   expect_same_metrics(reused_metrics.snapshot(), fresh_metrics.snapshot(),
                       where);
+  expect_same_analysis(reused.up, fresh.up, where + " up");
+  expect_same_analysis(reused.down, fresh.down, where + " down");
+  EXPECT_EQ(reused.predicted_speed, fresh.predicted_speed) << where;
   EXPECT_EQ(reused.protocol, fresh.protocol) << where;
   EXPECT_EQ(reused.events_processed, fresh.events_processed) << where;
   EXPECT_EQ(reused.peak_events_pending, fresh.peak_events_pending) << where;
@@ -316,6 +322,65 @@ WaveExperiment scale_wave_at(int np, FfwdMode ffwd) {
   return exp;
 }
 
+// A runner keeps the last fast-forward reference ring and re-simulates it
+// only when the reference inputs change. The 102,400- and 2048-rank
+// scale_wave points share one reference (their seeds differ, which a
+// noise-free reference ignores); each variant below changes one input the
+// reference depends on, at an unchanged np_ref, so a comparison that missed
+// that input would hand the variant a stale reference. Every point, in an
+// order that revisits each reference, must equal a fresh runner's result.
+TEST(RecycledCluster, FastForwardReferenceIsReusedOnlyForEqualInputs) {
+  // The catalog's own points, each with the seed its index gives it.
+  const std::vector<sweep::SweepPoint> catalog =
+      sweep::expand(sweep::find_scenario("scale_wave")->spec);
+  ASSERT_EQ(catalog.size(), 3u);
+  WaveExperiment big = catalog[2].exp;
+  WaveExperiment mid = catalog[1].exp;
+  ASSERT_EQ(big.ring.ranks, 102400);
+  ASSERT_EQ(mid.ring.ranks, 2048);
+  big.ffwd = mid.ffwd = FfwdMode::force;
+  ASSERT_NE(big.cluster.seed, mid.cluster.seed);
+  WaveExperiment fabric_and_size = mid;
+  fabric_and_size.cluster.fabric = net::FabricProfile::omnipath();
+  fabric_and_size.ring.msg_bytes = 65536;
+  WaveExperiment fabric = mid;
+  fabric.cluster.fabric = net::FabricProfile::omnipath();
+  WaveExperiment size = mid;
+  size.ring.msg_bytes = 65536;
+  WaveExperiment texec = mid;
+  texec.ring.texec = milliseconds(2.0);
+  WaveExperiment steps = mid;
+  steps.ring.steps = 16;
+  WaveExperiment direction = mid;
+  direction.ring.direction =
+      mid.ring.direction == workload::Direction::unidirectional
+          ? workload::Direction::bidirectional
+          : workload::Direction::unidirectional;
+  // 4 ranks per socket under 4-node switches: the pattern period (and so
+  // np_ref) stays 32, but more links are intra-socket.
+  WaveExperiment placement = mid;
+  placement.cluster.topo.ranks_per_socket = 4;
+  placement.cluster.topo.nodes_per_switch = 4;
+  ASSERT_EQ(placement.cluster.topo.pattern_period(),
+            mid.cluster.topo.pattern_period());
+
+  const std::pair<const char*, const WaveExperiment*> sequence[] = {
+      {"102400 ranks", &big},       {"2048 ranks", &mid},
+      {"fabric and size", &fabric_and_size},
+      {"102400 ranks again", &big}, {"fabric", &fabric},
+      {"2048 ranks again", &mid},   {"size", &size},
+      {"texec", &texec},            {"steps", &steps},
+      {"direction", &direction},    {"placement", &placement},
+      {"102400 ranks last", &big}};
+  WaveRunner runner;
+  for (const auto& [where, exp] : sequence) {
+    ASSERT_TRUE(plan_fast_forward(*exp).eligible) << where;
+    const WaveResult reused = expect_matches_fresh(runner, *exp, where);
+    EXPECT_GT(reused.ffwd_skips, 0u) << where;
+    if (::testing::Test::HasFailure()) return;  // one report is enough
+  }
+}
+
 /// Every rank a fast-forward run of `exp` can touch, ascending: the active
 /// ranks, every peer their programs name, and both ends of every ghost
 /// send. The ghost senders are the silent receive sources of active ranks,
@@ -363,7 +428,8 @@ TEST(RecycledCluster, TransportClaimsOnlyTheRanksARunTouches) {
   const std::size_t pool = std::max<std::size_t>(touched, 256);
 
   Cluster cluster(big.cluster);
-  (void)run_ring_fast_forward(cluster, big, plan);
+  FfwdReference reference;
+  (void)run_ring_fast_forward(cluster, big, plan, reference);
   EXPECT_EQ(cluster.transport_pool_stats().rank_states, touched);
   EXPECT_EQ(cluster.transport_pool_stats().rank_state_capacity, touched);
   const auto small_programs = workload::build_ring(small.ring, small.delays);
@@ -376,7 +442,7 @@ TEST(RecycledCluster, TransportClaimsOnlyTheRanksARunTouches) {
     EXPECT_EQ(cluster.transport_pool_stats().rank_state_capacity, pool)
         << where;
     cluster.reset(big.cluster);
-    (void)run_ring_fast_forward(cluster, big, plan);
+    (void)run_ring_fast_forward(cluster, big, plan, reference);
     EXPECT_EQ(cluster.transport_pool_stats().rank_states, touched) << where;
     EXPECT_EQ(cluster.transport_pool_stats().rank_state_capacity, pool)
         << where;

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -340,6 +341,29 @@ TEST(ServiceFinishedJob, JobCancelledMidBatchReplaysItsPartialStream) {
   EXPECT_GE(partial, 1u);
   EXPECT_LT(partial, 4u);
   EXPECT_EQ(json::parse(streamed.back()).find("type")->text, "cancelled");
+}
+
+void record_hook_thread(void* opaque, std::uint64_t, std::size_t) {
+  static_cast<std::vector<std::thread::id>*>(opaque)->push_back(
+      std::this_thread::get_id());
+}
+
+// At threads = 1 the pumping thread is the batch's only worker: every
+// on_batch_point call runs on it, and no thread is started per batch.
+TEST(ServiceThreads, OneThreadBatchRunsOnThePumpingThread) {
+  std::vector<std::thread::id> hook_threads;
+  ServiceOptions options;
+  options.threads = 1;
+  options.batch_points = 8;
+  options.on_batch_point = &record_hook_thread;
+  options.on_batch_ctx = &hook_threads;
+  CampaignService service(options);
+  ASSERT_TRUE(service.submit("a", 0, quick_spec({3.0, 6.0, 9.0})).accepted);
+  ASSERT_TRUE(service.pump());
+  EXPECT_FALSE(service.pump());
+  ASSERT_EQ(hook_threads.size(), 3u);
+  for (const std::thread::id id : hook_threads)
+    EXPECT_EQ(id, std::this_thread::get_id());
 }
 
 TEST(ServiceStatus, JobsOpenFollowsSubmitCancelAbandonAndFinish) {

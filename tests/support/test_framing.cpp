@@ -63,5 +63,43 @@ TEST(LineBuffer, CompleteLineOneByteOverTheCapIsRejected) {
   EXPECT_TRUE(buf.overlong());
 }
 
+TEST(LineBuffer, TenThousandLinesFromOneChunkComeOutInOrder) {
+  LineBuffer buf;
+  std::string chunk;
+  for (int i = 0; i < 10000; ++i) chunk += "line " + std::to_string(i) + "\n";
+  feed(buf, chunk);
+  std::string line;
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_TRUE(buf.next_line(line)) << i;
+    ASSERT_EQ(line, "line " + std::to_string(i));
+  }
+  EXPECT_FALSE(buf.next_line(line));
+  EXPECT_FALSE(buf.overlong());
+}
+
+// The cap counts the bytes of the pending line, not the consumed bytes
+// still held before it.
+TEST(LineBuffer, CapAppliesToTheLineAfterConsumedLines) {
+  LineBuffer buf;
+  std::string line;
+  feed(buf, "a\nbb\n" + std::string(LineBuffer::kMaxLineBytes, 'y') + "\n");
+  ASSERT_TRUE(buf.next_line(line));
+  EXPECT_EQ(line, "a");
+  EXPECT_FALSE(buf.overlong());
+  ASSERT_TRUE(buf.next_line(line));
+  EXPECT_EQ(line, "bb");
+  ASSERT_TRUE(buf.next_line(line));
+  EXPECT_EQ(line, std::string(LineBuffer::kMaxLineBytes, 'y'));
+
+  LineBuffer over;
+  feed(over, "a\nbb\n" + std::string(LineBuffer::kMaxLineBytes + 1, 'z') +
+                 "\nok\n");
+  ASSERT_TRUE(over.next_line(line));
+  ASSERT_TRUE(over.next_line(line));
+  EXPECT_EQ(line, "bb");
+  EXPECT_FALSE(over.next_line(line));
+  EXPECT_TRUE(over.overlong());
+}
+
 }  // namespace
 }  // namespace iw

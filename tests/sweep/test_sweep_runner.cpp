@@ -1,7 +1,8 @@
 // Tests for the sharded campaign runner and the structured result sinks:
 // thread-count invariance (byte-identical CSV/JSONL), in-order streaming,
 // cancellation without loss of completed records, runners recycled across
-// campaigns, and record reduction.
+// campaigns, the calling thread as a campaign's first worker, and record
+// reduction.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -293,6 +294,55 @@ TEST(SweepRunner, CleanCampaignAfterAFailedOneMatchesFreshRuns) {
   RunnerOptions options;
   options.threads = 2;
   EXPECT_THROW((void)run_campaign(poisoned, options), std::invalid_argument);
+  const auto clean = expand(tiny_campaign());
+  expect_matches_fresh_runs(run_campaign(clean, options), clean, "clean");
+}
+
+/// Records the thread of every write() (the runner serializes them).
+class ThreadSink final : public RecordSink {
+ public:
+  void write(const SweepRecord&) override {
+    threads.push_back(std::this_thread::get_id());
+  }
+  std::vector<std::thread::id> threads;
+};
+
+// The calling thread is worker 0, so a 1-thread campaign starts no thread:
+// every point, progress callback and sink write runs on the caller.
+TEST(SweepRunner, OneThreadCampaignRunsOnTheCallingThread) {
+  const auto points = expand(tiny_campaign());
+  const std::thread::id caller = std::this_thread::get_id();
+  ThreadSink sink;
+  std::vector<std::thread::id> progress;
+  RunnerOptions options;
+  options.threads = 1;
+  options.sinks = {&sink};
+  options.on_progress = [&progress](std::size_t, std::size_t) {
+    progress.push_back(std::this_thread::get_id());
+  };
+  const CampaignResult result = run_campaign(points, options);
+  ASSERT_EQ(result.records.size(), points.size());
+  ASSERT_EQ(sink.threads.size(), points.size());
+  ASSERT_EQ(progress.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(sink.threads[i], caller) << "write " << i;
+    EXPECT_EQ(progress[i], caller) << "progress " << i;
+  }
+}
+
+// The 1-thread twin of the test above it: the caller's own point throws,
+// the exception leaves run_campaign, the sinks hold exactly the points
+// before it, and the caller's next campaign matches fresh runs.
+TEST(SweepRunner, CleanCampaignAfterAFailedOneOnTheCallingThread) {
+  auto poisoned = expand(tiny_campaign());
+  poisoned[2].exp.delays.front().rank = 999;
+  IndexSink sink;
+  RunnerOptions options;
+  options.threads = 1;
+  options.sinks = {&sink};
+  EXPECT_THROW((void)run_campaign(poisoned, options), std::invalid_argument);
+  EXPECT_EQ(sink.indices, (std::vector<std::uint64_t>{0, 1}));
+  options.sinks.clear();
   const auto clean = expand(tiny_campaign());
   expect_matches_fresh_runs(run_campaign(clean, options), clean, "clean");
 }

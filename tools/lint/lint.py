@@ -286,6 +286,10 @@ def struct_fields(body: str) -> list[str]:
     """Data-member names declared in a struct body (functions excluded)."""
     fields = []
     for raw in body.split(";"):
+        # An operator (`bool operator==(...) const = default`) is a member
+        # function whose name holds the '=' that would end a field's name.
+        if re.search(r"\boperator\b", raw):
+            continue
         decl = raw.split("=")[0].strip()
         if not decl or "(" in decl or "{" in decl:
             continue
@@ -497,7 +501,8 @@ def make_clean_tree(root: Path) -> None:
         'const char* kNote = "std::shared_ptr in a string is fine";\n')
     (root / "src" / "mpi" / "transport_config.hpp").write_text(
         "#pragma once\nnamespace iw::mpi {\n"
-        "struct NicModel {\n  int injection_depth = 0;\n};\n"
+        "struct NicModel {\n  int injection_depth = 0;\n"
+        "  bool operator==(const NicModel&) const = default;\n};\n"
         "struct EagerPolicy {\n  int credit_window = 0;\n};\n"
         "struct RendezvousPolicy {\n  int flavor = 0;\n};\n"
         "struct TransportConfig {\n  NicModel nic;\n  EagerPolicy eager;\n"
