@@ -150,6 +150,12 @@ int do_results(const Cli& cli, int fd, std::uint64_t job) {
       if (jsonl) jsonl << line << '\n';
       continue;
     }
+    const json::Value msg = json::parse(line, "response");
+    if (field_text(msg, "type") == "error") {
+      std::cerr << "results failed [" << field_text(msg, "code")
+                << "]: " << field_text(msg, "message") << '\n';
+      return 1;
+    }
     std::cout << line << '\n';
     return 0;
   }

@@ -1,34 +1,30 @@
 #include "service/cache.hpp"
 
-#include <cstdio>
-#include <utility>
+#include <cstdint>
+#include <limits>
+#include <type_traits>
 
-#include "support/hash.hpp"
+#include "support/error.hpp"
 #include "verify/golden.hpp"
 
 namespace iw::service {
 namespace {
 
-// Exact, locale-free double serialization: hexfloats round-trip every bit,
-// so two submissions whose parsed values are binary-equal produce the same
-// key and *only* those. (csv_num's 12 significant digits would alias
-// distinct doubles; the protocol's 17-digit decimal form would work but is
-// longer and subtler to reason about.)
-std::string canon(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-std::string canon(std::int64_t v) { return std::to_string(v); }
-std::string canon(int v) { return std::to_string(v); }
-std::string canon(std::uint64_t v) { return std::to_string(v); }
-std::string canon(const std::string& v) { return v; }
-
-/// Axis value in canonical form: enum axes via their to_string name (the
-/// AxisValue record form), arithmetic axes via the exact serializers above.
+// Injective field encoders. Every field sits at a fixed position in a fixed
+// order, so fixed-width numbers need no separator, and a length prefix
+// marks where each text field ends. Host byte order is fine: the key never
+// leaves the process.
 template <typename T>
-std::string canon_axis(T v) {
-  return canon(sweep::AxisValue<T>::to_record(v));
+  requires std::is_arithmetic_v<T>
+void put(std::string& key, T v) {
+  key.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+void put(std::string& key, std::string_view text) {
+  IW_REQUIRE(text.size() <= std::numeric_limits<std::uint32_t>::max(),
+             "cache key text field longer than 4 GiB");
+  put(key, static_cast<std::uint32_t>(text.size()));
+  key += text;
 }
 
 }  // namespace
@@ -41,44 +37,33 @@ std::string canonical_point_key(const sweep::SweepSpec& spec,
 std::string canonical_point_key(const sweep::SweepSpec& spec,
                                 const sweep::SweepPoint& pt,
                                 int schema_version) {
-  std::string key = "iw-point;schema=";
-  key += canon(schema_version);
+  std::string key;
+  key.reserve(256);
+  put(key, schema_version);
   // Campaign scalars that build_experiment() folds into every point. The
   // injection fraction matters for ring sweeps only, but including it
   // unconditionally costs nothing and can only split entries that would
   // have been equal anyway.
-  key += ";workload=";
-  key += sweep::to_string(pt.workload);
-  key += ";steps=";
-  key += canon(spec.steps);
-  key += ";texec_ns=";
-  key += canon(spec.texec.ns());
-  key += ";distance=";
-  key += canon(spec.distance);
-  key += ";injection_step=";
-  key += canon(spec.injection_step);
-  key += ";injection_at=";
-  key += canon(spec.injection_at);
-  key += ";min_idle_ns=";
-  key += canon(spec.min_idle.ns());
-  key += ";system_noise=";
-  key += spec.system_noise;
-  key += ";ffwd=";
-  key += spec.ffwd;
+  put(key, std::string_view(sweep::to_string(pt.workload)));
+  put(key, spec.steps);
+  put(key, spec.texec.ns());
+  put(key, spec.distance);
+  put(key, spec.injection_step);
+  put(key, spec.injection_at);
+  put(key, spec.min_idle.ns());
+  put(key, spec.system_noise);
+  put(key, spec.ffwd);
   // Every axis of the registry, in declaration order — the submission's
-  // own declaration order never reaches this function.
-#define IW_AXIS_CANON(field, Type, flag, column, default_) \
-  key += ";" column "=";                                   \
-  key += canon_axis<Type>(pt.field);
-  IW_SWEEP_AXES(IW_AXIS_CANON)
-#undef IW_AXIS_CANON
-  key += ";seed=";
-  key += canon(pt.exp.cluster.seed);
-  return key;
-}
-
-std::string key_address(const std::string& canonical_key) {
-  return hash_hex(fnv1a64(canonical_key));
+  // own declaration order never reaches this function. Enum axes enter as
+  // their to_string name (the AxisValue record form).
+#define IW_AXIS_KEY(field, Type, flag, column, default_) \
+  put(key, sweep::AxisValue<Type>::to_record(pt.field));
+  IW_SWEEP_AXES(IW_AXIS_KEY)
+#undef IW_AXIS_KEY
+  put(key, pt.exp.cluster.seed);
+  // An unfinished job holds its keys: hand it an exact-size copy, not the
+  // reserved buffer.
+  return std::string(key);
 }
 
 const std::string* PointCache::find(const std::string& key) const {
@@ -87,8 +72,8 @@ const std::string* PointCache::find(const std::string& key) const {
 }
 
 const std::string& PointCache::insert(const std::string& key,
-                                      std::string line) {
-  const auto [it, inserted] = store_.emplace(key, std::move(line));
+                                      std::string_view values) {
+  const auto [it, inserted] = store_.try_emplace(key, values);
   if (inserted) bytes_ += it->first.size() + it->second.size();
   return it->second;
 }

@@ -77,7 +77,8 @@ struct Request {
 [[nodiscard]] std::string cancelled_response(std::uint64_t job,
                                              std::size_t records);
 /// Terminator of a "results" replay: the record lines streamed before it
-/// are the `records` points completed so far.
+/// are the `records` points completed so far. A job id the daemon does not
+/// know gets error_response("unknown-job", ...) instead.
 [[nodiscard]] std::string results_response(std::uint64_t job,
                                            std::size_t records);
 /// Immediate answer to a "cancel" request (any connection may cancel; the

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -171,15 +172,20 @@ void Server::handle_line(Conn& conn, const std::string& line) {
       return;
     }
     case RequestType::results: {
-      std::vector<std::string> lines;
-      service_.results_so_far(req.job, lines);
-      for (const std::string& l : lines)
-        if (!send_line(conn.fd.get(), l)) {
-          conn.dead = true;
-          return;
-        }
-      if (!send_line(conn.fd.get(), results_response(req.job, lines.size())))
-        conn.dead = true;
+      // The replay is framed under the service lock and sent outside it,
+      // terminator included, in one send.
+      std::string out;
+      const std::optional<std::size_t> records =
+          service_.results_so_far(req.job, out);
+      if (!records) {
+        const std::string err = error_response(
+            "unknown-job", "no job " + std::to_string(req.job));
+        if (!send_line(conn.fd.get(), err)) conn.dead = true;
+        return;
+      }
+      out += results_response(req.job, *records);
+      out += '\n';
+      if (!send_all(conn.fd.get(), out.data(), out.size())) conn.dead = true;
       return;
     }
     case RequestType::shutdown: {

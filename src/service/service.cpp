@@ -54,7 +54,7 @@ SubmitResult CampaignService::submit(const std::string& client, int priority,
     const std::size_t n = j.points.size();
     j.keys.resize(n);
     j.slots.assign(n, Job::Slot::pending);
-    j.lines.assign(n, nullptr);
+    j.values.assign(n, nullptr);
     std::size_t reserved = 0;
     std::size_t submit_hits = 0;
     for (std::size_t pi = 0; pi < n; ++pi) {
@@ -132,14 +132,19 @@ bool CampaignService::finished(std::uint64_t job) const {
   return j == nullptr || j->finished;
 }
 
-bool CampaignService::results_so_far(std::uint64_t job,
-                                     std::vector<std::string>& lines) const {
+std::optional<std::size_t> CampaignService::results_so_far(
+    std::uint64_t job, std::string& framed) const {
   std::lock_guard<std::mutex> lk(mu_);
   const Job* j = find_job(job);
-  if (j == nullptr) return false;
-  for (std::size_t pi = 0; pi < j->slots.size(); ++pi)
-    if (j->slots[pi] == Job::Slot::done) lines.push_back(record_line(*j, pi));
-  return true;
+  if (j == nullptr) return std::nullopt;
+  std::size_t records = 0;
+  for (std::size_t pi = 0; pi < j->slots.size(); ++pi) {
+    if (j->slots[pi] != Job::Slot::done) continue;
+    sweep::append_json_from_values(framed, *j->values[pi], pi);
+    framed += '\n';
+    records += 1;
+  }
+  return records;
 }
 
 std::string CampaignService::status_json() const {
@@ -248,13 +253,15 @@ bool CampaignService::pump() {
     // that loop reads the local `key`, never j.keys.
     Job& j = *jobs_.at(jid);
     obs::MetricsRegistry* m = options_.metrics;
+    std::string values;
     for (const sweep::SweepRecord& rec : res.records) {
       const std::size_t pi = rec.index;  // the batch holds j's own points
       assert(j.slots[pi] == Job::Slot::claimed);
       const std::string key = std::move(j.keys[pi]);
-      const std::string& line =
-          cache_.insert(key, sweep::record_json_line(rec));
-      fill_record(j, pi, line);
+      values.clear();
+      sweep::append_record_values(values, rec);
+      const std::string& stored = cache_.insert(key, values);
+      fill_record(j, pi, stored);
       j.computed += 1;
       total_computed_ += 1;
       stats_[j.client].computed += 1;
@@ -263,7 +270,7 @@ bool CampaignService::pump() {
       if (w != waiters_.end()) {
         for (const Owner& o : w->second) {
           Job& wj = *jobs_.at(o.job);
-          fill_record(wj, o.point, line);
+          fill_record(wj, o.point, stored);
           wj.cache_hits += 1;
           queue_.complete_reserved(o.job, 1);
           if (m) m->add(obs::MetricId::service_cache_hits, 1);
@@ -356,19 +363,21 @@ const CampaignService::Job* CampaignService::find_job(std::uint64_t id) const {
 }
 
 void CampaignService::fill_record(Job& j, std::size_t pi,
-                                  const std::string& line) {
+                                  const std::string& values) {
   assert(j.slots[pi] != Job::Slot::done);
-  j.lines[pi] = &line;
+  j.values[pi] = &values;
   j.slots[pi] = Job::Slot::done;
   j.done_count += 1;
   advance_emission(j);
 }
 
 std::string CampaignService::record_line(const Job& j, std::size_t pi) {
-  // The one column that is campaign-relative rather than a pure function of
-  // the cache key: a shared point keeps its bytes but takes the requesting
-  // campaign's point index.
-  return sweep::with_json_index(*j.lines[pi], pi);
+  // `index` is the one column that is campaign-relative rather than a pure
+  // function of the cache key: a shared point keeps its values but takes the
+  // requesting campaign's point index.
+  std::string line;
+  sweep::append_json_from_values(line, *j.values[pi], pi);
+  return line;
 }
 
 void CampaignService::advance_emission(Job& j) {
@@ -425,7 +434,7 @@ void CampaignService::check_finalize(Job& j) {
   jobs_open_ -= 1;
   queue_.close(j.id);
   // Nothing reads a finished job's expansion: drain, results, finished,
-  // abandon and status need only its slots, lines and counters. Every
+  // abandon and status need only its slots, values and counters. Every
   // caller is past its last read of this job's points and keys: submit,
   // cancel and abandon call this last, and pump moves each key out before
   // the fill that may finish the job (see there).

@@ -19,9 +19,10 @@
 // service mutex, never handed to run_campaign's workers.
 //
 // Dedup has three tiers per submitted point:
-//   cache hit  — a completed record line exists; replayed instantly (the
-//                line is byte-identical to a fresh run; only `index` is
-//                patched to the requesting campaign's point index).
+//   cache hit  — a completed record's values exist; replayed instantly
+//                (sweep::append_json_from_values interleaves the column
+//                names with them and writes the requesting campaign's
+//                point index: the line is byte-identical to a fresh run).
 //   in-flight  — another job owns the same key but hasn't finished it; the
 //                point parks as a "reserved" slot and is filled when the
 //                owner's batch lands. If the owner cancels first, the
@@ -32,11 +33,13 @@
 // Memory: a job holds its expanded points and their cache keys only while
 // it is unfinished. When it finishes (every point done, or cancelled with
 // no claimed point left), it keeps just what drain/results/finished/
-// abandon/status read — one slot byte and one cache line pointer per
+// abandon/status read — one slot byte and one cache value pointer per
 // point, its counters and its undrained output, about 9 B per point plus a
 // fixed header. Re-submitting cached campaigns therefore grows the daemon
 // by that much per point, and the cache is the only state that grows with
-// distinct points.
+// distinct points: about 550 B of peak RSS per point (a 154-165 B packed
+// key, about 210 B of record values, the map node and allocator overhead;
+// the finished job's share included).
 #pragma once
 
 #include <atomic>
@@ -45,6 +48,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -119,9 +123,12 @@ class CampaignService {
   /// True once the job's terminal line has been emitted.
   [[nodiscard]] bool finished(std::uint64_t job) const;
 
-  /// Record lines of every point completed so far (the "results" verb's
-  /// replay), ascending point order. False if the job is unknown.
-  bool results_so_far(std::uint64_t job, std::vector<std::string>& lines) const;
+  /// Appends the record line of every point completed so far, each
+  /// followed by '\n' (the "results" verb's replay, framed for one send),
+  /// in ascending point order, and returns how many it appended. nullopt
+  /// if the job is unknown.
+  std::optional<std::size_t> results_so_far(std::uint64_t job,
+                                            std::string& framed) const;
 
   /// One status control line (queue depth, clients, cache, per-client
   /// points/sec).
@@ -168,9 +175,9 @@ class CampaignService {
       reclaimed
     };
     std::vector<Slot> slots;  ///< one per point: its size is the point count
-    /// Cache-owned record line per point, set where the slot is done; a
+    /// Cache-owned record values per point, set where the slot is done; a
     /// job holds no copy of the bytes (see record_line).
-    std::vector<const std::string*> lines;
+    std::vector<const std::string*> values;
     std::size_t next_emit = 0;  ///< first point index not yet emitted
     std::size_t emitted = 0;
     std::size_t done_count = 0;
@@ -200,8 +207,8 @@ class CampaignService {
   /// Marks the job cancelled and reclaims its unclaimed pending and
   /// reserved slots (ownerships released / waiter registrations removed).
   void reclaim_unfinished(Job& j);
-  /// Marks point `pi` done with `line`, a cache-owned record line.
-  void fill_record(Job& j, std::size_t pi, const std::string& line);
+  /// Marks point `pi` done with `values`, cache-owned record values.
+  void fill_record(Job& j, std::size_t pi, const std::string& values);
   /// Point `pi`'s record line with the job's own point index, `pi`.
   static std::string record_line(const Job& j, std::size_t pi);
   void advance_emission(Job& j);

@@ -1,12 +1,7 @@
-// Streaming FNV-1a 64-bit hashing for content addressing.
-//
-// The campaign service keys its point cache by a canonical serialization of
-// (expanded spec point, seed, record-schema version); the store itself is
-// keyed by the full canonical string (collision-free by construction), and
-// this hash is the short content address used for logging, status output
-// and cheap prefilters. FNV-1a is not cryptographic — nothing here defends
-// against adversarial collisions, only against accidental ones, and the
-// exact-string store behind it makes even those harmless.
+// Streaming FNV-1a 64-bit hashing: short, stable fingerprints of byte
+// streams (the benchmark's records fingerprint, the noise-profile tests).
+// FNV-1a is not cryptographic — nothing here defends against adversarial
+// collisions, only against accidental ones.
 #pragma once
 
 #include <cstddef>
@@ -42,7 +37,7 @@ class Fnv1a64 {
   return Fnv1a64{}.update(s).digest();
 }
 
-/// The 16-hex-digit content address the service prints for a hash.
+/// The 16-hex-digit form of a hash.
 [[nodiscard]] inline std::string hash_hex(std::uint64_t h) {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string out(16, '0');

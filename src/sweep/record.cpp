@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstddef>
+#include <cstring>
 #include <stdexcept>
 #include <type_traits>
 
@@ -245,13 +246,18 @@ std::string csv_header() {
   return out;
 }
 
-void append_csv_row(std::string& out, const SweepRecord& rec) {
-  bool first = true;
-  for (const ColumnDef& def : column_table()) {
-    if (!first) out += ',';
-    first = false;
-    def.append(out, rec);
+void append_record_values(std::string& out, const SweepRecord& rec) {
+  const auto& table = column_table();
+  for (std::size_t c = 1; c < table.size(); ++c) {
+    if (c > 1) out += ',';
+    table[c].append(out, rec);
   }
+}
+
+void append_csv_row(std::string& out, const SweepRecord& rec) {
+  column_table().front().append(out, rec);  // index
+  out += ',';
+  append_record_values(out, rec);
 }
 
 void append_json_line(std::string& out, const SweepRecord& rec) {
@@ -276,14 +282,38 @@ std::string record_json_line(const SweepRecord& rec) {
   return out;
 }
 
-std::string with_json_index(std::string_view line, std::uint64_t index) {
-  const std::size_t end = line.find(',');
-  IW_REQUIRE(line.starts_with(kJsonIndexPrefix) && end != line.npos,
-             "not a JSON record line");
-  std::string out(kJsonIndexPrefix);
+void append_json_from_values(std::string& out, std::string_view values,
+                             std::uint64_t index) {
+  const auto& table = column_table();
+  // What the line adds to the values: names, quotes, separators, braces.
+  static const std::size_t frame_bytes = [&table] {
+    std::size_t n = kJsonIndexPrefix.size() + 20 + 1;
+    for (const ColumnDef& def : table)
+      n += std::strlen(def.meta.name) +
+           (def.meta.json_quoted ? std::size_t{6} : std::size_t{4});
+    return n;
+  }();
+  // One allocation for a fresh line (the service's per-record output).
+  if (out.empty()) out.reserve(frame_bytes + values.size());
+  out += kJsonIndexPrefix;
   append_integer(out, index);
-  out += line.substr(end);
-  return out;
+  std::size_t pos = 0;
+  for (std::size_t c = 1; c < table.size(); ++c) {
+    const bool last = c + 1 == table.size();
+    std::size_t end = values.find(',', pos);
+    IW_REQUIRE(last == (end == std::string_view::npos),
+               "stored record values do not hold one field per column");
+    if (last) end = values.size();
+    const ColumnMeta& meta = table[c].meta;
+    out += ",\"";
+    out += meta.name;
+    out += "\":";
+    if (meta.json_quoted) out += '"';
+    out += values.substr(pos, end - pos);
+    if (meta.json_quoted) out += '"';
+    pos = end + 1;
+  }
+  out += '}';
 }
 
 SweepRecord reduce(const SweepPoint& point, const core::WaveResult& result) {

@@ -9,11 +9,11 @@
 // The column set is a *typed schema*, not a stringly field list: every
 // column declares its value type and its verification tolerance class, and
 // the schema is the single source of truth for serialization (sinks, golden
-// files, the service's cached lines), parsing (golden-corpus loading) and
+// files, the service's cached values), parsing (golden-corpus loading) and
 // field-by-field diffing (src/verify). Its column table in record.cpp is
 // the only place a record becomes text: each column appends its value to a
-// caller-owned buffer with std::to_chars, and CSV rows, JSON lines and
-// golden rows are loops over that one writer.
+// caller-owned buffer with std::to_chars, and CSV rows, JSON lines, golden
+// rows and the service's cached values are loops over that one writer.
 #pragma once
 
 #include <cstdint>
@@ -125,12 +125,14 @@ void set_column(SweepRecord& rec, std::size_t col, const std::string& text);
 /// The CSV header row (column names joined by commas, no newline).
 [[nodiscard]] std::string csv_header();
 
-/// Appends one CSV row of `rec` (no newline): a CsvSink or golden-file row.
+/// Appends one CSV row of `rec` (no newline): a CsvSink or golden-file row,
+/// the index cell followed by append_record_values.
 void append_csv_row(std::string& out, const SweepRecord& rec);
 
 /// Appends one JSON object of `rec` (no newline): the exact bytes JsonlSink
-/// writes and the campaign service streams, so a client-side JSONL file is
-/// byte-identical to a sink-written one by construction.
+/// writes. The campaign service streams the same bytes, rebuilt from stored
+/// values by append_json_from_values, so a client-side JSONL file is
+/// byte-identical to a sink-written one.
 void append_json_line(std::string& out, const SweepRecord& rec);
 
 /// append_json_line as a string.
@@ -140,11 +142,22 @@ void append_json_line(std::string& out, const SweepRecord& rec);
 [[nodiscard]] SweepRecord reduce(const SweepPoint& point,
                                  const core::WaveResult& result);
 
-/// A record_json_line() line with its `index` value replaced; every other
-/// byte is copied (the service's cached point, handed to another campaign).
-/// Throws std::invalid_argument unless `line` starts with the index field.
-[[nodiscard]] std::string with_json_index(std::string_view line,
-                                          std::uint64_t index);
+/// Appends the record's value text: columns 1..N (every column except
+/// `index`) in schema order, comma-joined — the CSV row without its index
+/// cell. The campaign service caches a point in this form. Throws like every
+/// writer on a text value that is not a bare token, so the commas split it
+/// unambiguously.
+void append_record_values(std::string& out, const SweepRecord& rec);
+
+/// Appends the JSON object (no newline) of the record whose value text
+/// append_record_values wrote, with `index` as its index: each column name
+/// interleaved with its stored text, quoted where json_quoted. The bytes
+/// equal append_json_line's for that record at that index, and no number is
+/// formatted again (a cached point, handed to any campaign). Throws
+/// std::invalid_argument unless `values` holds one field per non-index
+/// column.
+void append_json_from_values(std::string& out, std::string_view values,
+                             std::uint64_t index);
 
 /// Destination for a stream of records. The campaign runner guarantees
 /// write() is called from one thread at a time, in ascending index order

@@ -9,13 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "service/cache.hpp"
 #include "service/protocol.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
+#include "sweep/scenario.hpp"
 #include "sweep/spec.hpp"
 #include "verify/golden.hpp"
 
@@ -103,11 +107,76 @@ TEST(CacheKey, DistinctAcrossSeedSchemaAndPoint) {
   EXPECT_NE(canonical_point_key(moved, sweep::expand(moved)[0]), key);
 }
 
-TEST(CacheKey, AddressIsStableHex) {
-  const std::string addr = key_address("iw-point;schema=4;workload=ring");
-  EXPECT_EQ(addr.size(), 16u);
-  EXPECT_EQ(addr, key_address("iw-point;schema=4;workload=ring"));
-  EXPECT_NE(addr, key_address("iw-point;schema=5;workload=ring"));
+void field(std::ostream& os, const std::string& v) {
+  os << v.size() << ':' << v << '|';
+}
+
+template <typename T>
+  requires std::is_arithmetic_v<T>
+void field(std::ostream& os, T v) {
+  os << v << '|';
+}
+
+/// The key's inputs as text — doubles as exact hexfloats, text fields with
+/// their length — the reference the packed key must agree with: two points
+/// share a key exactly when their texts match.
+std::string key_inputs_text(const sweep::SweepSpec& spec,
+                            const sweep::SweepPoint& pt) {
+  std::ostringstream os;
+  os << std::hexfloat;
+  field(os, std::string(sweep::to_string(pt.workload)));
+  field(os, spec.steps);
+  field(os, spec.texec.ns());
+  field(os, spec.distance);
+  field(os, spec.injection_step);
+  field(os, spec.injection_at);
+  field(os, spec.min_idle.ns());
+  field(os, spec.system_noise);
+  field(os, spec.ffwd);
+#define IW_AXIS_TEXT(field_, Type, flag, column, default_) \
+  field(os, sweep::AxisValue<Type>::to_record(pt.field_));
+  IW_SWEEP_AXES(IW_AXIS_TEXT)
+#undef IW_AXIS_TEXT
+  field(os, pt.exp.cluster.seed);
+  return os.str();
+}
+
+TEST(CacheKey, PackedKeyIsInjective) {
+  const sweep::SweepSpec spec = base_spec();
+  const sweep::SweepPoint pt = sweep::expand(spec)[0];
+  // Text fields that concatenate to the same bytes ("none"+"off" and
+  // "noneo"+"ff"): their length prefixes keep the keys apart.
+  sweep::SweepSpec shifted = spec;
+  shifted.system_noise = "noneo";
+  shifted.ffwd = "ff";
+  EXPECT_NE(canonical_point_key(shifted, pt), canonical_point_key(spec, pt));
+  sweep::SweepSpec empty_noise = spec;
+  empty_noise.system_noise = "";
+  empty_noise.ffwd = "noneoff";
+  EXPECT_NE(canonical_point_key(empty_noise, pt),
+            canonical_point_key(spec, pt));
+
+  // Every catalog point at one shared seed: the axes and campaign scalars
+  // alone must separate them, and each key stays compact. Two scenarios may
+  // hold the very same point (they then share a cache entry), so the check
+  // is a bijection with a plain-text rendering of the same inputs.
+  std::set<std::pair<std::string, std::string>> pairs;
+  std::set<std::string> keys;
+  std::set<std::string> texts;
+  for (const sweep::Scenario& scenario : sweep::scenario_catalog()) {
+    for (sweep::SweepPoint& p : sweep::expand(scenario.spec)) {
+      p.exp.cluster.seed = 1;
+      const std::string key = canonical_point_key(scenario.spec, p);
+      EXPECT_LE(key.size(), 192u) << scenario.name << " point " << p.index;
+      const std::string text = key_inputs_text(scenario.spec, p);
+      pairs.emplace(key, text);
+      keys.insert(key);
+      texts.insert(text);
+    }
+  }
+  EXPECT_GT(pairs.size(), 100u);
+  EXPECT_EQ(keys.size(), pairs.size()) << "distinct points share a key";
+  EXPECT_EQ(texts.size(), pairs.size()) << "one point has two keys";
 }
 
 TEST(PointCache, HoldsLineBytesAndKeepsTheFirst) {

@@ -1,9 +1,10 @@
 // Socket-level tests for idlewaved's front-end: a real Server on a real
 // AF_UNIX socket, driven by raw protocol lines. Covers the full
-// submit/stream/status/cancel/shutdown surface plus the disconnect fault:
-// a client that vanishes mid-stream has its jobs abandoned and its queue
-// share reclaimed, while completed physics stays in the shared cache; and
-// the line bound: an unterminated request line over the limit is refused.
+// submit/stream/status/cancel/results/shutdown surface plus the disconnect
+// fault: a client that vanishes mid-stream has its jobs abandoned and its
+// queue share reclaimed, while completed physics stays in the shared cache;
+// and the line bound: an unterminated request line over the limit is
+// refused.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -276,6 +277,57 @@ TEST_F(ServerFixture, CancelFromAnotherConnection) {
     break;
   }
   EXPECT_TRUE(type == "cancelled" || type == "done") << type;
+}
+
+TEST_F(ServerFixture, ResultsFromAnotherConnectionReplaysTheStream) {
+  std::vector<double> delays;
+  for (int i = 1; i <= 18; ++i) delays.push_back(0.5 * i);
+  ScopedFd submitter = connect();
+  ASSERT_TRUE(send_line(submitter.get(),
+                        submit_line("alice", 0, quick_spec(delays))));
+  TimedReader reader(submitter.get());
+  std::string line;
+  ASSERT_TRUE(reader.next(line));
+  const json::Value accepted = json::parse(line);
+  ASSERT_EQ(accepted.find("type")->text, "accepted");
+  const auto job = static_cast<std::uint64_t>(accepted.find("job")->number);
+  std::string streamed;
+  while (reader.next(line) && is_record_line(line)) {
+    streamed += line;
+    streamed += '\n';
+  }
+  ASSERT_EQ(json::parse(line).find("type")->text, "done");
+
+  // A second connection asks for the finished job's records: the same
+  // bytes, then the "results" terminator counting them.
+  ScopedFd other = connect();
+  ASSERT_TRUE(send_line(other.get(), results_line(job)));
+  TimedReader oreader(other.get());
+  std::string replayed;
+  while (oreader.next(line) && is_record_line(line)) {
+    replayed += line;
+    replayed += '\n';
+  }
+  EXPECT_EQ(replayed, streamed);
+  const json::Value results = json::parse(line);
+  EXPECT_EQ(results.find("type")->text, "results");
+  EXPECT_EQ(results.find("records")->number, 18.0);
+}
+
+TEST_F(ServerFixture, ResultsForAnUnknownJobIsAnError) {
+  ScopedFd fd = connect();
+  TimedReader reader(fd.get());
+  std::string line;
+  ASSERT_TRUE(send_line(fd.get(), results_line(4242)));
+  ASSERT_TRUE(reader.next(line));
+  const json::Value err = json::parse(line);
+  EXPECT_EQ(err.find("type")->text, "error");
+  EXPECT_EQ(err.find("code")->text, "unknown-job");
+
+  // The connection stays usable.
+  ASSERT_TRUE(send_line(fd.get(), status_line()));
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_EQ(json::parse(line).find("type")->text, "status");
 }
 
 TEST_F(ServerFixture, ShutdownVerbStopsTheServer) {

@@ -12,9 +12,11 @@
 // replays exactly what it streamed, however its points were served.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -89,6 +91,19 @@ std::string joined(const std::vector<std::string>& lines) {
     all += '\n';
   }
   return all;
+}
+
+/// The "results" replay of a known job: framed record lines, one per
+/// completed point.
+std::string replay(const CampaignService& service, std::uint64_t job) {
+  std::string framed;
+  const std::optional<std::size_t> records =
+      service.results_so_far(job, framed);
+  EXPECT_TRUE(records.has_value()) << "job " << job;
+  EXPECT_EQ(static_cast<std::size_t>(
+                std::count(framed.begin(), framed.end(), '\n')),
+            records.value_or(0));
+  return framed;
 }
 
 TEST(ServiceE2E, OverlappingCampaignsShareEveryCommonPoint) {
@@ -213,14 +228,12 @@ TEST(ServiceE2E, ResultsReplayMatchesStream) {
   pump_dry(service);
   std::vector<std::string> streamed;
   ASSERT_TRUE(service.drain(r.job, streamed));
-  std::vector<std::string> replayed;
-  ASSERT_TRUE(service.results_so_far(r.job, replayed));
-  EXPECT_EQ(replayed, split(streamed).records);
+  EXPECT_EQ(replay(service, r.job), joined(split(streamed).records));
 }
 
 // ---------------------------------------------------------------------------
 // Finished jobs. A job drops its expanded points and keys when it finishes
-// and keeps only its slots and cache line pointers; everything a client can
+// and keeps only its slots and cache value pointers; everything a client can
 // still ask of it must read the same from those.
 // ---------------------------------------------------------------------------
 
@@ -238,9 +251,8 @@ std::vector<std::string> expect_finished_job_keeps_its_records(
   EXPECT_FALSE(is_record_line(streamed.back()))
       << "the stream ends in its terminal line";
 
-  std::vector<std::string> replayed;
-  EXPECT_TRUE(service.results_so_far(job, replayed));
-  EXPECT_EQ(replayed, split(streamed).records);
+  const std::string replayed = replay(service, job);
+  EXPECT_EQ(replayed, joined(split(streamed).records));
 
   std::vector<std::string> after;
   EXPECT_TRUE(service.drain(job, after));
@@ -252,9 +264,7 @@ std::vector<std::string> expect_finished_job_keeps_its_records(
   EXPECT_TRUE(service.finished(job));
   EXPECT_TRUE(service.drain(job, after));
   EXPECT_TRUE(after.empty());
-  std::vector<std::string> again;
-  EXPECT_TRUE(service.results_so_far(job, again));
-  EXPECT_EQ(again, replayed);
+  EXPECT_EQ(replay(service, job), replayed);
   EXPECT_EQ(service.status_json(), status);
   return streamed;
 }
@@ -394,7 +404,7 @@ TEST(ServiceStatus, JobsOpenFollowsSubmitCancelAbandonAndFinish) {
   EXPECT_EQ(jobs_open(), 0.0);
 }
 
-TEST(ServiceStatus, CacheBytesCountKeysAndLines) {
+TEST(ServiceStatus, CacheBytesCountKeysAndValues) {
   obs::MetricsRegistry metrics;
   ServiceOptions options;
   options.metrics = &metrics;
@@ -407,13 +417,17 @@ TEST(ServiceStatus, CacheBytesCountKeysAndLines) {
   const SubmitResult r = service.submit("a", 0, spec);
   ASSERT_TRUE(r.accepted);
   pump_dry(service);
-  std::vector<std::string> records;
-  ASSERT_TRUE(service.results_so_far(r.job, records));
-  // The first campaign to compute a point stores the very line it streams.
+  // Each point stores its packed key and its record values (the CSV row
+  // without its index cell).
+  const sweep::CampaignResult fresh = sweep::run_campaign(spec, sweep::RunnerOptions{});
+  ASSERT_EQ(fresh.records.size(), 2u);
   std::size_t expected = 0;
   const std::vector<sweep::SweepPoint> points = sweep::expand(spec);
-  for (std::size_t i = 0; i < points.size(); ++i)
-    expected += canonical_point_key(spec, points[i]).size() + records[i].size();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    std::string values;
+    sweep::append_record_values(values, fresh.records[i]);
+    expected += canonical_point_key(spec, points[i]).size() + values.size();
+  }
   EXPECT_EQ(cache_bytes(), static_cast<double>(expected));
   EXPECT_EQ(metrics.gauge(obs::MetricId::service_cache_bytes),
             static_cast<double>(expected));

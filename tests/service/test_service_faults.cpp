@@ -256,7 +256,9 @@ TEST(ServiceFaults, CancelUnknownJobIsFalse) {
   EXPECT_FALSE(service.cancel(42));
   std::vector<std::string> lines;
   EXPECT_FALSE(service.drain(42, lines));
-  EXPECT_FALSE(service.results_so_far(42, lines));
+  std::string framed;
+  EXPECT_FALSE(service.results_so_far(42, framed).has_value());
+  EXPECT_TRUE(framed.empty());
   // Unknown reads as terminal: the server keys "stop streaming this job"
   // off finished(), and a bogus id must never leave a stream open forever.
   EXPECT_TRUE(service.finished(42));

@@ -3,18 +3,24 @@
 // serialization must round-trip — so a new SweepRecord field cannot ship
 // half-serialized (present in the struct, missing from sinks/goldens, or
 // vice versa). The codec tests pin the exact bytes of a JSON line, the
-// %.12g number format, the index rewrite and the bare-token rule.
+// %.12g number format, the replay of stored values under any index and the
+// bare-token rule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "support/csv.hpp"
+#include "support/rng.hpp"
 #include "sweep/record.hpp"
 
 namespace iw::sweep {
@@ -182,20 +188,135 @@ TEST(RecordCodec, NumbersPrintLikePrintf12g) {
 }
 
 TEST(RecordCodec, IndexRewriteHandlesDigitCountChanges) {
+  // A point's values are stored once and replayed under any index: the
+  // index field's digit count must not disturb a byte of the rest.
   SweepRecord rec = distinctive_record();
   const std::pair<std::uint64_t, std::uint64_t> cases[] = {
       {9, 10}, {0, 123456}, {123456, 0}, {7, 18446744073709551615ull}};
   for (const auto& [from, to] : cases) {
     rec.index = from;
-    const std::string line = record_json_line(rec);
+    std::string values;
+    append_record_values(values, rec);
     rec.index = to;
-    EXPECT_EQ(with_json_index(line, to), record_json_line(rec))
-        << from << " -> " << to;
+    std::string line;
+    append_json_from_values(line, values, to);
+    EXPECT_EQ(line, record_json_line(rec)) << from << " -> " << to;
   }
-  EXPECT_THROW((void)with_json_index(R"({"seed":"1","index":2})", 3),
+  std::string values;
+  append_record_values(values, rec);
+  std::string out;
+  // One field short, one too many.
+  EXPECT_THROW(append_json_from_values(
+                   out, values.substr(0, values.rfind(',')), 3),
                std::invalid_argument);
-  EXPECT_THROW((void)with_json_index(R"({"index":2})", 3),
+  EXPECT_THROW(append_json_from_values(out, values + ",0", 3),
                std::invalid_argument);
+  EXPECT_THROW(append_json_from_values(out, "", 3), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Stored values replay as the sink's JSON line: 300 seeded random records,
+// every column drawn from extreme integers, special doubles and random text.
+// ---------------------------------------------------------------------------
+
+void randomize(Rng& rng, std::uint64_t& v) {
+  const std::uint64_t picks[] = {0, 1, 9, 10,
+                                 std::numeric_limits<std::uint64_t>::max(),
+                                 rng.next_u64()};
+  v = picks[rng.uniform_below(std::size(picks))];
+}
+
+void randomize(Rng& rng, std::int64_t& v) {
+  const std::int64_t picks[] = {0, -1, std::numeric_limits<std::int64_t>::min(),
+                                std::numeric_limits<std::int64_t>::max(),
+                                static_cast<std::int64_t>(rng.next_u64())};
+  v = picks[rng.uniform_below(std::size(picks))];
+}
+
+void randomize(Rng& rng, int& v) {
+  const int picks[] = {0, -1, std::numeric_limits<int>::min(),
+                       std::numeric_limits<int>::max(),
+                       static_cast<int>(rng.next_u64())};
+  v = picks[rng.uniform_below(std::size(picks))];
+}
+
+void randomize(Rng& rng, double& v) {
+  const double picks[] = {0.0,
+                          -0.0,
+                          5e-324,
+                          -2.5e-310,
+                          1e300,
+                          -1e300,
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN(),
+                          rng.uniform(-1e6, 1e6),
+                          std::bit_cast<double>(rng.next_u64())};
+  v = picks[rng.uniform_below(std::size(picks))];
+}
+
+void randomize(Rng& rng, std::string& v) {
+  // Bare tokens of 0..12 characters, empty included.
+  static constexpr char kChars[] = "abz_-.:/09 AZ";
+  v.clear();
+  const std::size_t n = rng.uniform_below(13);
+  for (std::size_t i = 0; i < n; ++i)
+    v += kChars[rng.uniform_below(sizeof kChars - 1)];
+}
+
+SweepRecord random_record(Rng& rng) {
+  SweepRecord rec;
+#define IW_RANDOM_AXIS(field, Type, flag, column, default_) \
+  randomize(rng, rec.field);
+  IW_SWEEP_AXES(IW_RANDOM_AXIS)
+#undef IW_RANDOM_AXIS
+#define IW_RANDOM_METRIC(field) randomize(rng, rec.field);
+  IW_METRIC_COLUMNS(IW_RANDOM_METRIC)
+#undef IW_RANDOM_METRIC
+  randomize(rng, rec.workload);
+  randomize(rng, rec.seed);
+  randomize(rng, rec.protocol);
+  randomize(rng, rec.v_up_ranks_per_sec);
+  randomize(rng, rec.v_down_ranks_per_sec);
+  randomize(rng, rec.v_eq2_ranks_per_sec);
+  randomize(rng, rec.decay_up_us_per_rank);
+  randomize(rng, rec.survival_up_hops);
+  randomize(rng, rec.survival_down_hops);
+  randomize(rng, rec.front_r2_up);
+  randomize(rng, rec.front_rmse_up_us);
+  randomize(rng, rec.cycle_us);
+  randomize(rng, rec.makespan_ms);
+  randomize(rng, rec.eager_demotions);
+  randomize(rng, rec.events_processed);
+  randomize(rng, rec.peak_events_pending);
+  randomize(rng, rec.ffwd_skips);
+  randomize(rng, rec.ffwd_time_skipped_us);
+  return rec;
+}
+
+TEST(RecordCodec, StoredValuesReplayAsTheJsonLine) {
+  for (std::uint64_t c = 0; c < 300; ++c) {
+    Rng rng(0x5A1E5EEDull + c);
+    SweepRecord rec = random_record(rng);
+    std::string values;
+    append_record_values(values, rec);
+    for (const std::uint64_t index :
+         {std::uint64_t{0}, std::uint64_t{9}, std::uint64_t{10},
+          rng.next_u64(), std::numeric_limits<std::uint64_t>::max()}) {
+      rec.index = index;
+      std::string line;
+      append_json_from_values(line, values, index);
+      ASSERT_EQ(line, record_json_line(rec)) << "case " << c;
+      // The values are the CSV row without its index cell.
+      std::string row;
+      append_csv_row(row, rec);
+      ASSERT_EQ(row, std::to_string(index) + "," + values) << "case " << c;
+    }
+  }
+  SweepRecord rec = distinctive_record();
+  rec.protocol = "eager,rendezvous";
+  std::string values;
+  EXPECT_THROW(append_record_values(values, rec), std::invalid_argument);
 }
 
 TEST(RecordCodec, TextColumnsMustBeBareTokens) {
