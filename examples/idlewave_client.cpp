@@ -202,7 +202,13 @@ int client_main(int argc, char** argv) {
   if (!reader.next(line))
     throw std::runtime_error("daemon closed the connection without replying");
   std::cout << line << '\n';
-  return 0;
+  // A refused cancel or an error line fails the command, as for --results.
+  const json::Value msg = json::parse(line, "response");
+  const json::Value* accepted = msg.find("accepted");
+  const bool refused = accepted != nullptr &&
+                       accepted->is(json::Value::Kind::boolean) &&
+                       !accepted->boolean;
+  return refused || field_text(msg, "type") == "error" ? 1 : 0;
 }
 
 }  // namespace

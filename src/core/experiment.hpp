@@ -40,17 +40,20 @@ struct WaveExperiment {
 struct WaveResult {
   mpi::Trace trace;
   /// Wave analyses toward higher / lower ranks from the first delay.
-  WaveAnalysis up;
-  WaveAnalysis down;
-  /// Protocol the transport chose for the ring's message size.
+  WaveAnalysis up{};
+  WaveAnalysis down{};
+  /// Protocol the transport chose for the workload's message size.
   mpi::WireProtocol protocol = mpi::WireProtocol::eager;
-  /// Measured steady-state compute-communicate cycle length (from step
-  /// markers of a rank the wave reaches last).
-  Duration measured_cycle;
+  /// Measured steady-state compute-communicate cycle length: the
+  /// measured_cycle() median over steps 1 .. steps - 1 of one far rank, rank
+  /// (injection + np/2) mod np on the ring and, on the grid, the corner
+  /// farthest (Manhattan) from the injection. Zero below four steps or
+  /// without a delay.
+  Duration measured_cycle = Duration::zero();
   /// Eq. 2 prediction using the measured cycle: sigma*d / cycle.
   double predicted_speed = 0.0;
   /// Injection wall-clock time (begin of the injected segment).
-  SimTime injection_time;
+  SimTime injection_time = SimTime::zero();
   /// Engine counters for the run: total events fired and the calendar's
   /// peak population (simulation-cost figures tracked by bench/perf_engine).
   std::uint64_t events_processed = 0;
@@ -76,7 +79,8 @@ struct WaveResult {
   Duration ffwd_time_skipped = Duration::zero();
 };
 
-/// Runs the experiment. If `delays` is empty the wave analyses stay empty.
+/// Runs the experiment on a fresh WaveRunner. If `delays` is empty the wave
+/// analyses stay empty.
 [[nodiscard]] WaveResult run_wave_experiment(const WaveExperiment& exp);
 
 /// Reusable experiment driver: one Cluster is recycled across consecutive
@@ -97,8 +101,9 @@ class WaveRunner {
   FfwdReference ffwd_reference_;
 };
 
-/// Mean distance between consecutive step-begin markers of `rank` over
-/// steps [from_step, to_step); the steady-state cycle time Texec + Tcomm.
+/// Median distance between consecutive step-begin markers of `rank` over
+/// steps [from_step, to_step), rounded to the nanosecond: the steady-state
+/// cycle time Texec + Tcomm, robust against the few steps a wave inflates.
 [[nodiscard]] Duration measured_cycle(const mpi::Trace& trace, int rank,
                                       int from_step, int to_step);
 

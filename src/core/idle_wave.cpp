@@ -1,7 +1,6 @@
 #include "core/idle_wave.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <span>
 
 #include "support/error.hpp"
@@ -71,24 +70,13 @@ std::vector<IdlePeriod> idle_periods(const mpi::Trace& trace, int rank,
   return periods;
 }
 
-std::optional<int> rank_at_hops(int origin, int hops, int direction,
-                                int ranks, workload::Boundary boundary) {
-  IW_REQUIRE(ranks > 0, "need at least one rank");
-  IW_REQUIRE(direction == 1 || direction == -1, "direction must be +-1");
-  const int raw = origin + direction * hops;
-  if (boundary == workload::Boundary::periodic)
-    return ((raw % ranks) + ranks) % ranks;
-  if (raw < 0 || raw >= ranks) return std::nullopt;
-  return raw;
-}
-
 WaveAnalysis analyze_wave(const mpi::Trace& trace, const WaveProbe& probe) {
   WaveAnalysis analysis;
   const int n = trace.ranks();
 
   int max_hops = probe.max_hops;
   if (max_hops <= 0)
-    max_hops = n - 1;  // open: clipped by rank_at_hops; periodic: once around
+    max_hops = n - 1;  // open: clipped at the edge; periodic: once around
 
   IW_REQUIRE(probe.injection_rank >= 0 && probe.injection_rank < n,
              "injection rank out of range");
@@ -96,20 +84,13 @@ WaveAnalysis analyze_wave(const mpi::Trace& trace, const WaveProbe& probe) {
              "direction must be +-1");
   RowMemo memo(trace);
 
-  // The rank_at_hops() sequence, one step per hop, wrapping on a periodic
-  // ring without a modulo per hop: at machine scale this loop visits every
-  // rank.
-  const bool periodic = probe.boundary == workload::Boundary::periodic;
+  // One rank per hop under the boundary rule; the modulo runs only when
+  // the walk wraps, since at machine scale this loop visits every rank.
   bool front_broken = false;
   int rank = probe.injection_rank;
   for (int hops = 1; hops <= max_hops; ++hops) {
-    rank += probe.direction;
-    if (periodic) {
-      if (rank == n) rank = 0;
-      if (rank < 0) rank = n - 1;
-    } else if (rank < 0 || rank >= n) {
-      break;  // walked off an open chain
-    }
+    rank = workload::wrap_or_clip(rank + probe.direction, n, probe.boundary);
+    if (rank < 0) break;  // walked off an open chain
     analysis.hops_probed = hops;
 
     const FirstWait wait = memo.get(trace, rank, probe);

@@ -14,7 +14,6 @@
 // row is scanned once per probe (memoized by row index).
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "mpi/trace.hpp"
@@ -99,13 +98,5 @@ struct WaveAnalysis {
 /// fits front and amplitude. With periodic boundaries ranks wrap.
 [[nodiscard]] WaveAnalysis analyze_wave(const mpi::Trace& trace,
                                         const WaveProbe& probe);
-
-/// Convenience: the rank `hops` away from `origin` in `direction` under the
-/// boundary rule; nullopt when walking off an open chain. analyze_wave()
-/// visits exactly this sequence for hops = 1, 2, ..., stepping one rank at a
-/// time.
-[[nodiscard]] std::optional<int> rank_at_hops(int origin, int hops,
-                                              int direction, int ranks,
-                                              workload::Boundary boundary);
 
 }  // namespace iw::core

@@ -31,9 +31,6 @@ core::WaveExperiment build_experiment(const SweepSpec& spec,
     grid.steps = spec.steps;
     grid.texec = spec.texec;
     inj_rank = workload::grid_rank(grid, grid.px / 2, grid.py / 2);
-    exp.cluster.topo = pt.ppn <= 1
-                           ? net::TopologySpec::one_rank_per_node(pt.np)
-                           : net::TopologySpec::packed(pt.np, pt.ppn);
     exp.grid = grid;
   } else {
     workload::RingSpec ring;
@@ -48,8 +45,10 @@ core::WaveExperiment build_experiment(const SweepSpec& spec,
                                 static_cast<double>(pt.np));
     inj_rank = std::clamp(inj_rank, 0, pt.np - 1);
     exp.ring = ring;
-    exp.cluster = core::cluster_for_ring(ring, pt.ppn <= 1, pt.ppn);
   }
+  // One rank per node at ppn 1, otherwise ppn ranks per socket.
+  exp.cluster.topo = pt.ppn <= 1 ? net::TopologySpec::one_rank_per_node(pt.np)
+                                 : net::TopologySpec::packed(pt.np, pt.ppn);
 
   // Protocol axes land in the transport configuration; Transport::validate
   // re-checks the combination at construction.

@@ -18,12 +18,21 @@ void validate(const Grid2DSpec& spec) {
                "periodic grid needs at least 3 ranks per dimension");
 }
 
-/// Wraps or clips a coordinate; -1 when outside an open grid.
-int resolve(int coord, int extent, Boundary boundary) {
-  if (boundary == Boundary::periodic) return ((coord % extent) + extent) % extent;
-  return (coord >= 0 && coord < extent) ? coord : -1;
+/// Calls `fn(peer)` for the 4-neighborhood of `rank` under the boundary
+/// rule, in program order: +x, -x, +y, -y. Allocates nothing.
+template <typename Fn>
+void for_each_grid_peer(const Grid2DSpec& spec, int rank, Fn&& fn) {
+  const auto [x, y] = grid_coords(spec, rank);
+  constexpr int kOffsets[4][2] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
+  for (const auto& [dx, dy] : kOffsets) {
+    const int nx = wrap_or_clip(x + dx, spec.px, spec.boundary);
+    const int ny = wrap_or_clip(y + dy, spec.py, spec.boundary);
+    if (nx >= 0 && ny >= 0) fn(ny * spec.px + nx);
+  }
 }
 
+/// Hops between two coordinates of one axis: the shorter way round on a
+/// periodic axis.
 int axis_distance(int a, int b, int extent, Boundary boundary) {
   const int direct = std::abs(a - b);
   if (boundary == Boundary::open) return direct;
@@ -43,20 +52,6 @@ std::pair<int, int> grid_coords(const Grid2DSpec& spec, int rank) {
   return {rank % spec.px, rank / spec.px};
 }
 
-std::vector<int> grid_neighbors(const Grid2DSpec& spec, int rank) {
-  const auto [x, y] = grid_coords(spec, rank);
-  std::vector<int> neighbors;
-  const int offsets[4][2] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
-  for (const auto& off : offsets) {
-    const int nx = resolve(x + off[0], spec.px, spec.boundary);
-    const int ny = resolve(y + off[1], spec.py, spec.boundary);
-    if (nx < 0 || ny < 0) continue;
-    const int peer = grid_rank(spec, nx, ny);
-    if (peer != rank) neighbors.push_back(peer);
-  }
-  return neighbors;
-}
-
 int grid_distance(const Grid2DSpec& spec, int a, int b) {
   const auto [ax, ay] = grid_coords(spec, a);
   const auto [bx, by] = grid_coords(spec, b);
@@ -71,14 +66,11 @@ std::vector<mpi::Program> build_grid2d(const Grid2DSpec& spec,
   std::vector<mpi::Program> programs(static_cast<std::size_t>(spec.ranks()));
   for (int rank = 0; rank < spec.ranks(); ++rank) {
     auto& prog = programs[static_cast<std::size_t>(rank)];
-    const auto neighbors = grid_neighbors(spec, rank);
-    const auto mine = delays_of(sorted, rank);
     prog.mark().compute(spec.texec, spec.noisy);
-    if (!mine.empty()) prog.inject_point();
-    for (const int peer : neighbors) prog.isend(peer, spec.msg_bytes, 0);
-    for (const int peer : neighbors) prog.irecv(peer, spec.msg_bytes, 0);
-    prog.waitall().repeat(spec.steps);
-    for (const auto& d : mine) prog.inject_at(d.step, d.duration);
+    emit_exchange(
+        prog,
+        [&](int, auto&& fn) { for_each_grid_peer(spec, rank, fn); },
+        spec.msg_bytes, spec.steps, delays_of(sorted, rank));
   }
   return programs;
 }

@@ -37,17 +37,13 @@ struct Grid2DSpec {
 [[nodiscard]] std::pair<int, int> grid_coords(const Grid2DSpec& spec,
                                               int rank);
 
-/// The 4-neighborhood of `rank` under the boundary rule (out-of-range
-/// neighbors dropped for open boundaries). Order: +x, -x, +y, -y.
-[[nodiscard]] std::vector<int> grid_neighbors(const Grid2DSpec& spec,
-                                              int rank);
-
 /// Manhattan (hop) distance between two ranks under the boundary rule.
 [[nodiscard]] int grid_distance(const Grid2DSpec& spec, int a, int b);
 
-/// Builds one Program per rank: a compute + 4-neighbor exchange + waitall
-/// step body repeated `steps` times, with one-off delays injected per
-/// `delays` at the body's injection point.
+/// Builds one Program per rank: compute(Texec), then the emit_exchange()
+/// step body with the 4-neighborhood under the boundary rule (out-of-range
+/// neighbors dropped on open boundaries), in the order +x, -x, +y, -y for
+/// both the sends and the receives.
 [[nodiscard]] std::vector<mpi::Program> build_grid2d(
     const Grid2DSpec& spec, std::span<const DelaySpec> delays = {});
 

@@ -1,6 +1,7 @@
 #include "workload/lbm.hpp"
 
 #include "support/error.hpp"
+#include "workload/ring.hpp"
 
 namespace iw::workload {
 
@@ -28,18 +29,17 @@ std::vector<mpi::Program> build_lbm(const LbmSpec& spec) {
 
   const std::int64_t work = lbm_bytes_per_rank(spec);
   const std::int64_t halo = lbm_halo_bytes(spec);
-
+  const RingSpec ring{.ranks = spec.ranks,
+                      .direction = Direction::bidirectional,
+                      .boundary = Boundary::periodic};
   std::vector<mpi::Program> programs(static_cast<std::size_t>(spec.ranks));
   for (int rank = 0; rank < spec.ranks; ++rank) {
     auto& prog = programs[static_cast<std::size_t>(rank)];
-    const int n = spec.ranks;
-    const int up = (rank + 1) % n;
-    const int down = (rank - 1 + n) % n;
-    prog.mark().mem_work(work).isend(up, halo, 0);
-    if (down != up) prog.isend(down, halo, 0);
-    prog.irecv(down, halo, 0);
-    if (down != up) prog.irecv(up, halo, 0);
-    prog.waitall().repeat(spec.steps);
+    prog.mark().mem_work(work);
+    emit_exchange(
+        prog,
+        [&](int sign, auto&& fn) { for_each_peer(ring, rank, sign, fn); },
+        halo, spec.steps);
   }
   return programs;
 }

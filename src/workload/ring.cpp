@@ -18,37 +18,18 @@ void validate(const RingSpec& spec) {
                "periodic ring must be larger than the neighborhood");
 }
 
-std::vector<int> peers(const RingSpec& spec, int rank, int sign) {
-  std::vector<int> out;
-  for_each_peer(spec, rank, sign, [&out](int p) { out.push_back(p); });
-  return out;
-}
-
-/// Emits one rank's loop program into `prog`: one step body repeated
-/// `steps` times, with the rank's step-ordered `delays` at its injection
-/// point. Shared by the whole-ring and single-rank builders so both emit
-/// identical programs.
+/// Emits one rank's loop program into `prog`. Shared by the whole-ring and
+/// single-rank builders so both emit identical programs.
 void emit_ring_rank(const RingSpec& spec, int rank,
                     std::span<const DelaySpec> delays, mpi::Program& prog) {
   prog.mark().compute(spec.texec, spec.noisy);
-  if (!delays.empty()) prog.inject_point();
-  for_each_peer(spec, rank, +1,
-                [&](int peer) { prog.isend(peer, spec.msg_bytes, 0); });
-  for_each_peer(spec, rank, -1,
-                [&](int peer) { prog.irecv(peer, spec.msg_bytes, 0); });
-  prog.waitall().repeat(spec.steps);
-  for (const auto& d : delays) prog.inject_at(d.step, d.duration);
+  emit_exchange(
+      prog,
+      [&](int sign, auto&& fn) { for_each_peer(spec, rank, sign, fn); },
+      spec.msg_bytes, spec.steps, delays);
 }
 
 }  // namespace
-
-std::vector<int> send_peers(const RingSpec& spec, int rank) {
-  return peers(spec, rank, 1);
-}
-
-std::vector<int> recv_peers(const RingSpec& spec, int rank) {
-  return peers(spec, rank, -1);
-}
 
 std::vector<mpi::Program> build_ring(const RingSpec& spec,
                                      std::span<const DelaySpec> delays) {

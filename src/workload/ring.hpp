@@ -8,7 +8,10 @@
 // {open, periodic} boundaries that Fig. 5 scans. One-off delays are injected
 // at given (rank, step) positions right after the compute phase of that
 // step. Each rank's Program is that step body, built once and repeated
-// `steps` times; a delayed rank's body carries an injection point.
+// `steps` times; a delayed rank's body carries an injection point. The
+// exchange half of the body (emit_exchange) and the boundary rule
+// (wrap_or_clip) live here and serve every workload: ring, 2-D grid,
+// STREAM triad and LBM differ only in their peer walk and compute phase.
 #pragma once
 
 #include <cstdint>
@@ -50,14 +53,59 @@ struct DelaySpec {
   Duration duration;
 };
 
-/// Builds one Program per rank.
+/// The boundary rule on one axis of `extent` ranks: `coord` itself when in
+/// range, wrapped into range on a periodic axis, -1 off an open one.
+[[nodiscard]] constexpr int wrap_or_clip(int coord, int extent,
+                                         Boundary boundary) {
+  if (coord >= 0 && coord < extent) return coord;
+  if (boundary == Boundary::open) return -1;
+  return ((coord % extent) + extent) % extent;
+}
+
+/// Calls `fn(peer)` for every send target (`sign` = +1) or receive source
+/// (`sign` = -1) of `rank`, in program order: offset sign*k, then -sign*k
+/// when bidirectional, for k = 1..d, under the boundary rule. A peer equal
+/// to the rank, or to the k-th peer already called, is skipped; only a
+/// closed ring of one or two ranks (STREAM, LBM) has one. Allocates
+/// nothing, so the fast-forward ghost schedule can walk every silent rank
+/// of a machine-scale ring.
+template <typename Fn>
+void for_each_peer(const RingSpec& spec, int rank, int sign, Fn&& fn) {
+  for (int k = 1; k <= spec.distance; ++k) {
+    const int ahead = wrap_or_clip(rank + sign * k, spec.ranks, spec.boundary);
+    if (ahead >= 0 && ahead != rank) fn(ahead);
+    if (spec.direction == Direction::unidirectional) continue;
+    const int behind =
+        wrap_or_clip(rank - sign * k, spec.ranks, spec.boundary);
+    if (behind >= 0 && behind != rank && behind != ahead) fn(behind);
+  }
+}
+
+/// The halo-exchange step body every workload shares, emitted after the
+/// caller's `mark().compute(...)` or `mark().mem_work(...)`: an injection
+/// point when the rank has `delays`, an Isend of `bytes` to every peer
+/// `peers(+1, fn)` calls `fn` with, an Irecv from every peer `peers(-1, fn)`
+/// calls it with, and a WaitAll. The body runs `steps` times, and the
+/// rank's step-ordered `delays` land at its injection point. Tags are 0;
+/// the loop adds the step, so matching is unambiguous across rounds.
+template <typename Peers>
+void emit_exchange(mpi::Program& prog, Peers&& peers, std::int64_t bytes,
+                   int steps, std::span<const DelaySpec> delays = {}) {
+  if (!delays.empty()) prog.inject_point();
+  peers(+1, [&](int peer) { prog.isend(peer, bytes, 0); });
+  peers(-1, [&](int peer) { prog.irecv(peer, bytes, 0); });
+  prog.waitall().repeat(steps);
+  for (const auto& d : delays) prog.inject_at(d.step, d.duration);
+}
+
+/// Builds one Program per rank: compute(Texec), then the exchange with the
+/// for_each_peer() peers.
 ///
 /// Unidirectional: rank i sends to i+k and receives from i-k, k = 1..d
 /// (paper: "each process receives data from one neighbor and sends it to
 /// the other"). Bidirectional: i exchanges with both i±k. With open
 /// boundaries, out-of-range neighbors are skipped; with periodic boundaries
-/// indices wrap (closed ring). Message tags equal the step, so matching is
-/// unambiguous across rounds.
+/// indices wrap (closed ring).
 [[nodiscard]] std::vector<mpi::Program> build_ring(
     const RingSpec& spec, std::span<const DelaySpec> delays = {});
 
@@ -68,32 +116,5 @@ struct DelaySpec {
 [[nodiscard]] mpi::Program build_ring_rank(const RingSpec& spec, int rank,
                                            std::span<const DelaySpec> delays =
                                                {});
-
-/// Calls `fn(peer)` for every send target (`sign` = +1) or receive source
-/// (`sign` = -1) of `rank`, in program order: offset sign*k, then -sign*k
-/// when bidirectional, for k = 1..d, skipping ranks off an open chain.
-/// Allocates nothing, so the fast-forward ghost schedule can walk every
-/// silent rank of a machine-scale ring.
-template <typename Fn>
-void for_each_peer(const RingSpec& spec, int rank, int sign, Fn&& fn) {
-  const int n = spec.ranks;
-  const auto neighbor = [&spec, rank, n](int offset) {
-    const int peer = rank + offset;
-    if (spec.boundary == Boundary::periodic) return ((peer % n) + n) % n;
-    return (peer >= 0 && peer < n) ? peer : -1;
-  };
-  for (int k = 1; k <= spec.distance; ++k) {
-    if (const int p = neighbor(sign * k); p >= 0) fn(p);
-    if (spec.direction == Direction::bidirectional)
-      if (const int p = neighbor(-sign * k); p >= 0) fn(p);
-  }
-}
-
-/// Neighbor list (send targets) of `rank` under the spec; exposed for tests
-/// and for the analytic Tcomm estimate.
-[[nodiscard]] std::vector<int> send_peers(const RingSpec& spec, int rank);
-
-/// Neighbor list (receive sources) of `rank` under the spec.
-[[nodiscard]] std::vector<int> recv_peers(const RingSpec& spec, int rank);
 
 }  // namespace iw::workload

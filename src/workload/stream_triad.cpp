@@ -1,6 +1,7 @@
 #include "workload/stream_triad.hpp"
 
 #include "support/error.hpp"
+#include "workload/ring.hpp"
 
 namespace iw::workload {
 
@@ -18,20 +19,17 @@ std::vector<mpi::Program> build_stream_triad(const StreamTriadSpec& spec) {
   IW_REQUIRE(spec.elements > 0, "need a non-empty vector");
 
   const std::int64_t work = triad_bytes_per_rank(spec);
+  const RingSpec ring{.ranks = spec.ranks,
+                      .direction = Direction::bidirectional,
+                      .boundary = Boundary::periodic};
   std::vector<mpi::Program> programs(static_cast<std::size_t>(spec.ranks));
   for (int rank = 0; rank < spec.ranks; ++rank) {
     auto& prog = programs[static_cast<std::size_t>(rank)];
-    const int n = spec.ranks;
-    const int up = (rank + 1) % n;
-    const int down = (rank - 1 + n) % n;
     prog.mark().mem_work(work);
-    if (n > 1) {
-      prog.isend(up, spec.halo_bytes, 0);
-      if (down != up) prog.isend(down, spec.halo_bytes, 0);
-      prog.irecv(down, spec.halo_bytes, 0);
-      if (down != up) prog.irecv(up, spec.halo_bytes, 0);
-    }
-    prog.waitall().repeat(spec.steps);
+    emit_exchange(
+        prog,
+        [&](int sign, auto&& fn) { for_each_peer(ring, rank, sign, fn); },
+        spec.halo_bytes, spec.steps);
   }
   return programs;
 }

@@ -38,21 +38,6 @@ TEST(IdlePeriods, IgnoresNonWaitSegments) {
   EXPECT_TRUE(idle_periods(trace, 0, Duration::zero()).empty());
 }
 
-TEST(RankAtHops, OpenChainClipsAtEdges) {
-  EXPECT_EQ(rank_at_hops(5, 2, +1, 10, workload::Boundary::open), 7);
-  EXPECT_EQ(rank_at_hops(5, 5, -1, 10, workload::Boundary::open), 0);
-  EXPECT_EQ(rank_at_hops(5, 6, -1, 10, workload::Boundary::open),
-            std::nullopt);
-  EXPECT_EQ(rank_at_hops(5, 5, +1, 10, workload::Boundary::open),
-            std::nullopt);
-}
-
-TEST(RankAtHops, PeriodicWraps) {
-  EXPECT_EQ(rank_at_hops(5, 6, +1, 10, workload::Boundary::periodic), 1);
-  EXPECT_EQ(rank_at_hops(5, 6, -1, 10, workload::Boundary::periodic), 9);
-  EXPECT_EQ(rank_at_hops(0, 10, +1, 10, workload::Boundary::periodic), 0);
-}
-
 /// Builds a synthetic trace of a clean wave: injected at rank 2, arriving
 /// at rank 2+k at time (10 + 4k) ms with amplitude (20 - 2k) ms.
 mpi::Trace synthetic_wave(int ranks) {

@@ -3,20 +3,28 @@
 // The ring and grid2d builders emit one step body per rank, repeated
 // `steps` times, with the rank's delays on the body's injection point. The
 // twin below writes the same run out flat: every step spelled out with
-// tag = step and the step's summed delay as an inline inject op. On random
-// specs, run through one recycled Cluster, both must produce byte-identical
-// segments, step marks, finish times, engine counters and transport stats.
+// tag = step and the step's summed delay as an inline inject op, with peer
+// sets written out here rather than taken from the builders' own walk
+// (ring: i±k for k = 1..d, wrapped or clipped; grid: +x, -x, +y, -y). The
+// loop program, unrolled, must equal the twin op for op, on random specs
+// and on every ring and grid2d point of the catalog with np <= 2048. On the
+// random specs, run through one recycled Cluster, both must also produce
+// byte-identical segments, step marks, finish times, engine counters and
+// transport stats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/cluster.hpp"
 #include "support/rng.hpp"
+#include "sweep/scenario.hpp"
 #include "workload/grid2d.hpp"
 #include "workload/ring.hpp"
 
@@ -44,16 +52,56 @@ std::vector<mpi::Program> loop_programs(const Case& c) {
                 : workload::build_ring(c.ring, c.delays);
 }
 
+/// Send targets (`sign` = +1) or receive sources (-1) of a ring rank:
+/// i + sign*k, then i - sign*k when bidirectional, for k = 1..d; wrapped on
+/// a periodic ring, dropped off an open one.
+std::vector<int> ring_peers(const workload::RingSpec& s, int rank, int sign) {
+  std::vector<int> out;
+  const auto add = [&](int peer) {
+    if (s.boundary == workload::Boundary::periodic)
+      out.push_back((peer + s.ranks) % s.ranks);
+    else if (peer >= 0 && peer < s.ranks)
+      out.push_back(peer);
+  };
+  for (int k = 1; k <= s.distance; ++k) {
+    add(rank + sign * k);
+    if (s.direction == workload::Direction::bidirectional) add(rank - sign * k);
+  }
+  return out;
+}
+
+/// Peers of a grid rank, sends and receives alike: +x, -x, +y, -y; each
+/// axis wrapped on a torus, dropped off an open grid.
+std::vector<int> grid_peers(const workload::Grid2DSpec& g, int rank) {
+  const int x = rank % g.px;
+  const int y = rank / g.px;
+  std::vector<int> out;
+  const auto add = [&](int nx, int ny) {
+    if (g.boundary == workload::Boundary::periodic) {
+      nx = (nx + g.px) % g.px;
+      ny = (ny + g.py) % g.py;
+    } else if (nx < 0 || nx >= g.px || ny < 0 || ny >= g.py) {
+      return;
+    }
+    out.push_back(ny * g.px + nx);
+  };
+  add(x + 1, y);
+  add(x - 1, y);
+  add(x, y + 1);
+  add(x, y - 1);
+  return out;
+}
+
 std::vector<mpi::Program> unrolled_programs(const Case& c) {
   const Duration texec = c.grid ? c.grid2d.texec : c.ring.texec;
   const bool noisy = c.grid ? c.grid2d.noisy : c.ring.noisy;
   const std::int64_t bytes = c.grid ? c.grid2d.msg_bytes : c.ring.msg_bytes;
   std::vector<mpi::Program> programs(static_cast<std::size_t>(c.ranks()));
   for (int rank = 0; rank < c.ranks(); ++rank) {
-    const auto sends = c.grid ? workload::grid_neighbors(c.grid2d, rank)
-                              : workload::send_peers(c.ring, rank);
-    const auto recvs = c.grid ? workload::grid_neighbors(c.grid2d, rank)
-                              : workload::recv_peers(c.ring, rank);
+    const auto sends = c.grid ? grid_peers(c.grid2d, rank)
+                              : ring_peers(c.ring, rank, +1);
+    const auto recvs = c.grid ? grid_peers(c.grid2d, rank)
+                              : ring_peers(c.ring, rank, -1);
     mpi::Program& p = programs[static_cast<std::size_t>(rank)];
     for (int step = 0; step < c.steps(); ++step) {
       p.mark().compute(texec, noisy);
@@ -124,6 +172,75 @@ Case random_case(Rng& rng) {
   return c;
 }
 
+/// One op as text, so two op lists compare with a readable diff.
+std::string describe(const mpi::Op& op) {
+  return std::visit(
+      [](const auto& o) -> std::string {
+        using T = std::decay_t<decltype(o)>;
+        if constexpr (std::is_same_v<T, mpi::OpCompute>)
+          return "compute " + std::to_string(o.duration.ns()) +
+                 (o.noisy ? " noisy" : "");
+        else if constexpr (std::is_same_v<T, mpi::OpMemWork>)
+          return "mem_work " + std::to_string(o.bytes);
+        else if constexpr (std::is_same_v<T, mpi::OpInject>)
+          return "inject " + std::to_string(o.duration.ns()) +
+                 (o.point ? " point" : "");
+        else if constexpr (std::is_same_v<T, mpi::OpIsend>)
+          return "isend " + std::to_string(o.peer) + " " +
+                 std::to_string(o.bytes) + " tag " + std::to_string(o.tag);
+        else if constexpr (std::is_same_v<T, mpi::OpIrecv>)
+          return "irecv " + std::to_string(o.peer) + " " +
+                 std::to_string(o.bytes) + " tag " + std::to_string(o.tag);
+        else if constexpr (std::is_same_v<T, mpi::OpWaitAll>)
+          return "waitall";
+        else
+          return "mark";
+      },
+      op);
+}
+
+/// The ops a loop program runs, written out: iteration i adds i to every
+/// tag, and its injection point becomes an inline inject op of the listed
+/// duration, or nothing when the iteration is not listed.
+std::vector<std::string> ops_run(const mpi::Program& p) {
+  std::vector<std::string> out;
+  const auto listed = p.injections();
+  std::size_t next = 0;
+  for (int i = 0; i < p.repeats(); ++i)
+    for (const mpi::Op& op : p.body()) {
+      if (const auto* inj = std::get_if<mpi::OpInject>(&op);
+          inj != nullptr && inj->point) {
+        if (next < listed.size() && listed[next].iteration == i)
+          out.push_back(describe(mpi::OpInject{listed[next++].duration}));
+      } else if (const auto* send = std::get_if<mpi::OpIsend>(&op)) {
+        out.push_back(describe(
+            mpi::OpIsend{send->peer, send->bytes, send->tag + i}));
+      } else if (const auto* recv = std::get_if<mpi::OpIrecv>(&op)) {
+        out.push_back(describe(
+            mpi::OpIrecv{recv->peer, recv->bytes, recv->tag + i}));
+      } else {
+        out.push_back(describe(op));
+      }
+    }
+  EXPECT_EQ(next, listed.size()) << "injection list not consumed";
+  return out;
+}
+
+/// Builds the case both ways and compares every rank op for op.
+void expect_same_ops(const Case& c, const std::string& where) {
+  const auto loop = loop_programs(c);
+  const auto flat = unrolled_programs(c);
+  ASSERT_EQ(loop.size(), flat.size()) << where;
+  for (std::size_t r = 0; r < loop.size(); ++r) {
+    ASSERT_EQ(flat[r].repeats(), 1) << where;
+    std::vector<std::string> expected;
+    for (const mpi::Op& op : flat[r].body()) expected.push_back(describe(op));
+    ASSERT_EQ(ops_run(loop[r]), expected) << where << " rank " << r;
+    ASSERT_EQ(loop[r].segment_bound(), flat[r].segment_bound()) << where;
+    ASSERT_EQ(loop[r].step_marks(), flat[r].step_marks()) << where;
+  }
+}
+
 struct Outcome {
   mpi::Trace trace;
   std::uint64_t events;
@@ -177,16 +294,30 @@ TEST(LoopVsUnrolled, RandomRingAndGridSpecs) {
     config.topo = c.topo;
     config.seed = rng.next_u64();
     if (cluster == nullptr) cluster = std::make_unique<core::Cluster>(config);
+    const std::string where = "case " + std::to_string(k);
+    expect_same_ops(c, where);
     const auto loop = loop_programs(c);
     const auto flat = unrolled_programs(c);
-    for (std::size_t r = 0; r < loop.size(); ++r) {
-      ASSERT_EQ(loop[r].segment_bound(), flat[r].segment_bound());
-      ASSERT_EQ(loop[r].step_marks(), flat[r].step_marks());
-    }
     const Outcome a = run_once(*cluster, config, loop, c.noise);
     const Outcome b = run_once(*cluster, config, flat, c.noise);
-    expect_identical(a, b, "case " + std::to_string(k));
+    expect_identical(a, b, where);
   }
+}
+
+TEST(LoopVsUnrolled, CatalogPointsOpForOp) {
+  int checked = 0;
+  for (const sweep::Scenario& sc : sweep::scenario_catalog())
+    for (const sweep::SweepPoint& pt : sweep::expand(sc.spec)) {
+      if (pt.np > 2048) continue;
+      Case c;
+      c.grid = pt.exp.grid.has_value();
+      c.ring = pt.exp.ring;
+      if (c.grid) c.grid2d = *pt.exp.grid;
+      c.delays = pt.exp.delays;
+      expect_same_ops(c, sc.name + " point " + std::to_string(pt.index));
+      ++checked;
+    }
+  EXPECT_GT(checked, 100);
 }
 
 }  // namespace

@@ -27,33 +27,56 @@ TEST(Grid2D, RankCoordinateRoundTrip) {
   EXPECT_EQ(grid_rank(spec, 3, 2), 11);
 }
 
+/// Peers of the body's sends (`recv` false) or receives (true), in order.
+std::vector<int> posted(const mpi::Program& prog, bool recv) {
+  std::vector<int> out;
+  for (const auto& op : prog.body()) {
+    if (const auto* send = std::get_if<mpi::OpIsend>(&op); send && !recv)
+      out.push_back(send->peer);
+    if (const auto* irecv = std::get_if<mpi::OpIrecv>(&op); irecv && recv)
+      out.push_back(irecv->peer);
+  }
+  return out;
+}
+
 TEST(Grid2D, InteriorHasFourNeighbors) {
   const Grid2DSpec spec = spec_4x3();
-  const auto n = grid_neighbors(spec, grid_rank(spec, 1, 1));
-  EXPECT_EQ(n.size(), 4u);
-  // Order: +x, -x, +y, -y.
-  EXPECT_EQ(n, (std::vector<int>{grid_rank(spec, 2, 1), grid_rank(spec, 0, 1),
-                                 grid_rank(spec, 1, 2),
-                                 grid_rank(spec, 1, 0)}));
+  const auto programs = build_grid2d(spec);
+  const auto& prog = programs[static_cast<std::size_t>(grid_rank(spec, 1, 1))];
+  // Order: +x, -x, +y, -y, for the sends and the receives alike.
+  const std::vector<int> expected{grid_rank(spec, 2, 1), grid_rank(spec, 0, 1),
+                                  grid_rank(spec, 1, 2), grid_rank(spec, 1, 0)};
+  EXPECT_EQ(posted(prog, false), expected);
+  EXPECT_EQ(posted(prog, true), expected);
 }
 
 TEST(Grid2D, OpenCornersHaveTwoNeighbors) {
   const Grid2DSpec spec = spec_4x3();
-  EXPECT_EQ(grid_neighbors(spec, grid_rank(spec, 0, 0)).size(), 2u);
-  EXPECT_EQ(grid_neighbors(spec, grid_rank(spec, 3, 2)).size(), 2u);
-  EXPECT_EQ(grid_neighbors(spec, grid_rank(spec, 1, 0)).size(), 3u);
+  const auto programs = build_grid2d(spec);
+  const auto at = [&](int x, int y) {
+    return posted(programs[static_cast<std::size_t>(grid_rank(spec, x, y))],
+                  false);
+  };
+  EXPECT_EQ(at(0, 0), (std::vector<int>{grid_rank(spec, 1, 0),
+                                        grid_rank(spec, 0, 1)}));
+  EXPECT_EQ(at(3, 2).size(), 2u);
+  EXPECT_EQ(at(1, 0).size(), 3u);
 }
 
 TEST(Grid2D, PeriodicEveryoneHasFour) {
   Grid2DSpec spec;
   spec.px = 4;
   spec.py = 4;
+  spec.steps = 1;
   spec.boundary = Boundary::periodic;
+  const auto programs = build_grid2d(spec);
   for (int r = 0; r < spec.ranks(); ++r)
-    EXPECT_EQ(grid_neighbors(spec, r).size(), 4u) << "rank " << r;
-  // Wrap: (0,0)'s -x neighbor is (3,0).
-  const auto n = grid_neighbors(spec, 0);
-  EXPECT_NE(std::find(n.begin(), n.end(), grid_rank(spec, 3, 0)), n.end());
+    EXPECT_EQ(posted(programs[static_cast<std::size_t>(r)], false).size(), 4u)
+        << "rank " << r;
+  // Wrap: (0,0)'s -x neighbor is (3,0), its -y neighbor (0,3).
+  EXPECT_EQ(posted(programs[0], false),
+            (std::vector<int>{grid_rank(spec, 1, 0), grid_rank(spec, 3, 0),
+                              grid_rank(spec, 0, 1), grid_rank(spec, 0, 3)}));
 }
 
 TEST(Grid2D, ManhattanDistances) {

@@ -14,48 +14,82 @@ RingSpec base_spec() {
   return s;
 }
 
+/// The peers for_each_peer() calls: send targets (`sign` = +1) or receive
+/// sources (-1).
+std::vector<int> peers(const RingSpec& s, int rank, int sign) {
+  std::vector<int> out;
+  for_each_peer(s, rank, sign, [&out](int p) { out.push_back(p); });
+  return out;
+}
+
 TEST(RingNeighbors, UnidirectionalOpenInterior) {
   RingSpec s = base_spec();
-  EXPECT_EQ(send_peers(s, 4), (std::vector<int>{5}));
-  EXPECT_EQ(recv_peers(s, 4), (std::vector<int>{3}));
+  EXPECT_EQ(peers(s, 4, +1), (std::vector<int>{5}));
+  EXPECT_EQ(peers(s, 4, -1), (std::vector<int>{3}));
 }
 
 TEST(RingNeighbors, UnidirectionalOpenEdges) {
   RingSpec s = base_spec();
-  EXPECT_EQ(send_peers(s, 9), (std::vector<int>{}));  // no upper neighbor
-  EXPECT_EQ(recv_peers(s, 0), (std::vector<int>{}));  // no lower neighbor
-  EXPECT_EQ(send_peers(s, 0), (std::vector<int>{1}));
-  EXPECT_EQ(recv_peers(s, 9), (std::vector<int>{8}));
+  EXPECT_EQ(peers(s, 9, +1), (std::vector<int>{}));  // no upper neighbor
+  EXPECT_EQ(peers(s, 0, -1), (std::vector<int>{}));  // no lower neighbor
+  EXPECT_EQ(peers(s, 0, +1), (std::vector<int>{1}));
+  EXPECT_EQ(peers(s, 9, -1), (std::vector<int>{8}));
 }
 
 TEST(RingNeighbors, UnidirectionalPeriodicWraps) {
   RingSpec s = base_spec();
   s.boundary = Boundary::periodic;
-  EXPECT_EQ(send_peers(s, 9), (std::vector<int>{0}));
-  EXPECT_EQ(recv_peers(s, 0), (std::vector<int>{9}));
+  EXPECT_EQ(peers(s, 9, +1), (std::vector<int>{0}));
+  EXPECT_EQ(peers(s, 0, -1), (std::vector<int>{9}));
 }
 
 TEST(RingNeighbors, BidirectionalBothSides) {
   RingSpec s = base_spec();
   s.direction = Direction::bidirectional;
-  EXPECT_EQ(send_peers(s, 4), (std::vector<int>{5, 3}));
-  EXPECT_EQ(recv_peers(s, 4), (std::vector<int>{3, 5}));
+  EXPECT_EQ(peers(s, 4, +1), (std::vector<int>{5, 3}));
+  EXPECT_EQ(peers(s, 4, -1), (std::vector<int>{3, 5}));
 }
 
 TEST(RingNeighbors, DistanceTwo) {
   RingSpec s = base_spec();
   s.distance = 2;
-  EXPECT_EQ(send_peers(s, 4), (std::vector<int>{5, 6}));
-  EXPECT_EQ(recv_peers(s, 4), (std::vector<int>{3, 2}));
+  EXPECT_EQ(peers(s, 4, +1), (std::vector<int>{5, 6}));
+  EXPECT_EQ(peers(s, 4, -1), (std::vector<int>{3, 2}));
   s.direction = Direction::bidirectional;
-  EXPECT_EQ(send_peers(s, 4), (std::vector<int>{5, 3, 6, 2}));
+  EXPECT_EQ(peers(s, 4, +1), (std::vector<int>{5, 3, 6, 2}));
 }
 
 TEST(RingNeighbors, DistanceTwoOpenEdgeClipping) {
   RingSpec s = base_spec();
   s.distance = 2;
-  EXPECT_EQ(send_peers(s, 8), (std::vector<int>{9}));  // 10 clipped
-  EXPECT_EQ(recv_peers(s, 1), (std::vector<int>{0}));  // -1 clipped
+  EXPECT_EQ(peers(s, 8, +1), (std::vector<int>{9}));  // 10 clipped
+  EXPECT_EQ(peers(s, 1, -1), (std::vector<int>{0}));  // -1 clipped
+}
+
+TEST(RingNeighbors, TinyClosedRingsSkipSelfAndRepeats) {
+  // Only STREAM and LBM build these: one rank talks to nobody, and on two
+  // ranks both directions reach the same peer once.
+  RingSpec s{.ranks = 1,
+             .direction = Direction::bidirectional,
+             .boundary = Boundary::periodic};
+  EXPECT_EQ(peers(s, 0, +1), (std::vector<int>{}));
+  s.ranks = 2;
+  EXPECT_EQ(peers(s, 0, +1), (std::vector<int>{1}));
+  EXPECT_EQ(peers(s, 1, -1), (std::vector<int>{0}));
+}
+
+TEST(WrapOrClip, OpenAxisClipsAtEdges) {
+  EXPECT_EQ(wrap_or_clip(7, 10, Boundary::open), 7);
+  EXPECT_EQ(wrap_or_clip(0, 10, Boundary::open), 0);
+  EXPECT_EQ(wrap_or_clip(-1, 10, Boundary::open), -1);
+  EXPECT_EQ(wrap_or_clip(10, 10, Boundary::open), -1);
+}
+
+TEST(WrapOrClip, PeriodicAxisWraps) {
+  EXPECT_EQ(wrap_or_clip(11, 10, Boundary::periodic), 1);
+  EXPECT_EQ(wrap_or_clip(-1, 10, Boundary::periodic), 9);
+  EXPECT_EQ(wrap_or_clip(10, 10, Boundary::periodic), 0);
+  EXPECT_EQ(wrap_or_clip(-21, 10, Boundary::periodic), 9);
 }
 
 TEST(RingPrograms, OneProgramPerRankWithRightShape) {
@@ -88,8 +122,8 @@ TEST(RingPrograms, BodyPostsToThePeersWithStepZeroTags) {
       EXPECT_EQ(recv->tag, 0);
     }
   }
-  EXPECT_EQ(sends, send_peers(s, 4));
-  EXPECT_EQ(recvs, recv_peers(s, 4));
+  EXPECT_EQ(sends, (std::vector<int>{5, 3}));
+  EXPECT_EQ(recvs, (std::vector<int>{3, 5}));
 }
 
 TEST(RingPrograms, DelayInjectedAfterComputeOfThatStep) {
